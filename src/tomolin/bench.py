@@ -10,7 +10,7 @@ bytes do not depend on the worker count or scheduling order.
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,6 +85,14 @@ class ExperimentConfig:
     def n_params(self) -> int:
         return self.d * self.d - 1
 
+    @property
+    def pattern_noise(self) -> protocols.NoiseSpec:
+        return protocols.NoiseSpec("ratio", self.noise_ratio_patterns)
+
+    @property
+    def data_noise(self) -> protocols.NoiseSpec:
+        return protocols.NoiseSpec("ratio", self.noise_ratio_data)
+
     def validate(self) -> None:
         if self.experiment not in ("sweep-probes", "sweep-outcomes", "homodyne", "selftest"):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
@@ -94,6 +102,12 @@ class ExperimentConfig:
             raise ConfigError("m_values and M_values must be nonempty")
         if any(m < 1 for m in self.m_values) or any(M < 1 for M in self.M_values):
             raise ConfigError("sweep ranges must be positive")
+        if any(len(set(v)) != len(v) for v in (self.m_values, self.M_values)):
+            raise ConfigError("m_values and M_values must not repeat an entry")
+        if self.experiment in ("sweep-probes", "sweep-outcomes") and min(self.m_values) < self.d:
+            raise ConfigError(f"square-root measurements need m >= d = {self.d}")
+        if self.experiment == "homodyne" and self.d < 3:
+            raise ConfigError("homodyne needs d >= 3 for its three-component signal")
         if self.noise_ratio_patterns < 0 or self.noise_ratio_data < 0:
             raise ConfigError("noise ratios must be >= 0")
         if self.ensembles < 1 or self.trials < 1:
@@ -106,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown state ensemble {self.state_ensemble!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError("eta must lie in [0, 1]")
+        if self.dx <= 0 or self.x_max <= 0:
+            raise ConfigError("dx and x_max must be > 0")
         if self.experiment == "sweep-outcomes" and len(self.M_values) != 1:
             raise ConfigError("sweep-outcomes expects exactly one M value")
         if self.experiment == "homodyne" and len(self.M_values) != 1:
@@ -120,7 +136,12 @@ class ExperimentConfig:
         doc = dict(doc)
         for key in ("m_values", "M_values", "wigner_export_m"):
             if key in doc and doc[key] is not None:
-                doc[key] = tuple(int(v) for v in doc[key])
+                if not isinstance(doc[key], list):
+                    raise ConfigError(f"{key} must be a list of integers, got {doc[key]!r}")
+                try:
+                    doc[key] = tuple(int(v) for v in doc[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{key} must be a list of integers: {exc}") from exc
         cfg = cls(**doc)
         cfg.validate()
         return cfg
@@ -178,31 +199,15 @@ def _draw_srm_detector(d: int, m: int, basis, rng):
     raise RuntimeError(f"square-root measurement redraw budget exhausted (d={d}, m={m})")
 
 
-def _draw_probe_blochs(cfg: ExperimentConfig, count: int, basis, rng) -> np.ndarray:
-    sampler = qstate.random_density_hs if cfg.state_ensemble == "hs" else qstate.random_density_pure
-    rhos = sampler(cfg.d, rng, size=count)
-    return qstate.state_to_bloch(rhos, basis).T  # (n, count)
-
-
-def _trial_blochs(cfg: ExperimentConfig, basis, rng) -> np.ndarray:
-    rhos = qstate.random_density_hs(cfg.d, rng, size=cfg.trials)
-    return qstate.state_to_bloch(rhos, basis).T
-
-
-def _point_mses(cfg, probes, patterns, detector, data, true_blochs):
-    inv_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-    inv_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-    e2 = []
-    for inv in (inv_s, inv_p):
-        estimates, valid = protocols.estimate_batch(inv, data)
-        failures = int(data.shape[1] - valid.sum())
-        if failures > 0.01 * data.shape[1]:
-            raise protocols.EstimationFailureError(
-                f"{failures}/{data.shape[1]} degenerate estimates at one sweep point"
-            )
-        errors = np.sum((estimates - true_blochs) ** 2, axis=0)
-        e2.append(float(np.mean(errors[valid])))
-    return e2[0], e2[1]
+def _evaluate(cfg: ExperimentConfig, m: int, M: int, ensemble: int,
+              probes, patterns, data, true_blochs):
+    """One sweep point: build A_s and A_p once and return the CSV row of
+    their MSEs together with both inversion matrices."""
+    invs = (protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol),
+            protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol))
+    e2s, e2p = (protocols.batch_mse(inv, data, true_blochs) for inv in invs)
+    row = SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p, cfg.trials)
+    return row, invs
 
 
 def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
@@ -216,24 +221,15 @@ def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     rng = _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble)
     basis = qstate.gellmann_basis(cfg.d)
     detector = _draw_srm_detector(cfg.d, m, basis, rng)
-    m_max = max(cfg.M_values)
-    probes_full = protocols.ProbeSet.from_blochs(_draw_probe_blochs(cfg, m_max, basis, rng))
-    patterns_full = protocols.collect_patterns(
-        detector, probes_full, protocols.NoiseSpec("ratio", cfg.noise_ratio_patterns), rng
-    )
-    true_blochs = _trial_blochs(cfg, basis, rng)
-    augmented = np.vstack([np.ones(cfg.trials), true_blochs])
-    data = protocols.add_noise(
-        detector.augmented() @ augmented,
-        protocols.NoiseSpec("ratio", cfg.noise_ratio_data), rng,
-    )
-    rows = []
-    for M in cfg.M_values:
-        e2s, e2p = _point_mses(cfg, probes_full.prefix(M), patterns_full.prefix(M),
-                               detector, data, true_blochs)
-        rows.append(SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble,
-                                e2s, e2p, cfg.trials))
-    return rows
+    probes_full = protocols.ProbeSet.from_blochs(
+        qstate.random_blochs(basis, max(cfg.M_values), rng, cfg.state_ensemble))
+    patterns_full = protocols.collect_patterns(detector, probes_full, cfg.pattern_noise, rng)
+    true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
+    data = protocols.trial_data(detector, true_blochs, cfg.data_noise, rng)
+    rows = [_evaluate(cfg, m, M, ensemble, probes_full.prefix(M), patterns_full.prefix(M),
+                      data, true_blochs)[0]
+            for M in cfg.M_values]
+    return rows, None
 
 
 def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
@@ -241,20 +237,15 @@ def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     basis = qstate.gellmann_basis(cfg.d)
     M = cfg.M_values[0]
     rng_probes = _rng(cfg.seed, _TAG_OUTCOME_PROBES, ensemble)
-    probes = protocols.ProbeSet.from_blochs(_draw_probe_blochs(cfg, M, basis, rng_probes))
+    probes = protocols.ProbeSet.from_blochs(
+        qstate.random_blochs(basis, M, rng_probes, cfg.state_ensemble))
     rng = _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble)
     detector = _draw_srm_detector(cfg.d, m, basis, rng)
-    patterns = protocols.collect_patterns(
-        detector, probes, protocols.NoiseSpec("ratio", cfg.noise_ratio_patterns), rng
-    )
-    true_blochs = _trial_blochs(cfg, basis, rng)
-    augmented = np.vstack([np.ones(cfg.trials), true_blochs])
-    data = protocols.add_noise(
-        detector.augmented() @ augmented,
-        protocols.NoiseSpec("ratio", cfg.noise_ratio_data), rng,
-    )
-    e2s, e2p = _point_mses(cfg, probes, patterns, detector, data, true_blochs)
-    return [SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p, cfg.trials)]
+    patterns = protocols.collect_patterns(detector, probes, cfg.pattern_noise, rng)
+    true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
+    data = protocols.trial_data(detector, true_blochs, cfg.data_noise, rng)
+    row, _ = _evaluate(cfg, m, M, ensemble, probes, patterns, data, true_blochs)
+    return [row], None
 
 
 def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
@@ -271,33 +262,24 @@ def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
     """One homodyne cell: random quadrature set, coherent probe patterns and
     repeated noisy data of the fixed benchmark signal.
 
-    Returns the sweep row plus the trial-averaged estimates of both
-    protocols (used for Wigner exports)."""
+    Returns the sweep row plus the estimates of both protocols from the
+    trial-averaged data (used for Wigner exports)."""
     basis = qstate.gellmann_basis(cfg.d)
     rng = _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble)
     meas = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
                                          dx=cfg.dx, x_max=cfg.x_max)
     detector = homodyne.homodyne_detector_model(meas, basis)
     probes = _homodyne_probes(cfg, basis, rng)
-    patterns = protocols.collect_patterns(
-        detector, probes, protocols.NoiseSpec("ratio", cfg.noise_ratio_patterns), rng
-    )
+    patterns = protocols.collect_patterns(detector, probes, cfg.pattern_noise, rng)
     signal = homodyne.true_signal(cfg.d)
-    rho_true = np.outer(signal, signal.conj())
-    r_true = qstate.state_to_bloch(rho_true, basis)
-    true_blochs = np.tile(r_true[:, None], (1, cfg.trials))
+    r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()), basis)
+    # every trial measures the same state: compute its response once
     p_true = detector.probabilities(r_true)
-    data = protocols.add_noise(
-        np.tile(p_true[:, None], (1, cfg.trials)),
-        protocols.NoiseSpec("ratio", cfg.noise_ratio_data), rng,
-    )
-    e2s, e2p = _point_mses(cfg, probes, patterns, detector, data, true_blochs)
-    row = SweepResult(cfg.d, cfg.n_params, m, cfg.M_values[0], cfg.seed, ensemble,
-                      e2s, e2p, cfg.trials)
+    data = protocols.add_noise(np.tile(p_true[:, None], (1, cfg.trials)), cfg.data_noise, rng)
+    row, invs = _evaluate(cfg, m, cfg.M_values[0], ensemble, probes, patterns,
+                          data, r_true[:, None])
     mean_estimates = {}
-    for kind, build in (("standard", protocols.standard_inversion_matrix),
-                        ("pattern", protocols.pattern_inversion_matrix)):
-        inv = build(patterns, probes, rtol=cfg.rtol)
+    for kind, inv in zip(("standard", "pattern"), invs):
         try:
             mean_estimates[kind] = protocols.estimate(inv, data.mean(axis=1))
         except protocols.DegenerateNormalizationError:
@@ -306,17 +288,24 @@ def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
 
 
 def _read_done_rows(path: str) -> set:
+    """Keys (m, M, ensemble) of the rows already in an output CSV.
+
+    A row counts only when it has all nine fields and ends in a newline.
+    An unterminated last line, left by an interrupted run, is cut off so
+    that rows appended on resume start on a line of their own.
+    """
     done = set()
     if path is None or not os.path.exists(path):
         return done
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("d,"):
-                continue
-            parts = line.split(",")
-            if len(parts) >= 6:
-                done.add((int(parts[2]), int(parts[3]), int(parts[5])))
+    with open(path, "rb+") as fh:
+        blob = fh.read()
+        complete = blob.rfind(b"\n") + 1
+        if complete < len(blob):
+            fh.truncate(complete)
+    for line in blob[:complete].decode("utf-8").splitlines():
+        parts = line.split(",")
+        if len(parts) == 9 and not line.startswith("d,"):
+            done.add((int(parts[2]), int(parts[3]), int(parts[5])))
     return done
 
 
@@ -366,56 +355,53 @@ def _run_tasks(cfg: ExperimentConfig, task, keys, collect):
             collect(key, futures[key].result())
 
 
-def run_sweep_probes(cfg: ExperimentConfig):
-    """Performance-ratio sweep over the probe count M at fixed outcome
-    counts; one CSV row per (m, M, ensemble)."""
+def _run_grid(cfg: ExperimentConfig, task, export_m=()):
+    """Run task(cfg, m, ensemble) -> (rows, extra) over the (m, ensemble)
+    grid, skipping cells whose rows cfg.out already holds, and write the new
+    rows in (m, M, ensemble) order.
+
+    Cells at ensemble 0 of an m in export_m always run; their extras are
+    returned as {m: extra}.  Other cells' results are dropped once their m
+    is written, which keeps memory flat along the sweep.
+    """
     cfg.validate()
     done = _read_done_rows(cfg.out)
     writer = _CsvWriter(cfg.out, resume=bool(done))
     _write_metadata(cfg)
     results = []
+    extras = {}
     try:
         for m in cfg.m_values:
             keys = [
                 (m, e) for e in range(cfg.ensembles)
-                if not all((m, M, e) in done for M in cfg.M_values)
+                if any((m, M, e) not in done for M in cfg.M_values)
+                or (m in export_m and e == 0)
             ]
             gathered = {}
-            _run_tasks(cfg, _probe_sweep_task, keys, lambda k, rows: gathered.__setitem__(k, rows))
+            _run_tasks(cfg, task, keys, gathered.__setitem__)
             for M in cfg.M_values:
                 point_rows = [
-                    row
-                    for e in range(cfg.ensembles)
-                    if (m, e) in gathered
-                    for row in gathered[(m, e)]
-                    if row.M == M and (m, M, e) not in done
+                    row for key in keys for row in gathered[key][0]
+                    if row.M == M and (m, M, row.ensemble) not in done
                 ]
                 writer.write_rows(point_rows)
                 results.extend(point_rows)
+            if m in export_m:
+                extras[m] = gathered[(m, 0)][1]
     finally:
         writer.close()
-    return results
+    return results, extras
+
+
+def run_sweep_probes(cfg: ExperimentConfig):
+    """Performance-ratio sweep over the probe count M at fixed outcome
+    counts; one CSV row per (m, M, ensemble)."""
+    return _run_grid(cfg, _probe_sweep_task)[0]
 
 
 def run_sweep_outcomes(cfg: ExperimentConfig):
     """MSE sweep over the outcome count m at a fixed probe count M."""
-    cfg.validate()
-    done = _read_done_rows(cfg.out)
-    writer = _CsvWriter(cfg.out, resume=bool(done))
-    _write_metadata(cfg)
-    M = cfg.M_values[0]
-    results = []
-    try:
-        for m in cfg.m_values:
-            keys = [(m, e) for e in range(cfg.ensembles) if (m, M, e) not in done]
-            gathered = {}
-            _run_tasks(cfg, _outcome_sweep_task, keys, lambda k, rows: gathered.__setitem__(k, rows))
-            point_rows = [row for key in keys for row in gathered[key]]
-            writer.write_rows(point_rows)
-            results.extend(point_rows)
-    finally:
-        writer.close()
-    return results
+    return _run_grid(cfg, _outcome_sweep_task)[0]
 
 
 def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
@@ -432,38 +418,18 @@ def run_homodyne(cfg: ExperimentConfig):
     complete point and at m = M (reconstructed from ensemble 0 by
     trial-averaged data)."""
     cfg.validate()
-    basis = qstate.gellmann_basis(cfg.d)
     export_m = cfg.wigner_export_m
     if export_m is None:
         export_m = tuple(m for m in (cfg.n_params + 1, cfg.M_values[0]) if m in cfg.m_values)
-    done = _read_done_rows(cfg.out)
-    writer = _CsvWriter(cfg.out, resume=bool(done))
-    _write_metadata(cfg)
-    M = cfg.M_values[0]
+    results, mean_estimates = _run_grid(cfg, _homodyne_task, export_m)
+    basis = qstate.gellmann_basis(cfg.d)
     axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
-    results = []
-    exports = {}
-    try:
-        for m in cfg.m_values:
-            keys = [
-                (m, e) for e in range(cfg.ensembles)
-                if (m, M, e) not in done or (m in export_m and e == 0)
-            ]
-            gathered = {}
-            _run_tasks(cfg, _homodyne_task, keys, lambda k, res: gathered.__setitem__(k, res))
-            point_rows = [
-                row for key in keys for row in gathered[key][0]
-                if (row.m, row.M, row.ensemble) not in done
-            ]
-            writer.write_rows(point_rows)
-            results.extend(point_rows)
-            if m in export_m and (m, 0) in gathered:
-                for kind, r_hat in gathered[(m, 0)][1].items():
-                    if r_hat is not None:
-                        rho_hat = qstate.bloch_to_state(r_hat, basis)
-                        exports[(kind, m)] = homodyne.wigner(rho_hat, axis, axis)
-    finally:
-        writer.close()
+    exports = {
+        (kind, m): homodyne.wigner(qstate.bloch_to_state(r_hat, basis), axis, axis)
+        for m, estimates in mean_estimates.items()
+        for kind, r_hat in estimates.items()
+        if r_hat is not None
+    }
     if cfg.out is not None:
         signal = homodyne.true_signal(cfg.d)
         rho_true = np.outer(signal, signal.conj())
@@ -637,6 +603,17 @@ def _qstate_suite(cfg: ExperimentConfig, rng):
     yield SelfTestCheck("qstate", "srm-completeness", cases, worst_comp, 1e-9)
 
 
+def _selftest_setup(cfg: ExperimentConfig, basis, m: int, M: int, rng, noise: float = 0.03):
+    """A random square-root measurement with max(m, d) outcomes, M probes
+    and their noisy patterns, drawn in that order from rng."""
+    detector = _draw_srm_detector(basis.dim, max(m, basis.dim), basis, rng)
+    probes = protocols.ProbeSet.from_blochs(
+        qstate.random_blochs(basis, M, rng, cfg.state_ensemble))
+    patterns = protocols.collect_patterns(
+        detector, probes, protocols.NoiseSpec("ratio", noise), rng)
+    return detector, probes, patterns
+
+
 def _protocols_suite(cfg: ExperimentConfig, rng):
     d = 3
     basis = qstate.gellmann_basis(d)
@@ -647,11 +624,7 @@ def _protocols_suite(cfg: ExperimentConfig, rng):
     for _ in range(count):
         M = int(rng.integers(3, n_aug + 1))
         m = int(rng.integers(M, M + 6))
-        detector = _draw_srm_detector(d, max(m, d), basis, rng)
-        probes = protocols.ProbeSet.from_blochs(_draw_probe_blochs(
-            replace(cfg, d=d), M, basis, rng))
-        patterns = protocols.collect_patterns(
-            detector, probes, protocols.NoiseSpec("ratio", 0.03), rng)
+        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         worst_equiv = max(worst_equiv, matlib.hs_norm(a_s.matrix - a_p.matrix)
@@ -662,11 +635,7 @@ def _protocols_suite(cfg: ExperimentConfig, rng):
     for _ in range(count):
         M = int(rng.integers(n_aug + 1, n_aug + 8))
         m = int(rng.integers(M, M + 8))
-        detector = _draw_srm_detector(d, m, basis, rng)
-        probes = protocols.ProbeSet.from_blochs(_draw_probe_blochs(
-            replace(cfg, d=d), M, basis, rng))
-        patterns = protocols.collect_patterns(
-            detector, probes, protocols.NoiseSpec("ratio", 0.03), rng)
+        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         worst_norm = max(worst_norm, a_s.hs_norm_value - a_p.hs_norm_value)
@@ -687,11 +656,7 @@ def _protocols_suite(cfg: ExperimentConfig, rng):
     for _ in range(max(5, count // 2)):
         M = int(rng.integers(n_aug + 1, n_aug + 6))
         m = int(rng.integers(d, n_aug))
-        detector = _draw_srm_detector(d, max(m, d), basis, rng)
-        probes = protocols.ProbeSet.from_blochs(_draw_probe_blochs(
-            replace(cfg, d=d), M, basis, rng))
-        patterns = protocols.collect_patterns(
-            detector, probes, protocols.NoiseSpec("ratio", 0.03), rng)
+        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
         f = patterns.f_matrix
         r = probes.r_matrix
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
@@ -704,11 +669,8 @@ def _protocols_suite(cfg: ExperimentConfig, rng):
     worst_unbiased = 0.0
     for _ in range(10):
         M = n_aug + 3
-        detector = _draw_srm_detector(d, n_aug + 2, basis, rng)
-        probes = protocols.ProbeSet.from_blochs(_draw_probe_blochs(
-            replace(cfg, d=d), M, basis, rng))
-        patterns = protocols.collect_patterns(
-            detector, probes, protocols.NoiseSpec("ratio", 0.0), rng)
+        detector, probes, patterns = _selftest_setup(cfg, basis, n_aug + 2, M, rng,
+                                                     noise=0.0)
         rho = qstate.random_density_hs(d, rng)
         r = qstate.state_to_bloch(rho, basis)
         data = detector.probabilities(r)

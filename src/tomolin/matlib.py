@@ -15,7 +15,6 @@ __all__ = [
     "PenroseResiduals",
     "as_matrix",
     "svd",
-    "default_rtol",
     "pinv",
     "penrose_check",
     "reverse_order_holds",
@@ -91,12 +90,6 @@ def svd(x, rtol: float | None = None) -> SvdFactorization:
         rtol = max(a.shape) * _EPS
     smax = s[0] if s.size else 0.0
     return SvdFactorization(u, s, vh.conj().T, rank_tolerance=float(rtol * smax))
-
-
-def default_rtol(x) -> float:
-    """Default relative cutoff for pinv: max(rows, cols) * machine epsilon."""
-    a = np.asarray(x)
-    return max(a.shape) * _EPS
 
 
 def pinv(x, rtol: float | None = None) -> np.ndarray:

@@ -31,6 +31,8 @@ __all__ = [
     "oracle_inversion_matrix",
     "estimate",
     "estimate_batch",
+    "trial_data",
+    "batch_mse",
     "mse_theoretical",
     "mse_empirical",
     "limiting_case_diagnostics",
@@ -259,11 +261,7 @@ def mse_theoretical(inv: InversionMatrix, epsilon: float, m: int) -> float:
 def mse_empirical(setup: TomographySetup, kind: str, n_trials: int, rng,
                   ensemble: str = "hs", max_failure_fraction: float = 0.01) -> float:
     """Monte-Carlo mean of ||r_hat - r_true||^2 over fresh true states and
-    fresh data noise; the patterns stay fixed in the setup.
-
-    Degenerate estimates are excluded from the mean while they stay below
-    max_failure_fraction of the trials, otherwise the batch fails hard.
-    """
+    fresh data noise; the patterns stay fixed in the setup."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if kind == "standard":
@@ -272,25 +270,31 @@ def mse_empirical(setup: TomographySetup, kind: str, n_trials: int, rng,
         inv = pattern_inversion_matrix(setup.patterns, setup.probes, rtol=setup.rtol)
     else:
         raise ValueError(f"unknown protocol kind {kind!r}")
-    d = _dim_from_params(setup.probes.n_params)
-    basis = qstate.gellmann_basis(d)
-    sampler = qstate.random_density_hs if ensemble == "hs" else qstate.random_density_pure
-    rhos = sampler(d, rng, size=n_trials)
-    true_blochs = qstate.state_to_bloch(rhos, basis).T  # (n, trials)
-    return batch_mse(inv, setup.detector, true_blochs, setup.noise_data, rng,
-                     max_failure_fraction=max_failure_fraction)
+    basis = qstate.gellmann_basis(_dim_from_params(setup.probes.n_params))
+    true_blochs = qstate.random_blochs(basis, n_trials, rng, ensemble)
+    data = trial_data(setup.detector, true_blochs, setup.noise_data, rng)
+    return batch_mse(inv, data, true_blochs, max_failure_fraction=max_failure_fraction)
 
 
-def batch_mse(inv: InversionMatrix, detector: qstate.DetectorModel, true_blochs,
-              noise_data: NoiseSpec, rng,
-              max_failure_fraction: float = 0.01) -> float:
-    """Mean squared Bloch error of a fixed inversion matrix over a batch of
-    true states (columns of true_blochs) with fresh data noise."""
+def trial_data(detector: qstate.DetectorModel, true_blochs, noise: NoiseSpec,
+               rng) -> np.ndarray:
+    """Noisy detector responses (m, batch) to the true states given as Bloch
+    columns (n, batch)."""
     true_blochs = np.atleast_2d(np.asarray(true_blochs, dtype=float))
-    n, batch = true_blochs.shape
-    augmented = np.vstack([np.ones(batch), true_blochs])
-    data = add_noise(detector.augmented() @ augmented, noise_data, rng)
+    augmented = np.vstack([np.ones(true_blochs.shape[1]), true_blochs])
+    return add_noise(detector.augmented() @ augmented, noise, rng)
+
+
+def batch_mse(inv: InversionMatrix, data, true_blochs,
+              max_failure_fraction: float = 0.01) -> float:
+    """Mean squared Bloch error of the estimates of the data columns against
+    the true Bloch columns.
+
+    Degenerate estimates are excluded from the mean while they stay within
+    max_failure_fraction of the batch, otherwise the batch fails hard.
+    """
     estimates, valid = estimate_batch(inv, data)
+    batch = valid.size
     failures = int(batch - valid.sum())
     if failures > max_failure_fraction * batch:
         raise EstimationFailureError(

@@ -20,6 +20,7 @@ __all__ = [
     "haar_random_pure",
     "random_density_hs",
     "random_density_pure",
+    "random_blochs",
     "square_root_measurement",
 ]
 
@@ -196,6 +197,18 @@ def random_density_pure(d: int, rng, size: int | None = None) -> np.ndarray:
     """Projector(s) onto Haar-random pure states."""
     v = haar_random_pure(d, rng, size=size)
     return np.einsum("...i,...j->...ij", v, v.conj())
+
+
+def random_blochs(basis: OperatorBasis, count: int, rng, ensemble: str = "hs") -> np.ndarray:
+    """Bloch columns (n, count) of random states: Hilbert-Schmidt mixed
+    states for ensemble "hs", Haar-random pure states for "pure"."""
+    if ensemble == "hs":
+        rhos = random_density_hs(basis.dim, rng, size=count)
+    elif ensemble == "pure":
+        rhos = random_density_pure(basis.dim, rng, size=count)
+    else:
+        raise ValueError(f"unknown state ensemble {ensemble!r}")
+    return state_to_bloch(rhos, basis).T
 
 
 def square_root_measurement(states, eig_floor: float = 1e-12) -> Povm:

@@ -108,26 +108,31 @@ class TestSweepProbes:
         out2 = str(tmp_path / "w2.csv")
         bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out1, workers=1))
         bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out2, workers=2))
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        with open(out1, "rb") as fh1, open(out2, "rb") as fh2:
+            assert fh1.read() == fh2.read()
 
     def test_resume_skips_completed_rows(self, tmp_path):
         out_full = str(tmp_path / "full.csv")
         bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out_full))
-        full = open(out_full, "r", encoding="utf-8").read().splitlines()
-        # keep header and the first four rows only
-        out_part = str(tmp_path / "part.csv")
-        with open(out_part, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(full[:5]) + "\n")
-        rows = bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out_part))
-        assert len(rows) == len(full) - 5  # only the missing rows were produced
-        resumed = open(out_part, "r", encoding="utf-8").read().splitlines()
-        assert sorted(resumed) == sorted(full)
+        with open(out_full, "r", encoding="utf-8") as fh:
+            full = fh.read().splitlines()
+        # keep header and the first four rows, then either a clean end or
+        # an interrupted fifth row cut short in its last field
+        for tail in ("", full[5][:-3]):
+            out_part = str(tmp_path / "part.csv")
+            with open(out_part, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\n".join(full[:5]) + "\n" + tail)
+            rows = bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out_part))
+            assert len(rows) == len(full) - 5  # only the missing rows were produced
+            with open(out_part, "r", encoding="utf-8") as fh:
+                resumed = fh.read().splitlines()
+            assert sorted(resumed) == sorted(full)
 
     def test_rows_regenerable_in_isolation(self, tmp_path):
         cfg = bench.ExperimentConfig(**TINY_PROBES)
         rows = bench.run_sweep_probes(cfg)
         target = rows[4]
-        again = bench._probe_sweep_task(cfg, target.m, target.ensemble)
+        again, _ = bench._probe_sweep_task(cfg, target.m, target.ensemble)
         match = [r for r in again if r.M == target.M][0]
         assert match == target
 
@@ -158,7 +163,7 @@ class TestSweepOutcomes:
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES)
         basis_rows = {}
         for m in cfg.m_values:
-            rows = bench._outcome_sweep_task(cfg, m, 1)
+            rows, _ = bench._outcome_sweep_task(cfg, m, 1)
             basis_rows[m] = rows[0]
         # distinct m cells exist and come from the same probe draw; the
         # derivation key for probes ignores m, so this must not raise
@@ -177,7 +182,8 @@ class TestRunHomodyne:
         for name in ("_wigner_true.csv", "_wigner_pattern_m16.csv", "_wigner_standard_m40.csv"):
             path = stem + name
             assert os.path.exists(path)
-            lines = open(path, "r", encoding="utf-8").read().splitlines()
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
             assert lines[0] == "x,p,w"
             assert len(lines) == 1 + cfg.wigner_points**2
         # true-state grid normalises to one
@@ -223,6 +229,22 @@ class TestCli:
         cfg.write_text(json.dumps({"experiment": "sweep-probes", "d": 1}))
         assert cli.main(["sweep-probes", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        dict(experiment="sweep-probes", d=4, m_values=[3, 18], M_values=[20]),
+        dict(experiment="sweep-outcomes", d=3, m_values=[2, 4], M_values=[6]),
+        dict(experiment="homodyne", d=2, m_values=[4], M_values=[4]),
+        dict(experiment="homodyne", m_values=[16], M_values=[40], x_max=0.0),
+        dict(experiment="homodyne", m_values=[16], M_values=[40], dx=0.0),
+        dict(experiment="sweep-probes", m_values=5),
+        dict(experiment="sweep-probes", m_values=[18, 18]),
+        dict(experiment="sweep-probes", M_values=[4, 4]),
+    ])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "malformed.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main([doc["experiment"], "--config", str(cfg)]) == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_sweep_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.json"
