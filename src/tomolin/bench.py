@@ -253,7 +253,7 @@ def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
     M = cfg.M_values[0]
     radii = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, M))
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, M))
-    kets = np.array([homodyne.coherent_state_fock(a, cfg.d) for a in radii * phases])
+    kets = homodyne.coherent_state_fock(radii * phases, cfg.d)
     rhos = np.einsum("mi,mj->mij", kets, kets.conj())
     return protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
 
@@ -291,18 +291,17 @@ def _read_done_rows(path: str) -> set:
     """Keys (m, M, ensemble) of the rows already in an output CSV.
 
     A row counts only when it has all nine fields and ends in a newline.
-    An unterminated last line, left by an interrupted run, is cut off so
-    that rows appended on resume start on a line of their own.
+    A file whose first complete line is not CSV_HEADER is refused.
     """
     done = set()
     if path is None or not os.path.exists(path):
         return done
-    with open(path, "rb+") as fh:
+    with open(path, "rb") as fh:
         blob = fh.read()
-        complete = blob.rfind(b"\n") + 1
-        if complete < len(blob):
-            fh.truncate(complete)
-    for line in blob[:complete].decode("utf-8").splitlines():
+    lines = blob[:blob.rfind(b"\n") + 1].decode("utf-8").splitlines()
+    if lines and lines[0] != CSV_HEADER:
+        raise ConfigError(f"cannot resume {path}: its first line is not the header {CSV_HEADER}")
+    for line in lines:
         parts = line.split(",")
         if len(parts) == 9 and not line.startswith("d,"):
             done.add((int(parts[2]), int(parts[3]), int(parts[5])))
@@ -310,14 +309,22 @@ def _read_done_rows(path: str) -> set:
 
 
 class _CsvWriter:
+    """Writes rows to path; on resume it appends, after cutting off an
+    unterminated last line left by an interrupted run so that new rows
+    start on a line of their own."""
+
     def __init__(self, path: str | None, resume: bool):
         self.path = path
         self.fh = None
-        if path is not None:
-            mode = "a" if resume and os.path.exists(path) else "w"
-            self.fh = open(path, mode, encoding="utf-8", newline="")
-            if mode == "w":
-                self.fh.write(CSV_HEADER + "\n")
+        if path is None:
+            return
+        if resume and os.path.exists(path):
+            with open(path, "rb+") as fh:
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+            self.fh = open(path, "a", encoding="utf-8", newline="")
+        else:
+            self.fh = open(path, "w", encoding="utf-8", newline="")
+            self.fh.write(CSV_HEADER + "\n")
 
     def write_rows(self, rows) -> None:
         if self.fh is not None:
@@ -330,13 +337,45 @@ class _CsvWriter:
             self.fh.close()
 
 
-def _write_metadata(cfg: ExperimentConfig) -> None:
-    if cfg.out is None:
-        return
+def _metadata(cfg: ExperimentConfig) -> dict:
     doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for key in ("m_values", "M_values", "wigner_export_m"):
         if doc[key] is not None:
             doc[key] = list(doc[key])
+    return doc
+
+
+# settings that may differ between a run and its resumption
+_RESUME_FREE_KEYS = ("out", "workers")
+
+
+def _check_resume(cfg: ExperimentConfig) -> None:
+    """Refuse to append to cfg.out when its .meta.json records another
+    config; the output path and the worker count may differ.  Without a
+    .meta.json there is nothing to compare, and the resume goes ahead."""
+    path = cfg.out + ".meta.json"
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            old = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot resume {cfg.out}: unreadable {path}: {exc}") from exc
+    if not isinstance(old, dict):
+        raise ConfigError(f"cannot resume {cfg.out}: {path} is not a JSON object")
+    new = _metadata(cfg)
+    changed = sorted(key for key in set(old) | set(new)
+                     if key not in _RESUME_FREE_KEYS and old.get(key) != new.get(key))
+    if changed:
+        diffs = ", ".join(f"{key} {old.get(key)!r} -> {new.get(key)!r}" for key in changed)
+        raise ConfigError(f"cannot resume {cfg.out}, written with a different config ({diffs}); "
+                          f"use another --out or remove the file")
+
+
+def _write_metadata(cfg: ExperimentConfig) -> None:
+    if cfg.out is None:
+        return
+    doc = _metadata(cfg)
     with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -360,12 +399,16 @@ def _run_grid(cfg: ExperimentConfig, task, export_m=()):
     grid, skipping cells whose rows cfg.out already holds, and write the new
     rows in (m, M, ensemble) order.
 
-    Cells at ensemble 0 of an m in export_m always run; their extras are
-    returned as {m: extra}.  Other cells' results are dropped once their m
-    is written, which keeps memory flat along the sweep.
+    Resuming a file written with another config raises ConfigError before
+    anything is written.  Cells at ensemble 0 of an m in export_m always
+    run; their extras are returned as {m: extra}.  Other cells' results
+    are dropped once their m is written, which keeps memory flat along the
+    sweep.
     """
     cfg.validate()
     done = _read_done_rows(cfg.out)
+    if done:
+        _check_resume(cfg)
     writer = _CsvWriter(cfg.out, resume=bool(done))
     _write_metadata(cfg)
     results = []
@@ -405,11 +448,13 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
 
 
 def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
+    # the axis strings are formatted once and reused for every point
+    xs = [f"{x:.12e}" for x in grid.x_axis.tolist()]
+    ps = [f"{p:.12e}" for p in grid.p_axis.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,p,w\n")
-        for i, x in enumerate(grid.x_axis):
-            for j, p in enumerate(grid.p_axis):
-                fh.write(f"{x:.12e},{p:.12e},{grid.values[i, j]:.12e}\n")
+        for x, row in zip(xs, grid.values.tolist()):
+            fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(ps, row)))
 
 
 def run_homodyne(cfg: ExperimentConfig):

@@ -13,7 +13,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.special import genlaguerre
 
 from . import qstate
 
@@ -34,16 +33,23 @@ __all__ = [
 AMPLITUDE_GUARD = 2.0  # truncation-safety bound on |alpha|
 
 
-def coherent_state_fock(alpha: complex, d_f: int) -> np.ndarray:
+def coherent_state_fock(alpha, d_f: int) -> np.ndarray:
     """Coherent state amplitudes c_n ~ alpha^n / sqrt(n!), renormalised
-    within the truncation.  Rejects |alpha| > 2 where the truncated tail
-    would no longer be negligible."""
-    if abs(alpha) > AMPLITUDE_GUARD:
-        raise ValueError(f"|alpha| = {abs(alpha):.3f} beyond truncation guard {AMPLITUDE_GUARD}")
+    within the truncation.  alpha may be an array; the result then has
+    shape alpha.shape + (d_f,).  Rejects |alpha| > 2 where the truncated
+    tail would no longer be negligible."""
+    alpha = np.asarray(alpha)
+    largest = np.abs(alpha).max(initial=0.0)
+    if largest > AMPLITUDE_GUARD:
+        raise ValueError(f"|alpha| = {largest:.3f} beyond truncation guard {AMPLITUDE_GUARD}")
     n = np.arange(d_f)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    c = alpha**n * np.exp(-0.5 * log_fact)
-    return c / np.linalg.norm(c)
+    c = alpha[..., None] ** n * np.exp(-0.5 * log_fact)
+    # squared norm as re.re + im.im dot products, the sum np.linalg.norm
+    # forms for one vector; a reduction over an axis would round differently
+    re, im = c.real[..., None, :], c.imag[..., None, :]
+    sqnorm = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    return c / np.sqrt(sqnorm)
 
 
 def true_signal(d_f: int = 6) -> np.ndarray:
@@ -84,21 +90,34 @@ def loss_channel(rho, eta: float) -> np.ndarray:
 
 def loss_channel_adjoint(op, eta: float) -> np.ndarray:
     """Heisenberg picture of the loss channel: sum_k A_k* op A_k, so that
-    trace(loss(rho) op) = trace(rho adjoint(op))."""
+    trace(loss(rho) op) = trace(rho adjoint(op)).  op may be a (..., d, d)
+    stack.
+
+    A_k has its only nonzero entries c_k on the k-th superdiagonal, so
+    A_k* op A_k is op shifted down and right by k and scaled by c_k on both
+    sides; the terms are added in ascending k."""
     op = np.asarray(op, dtype=complex)
-    ks = kraus_operators(op.shape[0], eta)
-    return np.einsum("kji,jl,klm->im", ks.conj(), op, ks)
+    d_f = op.shape[-1]
+    ks = kraus_operators(d_f, eta)
+    out = np.zeros(op.shape, dtype=complex)
+    for k in range(d_f):
+        c_k = np.diagonal(ks[k], offset=k)
+        out[..., k:, k:] += (c_k[:, None] * op[..., :d_f - k, :d_f - k]) * c_k
+    return out
 
 
-def hermite_functions(x: float, d_f: int) -> np.ndarray:
+def hermite_functions(x, d_f: int) -> np.ndarray:
     """Harmonic-oscillator position amplitudes psi_n(x) = <n|x> for
-    n < d_f, by the stable two-term recursion."""
-    psi = np.zeros(d_f)
-    psi[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    n < d_f, by the stable two-term recursion.  x may be an array; the
+    result then has shape x.shape + (d_f,)."""
+    x = np.asarray(x, dtype=float)
+    psi = np.zeros(x.shape + (d_f,))
+    psi[..., 0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
     if d_f > 1:
-        psi[1] = np.sqrt(2.0) * x * psi[0]
+        psi[..., 1] = np.sqrt(2.0) * x * psi[..., 0]
     for n in range(2, d_f):
-        psi[n] = np.sqrt(2.0 / n) * x * psi[n - 1] - np.sqrt((n - 1) / n) * psi[n - 2]
+        psi[..., n] = (np.sqrt(2.0 / n) * x * psi[..., n - 1]
+                       - np.sqrt((n - 1) / n) * psi[..., n - 2])
     return psi
 
 
@@ -117,10 +136,16 @@ class QuadratureOutcome:
             raise ValueError(f"|x| = {abs(self.x)} exceeds x_max = {self.x_max}")
 
 
+def _quadrature_functionals(theta, x, d_f: int) -> np.ndarray:
+    # |x_theta><x_theta| for arrays of points, shape theta.shape + (d_f, d_f)
+    theta = np.asarray(theta, dtype=float)
+    amp = hermite_functions(x, d_f) * np.exp(1j * np.arange(d_f) * theta[..., None])
+    return amp[..., :, None] * amp.conj()[..., None, :]
+
+
 def quadrature_functional(outcome: QuadratureOutcome, d_f: int) -> np.ndarray:
     """Rank-one operator |x_theta><x_theta| in the truncated Fock basis."""
-    amp = hermite_functions(outcome.x, d_f) * np.exp(1j * np.arange(d_f) * outcome.theta)
-    return np.outer(amp, amp.conj())
+    return _quadrature_functionals(outcome.theta, outcome.x, d_f)
 
 
 @dataclass(frozen=True)
@@ -152,18 +177,13 @@ def homodyne_measurement(m: int, eta: float, rng, d_f: int,
     p_j = trace(loss(rho, eta) |x><x|) dx."""
     if m < 1:
         raise ValueError("need at least one quadrature point")
-    outcomes = []
-    effects = np.empty((m, d_f, d_f), dtype=complex)
-    for j in range(m):
-        out = QuadratureOutcome(
-            theta=float(rng.uniform(0.0, np.pi)),
-            x=float(rng.uniform(-x_max, x_max)),
-            x_max=x_max,
-        )
-        outcomes.append(out)
-        effects[j] = dx * loss_channel_adjoint(quadrature_functional(out, d_f), eta)
-    return HomodyneMeasurement(outcomes=tuple(outcomes), effects=effects,
-                               eta=eta, dx=dx)
+    # row j holds (theta_j, x_j), in the order of alternating scalar draws
+    points = rng.uniform([0.0, -x_max], [np.pi, x_max], size=(m, 2))
+    outcomes = tuple(QuadratureOutcome(theta=theta, x=x, x_max=x_max)
+                     for theta, x in points.tolist())
+    functionals = _quadrature_functionals(points[:, 0], points[:, 1], d_f)
+    effects = dx * loss_channel_adjoint(functionals, eta)
+    return HomodyneMeasurement(outcomes=outcomes, effects=effects, eta=eta, dx=dx)
 
 
 def homodyne_detector_model(meas: HomodyneMeasurement,
@@ -196,6 +216,8 @@ class WignerGrid:
 
 def _wigner_kernel(m: int, n: int, xg: np.ndarray, pg: np.ndarray) -> np.ndarray:
     # contribution of |m><n|; for m >= n the Laguerre form, else conjugate
+    from scipy.special import genlaguerre  # deferred: scipy is slow to import
+
     if m < n:
         return np.conj(_wigner_kernel(n, m, xg, pg))
     r2 = xg**2 + pg**2

@@ -3,6 +3,8 @@ determinism, resumability, the selftest and the CLI."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +258,51 @@ class TestCli:
         assert code == 0
         rows = read_rows(str(out))
         assert all(row[4] == "9" for row in rows)
+
+    @pytest.mark.parametrize("rerun", [["sweep-probes", "--seed", "8"], ["sweep-outcomes"]])
+    def test_resume_with_other_config_refused(self, tmp_path, capsys, rerun):
+        # one M value, so the same document is valid for both sweeps
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(dict(experiment="sweep-probes", d=2, m_values=[6],
+                                       M_values=[6], ensembles=2, trials=20, seed=7)))
+        out = tmp_path / "probes.csv"
+        meta = tmp_path / "probes.csv.meta.json"
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
+        before = (out.read_bytes(), meta.read_bytes())
+        capsys.readouterr()
+        assert cli.main([*rerun, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert (out.read_bytes(), meta.read_bytes()) == before
+
+    def test_resume_of_foreign_csv_refused(self, tmp_path, capsys):
+        out = tmp_path / "other.csv"
+        out.write_text("a,b,c,d,e,f,g,h,i\n2,3,6,6,7,0,1.0,1.0,1.0\n")
+        assert cli.main(["sweep-probes", "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert out.read_text() == "a,b,c,d,e,f,g,h,i\n2,3,6,6,7,0,1.0,1.0,1.0\n"
+
+    def test_resume_with_other_worker_count_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_PROBES.items()}))
+        out = tmp_path / "probes.csv"
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out),
+                         "--workers", "1"]) == 0
+        before = out.read_bytes()
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out),
+                         "--workers", "2"]) == 0
+        assert "0 rows written" in capsys.readouterr().out
+        assert out.read_bytes() == before
+
+    def test_import_does_not_load_scipy(self):
+        # scipy is imported only when a Wigner function is computed
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        code = "import sys, tomolin.cli; print('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_full_scale_flag_changes_defaults(self):
         args = cli._build_parser().parse_args(["homodyne", "--full-scale"])

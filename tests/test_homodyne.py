@@ -11,6 +11,39 @@ from numpy.testing import assert_allclose
 from tomolin import homodyne, qstate
 
 
+# Loop forms of the batched homodyne code, kept as its bit-exact reference:
+# scalar draws in alternating order, the scalar Hermite recursion, the
+# three-operand Heisenberg einsum and np.linalg.norm on one vector.
+
+def _hermite_loop(x, d_f):
+    psi = np.zeros(d_f)
+    psi[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    if d_f > 1:
+        psi[1] = np.sqrt(2.0) * x * psi[0]
+    for n in range(2, d_f):
+        psi[n] = np.sqrt(2.0 / n) * x * psi[n - 1] - np.sqrt((n - 1) / n) * psi[n - 2]
+    return psi
+
+
+def _coherent_loop(alpha, d_f):
+    n = np.arange(d_f)
+    c = alpha**n * np.exp(-0.5 * np.cumsum(np.log(np.maximum(n, 1))))
+    return c / np.linalg.norm(c)
+
+
+def _measurement_loop(m, eta, rng, d_f, dx=0.1, x_max=5.0):
+    ks = homodyne.kraus_operators(d_f, eta)
+    points, effects = [], []
+    for _ in range(m):
+        theta = float(rng.uniform(0.0, np.pi))
+        x = float(rng.uniform(-x_max, x_max))
+        amp = _hermite_loop(x, d_f) * np.exp(1j * np.arange(d_f) * theta)
+        op = np.outer(amp, amp.conj())
+        points.append((theta, x))
+        effects.append(dx * np.einsum("kji,jl,klm->im", ks.conj(), op, ks))
+    return points, np.array(effects)
+
+
 class TestCoherentState:
     def test_vacuum(self):
         assert_allclose(homodyne.coherent_state_fock(0.0, 5), [1, 0, 0, 0, 0], atol=1e-15)
@@ -34,6 +67,23 @@ class TestCoherentState:
     def test_amplitude_guard(self):
         with pytest.raises(ValueError, match="guard"):
             homodyne.coherent_state_fock(2.5, 10)
+        with pytest.raises(ValueError, match="guard"):
+            homodyne.coherent_state_fock(np.array([0.1, 0.5j, -2.01, 1.0]), 6)
+
+    @pytest.mark.parametrize("d_f", [2, 3, 6, 14])
+    def test_batch_rows_equal_scalar_calls(self, d_f):
+        rng = np.random.default_rng(d_f)
+        radii = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 30))
+        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 30))
+        alphas = np.concatenate([[0.0, 2.0], radii * phases])
+        batch = homodyne.coherent_state_fock(alphas, d_f)
+        assert batch.shape == (32, d_f)
+        for alpha, row in zip(alphas, batch):
+            assert np.array_equal(row, homodyne.coherent_state_fock(alpha, d_f))
+            assert np.array_equal(row, _coherent_loop(alpha, d_f))
+        for alpha in (0.0, 0.3, 1.9, 0.5 - 0.6j):
+            assert np.array_equal(homodyne.coherent_state_fock(alpha, d_f),
+                                  _coherent_loop(alpha, d_f))
 
 
 class TestTrueSignal:
@@ -111,6 +161,15 @@ class TestHermiteFunctions:
                        * mpmath.hermite(n, x) * mpmath.e ** (-x * x / 2))
                 assert abs(psi[n] - float(ref)) <= 1e-10 * max(abs(float(ref)), 1e-30)
 
+    @pytest.mark.parametrize("d_f", [1, 2, 6, 40])
+    def test_batch_rows_equal_scalar_calls(self, d_f):
+        xs = np.random.default_rng(d_f).uniform(-5.0, 5.0, 50)
+        batch = homodyne.hermite_functions(xs, d_f)
+        assert batch.shape == (50, d_f)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(row, homodyne.hermite_functions(float(x), d_f))
+            assert np.array_equal(row, _hermite_loop(float(x), d_f))
+
 
 class TestQuadratureFunctional:
     def test_outcome_validation(self):
@@ -154,6 +213,20 @@ class TestHomodyneMeasurement:
         vac = np.zeros((4, 4), dtype=complex)
         vac[0, 0] = 1.0
         assert meas.probabilities(vac)[0] == pytest.approx(0.1 / np.sqrt(np.pi), abs=1e-12)
+
+    @pytest.mark.parametrize("d_f", [3, 4, 6, 8])
+    def test_effects_equal_per_outcome_loop(self, d_f):
+        for eta in (0.0, 0.3, 0.8, 1.0):
+            for m in (1, 30, 130):
+                seed = (d_f, int(10 * eta), m)
+                meas = homodyne.homodyne_measurement(m, eta, np.random.default_rng(seed), d_f)
+                points, effects = _measurement_loop(m, eta, np.random.default_rng(seed), d_f)
+                assert [(o.theta, o.x) for o in meas.outcomes] == points
+                assert np.array_equal(meas.effects, effects)
+                per_outcome = np.array([
+                    0.1 * homodyne.loss_channel_adjoint(homodyne.quadrature_functional(o, d_f), eta)
+                    for o in meas.outcomes])
+                assert np.array_equal(meas.effects, per_outcome)
 
     def test_linearity_in_the_state(self):
         rng = np.random.default_rng(11)
