@@ -9,8 +9,8 @@ benchmarks for random square-root measurements and inefficient homodyne
 detection.
 """
 
-from . import bench, homodyne, matlib, protocols, qstate
-from .bench import ExperimentConfig, SweepResult, run_homodyne, run_selftest, run_sweep_outcomes, run_sweep_probes
+from . import bench, homodyne, matlib, protocols, qstate, selftest
+from .bench import ExperimentConfig, SweepResult, run_homodyne, run_sweep_outcomes, run_sweep_probes
 from .matlib import GwDecomposition, SvdFactorization, gw_decompose, hs_norm, penrose_check, pinv, reverse_order_holds, svd
 from .protocols import (
     InversionMatrix,
@@ -40,5 +40,6 @@ from .qstate import (
     square_root_measurement,
     state_to_bloch,
 )
+from .selftest import run_selftest
 
 __version__ = "0.1.0"

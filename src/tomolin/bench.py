@@ -1,6 +1,6 @@
-"""Experiment runner: the probe-count sweep, the outcome-count sweep, the
-homodyne experiment and the selftest, with deterministic seeding, worker
-pools and CSV emission.
+"""Experiment runner: configurations, the probe-count sweep, the
+outcome-count sweep and the homodyne experiment, with deterministic
+seeding, worker pools and CSV emission.
 
 Determinism contract: every task derives its generator from
 (master seed, stream tag, sweep coordinates, ensemble index), so output
@@ -24,8 +24,6 @@ __all__ = [
     "run_sweep_probes",
     "run_sweep_outcomes",
     "run_homodyne",
-    "run_selftest",
-    "SelfTestReport",
 ]
 
 CSV_HEADER = "d,n,m,M,seed,ensemble,e2_std,e2_pat,ratio"
@@ -36,7 +34,7 @@ _TAG_PROBE_SWEEP = 1
 _TAG_OUTCOME_PROBES = 2
 _TAG_OUTCOME_CELL = 3
 _TAG_HOMODYNE = 4
-_TAG_SELFTEST = 5
+_TAG_SELFTEST = 5  # drawn by tomolin.selftest
 
 _MAX_REDRAWS = 100
 
@@ -148,14 +146,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_config_document(path))
+
+
+# (m, M) grid of each experiment where it differs from the ExperimentConfig
+# defaults, which are the sweep-probes grid; in config-document form
+DEFAULT_GRIDS = {
+    "sweep-outcomes": dict(m_values=list(range(16, 61, 4)), M_values=[30]),
+    "homodyne": dict(m_values=list(range(12, 49)), M_values=[40]),
+}
+
+
+def read_config_document(path: str) -> dict:
+    """The JSON object of a config file, unvalidated."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -268,7 +279,7 @@ def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
     rng = _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble)
     meas = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
                                          dx=cfg.dx, x_max=cfg.x_max)
-    detector = homodyne.homodyne_detector_model(meas, basis)
+    detector = qstate.povm_to_affine(meas.effects, basis)
     probes = _homodyne_probes(cfg, basis, rng)
     patterns = protocols.collect_patterns(detector, probes, cfg.pattern_noise, rng)
     signal = homodyne.true_signal(cfg.d)
@@ -287,56 +298,6 @@ def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
     return [row], mean_estimates
 
 
-def _read_done_rows(path: str) -> set:
-    """Keys (m, M, ensemble) of the rows already in an output CSV.
-
-    A row counts only when it has all nine fields and ends in a newline.
-    A file whose first complete line is not CSV_HEADER is refused.
-    """
-    done = set()
-    if path is None or not os.path.exists(path):
-        return done
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    lines = blob[:blob.rfind(b"\n") + 1].decode("utf-8").splitlines()
-    if lines and lines[0] != CSV_HEADER:
-        raise ConfigError(f"cannot resume {path}: its first line is not the header {CSV_HEADER}")
-    for line in lines:
-        parts = line.split(",")
-        if len(parts) == 9 and not line.startswith("d,"):
-            done.add((int(parts[2]), int(parts[3]), int(parts[5])))
-    return done
-
-
-class _CsvWriter:
-    """Writes rows to path; on resume it appends, after cutting off an
-    unterminated last line left by an interrupted run so that new rows
-    start on a line of their own."""
-
-    def __init__(self, path: str | None, resume: bool):
-        self.path = path
-        self.fh = None
-        if path is None:
-            return
-        if resume and os.path.exists(path):
-            with open(path, "rb+") as fh:
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-            self.fh = open(path, "a", encoding="utf-8", newline="")
-        else:
-            self.fh = open(path, "w", encoding="utf-8", newline="")
-            self.fh.write(CSV_HEADER + "\n")
-
-    def write_rows(self, rows) -> None:
-        if self.fh is not None:
-            for row in rows:
-                self.fh.write(row.csv_row() + "\n")
-            self.fh.flush()
-
-    def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
-
-
 def _metadata(cfg: ExperimentConfig) -> dict:
     doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for key in ("m_values", "M_values", "wigner_export_m"):
@@ -349,36 +310,93 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 _RESUME_FREE_KEYS = ("out", "workers")
 
 
-def _check_resume(cfg: ExperimentConfig) -> None:
-    """Refuse to append to cfg.out when its .meta.json records another
-    config; the output path and the worker count may differ.  Without a
-    .meta.json there is nothing to compare, and the resume goes ahead."""
-    path = cfg.out + ".meta.json"
-    if not os.path.exists(path):
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot resume {cfg.out}: unreadable {path}: {exc}") from exc
-    if not isinstance(old, dict):
-        raise ConfigError(f"cannot resume {cfg.out}: {path} is not a JSON object")
-    new = _metadata(cfg)
-    changed = sorted(key for key in set(old) | set(new)
-                     if key not in _RESUME_FREE_KEYS and old.get(key) != new.get(key))
-    if changed:
-        diffs = ", ".join(f"{key} {old.get(key)!r} -> {new.get(key)!r}" for key in changed)
-        raise ConfigError(f"cannot resume {cfg.out}, written with a different config ({diffs}); "
-                          f"use another --out or remove the file")
+class _OutputFiles:
+    """The output CSV of a run, cfg.out, and its .meta.json.
 
+    Entering reads an existing CSV once: its header, the keys (m, M,
+    ensemble) of its complete rows into `done`, and the end of its last
+    complete line.  A row is complete when it has all nine fields and ends
+    in a newline.  These are refused with ConfigError before either file is
+    touched: a CSV whose first line is not CSV_HEADER, a complete row with a
+    non-integer key, and an existing .meta.json that records another config
+    when rows are resumed (only out and workers may differ; without one
+    there is nothing to compare).  Then the .meta.json is written, and the
+    CSV is opened for append after cutting off an unterminated last line
+    left by an interrupted run, or written anew with its header.  An
+    OSError while either file is opened, such as a missing directory, also
+    becomes ConfigError.
+    """
 
-def _write_metadata(cfg: ExperimentConfig) -> None:
-    if cfg.out is None:
-        return
-    doc = _metadata(cfg)
-    with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.done = set()
+        self.fh = None
+
+    def __enter__(self):
+        if self.cfg.out is not None:
+            try:
+                self._open(self.cfg.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot use output {self.cfg.out}: {exc}") from exc
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.fh is not None:
+            self.fh.close()
+
+    def _open(self, path: str) -> None:
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError:
+            blob = b""
+        end = blob.rfind(b"\n") + 1
+        lines = blob[:end].decode("utf-8", "replace").splitlines()
+        if lines and lines[0] != CSV_HEADER:
+            raise ConfigError(f"cannot resume {path}: its first line is not the header {CSV_HEADER}")
+        for line in lines[1:]:
+            parts = line.split(",")
+            if len(parts) == 9:
+                try:
+                    self.done.add((int(parts[2]), int(parts[3]), int(parts[5])))
+                except ValueError:
+                    raise ConfigError(f"cannot resume {path}: malformed row {line!r}") from None
+        if self.done:
+            self._check_metadata(path + ".meta.json")
+        # the .meta.json first: once the CSV is open nothing else can fail
+        with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+            json.dump(_metadata(self.cfg), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if self.done:
+            os.truncate(path, end)
+            self.fh = open(path, "a", encoding="utf-8", newline="")
+        else:
+            self.fh = open(path, "w", encoding="utf-8", newline="")
+            self.fh.write(CSV_HEADER + "\n")
+
+    def _check_metadata(self, meta_path: str) -> None:
+        try:
+            with open(meta_path, "r", encoding="utf-8") as fh:
+                old = json.load(fh)
+        except FileNotFoundError:
+            return
+        except ValueError as exc:
+            raise ConfigError(f"cannot resume {self.cfg.out}: unreadable {meta_path}: {exc}") from exc
+        if not isinstance(old, dict):
+            raise ConfigError(f"cannot resume {self.cfg.out}: {meta_path} is not a JSON object")
+        new = _metadata(self.cfg)
+        changed = sorted(key for key in set(old) | set(new)
+                         if key not in _RESUME_FREE_KEYS and old.get(key) != new.get(key))
+        if changed:
+            diffs = ", ".join(f"{key} {old.get(key)!r} -> {new.get(key)!r}" for key in changed)
+            raise ConfigError(f"cannot resume {self.cfg.out}, written with a different config "
+                              f"({diffs}); use another --out or remove the file")
+
+    def write_rows(self, rows) -> None:
+        if self.fh is not None:
+            for row in rows:
+                self.fh.write(row.csv_row() + "\n")
+            self.fh.flush()
 
 
 def _run_tasks(cfg: ExperimentConfig, task, keys, collect):
@@ -399,21 +417,17 @@ def _run_grid(cfg: ExperimentConfig, task, export_m=()):
     grid, skipping cells whose rows cfg.out already holds, and write the new
     rows in (m, M, ensemble) order.
 
-    Resuming a file written with another config raises ConfigError before
-    anything is written.  Cells at ensemble 0 of an m in export_m always
+    An output that _OutputFiles refuses raises ConfigError before anything
+    is written.  Cells at ensemble 0 of an m in export_m always
     run; their extras are returned as {m: extra}.  Other cells' results
     are dropped once their m is written, which keeps memory flat along the
     sweep.
     """
     cfg.validate()
-    done = _read_done_rows(cfg.out)
-    if done:
-        _check_resume(cfg)
-    writer = _CsvWriter(cfg.out, resume=bool(done))
-    _write_metadata(cfg)
     results = []
     extras = {}
-    try:
+    with _OutputFiles(cfg) as output:
+        done = output.done
         for m in cfg.m_values:
             keys = [
                 (m, e) for e in range(cfg.ensembles)
@@ -427,12 +441,10 @@ def _run_grid(cfg: ExperimentConfig, task, export_m=()):
                     row for key in keys for row in gathered[key][0]
                     if row.M == M and (m, M, row.ensemble) not in done
                 ]
-                writer.write_rows(point_rows)
+                output.write_rows(point_rows)
                 results.extend(point_rows)
             if m in export_m:
                 extras[m] = gathered[(m, 0)][1]
-    finally:
-        writer.close()
     return results, extras
 
 
@@ -483,256 +495,3 @@ def run_homodyne(cfg: ExperimentConfig):
         for (kind, m), grid in exports.items():
             _wigner_csv(grid, f"{stem}_wigner_{kind}_m{m}.csv")
     return results, exports
-
-
-# ----------------------------------------------------------------------
-# selftest
-
-@dataclass(frozen=True)
-class SelfTestCheck:
-    suite: str
-    name: str
-    count: int
-    worst: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.tol
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (f"[{status}] {self.suite}/{self.name}: {self.count} cases, "
-                f"worst {self.worst:.3e} (tol {self.tol:.1e})")
-
-
-@dataclass(frozen=True)
-class SelfTestReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def format_lines(self):
-        lines = [c.line() for c in self.checks]
-        suites = sorted({c.suite for c in self.checks})
-        for suite in suites:
-            n = sum(1 for c in self.checks if c.suite == suite)
-            bad = sum(1 for c in self.checks if c.suite == suite and not c.passed)
-            lines.append(f"{suite}: {n - bad}/{n} checks passed")
-        lines.append("selftest: " + ("PASS" if self.passed else "FAIL"))
-        return lines
-
-
-def _random_shaped_matrix(rng, max_dim: int = 20):
-    rows = int(rng.integers(1, max_dim))
-    cols = int(rng.integers(1, max_dim))
-    x = rng.standard_normal((rows, cols))
-    style = rng.integers(0, 3)
-    if style == 1:  # complex
-        x = x + 1j * rng.standard_normal((rows, cols))
-    elif style == 2 and min(rows, cols) > 1:  # rank deficient
-        k = int(rng.integers(1, min(rows, cols)))
-        x = x @ rng.standard_normal((cols, cols))
-        x[:, k:] = x[:, :1]
-    return x
-
-
-def _matlib_suite(cfg: ExperimentConfig, rng):
-    count = cfg.selftest_count
-    worst_penrose = 0.0
-    worst_props = 0.0
-    for _ in range(count):
-        x = _random_shaped_matrix(rng)
-        xp = matlib.pinv(x, rtol=cfg.rtol)
-        penrose, props = penrose_with_properties(x, xp, cfg.rtol)
-        worst_penrose = max(worst_penrose, penrose)
-        worst_props = max(worst_props, props)
-    yield SelfTestCheck("matlib", "penrose-c1-c4", count, worst_penrose, 1e-9)
-    yield SelfTestCheck("matlib", "pinv-properties", count, worst_props, 1e-9)
-
-    worst_recon = worst_orth = worst_min = 0.0
-    pairs = max(10, count // 4)
-    for _ in range(pairs):
-        x = rng.standard_normal((int(rng.integers(2, 10)), int(rng.integers(2, 10))))
-        y = rng.standard_normal((x.shape[1], int(rng.integers(2, 10))))
-        dec = matlib.gw_decompose(x, y, rtol=cfg.rtol)
-        lhs = matlib.pinv(x @ y, rtol=cfg.rtol)
-        rhs = matlib.pinv(y, rtol=cfg.rtol) @ (dec.h + dec.g) @ matlib.pinv(x, rtol=cfg.rtol)
-        denom = max(np.linalg.norm(lhs), 1e-30)
-        worst_recon = max(worst_recon, np.linalg.norm(lhs - rhs) / denom)
-        worst_orth = max(worst_orth, abs(np.trace(dec.g.conj().T @ dec.h)) / max(1.0, np.linalg.norm(dec.g) * np.linalg.norm(dec.h)))
-        base = np.linalg.norm(rhs)
-        for _ in range(10):
-            z = matlib.admissible_perturbation(x, y, rng, rtol=cfg.rtol)
-            alt = np.linalg.norm(matlib.pinv(y, rtol=cfg.rtol) @ (dec.h + z) @ matlib.pinv(x, rtol=cfg.rtol))
-            # slack measured relative to the minimal norm; the inequality
-            # is scale covariant, an absolute slack would not be
-            worst_min = max(worst_min, (base - alt) / max(base, 1e-30))
-    yield SelfTestCheck("matlib", "gw-reconstruction", pairs, worst_recon, 1e-9)
-    yield SelfTestCheck("matlib", "gw-orthogonality", pairs, worst_orth, 1e-9)
-    yield SelfTestCheck("matlib", "gw-minimality", pairs * 10, worst_min, 1e-10)
-
-    worst_pos = 0.0
-    best_neg = np.inf
-    for _ in range(10):
-        q = np.linalg.qr(rng.standard_normal((8, 4)))[0]
-        y = rng.standard_normal((4, 6))
-        worst_pos = max(worst_pos, matlib.reverse_order_holds(q, y, rtol=cfg.rtol)[1])
-        x = rng.standard_normal((4, 6))
-        worst_pos = max(worst_pos, matlib.reverse_order_holds(x, x.conj().T, rtol=cfg.rtol)[1])
-        g = rng.standard_normal((4, 6))
-        h = rng.standard_normal((6, 4))
-        best_neg = min(best_neg, matlib.reverse_order_holds(g, h, rtol=cfg.rtol)[1])
-    yield SelfTestCheck("matlib", "reverse-order-valid-cases", 20, worst_pos, 1e-9)
-    # negative control: generic products must violate the law
-    yield SelfTestCheck("matlib", "reverse-order-negative-control", 10,
-                        1e-3 - best_neg if best_neg < 1e-3 else 0.0, 0.0)
-
-
-def penrose_with_properties(x, xp, rtol=None):
-    """Worst Penrose residual and worst residual of the pseudoinverse
-    identities X+ = (X*X)+X* = X*(XX*)+, (X+)+ = X, (X*)+ = (X+)*,
-    (X*X)+ = X+(X*)+."""
-    res = matlib.penrose_check(x, xp).max()
-    xs = x.conj().T
-    denom = max(np.linalg.norm(xp), 1e-30)
-    p1a = np.linalg.norm(matlib.pinv(xs @ x, rtol=rtol) @ xs - xp) / denom
-    p1b = np.linalg.norm(xs @ matlib.pinv(x @ xs, rtol=rtol) - xp) / denom
-    p2 = np.linalg.norm(matlib.pinv(xp, rtol=rtol) - x) / max(np.linalg.norm(x), 1e-30)
-    p3 = np.linalg.norm(matlib.pinv(xs, rtol=rtol) - xp.conj().T) / denom
-    lhs = matlib.pinv(xs @ x, rtol=rtol)
-    rhs = xp @ matlib.pinv(xs, rtol=rtol)
-    p4 = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30)
-    return res, max(p1a, p1b, p2, p3, p4)
-
-
-def _qstate_suite(cfg: ExperimentConfig, rng):
-    worst = 0.0
-    for d in range(2, 9):
-        basis = qstate.gellmann_basis(d)
-        n = basis.size
-        gram = np.einsum("aij,bji->ab", basis.gammas, basis.gammas).real
-        worst = max(worst, np.abs(gram - np.eye(n)).max())
-        worst = max(worst, np.abs(np.trace(basis.gammas, axis1=1, axis2=2)).max())
-    yield SelfTestCheck("qstate", "gellmann-orthonormality", 7, worst, 1e-12)
-
-    worst_affine = worst_round = worst_norm = 0.0
-    for d in (2, 3, 4, 6):
-        basis = qstate.gellmann_basis(d)
-        for _ in range(max(5, cfg.selftest_count // 20)):
-            kets = qstate.haar_random_pure(d, rng, size=2 * d)
-            povm = qstate.square_root_measurement(kets)
-            det = qstate.povm_to_affine(povm, basis)
-            rho = qstate.random_density_hs(d, rng)
-            r = qstate.state_to_bloch(rho, basis)
-            p_affine = det.probabilities(r)
-            p_born = qstate.born_probabilities(rho, povm)
-            worst_affine = max(worst_affine, np.abs(p_affine - p_born).max())
-            worst_norm = max(worst_norm, abs(p_born.sum() - 1.0))
-            rho_back = qstate.bloch_to_state(r, basis)
-            worst_round = max(worst_round, np.abs(rho_back - rho).max())
-    yield SelfTestCheck("qstate", "affine-vs-born", 4 * max(5, cfg.selftest_count // 20), worst_affine, 1e-12)
-    yield SelfTestCheck("qstate", "bloch-round-trip", 4 * max(5, cfg.selftest_count // 20), worst_round, 1e-12)
-    yield SelfTestCheck("qstate", "born-normalisation", 4 * max(5, cfg.selftest_count // 20), worst_norm, 1e-9)
-
-    worst_comp = 0.0
-    cases = 0
-    for d in (2, 3, 4):
-        for m in range(d, 3 * d + 1):
-            kets = qstate.haar_random_pure(d, rng, size=m)
-            povm = qstate.square_root_measurement(kets)
-            worst_comp = max(worst_comp, np.abs(povm.elements.sum(axis=0) - np.eye(d)).max())
-            cases += 1
-    yield SelfTestCheck("qstate", "srm-completeness", cases, worst_comp, 1e-9)
-
-
-def _selftest_setup(cfg: ExperimentConfig, basis, m: int, M: int, rng, noise: float = 0.03):
-    """A random square-root measurement with max(m, d) outcomes, M probes
-    and their noisy patterns, drawn in that order from rng."""
-    detector = _draw_srm_detector(basis.dim, max(m, basis.dim), basis, rng)
-    probes = protocols.ProbeSet.from_blochs(
-        qstate.random_blochs(basis, M, rng, cfg.state_ensemble))
-    patterns = protocols.collect_patterns(
-        detector, probes, protocols.NoiseSpec("ratio", noise), rng)
-    return detector, probes, patterns
-
-
-def _protocols_suite(cfg: ExperimentConfig, rng):
-    d = 3
-    basis = qstate.gellmann_basis(d)
-    n_aug = d * d
-    count = max(10, cfg.selftest_count // 4)
-
-    worst_equiv = 0.0
-    for _ in range(count):
-        M = int(rng.integers(3, n_aug + 1))
-        m = int(rng.integers(M, M + 6))
-        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
-        a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        worst_equiv = max(worst_equiv, matlib.hs_norm(a_s.matrix - a_p.matrix)
-                          / matlib.hs_norm(a_p.matrix))
-    yield SelfTestCheck("protocols", "equivalence-full-rank", count, worst_equiv, 1e-8)
-
-    worst_norm = 0.0
-    for _ in range(count):
-        M = int(rng.integers(n_aug + 1, n_aug + 8))
-        m = int(rng.integers(M, M + 8))
-        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
-        a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        worst_norm = max(worst_norm, a_s.hs_norm_value - a_p.hs_norm_value)
-    yield SelfTestCheck("protocols", "norm-inequality", count, worst_norm, 1e-10)
-
-    # noise model: empirical mean of ||A dp||^2 against eps^2 ||A||^2 / m
-    a = rng.standard_normal((6, 9))
-    inv = protocols.InversionMatrix("oracle", np.vstack([np.ones(9), a]))
-    eps = 0.05
-    draws = rng.standard_normal((20000, 9))
-    draws *= eps / np.linalg.norm(draws, axis=1, keepdims=True)
-    empirical = np.mean(np.sum((draws @ a.T) ** 2, axis=1))
-    predicted = protocols.mse_theoretical(inv, eps, 9)
-    yield SelfTestCheck("protocols", "noise-model-consistency", 20000,
-                        abs(empirical - predicted) / predicted, 0.03)
-
-    worst_gw = 0.0
-    for _ in range(max(5, count // 2)):
-        M = int(rng.integers(n_aug + 1, n_aug + 6))
-        m = int(rng.integers(d, n_aug))
-        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
-        f = patterns.f_matrix
-        r = probes.r_matrix
-        a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        dec = matlib.gw_decompose(f, matlib.pinv(r, rtol=cfg.rtol), rtol=cfg.rtol)
-        bridged = r @ (dec.h + dec.g) @ matlib.pinv(f, rtol=cfg.rtol)
-        worst_gw = max(worst_gw, matlib.hs_norm(a_s.matrix - bridged)
-                       / matlib.hs_norm(a_s.matrix))
-    yield SelfTestCheck("protocols", "gw-bridge", max(5, count // 2), worst_gw, 1e-9)
-
-    worst_unbiased = 0.0
-    for _ in range(10):
-        M = n_aug + 3
-        detector, probes, patterns = _selftest_setup(cfg, basis, n_aug + 2, M, rng,
-                                                     noise=0.0)
-        rho = qstate.random_density_hs(d, rng)
-        r = qstate.state_to_bloch(rho, basis)
-        data = detector.probabilities(r)
-        for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
-            inv = build(patterns, probes, rtol=cfg.rtol)
-            worst_unbiased = max(worst_unbiased,
-                                 np.abs(protocols.estimate(inv, data) - r).max())
-    yield SelfTestCheck("protocols", "zero-noise-unbiasedness", 10, worst_unbiased, 1e-8)
-
-
-def run_selftest(cfg: ExperimentConfig) -> SelfTestReport:
-    """Run the matlib, qstate and protocols invariant suites and report
-    worst residuals against their tolerances."""
-    cfg.validate()
-    rng = _rng(cfg.seed, _TAG_SELFTEST)
-    checks = []
-    checks.extend(_matlib_suite(cfg, rng))
-    checks.extend(_qstate_suite(cfg, rng))
-    checks.extend(_protocols_suite(cfg, rng))
-    return SelfTestReport(checks=tuple(checks))

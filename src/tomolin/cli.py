@@ -7,14 +7,12 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 import argparse
 import ctypes
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from . import bench, matlib, protocols
+from . import bench, matlib, protocols, selftest
 
-FULL_SCALE_HOMODYNE = dict(d=6, M_values=(100,), m_values=tuple(range(30, 131, 2)),
-                           ensembles=20)
+FULL_SCALE_HOMODYNE = dict(d=6, M_values=[100], m_values=list(range(30, 131, 2)), ensembles=20)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,31 +67,18 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
-_DEFAULT_GRIDS = {
-    "sweep-probes": dict(m_values=(18, 20, 24), M_values=(18, 20, 22, 24, 30, 60)),
-    "sweep-outcomes": dict(m_values=tuple(range(16, 61, 4)), M_values=(30,)),
-    "homodyne": dict(m_values=tuple(range(12, 49)), M_values=(40,)),
-    "selftest": dict(),
-}
-
-
 def _load_config(args) -> bench.ExperimentConfig:
-    if args.config:
-        cfg = bench.ExperimentConfig.from_file(args.config)
-        if cfg.experiment != args.command:
-            cfg = replace(cfg, experiment=args.command)
-    else:
-        cfg = bench.ExperimentConfig(experiment=args.command, **_DEFAULT_GRIDS[args.command])
+    """One config document: the --config file, the subcommand's default
+    grid for the grid keys the file leaves out, then the subcommand as
+    experiment, --full-scale and the --seed, --out and --workers flags."""
+    doc = bench.read_config_document(args.config) if args.config else {}
+    doc = {**bench.DEFAULT_GRIDS.get(args.command, {}), **doc, "experiment": args.command}
     if getattr(args, "full_scale", False):
-        cfg = replace(cfg, **FULL_SCALE_HOMODYNE)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    cfg.validate()
-    return cfg
+        doc.update(FULL_SCALE_HOMODYNE)
+    for key in ("seed", "out", "workers"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
+    return bench.ExperimentConfig.from_dict(doc)
 
 
 def main(argv=None) -> int:
@@ -101,17 +86,11 @@ def main(argv=None) -> int:
     _keep_freed_memory()
     try:
         cfg = _load_config(args)
-    except bench.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "selftest":
-        report = bench.run_selftest(cfg)
-        for line in report.format_lines():
-            print(line)
-        return 0 if report.passed else 3
-
-    try:
+        if args.command == "selftest":
+            report = selftest.run_selftest(cfg)
+            for line in report.format_lines():
+                print(line)
+            return 0 if report.passed else 3
         if args.command == "sweep-probes":
             rows = bench.run_sweep_probes(cfg)
         elif args.command == "sweep-outcomes":

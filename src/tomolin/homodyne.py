@@ -14,8 +14,6 @@ from math import factorial
 
 import numpy as np
 
-from . import qstate
-
 __all__ = [
     "QuadratureOutcome",
     "HomodyneMeasurement",
@@ -152,12 +150,13 @@ def quadrature_functional(outcome: QuadratureOutcome, d_f: int) -> np.ndarray:
 class HomodyneMeasurement:
     """m binned quadrature functionals of an inefficient homodyne detector.
 
-    effects[j] already includes the loss channel (Heisenberg picture) and
-    the bin width, so probabilities are plain traces trace(rho E_j).
-    The effects need not be complete; linearity is all the protocols use.
+    points[j] is the quadrature point (theta_j, x_j); effects[j] already
+    includes the loss channel (Heisenberg picture) and the bin width, so
+    probabilities are plain traces trace(rho E_j).  The effects need not be
+    complete; linearity is all the protocols use.
     """
 
-    outcomes: tuple
+    points: np.ndarray   # (m, 2)
     effects: np.ndarray  # (m, d_f, d_f)
     eta: float
     dx: float
@@ -179,17 +178,9 @@ def homodyne_measurement(m: int, eta: float, rng, d_f: int,
         raise ValueError("need at least one quadrature point")
     # row j holds (theta_j, x_j), in the order of alternating scalar draws
     points = rng.uniform([0.0, -x_max], [np.pi, x_max], size=(m, 2))
-    outcomes = tuple(QuadratureOutcome(theta=theta, x=x, x_max=x_max)
-                     for theta, x in points.tolist())
     functionals = _quadrature_functionals(points[:, 0], points[:, 1], d_f)
     effects = dx * loss_channel_adjoint(functionals, eta)
-    return HomodyneMeasurement(outcomes=outcomes, effects=effects, eta=eta, dx=dx)
-
-
-def homodyne_detector_model(meas: HomodyneMeasurement,
-                            basis: qstate.OperatorBasis) -> qstate.DetectorModel:
-    """Affine detector model of the homodyne effects (not a complete POVM)."""
-    return qstate.povm_to_affine(meas.effects, basis)
+    return HomodyneMeasurement(points=points, effects=effects, eta=eta, dx=dx)
 
 
 @dataclass(frozen=True)
@@ -214,16 +205,15 @@ class WignerGrid:
         return float(self.values[i, j])
 
 
-def _wigner_kernel(m: int, n: int, xg: np.ndarray, pg: np.ndarray) -> np.ndarray:
-    # contribution of |m><n|; for m >= n the Laguerre form, else conjugate
+def _wigner_kernel(m: int, n: int, gauss: np.ndarray, z: np.ndarray,
+                   two_r2: np.ndarray) -> np.ndarray:
+    # contribution of |m><n| for m >= n, in the Laguerre form; the grid
+    # enters as gauss = exp(-r^2) / pi, z = x - ip and two_r2 = 2 r^2
     from scipy.special import genlaguerre  # deferred: scipy is slow to import
 
-    if m < n:
-        return np.conj(_wigner_kernel(n, m, xg, pg))
-    r2 = xg**2 + pg**2
-    pref = np.exp(-r2) / np.pi * (-1.0) ** n
+    pref = gauss * (-1.0) ** n
     pref = pref * np.sqrt(2.0 ** (m - n) * factorial(n) / factorial(m))
-    return pref * (xg - 1j * pg) ** (m - n) * genlaguerre(n, m - n)(2.0 * r2)
+    return pref * z ** (m - n) * genlaguerre(n, m - n)(two_r2)
 
 
 def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:
@@ -241,11 +231,16 @@ def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
+    r2 = xg**2 + pg**2
+    grid = (np.exp(-r2) / np.pi, xg - 1j * pg, 2.0 * r2)
+    # only the grid terms live through the Fock loop, where a homodyne run
+    # reaches its peak memory
+    del xg, pg, r2
     d = rho.shape[0]
-    values = np.zeros(xg.shape, dtype=complex)
+    values = np.zeros(grid[0].shape, dtype=complex)
     for m in range(d):
-        values += rho[m, m].real * _wigner_kernel(m, m, xg, pg)
+        values += rho[m, m].real * _wigner_kernel(m, m, *grid)
         for n in range(m):
             # off-diagonal pairs contribute twice the real part
-            values += 2.0 * np.real(rho[m, n] * _wigner_kernel(m, n, xg, pg))
+            values += 2.0 * np.real(rho[m, n] * _wigner_kernel(m, n, *grid))
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values.real)

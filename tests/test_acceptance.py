@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from tomolin import bench, homodyne, matlib, protocols, qstate
-from tomolin.bench import penrose_with_properties
+from tomolin.selftest import penrose_with_properties
 
 
 def report(number: int, passed: bool, detail: str) -> None:

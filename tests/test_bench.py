@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from tomolin import bench, cli
+from tomolin import bench, cli, selftest
 
 TINY_PROBES = dict(
     experiment="sweep-probes", d=2, m_values=(6,), M_values=(4, 6, 8),
@@ -196,19 +196,19 @@ class TestRunHomodyne:
 
 class TestSelfTest:
     def test_default_passes(self):
-        report = bench.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
+        report = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
         assert report.passed
         lines = report.format_lines()
         assert any("matlib" in line for line in lines)
         assert lines[-1] == "selftest: PASS"
 
     def test_reports_counts_per_suite(self):
-        report = bench.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
+        report = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
         summary = [l for l in report.format_lines() if "checks passed" in l]
         assert len(summary) == 3
 
     def test_corrupted_pinv_tolerance_fails(self):
-        report = bench.run_selftest(
+        report = selftest.run_selftest(
             bench.ExperimentConfig(experiment="selftest", selftest_count=20, rtol=0.5))
         assert not report.passed
         failed = [c for c in report.checks if not c.passed]
@@ -303,6 +303,45 @@ class TestCli:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, timeout=60, check=True)
         assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("command, doc, grid", [
+        ("homodyne", {"seed": 3}, dict(m_values=list(range(12, 49)), M_values=[40])),
+        ("sweep-outcomes", {"seed": 3}, dict(m_values=list(range(16, 61, 4)), M_values=[30])),
+        ("sweep-probes", {"experiment": "homodyne"},
+         dict(m_values=[18, 20, 24], M_values=[18, 20, 22, 24, 30, 60])),
+    ])
+    def test_config_file_takes_subcommand_grid(self, tmp_path, command, doc, grid):
+        # grid keys the file leaves out come from the subcommand, which
+        # also overrides the file's experiment
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        cfg = cli._load_config(cli._build_parser().parse_args([command, "--config", str(path)]))
+        assert cfg.experiment == command
+        assert (list(cfg.m_values), list(cfg.M_values)) == (grid["m_values"], grid["M_values"])
+
+    @pytest.mark.parametrize("out", ["missing/probes.csv", "a-directory"])
+    def test_unusable_out_refused(self, tmp_path, capsys, out):
+        (tmp_path / "a-directory").mkdir()
+        assert cli.main(["sweep-probes", "--out", str(tmp_path / out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
+
+    def test_resume_of_malformed_row_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_PROBES.items()}))
+        out = tmp_path / "probes.csv"
+        meta = tmp_path / "probes.csv.meta.json"
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        parts = lines[2].split(",")
+        parts[3] = "x"  # the M key of a complete row
+        out.write_text("".join(lines[:2]) + ",".join(parts))
+        before = (out.read_bytes(), meta.read_bytes())
+        capsys.readouterr()
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert (out.read_bytes(), meta.read_bytes()) == before
 
     def test_full_scale_flag_changes_defaults(self):
         args = cli._build_parser().parse_args(["homodyne", "--full-scale"])

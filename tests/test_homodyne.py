@@ -205,7 +205,7 @@ class TestQuadratureFunctional:
 class TestHomodyneMeasurement:
     def test_vacuum_probability_at_origin(self):
         meas = homodyne.HomodyneMeasurement(
-            outcomes=(homodyne.QuadratureOutcome(0.3, 0.0),),
+            points=np.array([[0.3, 0.0]]),
             effects=np.array([0.1 * homodyne.loss_channel_adjoint(
                 homodyne.quadrature_functional(homodyne.QuadratureOutcome(0.3, 0.0), 4), 1.0)]),
             eta=1.0, dx=0.1,
@@ -221,11 +221,12 @@ class TestHomodyneMeasurement:
                 seed = (d_f, int(10 * eta), m)
                 meas = homodyne.homodyne_measurement(m, eta, np.random.default_rng(seed), d_f)
                 points, effects = _measurement_loop(m, eta, np.random.default_rng(seed), d_f)
-                assert [(o.theta, o.x) for o in meas.outcomes] == points
+                assert [tuple(p) for p in meas.points.tolist()] == points
                 assert np.array_equal(meas.effects, effects)
                 per_outcome = np.array([
-                    0.1 * homodyne.loss_channel_adjoint(homodyne.quadrature_functional(o, d_f), eta)
-                    for o in meas.outcomes])
+                    0.1 * homodyne.loss_channel_adjoint(homodyne.quadrature_functional(
+                        homodyne.QuadratureOutcome(theta, x), d_f), eta)
+                    for theta, x in meas.points.tolist()])
                 assert np.array_equal(meas.effects, per_outcome)
 
     def test_linearity_in_the_state(self):
@@ -241,8 +242,7 @@ class TestHomodyneMeasurement:
     def test_outcome_distributions(self):
         rng = np.random.default_rng(12)
         meas = homodyne.homodyne_measurement(500, 0.8, rng, 4, x_max=3.0)
-        thetas = np.array([o.theta for o in meas.outcomes])
-        xs = np.array([o.x for o in meas.outcomes])
+        thetas, xs = meas.points.T
         assert 0 <= thetas.min() and thetas.max() < np.pi
         assert np.abs(xs).max() <= 3.0
 
