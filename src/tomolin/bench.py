@@ -8,9 +8,12 @@ bytes do not depend on the worker count or scheduling order.
 """
 
 import json
+import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -91,55 +94,41 @@ class ExperimentConfig:
     def data_noise(self) -> protocols.NoiseSpec:
         return protocols.NoiseSpec("ratio", self.noise_ratio_data)
 
+    def __post_init__(self):
+        # a JSON list is stored as a tuple, so every config compares and
+        # hashes the same however it was built
+        for name, (base, _) in _FIELD_TYPES.items():
+            if base is tuple and isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def validate(self) -> None:
-        if self.experiment not in ("sweep-probes", "sweep-outcomes", "homodyne", "selftest"):
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.d < 2:
-            raise ConfigError("d must be >= 2")
-        if not self.m_values or not self.M_values:
-            raise ConfigError("m_values and M_values must be nonempty")
-        if any(m < 1 for m in self.m_values) or any(M < 1 for M in self.M_values):
-            raise ConfigError("sweep ranges must be positive")
-        if any(len(set(v)) != len(v) for v in (self.m_values, self.M_values)):
-            raise ConfigError("m_values and M_values must not repeat an entry")
+        """Check every field against its annotated type and its bound, then
+        the rules that tie fields together; raise ConfigError otherwise."""
+        for name, (base, nullable) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and nullable:
+                continue
+            is_type, type_text = _TYPE_CHECKS[base]
+            if not is_type(value):
+                raise ConfigError(f"{name} must be {type_text}, got {value!r}")
+            in_bounds, bound_text = _FIELD_BOUNDS.get(name, (None, None))
+            if in_bounds is not None and not in_bounds(value):
+                raise ConfigError(f"{name} must be {bound_text}, got {value!r}")
         if self.experiment in ("sweep-probes", "sweep-outcomes") and min(self.m_values) < self.d:
             raise ConfigError(f"square-root measurements need m >= d = {self.d}")
         if self.experiment == "homodyne" and self.d < 3:
             raise ConfigError("homodyne needs d >= 3 for its three-component signal")
-        if self.noise_ratio_patterns < 0 or self.noise_ratio_data < 0:
-            raise ConfigError("noise ratios must be >= 0")
-        if self.ensembles < 1 or self.trials < 1:
-            raise ConfigError("ensembles and trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.state_ensemble not in ("hs", "pure"):
-            raise ConfigError(f"unknown state ensemble {self.state_ensemble!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("eta must lie in [0, 1]")
-        if self.dx <= 0 or self.x_max <= 0:
-            raise ConfigError("dx and x_max must be > 0")
-        if self.experiment == "sweep-outcomes" and len(self.M_values) != 1:
-            raise ConfigError("sweep-outcomes expects exactly one M value")
-        if self.experiment == "homodyne" and len(self.M_values) != 1:
-            raise ConfigError("homodyne expects exactly one M value")
+        if self.experiment in ("sweep-outcomes", "homodyne") and len(self.M_values) != 1:
+            raise ConfigError(f"{self.experiment} expects exactly one M value")
+        if self.wigner_export_m is not None and not set(self.wigner_export_m) <= set(self.m_values):
+            raise ConfigError(f"wigner_export_m {list(self.wigner_export_m)} names an m "
+                              f"outside m_values {list(self.m_values)}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("m_values", "M_values", "wigner_export_m"):
-            if key in doc and doc[key] is not None:
-                if not isinstance(doc[key], list):
-                    raise ConfigError(f"{key} must be a list of integers, got {doc[key]!r}")
-                try:
-                    doc[key] = tuple(int(v) for v in doc[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key} must be a list of integers: {exc}") from exc
         cfg = cls(**doc)
         cfg.validate()
         return cfg
@@ -147,6 +136,62 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         return cls.from_dict(read_config_document(path))
+
+
+def _annotation(tp) -> tuple:
+    """(base type, whether None is allowed) of an annotation such as int or
+    float | None."""
+    args = typing.get_args(tp)
+    if not args:
+        return tp, False
+    return next(a for a in args if a is not type(None)), type(None) in args
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _is_grid(values) -> bool:
+    return bool(values) and min(values) >= 1 and len(set(values)) == len(values)
+
+
+# field name -> (base type, None allowed), from the annotations
+_FIELD_TYPES = {f.name: _annotation(f.type) for f in fields(ExperimentConfig)}
+
+# base type -> (test, what a value must be); bools are not numbers here
+_TYPE_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, tuple) and all(map(_is_int, v)), "a list of integers"),
+}
+
+# field name -> (test, what a value must be), applied once the type is right
+_FIELD_BOUNDS = {
+    "experiment": (lambda v: v in ("sweep-probes", "sweep-outcomes", "homodyne", "selftest"),
+                   "sweep-probes, sweep-outcomes, homodyne or selftest"),
+    "d": (lambda v: v >= 2, ">= 2"),
+    "m_values": (_is_grid, "nonempty and positive, with no entry repeated"),
+    "M_values": (_is_grid, "nonempty and positive, with no entry repeated"),
+    "noise_ratio_patterns": (lambda v: v >= 0, ">= 0"),
+    "noise_ratio_data": (lambda v: v >= 0, ">= 0"),
+    "ensembles": (lambda v: v >= 1, ">= 1"),
+    "trials": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "workers": (lambda v: v >= 1, ">= 1"),
+    "rtol": (lambda v: 0 < v < 1, "null or in (0, 1)"),
+    "state_ensemble": (lambda v: v in ("hs", "pure"), "hs or pure"),
+    "eta": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "dx": (lambda v: v > 0, "> 0"),
+    "x_max": (lambda v: v > 0, "> 0"),
+    "wigner_span": (lambda v: v > 0, "> 0"),
+    "wigner_points": (lambda v: v >= 2, ">= 2"),
+    "selftest_count": (lambda v: v >= 1, ">= 1"),
+}
 
 
 # (m, M) grid of each experiment where it differs from the ExperimentConfig
@@ -243,13 +288,21 @@ def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     return rows, None
 
 
-def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
-    """One (m, ensemble) cell at fixed M; the probe set is shared across m."""
+def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int, probe_sets=None):
+    """One (m, ensemble) cell at fixed M.
+
+    The probe set of an ensemble comes from a stream that ignores m, so it
+    is the same at every m.  probe_sets, a dict of one run, keeps each
+    ensemble's set, and with it R+, from one m to the next.
+    """
     basis = qstate.gellmann_basis(cfg.d)
     M = cfg.M_values[0]
-    rng_probes = _rng(cfg.seed, _TAG_OUTCOME_PROBES, ensemble)
-    probes = protocols.ProbeSet.from_blochs(
-        qstate.random_blochs(basis, M, rng_probes, cfg.state_ensemble))
+    probe_sets = {} if probe_sets is None else probe_sets
+    if ensemble not in probe_sets:
+        rng_probes = _rng(cfg.seed, _TAG_OUTCOME_PROBES, ensemble)
+        probe_sets[ensemble] = protocols.ProbeSet.from_blochs(
+            qstate.random_blochs(basis, M, rng_probes, cfg.state_ensemble))
+    probes = probe_sets[ensemble]
     rng = _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble)
     detector = _draw_srm_detector(cfg.d, m, basis, rng)
     patterns = protocols.collect_patterns(detector, probes, cfg.pattern_noise, rng)
@@ -299,11 +352,8 @@ def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    for key in ("m_values", "M_values", "wigner_export_m"):
-        if doc[key] is not None:
-            doc[key] = list(doc[key])
-    return doc
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in ((f.name, getattr(cfg, f.name)) for f in fields(cfg))}
 
 
 # settings that may differ between a run and its resumption
@@ -455,8 +505,12 @@ def run_sweep_probes(cfg: ExperimentConfig):
 
 
 def run_sweep_outcomes(cfg: ExperimentConfig):
-    """MSE sweep over the outcome count m at a fixed probe count M."""
-    return _run_grid(cfg, _outcome_sweep_task)[0]
+    """MSE sweep over the outcome count m at a fixed probe count M.
+
+    The probe sets are shared across m within this run only.  Tasks sent
+    to a worker pool carry an empty dict, so each worker cell draws its
+    set again, with the same bits."""
+    return _run_grid(cfg, partial(_outcome_sweep_task, probe_sets={}))[0]
 
 
 def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:

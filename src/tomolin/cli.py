@@ -1,12 +1,13 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 selftest failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure or a
+worker process that died, 3 selftest failure.
 """
 
 import argparse
 import ctypes
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -100,6 +101,9 @@ def main(argv=None) -> int:
     except bench.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except BrokenProcessPool as exc:
+        print(f"worker process failed: {exc}", file=sys.stderr)
+        return 2
     except (matlib.SvdError, protocols.EstimationFailureError,
             np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -66,9 +66,13 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Probe states arranged columnwise in augmented form; row 0 is all ones."""
+    """Probe states arranged columnwise in augmented form; row 0 is all ones.
+
+    The pseudoinverse R+ is computed on first use for each rtol and kept,
+    so a probe set shared by several inversions decomposes R once."""
 
     r_matrix: np.ndarray  # (n + 1, M)
+    _pinvs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.r_matrix
@@ -93,6 +97,14 @@ class ProbeSet:
 
     def prefix(self, count: int) -> "ProbeSet":
         return ProbeSet(self.r_matrix[:, :count])
+
+    def pinv(self, rtol: float | None = None) -> np.ndarray:
+        """R+, read-only and computed once per rtol."""
+        if rtol not in self._pinvs:
+            rp = matlib.pinv(self.r_matrix, rtol=rtol)
+            rp.setflags(write=False)
+            self._pinvs[rtol] = rp
+        return self._pinvs[rtol]
 
 
 @dataclass(frozen=True)
@@ -121,14 +133,15 @@ class PatternSet:
 
 @dataclass(frozen=True)
 class InversionMatrix:
-    """A data-to-state map in augmented coordinates, with its HS norm."""
+    """A data-to-state map in augmented coordinates."""
 
     kind: str  # standard | data-pattern | oracle
     matrix: np.ndarray  # (n + 1, m)
-    hs_norm_value: float = field(default=0.0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "hs_norm_value", matlib.hs_norm(self.matrix))
+    @property
+    def hs_norm_value(self) -> float:
+        """Hilbert-Schmidt norm of the matrix, computed when read."""
+        return matlib.hs_norm(self.matrix)
 
     @property
     def deaugmented(self) -> np.ndarray:
@@ -193,7 +206,7 @@ def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
                               rtol: float | None = None) -> InversionMatrix:
     """Calibrate the detector as F R+ and invert it: A_s = (F R+)+."""
     _check_counts(patterns, probes)
-    calibrated = patterns.f_matrix @ matlib.pinv(probes.r_matrix, rtol=rtol)
+    calibrated = patterns.f_matrix @ probes.pinv(rtol)
     return InversionMatrix("standard", matlib.pinv(calibrated, rtol=rtol))
 
 
@@ -351,7 +364,7 @@ def limiting_case_diagnostics(patterns: PatternSet, probes: ProbeSet,
     a_s = standard_inversion_matrix(patterns, probes, rtol=rtol)
     a_p = pattern_inversion_matrix(patterns, probes, rtol=rtol)
     fp = matlib.pinv(f, rtol=rtol)
-    rp = matlib.pinv(r, rtol=rtol)
+    rp = probes.pinv(rtol)
     h = matlib.pinv((fp @ f) @ (rp @ r), rtol=rtol)
     fh = matlib.svd(h, rtol=rtol)
     h_norm = matlib.hs_norm(h)

@@ -63,6 +63,67 @@ def _gellmann_stack(d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _gellmann_trace_plan(d: int) -> tuple:
+    """Index plan for Re trace(G_n X) over the nonzero entries of the stack.
+
+    Every entry of a Gell-Mann matrix is zero, purely real or purely
+    imaginary, so Re(G_ij X_ji) is a real coefficient times the real or the
+    imaginary part of X_ji.  Term t of every matrix is its t-th nonzero
+    entry in ascending (i, j) order, the order in which einsum accumulates.
+    The pair matrices have 2 terms and the l-th diagonal one l + 1, so the
+    matrices that have a term t form a trailing block of the stack.
+
+    Returns (index, coeff, steps): index points into X flattened as
+    interleaved (real, imag) floats and coeff holds the real coefficients,
+    one entry per term; step t is (start, cols), the first matrix with a
+    term t and the slice of the terms that holds it.
+    """
+    terms = []
+    for g in _gellmann_stack(d):
+        rows, cols = np.nonzero(g)  # row-major, so ascending (i, j)
+        entries = []
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if g[i, j].imag == 0.0:
+                entries.append((2 * (j * d + i), g[i, j].real))
+            else:
+                assert g[i, j].real == 0.0
+                entries.append((2 * (j * d + i) + 1, -g[i, j].imag))
+        terms.append(entries)
+    flat, steps = [], []
+    for t in range(max(map(len, terms))):
+        start = next(n for n, entries in enumerate(terms) if len(entries) > t)
+        assert all(len(entries) > t for entries in terms[start:])
+        steps.append((start, slice(len(flat), len(flat) + len(terms) - start)))
+        flat.extend(entries[t] for entries in terms[start:])
+    index, coeff = (np.array(v) for v in zip(*flat))
+    index.setflags(write=False)
+    coeff.setflags(write=False)
+    return index, coeff, tuple(steps)
+
+
+def _gellmann_traces(x, d: int) -> np.ndarray:
+    """Re trace(G_n X) for every basis matrix G_n and every X of a stack
+    (..., d, d), with the bits and strides of
+    einsum("nij,...ji->...n", gammas, x).real.
+
+    Only the nonzero entries of the G_n enter, added to a zero start in
+    einsum's order.  The result is the real view of a complex buffer, as
+    einsum's .real is; a contiguous array would send a later matrix product
+    down another BLAS path.  The same terms make up
+    einsum("mij,nji->mn", x, gammas), in the same order for the diagonal
+    matrices, and a pair matrix's two terms sum alike in either order."""
+    index, coeff, steps = _gellmann_trace_plan(d)
+    x = np.ascontiguousarray(x, dtype=complex)
+    terms = x.reshape(*x.shape[:-2], d * d).view(np.float64)[..., index]
+    terms *= coeff
+    buffer = np.zeros(x.shape[:-2] + (d * d - 1,), dtype=complex)
+    out = buffer.real
+    for start, cols in steps:
+        out[..., start:] += terms[..., cols]
+    return out
+
+
 def gellmann_basis(d: int) -> OperatorBasis:
     """Generalised Gell-Mann basis of dimension d: symmetric and
     antisymmetric pair matrices followed by the diagonal family,
@@ -80,7 +141,7 @@ def state_to_bloch(rho, basis: OperatorBasis) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape[-1] != basis.dim or rho.shape[-2] != basis.dim:
         raise ValueError(f"state dim {rho.shape[-1]} != basis dim {basis.dim}")
-    return np.einsum("nij,...ji->...n", basis.gammas, rho).real
+    return _gellmann_traces(rho, basis.dim)
 
 
 def bloch_to_state(r, basis: OperatorBasis) -> np.ndarray:
@@ -160,7 +221,7 @@ def povm_to_affine(povm, basis: OperatorBasis) -> DetectorModel:
     if d != basis.dim:
         raise ValueError(f"measurement dim {d} != basis dim {basis.dim}")
     b = np.trace(elements, axis1=1, axis2=2).real / d
-    a = np.einsum("mij,nji->mn", elements, basis.gammas).real
+    a = _gellmann_traces(elements, d)
     return DetectorModel(offset=b, amatrix=a)
 
 
@@ -187,9 +248,13 @@ def random_density_hs(d: int, rng, size: int | None = None) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     shape = (1 if size is None else size, d, d)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
     w = g @ np.conj(np.swapaxes(g, 1, 2))
-    w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
+    # numpy divides a complex by c + 0j as a product with 1 / c, so this
+    # is the division with the same bits, without a complex quotient
+    w *= 1.0 / np.trace(w, axis1=1, axis2=2).real[:, None, None]
     return w[0] if size is None else w
 
 

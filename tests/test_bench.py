@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from tomolin import bench, cli, selftest
+from tomolin import bench, cli, matlib, selftest
 
 TINY_PROBES = dict(
     experiment="sweep-probes", d=2, m_values=(6,), M_values=(4, 6, 8),
@@ -18,6 +18,11 @@ TINY_PROBES = dict(
 TINY_OUTCOMES = dict(
     experiment="sweep-outcomes", d=2, m_values=(4, 6, 10), M_values=(6,),
     ensembles=2, trials=20, seed=7,
+)
+# d = 4, so the diagonal Gell-Mann matrices have up to four terms
+TINY_OUTCOMES_D4 = dict(
+    experiment="sweep-outcomes", d=4, m_values=(16, 20, 30), M_values=(20,),
+    ensembles=3, trials=20, seed=7,
 )
 TINY_HOMODYNE = dict(
     experiment="homodyne", d=4, m_values=(14, 16, 18, 40), M_values=(40,),
@@ -171,6 +176,62 @@ class TestSweepOutcomes:
         # derivation key for probes ignores m, so this must not raise
         assert len({r.m for r in basis_rows.values()}) == 3
 
+    def test_shared_probes_give_cellwise_rows(self):
+        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
+        assert bench.run_sweep_outcomes(cfg) == cellwise_outcome_rows(cfg)
+
+    def test_probe_pinv_once_per_ensemble(self, monkeypatch):
+        calls = []
+        pinv = matlib.pinv
+        monkeypatch.setattr(matlib, "pinv",
+                            lambda x, rtol=None: calls.append(x) or pinv(x, rtol=rtol))
+        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
+        bench.run_sweep_outcomes(cfg)
+        # R+ once per ensemble, (F R+)+ and F+ once per cell
+        assert len(calls) == cfg.ensembles + 2 * len(cfg.m_values) * cfg.ensembles
+
+    def test_resume_missing_ensembles(self, tmp_path):
+        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
+        expected = csv_lines(cellwise_outcome_rows(cfg))
+        # ensemble 1 is missing at every m and ensemble 2 at the first m,
+        # so the resumed run meets some probe sets first at a later m
+        keys = [(line.split(",")[2], line.split(",")[5]) for line in expected[1:]]
+        kept = [line for line, (m, e) in zip(expected[1:], keys)
+                if e != "1" and (m, e) != ("16", "2")]
+        out = tmp_path / "part.csv"
+        out.write_text("\n".join([expected[0], *kept]) + "\n")
+        rows = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES_D4, out=str(out)))
+        assert len(rows) == len(expected) - 1 - len(kept)
+        assert sorted(out.read_text().splitlines()) == sorted(expected)
+
+    def test_two_workers_give_cellwise_rows(self, tmp_path):
+        out = tmp_path / "w2.csv"
+        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4, out=str(out), workers=2)
+        bench.run_sweep_outcomes(cfg)
+        assert out.read_text().splitlines() == csv_lines(cellwise_outcome_rows(cfg))
+
+    def test_run_after_other_seed_draws_its_own_probes(self):
+        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
+        other = bench.run_sweep_outcomes(bench.ExperimentConfig(**{**TINY_OUTCOMES_D4, "seed": 8}))
+        rows = bench.run_sweep_outcomes(cfg)
+        assert rows == cellwise_outcome_rows(cfg)
+        assert all(a.e2_std != b.e2_std for a, b in zip(rows, other))
+
+
+def cellwise_outcome_rows(cfg):
+    """The rows of an outcome sweep, each cell run on its own with its probe
+    set drawn afresh."""
+    return [row for m in cfg.m_values for e in range(cfg.ensembles)
+            for row in bench._outcome_sweep_task(cfg, m, e)[0]]
+
+
+def csv_lines(rows):
+    return [bench.CSV_HEADER, *(row.csv_row() for row in rows)]
+
+
+def _exit_in_worker(cfg, m, ensemble):
+    os._exit(1)
+
 
 class TestRunHomodyne:
     def test_rows_and_wigner_exports(self, tmp_path):
@@ -241,12 +302,32 @@ class TestCli:
         dict(experiment="sweep-probes", m_values=5),
         dict(experiment="sweep-probes", m_values=[18, 18]),
         dict(experiment="sweep-probes", M_values=[4, 4]),
+        dict(experiment="sweep-probes", seed=1.5),
+        dict(experiment="sweep-probes", m_values=[18.7]),
+        dict(experiment="sweep-probes", ensembles=True),
+        dict(experiment="sweep-probes", d="4"),
+        dict(experiment="homodyne", eta="0.5"),
+        dict(experiment="sweep-probes", noise_ratio_data="0.1"),
+        dict(experiment="sweep-probes", rtol=-1),
+        dict(experiment="homodyne", wigner_points=0),
+        dict(experiment="homodyne", wigner_span=-1),
+        dict(experiment="homodyne", wigner_export_m=[99]),
+        dict(experiment="selftest", selftest_count=0),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, doc):
         cfg = tmp_path / "malformed.json"
         cfg.write_text(json.dumps(doc))
         assert cli.main([doc["experiment"], "--config", str(cfg)]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_worker_crash_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "_probe_sweep_task", _exit_in_worker)
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_PROBES.items()}))
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "worker process failed" in err and "numerical failure" not in err
 
     def test_sweep_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.json"

@@ -22,6 +22,10 @@ CONFIGS = {
                         ensembles=3, trials=25, seed=7, workers=1, state_ensemble="pure"),
     "outcomes": dict(experiment="sweep-outcomes", d=2, m_values=[3, 4, 6, 10], M_values=[6],
                      ensembles=2, trials=20, seed=7, workers=1),
+    # d = 4 puts diagonal Gell-Mann matrices with 3 and 4 nonzero entries
+    # into the state and detector coordinates
+    "outcomes-d4": dict(experiment="sweep-outcomes", d=4, m_values=[16, 20, 30],
+                        M_values=[20], ensembles=2, trials=20, seed=7, workers=1),
     "homodyne": dict(experiment="homodyne", d=4, m_values=[15, 16, 20], M_values=[20],
                      ensembles=2, trials=20, seed=7, wigner_points=21, workers=1),
 }
@@ -34,6 +38,8 @@ GOLDEN = {
     "homodyne_wigner_standard_m16.csv": "45f7a074f5bf7c68ca752a7e4a83850bcf077590577af6eb918e3d11bccb2041",
     "homodyne_wigner_standard_m20.csv": "e8c4976666daec9696d970075dc847faf8057051f8aa54355bc3c05922164d24",
     "homodyne_wigner_true.csv": "a9b789d38c5e8bbbb301f46225a6856089cc3cdadf934b66a439684e100fdbab",
+    "outcomes-d4.csv": "55cd83e1fedb879dd704df37321ceafe7b4768e601be443e7517cbcc76338c6b",
+    "outcomes-d4.csv.meta.json": "44082b5ad0317ec4358e22f1b0e3f13cdf11a65959a9d49a3f063537c8fc4608",
     "outcomes.csv": "0a19e1156170d52dcc6b5c41c824770533526d4179a820d1f035ccbc1d5dd2c4",
     "outcomes.csv.meta.json": "871c390668bc4ef14cec8a4bf918078bcea7d32e8611de9bf86ae914e9c7e647",
     "probes-hs.csv": "d15ea13ad62b956e5da4d94ad4deb7a7312906f751e77562dc5b58b6b39c98a6",

@@ -73,6 +73,17 @@ class TestProbeAndPatternSets:
         with pytest.raises(ValueError, match="ones"):
             protocols.ProbeSet(np.array([[0.5, 0.5], [0.1, 0.2]]))
 
+    def test_probe_pinv_computed_once_per_rtol(self):
+        rng = np.random.default_rng(14)
+        ps = protocols.ProbeSet.from_blochs(rng.standard_normal((8, 12)))
+        rp = ps.pinv()
+        assert ps.pinv() is rp and not rp.flags.writeable
+        assert np.array_equal(rp, matlib.pinv(ps.r_matrix))
+        loose = ps.pinv(0.5)
+        assert ps.pinv(0.5) is loose
+        assert np.array_equal(loose, matlib.pinv(ps.r_matrix, rtol=0.5))
+        assert ps.prefix(6).pinv().shape == (6, 9)
+
     def test_pattern_set_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             protocols.PatternSet(np.array([[np.nan, 1.0]]))

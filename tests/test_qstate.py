@@ -80,6 +80,70 @@ class TestBloch:
             qstate.state_to_bloch(np.eye(3), qstate.gellmann_basis(2))
 
 
+def einsum_bloch(x, basis):
+    return np.einsum("nij,...ji->...n", basis.gammas, x).real
+
+
+def einsum_amatrix(x, basis):
+    return np.einsum("mij,nji->mn", x, basis.gammas).real
+
+
+def assert_same_bits(got, ref):
+    """Equal shapes, strides and bit patterns, so also equal signs of zero."""
+    assert got.shape == ref.shape and got.strides == ref.strides
+    bits = [np.ascontiguousarray(a).view(np.uint64) for a in (got, ref)]
+    assert np.array_equal(*bits)
+
+
+def wide_range_matrices(rng, shape, d):
+    """Non-Hermitian complex matrices with entries scaled from 1e-3 to 1e3."""
+    full = (*shape, d, d)
+    x = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+    return x * 10.0 ** rng.uniform(-3.0, 3.0, full)
+
+
+class TestGellmannTraces:
+    """The traces over the nonzero Gell-Mann entries give einsum's bits and
+    strides; for d >= 3 a diagonal matrix has three or more terms, so the
+    order in which they are summed shows.  The Hilbert-Schmidt sampler gives
+    the bits of its complex-sum, complex-quotient form."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (500,), (3, 5)])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_state_to_bloch_matches_einsum(self, d, shape):
+        rng = np.random.default_rng(100 * d + len(shape))
+        basis = qstate.gellmann_basis(d)
+        x = wide_range_matrices(rng, shape, d)
+        assert_same_bits(qstate.state_to_bloch(x, basis), einsum_bloch(x, basis))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_state_to_bloch_real_input(self, d):
+        rng = np.random.default_rng(200 + d)
+        basis = qstate.gellmann_basis(d)
+        for x in (rng.standard_normal((d, d)), rng.standard_normal((7, d, d)), np.eye(d) / d):
+            assert_same_bits(qstate.state_to_bloch(x, basis), einsum_bloch(x, basis))
+
+    @pytest.mark.parametrize("count", [1, 7, 500])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_povm_to_affine_matches_einsum(self, d, count):
+        rng = np.random.default_rng(300 * d + count)
+        basis = qstate.gellmann_basis(d)
+        x = wide_range_matrices(rng, (count,), d)
+        assert_same_bits(qstate.povm_to_affine(x, basis).amatrix, einsum_amatrix(x, basis))
+
+    @pytest.mark.parametrize("size", [None, 1, 7, 500])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_density_hs_matches_complex_sum(self, d, size):
+        # the Ginibre matrix as a complex sum, and a complex quotient
+        rng = np.random.default_rng(400 + d)
+        shape = (1 if size is None else size, d, d)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = g @ np.conj(np.swapaxes(g, 1, 2))
+        w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
+        ref = w[0] if size is None else w
+        assert_same_bits(qstate.random_density_hs(d, np.random.default_rng(400 + d), size=size), ref)
+
+
 class TestDetectorModel:
     def test_computational_basis_offsets(self):
         basis = qstate.gellmann_basis(2)
