@@ -1,19 +1,20 @@
 """Experiment runner: configurations, the probe-count sweep, the
 outcome-count sweep and the homodyne experiment, with deterministic
-seeding, worker pools and CSV emission.
+seeding, one worker pool per run and CSV emission.
 
 Determinism contract: every task derives its generator from
 (master seed, stream tag, sweep coordinates, ensemble index), so output
 bytes do not depend on the worker count or scheduling order.
 """
 
+import functools
+import itertools
 import json
 import math
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "d,n,m,M,seed,ensemble,e2_std,e2_pat,ratio"
-WORKERS_ENV = "TOMOLIN_WORKERS"
 
 # stream tags keep rng draws of different experiments disjoint
 _TAG_PROBE_SWEEP = 1
@@ -44,16 +44,6 @@ _MAX_REDRAWS = 100
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,7 @@ class ExperimentConfig:
     trials: int = 500
     seed: int = 42
     out: str | None = None
-    workers: int = field(default_factory=_default_workers)
+    workers: int = 1
     rtol: float | None = None
     state_ensemble: str = "hs"      # hs | pure
     eta: float = 0.8
@@ -282,34 +272,34 @@ def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     patterns_full = protocols.collect_patterns(detector, probes_full, cfg.pattern_noise, rng)
     true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
     data = protocols.trial_data(detector, true_blochs, cfg.data_noise, rng)
-    rows = [_evaluate(cfg, m, M, ensemble, probes_full.prefix(M), patterns_full.prefix(M),
+    return [_evaluate(cfg, m, M, ensemble, probes_full.prefix(M), patterns_full.prefix(M),
                       data, true_blochs)[0]
             for M in cfg.M_values]
-    return rows, None
 
 
-def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int, probe_sets=None):
-    """One (m, ensemble) cell at fixed M.
+@functools.lru_cache(maxsize=None)
+def _outcome_probes(seed: int, d: int, M: int, ensemble: int,
+                    state_ensemble: str) -> protocols.ProbeSet:
+    """The probe set of an outcome-sweep ensemble, drawn from a stream that
+    ignores m.  Memoised, so each process draws it, and computes its R+,
+    at most once; run_sweep_outcomes clears the memo when it starts."""
+    rng = _rng(seed, _TAG_OUTCOME_PROBES, ensemble)
+    basis = qstate.gellmann_basis(d)
+    return protocols.ProbeSet.from_blochs(qstate.random_blochs(basis, M, rng, state_ensemble))
 
-    The probe set of an ensemble comes from a stream that ignores m, so it
-    is the same at every m.  probe_sets, a dict of one run, keeps each
-    ensemble's set, and with it R+, from one m to the next.
-    """
+
+def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
+    """One (m, ensemble) cell at fixed M; its ensemble's probe set is the
+    same at every m."""
     basis = qstate.gellmann_basis(cfg.d)
     M = cfg.M_values[0]
-    probe_sets = {} if probe_sets is None else probe_sets
-    if ensemble not in probe_sets:
-        rng_probes = _rng(cfg.seed, _TAG_OUTCOME_PROBES, ensemble)
-        probe_sets[ensemble] = protocols.ProbeSet.from_blochs(
-            qstate.random_blochs(basis, M, rng_probes, cfg.state_ensemble))
-    probes = probe_sets[ensemble]
+    probes = _outcome_probes(cfg.seed, cfg.d, M, ensemble, cfg.state_ensemble)
     rng = _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble)
     detector = _draw_srm_detector(cfg.d, m, basis, rng)
     patterns = protocols.collect_patterns(detector, probes, cfg.pattern_noise, rng)
     true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
     data = protocols.trial_data(detector, true_blochs, cfg.data_noise, rng)
-    row, _ = _evaluate(cfg, m, M, ensemble, probes, patterns, data, true_blochs)
-    return [row], None
+    return [_evaluate(cfg, m, M, ensemble, probes, patterns, data, true_blochs)[0]]
 
 
 def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
@@ -322,12 +312,11 @@ def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
     return protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
 
 
-def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
+def _homodyne_cell(cfg: ExperimentConfig, m: int, ensemble: int):
     """One homodyne cell: random quadrature set, coherent probe patterns and
     repeated noisy data of the fixed benchmark signal.
 
-    Returns the sweep row plus the estimates of both protocols from the
-    trial-averaged data (used for Wigner exports)."""
+    Returns the sweep row, both inversion matrices and the data."""
     basis = qstate.gellmann_basis(cfg.d)
     rng = _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble)
     meas = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
@@ -342,13 +331,25 @@ def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
     data = protocols.add_noise(np.tile(p_true[:, None], (1, cfg.trials)), cfg.data_noise, rng)
     row, invs = _evaluate(cfg, m, cfg.M_values[0], ensemble, probes, patterns,
                           data, r_true[:, None])
-    mean_estimates = {}
+    return row, invs, data
+
+
+def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
+    return [_homodyne_cell(cfg, m, ensemble)[0]]
+
+
+def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
+    """Estimates of both protocols from the trial-averaged data of ensemble
+    0 at m, recomputed from the cell's key; None where an estimate is
+    degenerate.  The cell's arrays are freed on return."""
+    _, invs, data = _homodyne_cell(cfg, m, 0)
+    estimates = {}
     for kind, inv in zip(("standard", "pattern"), invs):
         try:
-            mean_estimates[kind] = protocols.estimate(inv, data.mean(axis=1))
+            estimates[kind] = protocols.estimate(inv, data.mean(axis=1))
         except protocols.DegenerateNormalizationError:
-            mean_estimates[kind] = None
-    return [row], mean_estimates
+            estimates[kind] = None
+    return estimates
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -449,68 +450,56 @@ class _OutputFiles:
             self.fh.flush()
 
 
-def _run_tasks(cfg: ExperimentConfig, task, keys, collect):
-    """Execute task(cfg, m, ensemble) for every key, serially or on a pool,
-    and hand results to collect in canonical key order."""
-    if cfg.workers == 1:
+def _cell_results(cfg: ExperimentConfig, task, keys):
+    """Yield task(cfg, m, ensemble) for each key, in key order: in this
+    process at one worker, otherwise from one pool that serves the whole
+    run, so later cells are already queued while earlier ones are written."""
+    if cfg.workers == 1 or not keys:
         for key in keys:
-            collect(key, task(cfg, *key))
+            yield task(cfg, *key)
         return
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = {key: pool.submit(task, cfg, *key) for key in keys}
-        for key in keys:
-            collect(key, futures[key].result())
+        yield from pool.map(functools.partial(task, cfg), *zip(*keys))
 
 
-def _run_grid(cfg: ExperimentConfig, task, export_m=()):
-    """Run task(cfg, m, ensemble) -> (rows, extra) over the (m, ensemble)
-    grid, skipping cells whose rows cfg.out already holds, and write the new
-    rows in (m, M, ensemble) order.
+def _run_grid(cfg: ExperimentConfig, task):
+    """Run task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
+    skipping cells whose rows cfg.out already holds, and write and return
+    the new rows in (m, M, ensemble) order.
 
     An output that _OutputFiles refuses raises ConfigError before anything
-    is written.  Cells at ensemble 0 of an m in export_m always
-    run; their extras are returned as {m: extra}.  Other cells' results
-    are dropped once their m is written, which keeps memory flat along the
-    sweep.
+    is written.
     """
     cfg.validate()
     results = []
-    extras = {}
     with _OutputFiles(cfg) as output:
         done = output.done
-        for m in cfg.m_values:
-            keys = [
-                (m, e) for e in range(cfg.ensembles)
-                if any((m, M, e) not in done for M in cfg.M_values)
-                or (m in export_m and e == 0)
-            ]
-            gathered = {}
-            _run_tasks(cfg, task, keys, gathered.__setitem__)
+        keys = [(m, e) for m in cfg.m_values for e in range(cfg.ensembles)
+                if any((m, M, e) not in done for M in cfg.M_values)]
+        cells = zip(keys, _cell_results(cfg, task, keys))
+        for m, m_cells in itertools.groupby(cells, key=lambda cell: cell[0][0]):
+            m_rows = [row for _, rows in m_cells for row in rows
+                      if (m, row.M, row.ensemble) not in done]
             for M in cfg.M_values:
-                point_rows = [
-                    row for key in keys for row in gathered[key][0]
-                    if row.M == M and (m, M, row.ensemble) not in done
-                ]
+                point_rows = [row for row in m_rows if row.M == M]
                 output.write_rows(point_rows)
                 results.extend(point_rows)
-            if m in export_m:
-                extras[m] = gathered[(m, 0)][1]
-    return results, extras
+    return results
 
 
 def run_sweep_probes(cfg: ExperimentConfig):
     """Performance-ratio sweep over the probe count M at fixed outcome
     counts; one CSV row per (m, M, ensemble)."""
-    return _run_grid(cfg, _probe_sweep_task)[0]
+    return _run_grid(cfg, _probe_sweep_task)
 
 
 def run_sweep_outcomes(cfg: ExperimentConfig):
     """MSE sweep over the outcome count m at a fixed probe count M.
 
-    The probe sets are shared across m within this run only.  Tasks sent
-    to a worker pool carry an empty dict, so each worker cell draws its
-    set again, with the same bits."""
-    return _run_grid(cfg, partial(_outcome_sweep_task, probe_sets={}))[0]
+    Each ensemble's probe set is shared across m: every process, this one
+    or a pool worker, draws it at most once in a run."""
+    _outcome_probes.cache_clear()
+    return _run_grid(cfg, _outcome_sweep_task)
 
 
 def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
@@ -528,17 +517,16 @@ def run_homodyne(cfg: ExperimentConfig):
     Wigner grid exports for both protocols at the minimal informationally
     complete point and at m = M (reconstructed from ensemble 0 by
     trial-averaged data)."""
-    cfg.validate()
+    results = _run_grid(cfg, _homodyne_task)
     export_m = cfg.wigner_export_m
     if export_m is None:
         export_m = tuple(m for m in (cfg.n_params + 1, cfg.M_values[0]) if m in cfg.m_values)
-    results, mean_estimates = _run_grid(cfg, _homodyne_task, export_m)
     basis = qstate.gellmann_basis(cfg.d)
     axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
     exports = {
         (kind, m): homodyne.wigner(qstate.bloch_to_state(r_hat, basis), axis, axis)
-        for m, estimates in mean_estimates.items()
-        for kind, r_hat in estimates.items()
+        for m in export_m
+        for kind, r_hat in _mean_estimates(cfg, m).items()
         if r_hat is not None
     }
     if cfg.out is not None:

@@ -163,8 +163,6 @@ class GwDecomposition:
 
     h: np.ndarray
     g: np.ndarray
-    numerical_rank_x: int
-    numerical_rank_y: int
 
 
 def gw_decompose(x, y, rtol: float | None = None) -> GwDecomposition:
@@ -177,17 +175,11 @@ def gw_decompose(x, y, rtol: float | None = None) -> GwDecomposition:
     b = as_matrix(y, "y")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    fa = svd(a, rtol=rtol)
-    fb = svd(b, rtol=rtol)
     ap = pinv(a, rtol=rtol)
     bp = pinv(b, rtol=rtol)
     h = pinv((ap @ a) @ (b @ bp), rtol=rtol)
     g = b @ pinv(a @ b, rtol=rtol) @ a - h
-    return GwDecomposition(
-        h=h, g=g,
-        numerical_rank_x=fa.numerical_rank,
-        numerical_rank_y=fb.numerical_rank,
-    )
+    return GwDecomposition(h=h, g=g)
 
 
 def admissible_perturbation(x, y, rng, rtol: float | None = None) -> np.ndarray:

@@ -68,13 +68,6 @@ class TestExperimentConfig:
         with pytest.raises(bench.ConfigError):
             bench.ExperimentConfig.from_file(str(path))
 
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv(bench.WORKERS_ENV, "3")
-        assert bench.ExperimentConfig().workers == 3
-        monkeypatch.setenv(bench.WORKERS_ENV, "zero")
-        with pytest.raises(bench.ConfigError):
-            bench.ExperimentConfig()
-
 
 def read_rows(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -139,7 +132,7 @@ class TestSweepProbes:
         cfg = bench.ExperimentConfig(**TINY_PROBES)
         rows = bench.run_sweep_probes(cfg)
         target = rows[4]
-        again, _ = bench._probe_sweep_task(cfg, target.m, target.ensemble)
+        again = bench._probe_sweep_task(cfg, target.m, target.ensemble)
         match = [r for r in again if r.M == target.M][0]
         assert match == target
 
@@ -170,7 +163,7 @@ class TestSweepOutcomes:
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES)
         basis_rows = {}
         for m in cfg.m_values:
-            rows, _ = bench._outcome_sweep_task(cfg, m, 1)
+            rows = bench._outcome_sweep_task(cfg, m, 1)
             basis_rows[m] = rows[0]
         # distinct m cells exist and come from the same probe draw; the
         # derivation key for probes ignores m, so this must not raise
@@ -221,8 +214,12 @@ class TestSweepOutcomes:
 def cellwise_outcome_rows(cfg):
     """The rows of an outcome sweep, each cell run on its own with its probe
     set drawn afresh."""
-    return [row for m in cfg.m_values for e in range(cfg.ensembles)
-            for row in bench._outcome_sweep_task(cfg, m, e)[0]]
+    rows = []
+    for m in cfg.m_values:
+        for e in range(cfg.ensembles):
+            bench._outcome_probes.cache_clear()
+            rows.extend(bench._outcome_sweep_task(cfg, m, e))
+    return rows
 
 
 def csv_lines(rows):
@@ -231,6 +228,39 @@ def csv_lines(rows):
 
 def _exit_in_worker(cfg, m, ensemble):
     os._exit(1)
+
+
+def _cli_env(**extra):
+    """The environment of a CLI subprocess that imports tomolin from src."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+class TestRunLayer:
+    @pytest.mark.parametrize("tiny, run", [
+        (TINY_OUTCOMES_D4, bench.run_sweep_outcomes),
+        (TINY_HOMODYNE, bench.run_homodyne),
+    ], ids=["outcomes", "homodyne"])
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_run(self, monkeypatch, tiny, run, workers, pools):
+        built = []
+
+        class CountingPool(bench.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+        run(bench.ExperimentConfig(**tiny, workers=workers))
+        assert len(built) == pools
+
+    def test_resumed_run_with_nothing_to_do_builds_no_pool(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "probes.csv")
+        bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out))
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", None)
+        assert bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out,
+                                                             workers=2)) == []
 
 
 class TestRunHomodyne:
@@ -253,6 +283,17 @@ class TestRunHomodyne:
         truth = np.loadtxt(stem + "_wigner_true.csv", delimiter=",", skiprows=1)
         dx = (2 * cfg.wigner_span) / (cfg.wigner_points - 1)
         assert truth[:, 2].sum() * dx * dx == pytest.approx(1.0, abs=1e-2)
+
+    def test_two_workers_write_the_same_files(self, tmp_path):
+        for workers in (1, 2):
+            (tmp_path / f"w{workers}").mkdir()
+            bench.run_homodyne(bench.ExperimentConfig(
+                **TINY_HOMODYNE, out=str(tmp_path / f"w{workers}" / "homo.csv"), workers=workers))
+        names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+        for name in names:
+            if not name.endswith(".meta.json"):
+                assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
 
 class TestSelfTest:
@@ -377,13 +418,27 @@ class TestCli:
 
     def test_import_does_not_load_scipy(self):
         # scipy is imported only when a Wigner function is computed
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         code = "import sys, tomolin.cli; print('scipy' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, timeout=60, check=True)
+        result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # a row of this run moves in its last digit between 1 and 2 OpenBLAS
+        # threads unless the CLI pins BLAS to one thread
+        cfg = tmp_path / "repro.json"
+        cfg.write_text(json.dumps({"d": 6, "M_values": [100], "m_values": [122],
+                                   "ensembles": 17, "trials": 20}))
+        outputs = set()
+        for threads in ("1", "2"):
+            for workers in ("1", "2"):
+                out = tmp_path / f"t{threads}_w{workers}.csv"
+                subprocess.run([sys.executable, "-m", "tomolin.cli", "homodyne",
+                                "--config", str(cfg), "--workers", workers, "--out", str(out)],
+                               env=_cli_env(OPENBLAS_NUM_THREADS=threads),
+                               capture_output=True, timeout=120, check=True)
+                outputs.add(out.read_bytes())
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("command, doc, grid", [
         ("homodyne", {"seed": 3}, dict(m_values=list(range(12, 49)), M_values=[40])),
