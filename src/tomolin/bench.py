@@ -7,11 +7,14 @@ Determinism contract: every task derives its generator from
 bytes do not depend on the worker count or scheduling order.
 """
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import json
 import math
 import os
+import pathlib
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -180,6 +183,7 @@ _FIELD_BOUNDS = {
     "x_max": (lambda v: v > 0, "> 0"),
     "wigner_span": (lambda v: v > 0, "> 0"),
     "wigner_points": (lambda v: v >= 2, ">= 2"),
+    "wigner_export_m": (lambda v: len(set(v)) == len(v), "a list with no entry repeated"),
     "selftest_count": (lambda v: v >= 1, ">= 1"),
 }
 
@@ -450,6 +454,50 @@ class _OutputFiles:
             self.fh.flush()
 
 
+@functools.lru_cache(maxsize=None)
+def _bundled_openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when numpy carries none."""
+    for path in (pathlib.Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        return get_threads, set_threads
+    return None
+
+
+def _set_blas_threads(count: int):
+    """Set the thread count of numpy's bundled OpenBLAS and return the one
+    it replaces; without the bundled library, do nothing and return None."""
+    blas = _bundled_openblas()
+    if blas is None:
+        return None
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(count)
+    return previous
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block, in this
+    process and in the pool workers started there, and restore the previous
+    count on exit.  The thread count can move the last bit of a result, so
+    output bytes are fixed only at a fixed count.  Another BLAS needs its
+    own thread variable set to 1."""
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
 def _cell_results(cfg: ExperimentConfig, task, keys):
     """Yield task(cfg, m, ensemble) for each key, in key order: in this
     process at one worker, otherwise from one pool that serves the whole
@@ -458,21 +506,23 @@ def _cell_results(cfg: ExperimentConfig, task, keys):
         for key in keys:
             yield task(cfg, *key)
         return
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # forked workers inherit the one-thread pin; others set it when they start
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_set_blas_threads,
+                             initargs=(1,)) as pool:
         yield from pool.map(functools.partial(task, cfg), *zip(*keys))
 
 
 def _run_grid(cfg: ExperimentConfig, task):
     """Run task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
     skipping cells whose rows cfg.out already holds, and write and return
-    the new rows in (m, M, ensemble) order.
+    the new rows in (m, M, ensemble) order, with BLAS on one thread.
 
     An output that _OutputFiles refuses raises ConfigError before anything
     is written.
     """
     cfg.validate()
     results = []
-    with _OutputFiles(cfg) as output:
+    with _one_blas_thread(), _OutputFiles(cfg) as output:
         done = output.done
         keys = [(m, e) for m in cfg.m_values for e in range(cfg.ensembles)
                 if any((m, M, e) not in done for M in cfg.M_values)]
@@ -516,19 +566,22 @@ def run_homodyne(cfg: ExperimentConfig):
     """Homodyne MSE-versus-m curves for the fixed benchmark signal, plus
     Wigner grid exports for both protocols at the minimal informationally
     complete point and at m = M (reconstructed from ensemble 0 by
-    trial-averaged data)."""
+    trial-averaged data).  The two points coincide when n + 1 = M, and
+    are then exported once."""
     results = _run_grid(cfg, _homodyne_task)
     export_m = cfg.wigner_export_m
     if export_m is None:
-        export_m = tuple(m for m in (cfg.n_params + 1, cfg.M_values[0]) if m in cfg.m_values)
+        export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
+                                 if m in cfg.m_values)
     basis = qstate.gellmann_basis(cfg.d)
     axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
-    exports = {
-        (kind, m): homodyne.wigner(qstate.bloch_to_state(r_hat, basis), axis, axis)
-        for m in export_m
-        for kind, r_hat in _mean_estimates(cfg, m).items()
-        if r_hat is not None
-    }
+    with _one_blas_thread():
+        exports = {
+            (kind, m): homodyne.wigner(qstate.bloch_to_state(r_hat, basis), axis, axis)
+            for m in export_m
+            for kind, r_hat in _mean_estimates(cfg, m).items()
+            if r_hat is not None
+        }
     if cfg.out is not None:
         signal = homodyne.true_signal(cfg.d)
         rho_true = np.outer(signal, signal.conj())

@@ -6,7 +6,6 @@ worker process that died, 3 selftest failure.
 
 import argparse
 import ctypes
-import pathlib
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -69,21 +68,6 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
-def _pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, here and in the pool
-    workers forked from here: the thread count can move the last bit of a
-    result, so output bytes are fixed only at a fixed count.  Another BLAS
-    needs its own thread variable; without the bundled one this does nothing."""
-    for path in (pathlib.Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
-        try:
-            set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = (ctypes.c_int,)
-        set_threads.restype = None
-        set_threads(1)
-
-
 def _load_config(args) -> bench.ExperimentConfig:
     """One config document: the --config file, the subcommand's default
     grid for the grid keys the file leaves out, then the subcommand as
@@ -101,7 +85,6 @@ def _load_config(args) -> bench.ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _keep_freed_memory()
-    _pin_blas_threads()
     try:
         cfg = _load_config(args)
         if args.command == "selftest":

@@ -205,15 +205,48 @@ class WignerGrid:
         return float(self.values[i, j])
 
 
+def _binom(n: int, k: int) -> float:
+    """Binomial coefficient C(n, k) for integral n >= 0 by the product form
+    of scipy.special.binom: k reduced by symmetry, then num and den built
+    up factor by factor and renormalised once num passes 1e50.  scipy takes
+    this form only while the reduced k is below 20."""
+    if n > 0 and k > n / 2:
+        k = n - k
+    num = den = 1.0
+    for i in range(1, int(k) + 1):
+        num *= i + n - k
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
+def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Generalised Laguerre polynomial L_n^alpha(x) by the recursion of
+    scipy.special.eval_genlaguerre for integer n, with the same
+    floating-point operations in the same order.  It has the bits of
+    scipy.special.genlaguerre(n, alpha)(x) wherever scipy's binom takes the
+    product form, which holds for n + alpha < 40."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + alpha + 1
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in map(float, range(1, n)):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = p + d
+    return _binom(n + alpha, n) * p
+
+
 def _wigner_kernel(m: int, n: int, gauss: np.ndarray, z: np.ndarray,
                    two_r2: np.ndarray) -> np.ndarray:
     # contribution of |m><n| for m >= n, in the Laguerre form; the grid
     # enters as gauss = exp(-r^2) / pi, z = x - ip and two_r2 = 2 r^2
-    from scipy.special import genlaguerre  # deferred: scipy is slow to import
-
     pref = gauss * (-1.0) ** n
     pref = pref * np.sqrt(2.0 ** (m - n) * factorial(n) / factorial(m))
-    return pref * z ** (m - n) * genlaguerre(n, m - n)(two_r2)
+    return pref * z ** (m - n) * _genlaguerre(n, m - n, two_r2)
 
 
 def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:

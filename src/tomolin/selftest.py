@@ -252,11 +252,13 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
 
 def run_selftest(cfg: bench.ExperimentConfig) -> SelfTestReport:
     """Run the matlib, qstate and protocols invariant suites and report
-    worst residuals against their tolerances."""
+    worst residuals against their tolerances, with BLAS on one thread as
+    in every run."""
     cfg.validate()
     rng = bench._rng(cfg.seed, bench._TAG_SELFTEST)
     checks = []
-    checks.extend(_matlib_suite(cfg, rng))
-    checks.extend(_qstate_suite(cfg, rng))
-    checks.extend(_protocols_suite(cfg, rng))
+    with bench._one_blas_thread():
+        checks.extend(_matlib_suite(cfg, rng))
+        checks.extend(_qstate_suite(cfg, rng))
+        checks.extend(_protocols_suite(cfg, rng))
     return SelfTestReport(checks=tuple(checks))

@@ -1,8 +1,10 @@
 """Tests for the experiment runner: configuration, CSV output, seeding
 determinism, resumability, the selftest and the CLI."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -255,6 +257,28 @@ class TestRunLayer:
         run(bench.ExperimentConfig(**tiny, workers=workers))
         assert len(built) == pools
 
+    def test_blas_pinned_during_run_and_restored(self, monkeypatch):
+        blas = bench._bundled_openblas()
+        if blas is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        get_threads, set_threads = blas
+        inside = []
+        task = bench._probe_sweep_task
+
+        def recording(cfg, m, ensemble):
+            inside.append(get_threads())
+            return task(cfg, m, ensemble)
+
+        monkeypatch.setattr(bench, "_probe_sweep_task", recording)
+        previous = get_threads()
+        set_threads(2)
+        try:
+            bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES))
+            after = get_threads()
+        finally:
+            set_threads(previous)
+        assert inside == [1] * TINY_PROBES["ensembles"] and after == 2
+
     def test_resumed_run_with_nothing_to_do_builds_no_pool(self, tmp_path, monkeypatch):
         out = str(tmp_path / "probes.csv")
         bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out))
@@ -283,6 +307,22 @@ class TestRunHomodyne:
         truth = np.loadtxt(stem + "_wigner_true.csv", delimiter=",", skiprows=1)
         dx = (2 * cfg.wigner_span) / (cfg.wigner_points - 1)
         assert truth[:, 2].sum() * dx * dx == pytest.approx(1.0, abs=1e-2)
+
+    def test_coinciding_export_points_computed_once(self, monkeypatch):
+        # d = 4 and M = 16 make the minimal point n + 1 equal to M
+        calls = []
+        mean_estimates = bench._mean_estimates
+
+        def counting(cfg, m):
+            calls.append(m)
+            return mean_estimates(cfg, m)
+
+        monkeypatch.setattr(bench, "_mean_estimates", counting)
+        _, exports = bench.run_homodyne(bench.ExperimentConfig(
+            experiment="homodyne", d=4, m_values=(14, 16), M_values=(16,),
+            ensembles=1, trials=10, wigner_points=21))
+        assert calls == [16]
+        assert sorted(exports) == [("pattern", 16), ("standard", 16)]
 
     def test_two_workers_write_the_same_files(self, tmp_path):
         for workers in (1, 2):
@@ -354,6 +394,7 @@ class TestCli:
         dict(experiment="homodyne", wigner_span=-1),
         dict(experiment="homodyne", wigner_export_m=[99]),
         dict(experiment="selftest", selftest_count=0),
+        dict(experiment="homodyne", m_values=[16, 40], M_values=[40], wigner_export_m=[16, 16]),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, doc):
         cfg = tmp_path / "malformed.json"
@@ -417,11 +458,49 @@ class TestCli:
         assert out.read_bytes() == before
 
     def test_import_does_not_load_scipy(self):
-        # scipy is imported only when a Wigner function is computed
+        # scipy is a test dependency only; no runtime module imports it
         code = "import sys, tomolin.cli; print('scipy' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
                                 capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_homodyne_run_with_wigner_exports_does_not_load_scipy(self, tmp_path):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(dict(d=3, m_values=[9, 12], M_values=[12], ensembles=1,
+                                       trials=10, wigner_points=11)))
+        out = tmp_path / "homo.csv"
+        code = ("import sys, tomolin.cli; "
+                f"code = tomolin.cli.main(['homodyne', '--config', {str(cfg)!r}, "
+                f"'--out', {str(out)!r}]); "
+                "print(code, 'scipy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "homo_wigner_pattern_m9.csv").exists()
+        assert (tmp_path / "homo_wigner_standard_m12.csv").exists()
+
+    def test_runtime_imports_are_stdlib_and_dependencies(self):
+        # every import of src/tomolin is the standard library, the package
+        # itself or a runtime dependency declared in pyproject.toml
+        tomllib = pytest.importorskip("tomllib")
+        src = os.path.dirname(cli.__file__)
+        with open(os.path.join(src, os.pardir, os.pardir, "pyproject.toml"), "rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        allowed = set(sys.stdlib_module_names) | {
+            re.match(r"[\w.-]+", dep).group() for dep in deps}
+        assert allowed - set(sys.stdlib_module_names) == {"numpy"}
+        found = set()
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name), "r", encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    found.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add(node.module.split(".")[0])
+        assert found - allowed == set()
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # a row of this run moves in its last digit between 1 and 2 OpenBLAS
@@ -439,6 +518,21 @@ class TestCli:
                                capture_output=True, timeout=120, check=True)
                 outputs.add(out.read_bytes())
         assert len(outputs) == 1
+
+    def test_run_layer_bytes_independent_of_blas_threads(self):
+        # bench.run_homodyne called from Python, not through the CLI: one row
+        # of this config moves in its last digit between 1 and 2 OpenBLAS
+        # threads unless the run pins BLAS itself
+        code = ("from tomolin import bench; "
+                "rows, _ = bench.run_homodyne(bench.ExperimentConfig(experiment='homodyne', "
+                "d=6, M_values=(100,), m_values=(122,), ensembles=17, trials=20)); "
+                "print('\\n'.join(row.csv_row() for row in rows))")
+        outputs = {}
+        for threads in ("1", "2"):
+            outputs[threads] = subprocess.run(
+                [sys.executable, "-c", code], env=_cli_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120, check=True).stdout
+        assert outputs["1"] == outputs["2"]
 
     @pytest.mark.parametrize("command, doc, grid", [
         ("homodyne", {"seed": 3}, dict(m_values=list(range(12, 49)), M_values=[40])),

@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 
 from tomolin import homodyne, qstate
@@ -29,6 +30,26 @@ def _coherent_loop(alpha, d_f):
     n = np.arange(d_f)
     c = alpha**n * np.exp(-0.5 * np.cumsum(np.log(np.maximum(n, 1))))
     return c / np.linalg.norm(c)
+
+
+def _wigner_scipy_loop(rho, axis):
+    # the Laguerre-form Wigner function with one scipy genlaguerre per Fock
+    # pair, in the kernel's operation order
+    xg, pg = np.meshgrid(axis, axis, indexing="ij")
+    r2 = xg**2 + pg**2
+    gauss, z, two_r2 = np.exp(-r2) / np.pi, xg - 1j * pg, 2.0 * r2
+    values = np.zeros(gauss.shape, dtype=complex)
+
+    def kernel(m, n):
+        pref = gauss * (-1.0) ** n
+        pref = pref * np.sqrt(2.0 ** (m - n) * math.factorial(n) / math.factorial(m))
+        return pref * z ** (m - n) * scipy.special.genlaguerre(n, m - n)(two_r2)
+
+    for m in range(rho.shape[0]):
+        values += rho[m, m].real * kernel(m, m)
+        for n in range(m):
+            values += 2.0 * np.real(rho[m, n] * kernel(m, n))
+    return values.real
 
 
 def _measurement_loop(m, eta, rng, d_f, dx=0.1, x_max=5.0):
@@ -311,3 +332,41 @@ class TestWigner:
         grid = homodyne.wigner(rho)
         parity = sum((-1) ** n * rho[n, n].real for n in range(5)) / np.pi
         assert grid.value_at(0.0, 0.0) == pytest.approx(parity, abs=1e-10)
+
+
+class TestLaguerreKernel:
+    def test_equals_scipy_genlaguerre(self):
+        # 2 r^2 on the default 201 x 201 grid and on the 21-point grid of the
+        # golden homodyne config, plus 0 and 1e3; the kernel is elementwise,
+        # so each distinct value is evaluated once
+        two_r2 = []
+        for points in (201, 21):
+            axis = np.linspace(-5.0, 5.0, points)
+            xg, pg = np.meshgrid(axis, axis, indexing="ij")
+            two_r2.append((2.0 * (xg**2 + pg**2)).ravel())
+        x = np.unique(np.concatenate([*two_r2, [0.0, 1e3]]))
+        for m in range(40):
+            for n in range(m + 1):
+                expected = scipy.special.genlaguerre(n, m - n)(x)
+                assert np.array_equal(homodyne._genlaguerre(n, m - n, x), expected), (m, n)
+
+    def test_binomial_product_form(self):
+        # scipy.special.binom takes the product form only while the reduced k
+        # = min(n, m - n) is below 20 and a beta-function form beyond, so the
+        # bits agree for m < 40 only; past that the product form stays
+        # within 1e-15 of the exact integer
+        for m in range(40):
+            for n in range(m + 1):
+                assert homodyne._binom(m, n) == scipy.special.binom(m, n), (m, n)
+        for m in range(40, 80):
+            for n in range(m + 1):
+                exact = math.comb(m, n)
+                assert abs(homodyne._binom(m, n) - exact) <= 1e-15 * exact, (m, n)
+
+    @pytest.mark.parametrize("d_f", [3, 4, 6, 8])
+    def test_wigner_equals_scipy_loop(self, d_f):
+        rng = np.random.default_rng(30 + d_f)
+        rho = qstate.random_density_hs(d_f, rng)
+        axis = np.linspace(-5.0, 5.0, 101)
+        assert np.array_equal(homodyne.wigner(rho, axis, axis).values,
+                              _wigner_scipy_loop(rho, axis))
