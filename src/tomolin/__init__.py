@@ -17,12 +17,9 @@ from .protocols import (
     NoiseSpec,
     PatternSet,
     ProbeSet,
-    TomographySetup,
     add_noise,
     collect_patterns,
-    estimate,
     limiting_case_diagnostics,
-    mse_empirical,
     mse_theoretical,
     pattern_inversion_matrix,
     standard_inversion_matrix,

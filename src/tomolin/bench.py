@@ -221,7 +221,6 @@ class SweepResult:
     ensemble: int
     e2_std: float
     e2_pat: float
-    trials: int
 
     @property
     def ratio(self) -> float:
@@ -256,7 +255,7 @@ def _evaluate(cfg: ExperimentConfig, m: int, M: int, ensemble: int,
     invs = (protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol),
             protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol))
     e2s, e2p = (protocols.batch_mse(inv, data, true_blochs) for inv in invs)
-    row = SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p, cfg.trials)
+    row = SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p)
     return row, invs
 
 
@@ -349,10 +348,8 @@ def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
     _, invs, data = _homodyne_cell(cfg, m, 0)
     estimates = {}
     for kind, inv in zip(("standard", "pattern"), invs):
-        try:
-            estimates[kind] = protocols.estimate(inv, data.mean(axis=1))
-        except protocols.DegenerateNormalizationError:
-            estimates[kind] = None
+        r_hat, valid = protocols.estimate_batch(inv, data.mean(axis=1, keepdims=True))
+        estimates[kind] = r_hat[:, 0] if valid[0] else None
     return estimates
 
 
@@ -369,17 +366,17 @@ class _OutputFiles:
     """The output CSV of a run, cfg.out, and its .meta.json.
 
     Entering reads an existing CSV once: its header, the keys (m, M,
-    ensemble) of its complete rows into `done`, and the end of its last
-    complete line.  A row is complete when it has all nine fields and ends
-    in a newline.  These are refused with ConfigError before either file is
-    touched: a CSV whose first line is not CSV_HEADER, a complete row with a
-    non-integer key, and an existing .meta.json that records another config
-    when rows are resumed (only out and workers may differ; without one
-    there is nothing to compare).  Then the .meta.json is written, and the
-    CSV is opened for append after cutting off an unterminated last line
-    left by an interrupted run, or written anew with its header.  An
-    OSError while either file is opened, such as a missing directory, also
-    becomes ConfigError.
+    ensemble) of its complete lines into `done`, and the end of its last
+    complete line, one that ends in a newline.  These are refused with
+    ConfigError before either file is touched: a CSV whose first line is
+    not CSV_HEADER, an existing .meta.json that records another config when
+    rows are resumed (only out and workers may differ), and a complete line
+    after the header that is not a row of this run (_row_key), with or
+    without a .meta.json.  Then the .meta.json is written, and the CSV is
+    opened for append after cutting off an unterminated last line left by
+    an interrupted run, or written anew with its header.  An OSError while
+    either file is opened, such as a missing directory, also becomes
+    ConfigError.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -409,15 +406,9 @@ class _OutputFiles:
         lines = blob[:end].decode("utf-8", "replace").splitlines()
         if lines and lines[0] != CSV_HEADER:
             raise ConfigError(f"cannot resume {path}: its first line is not the header {CSV_HEADER}")
-        for line in lines[1:]:
-            parts = line.split(",")
-            if len(parts) == 9:
-                try:
-                    self.done.add((int(parts[2]), int(parts[3]), int(parts[5])))
-                except ValueError:
-                    raise ConfigError(f"cannot resume {path}: malformed row {line!r}") from None
-        if self.done:
+        if lines[1:]:
             self._check_metadata(path + ".meta.json")
+        self.done = {self._row_key(line) for line in lines[1:]}
         # the .meta.json first: once the CSV is open nothing else can fail
         with open(path + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump(_metadata(self.cfg), fh, indent=2, sort_keys=True)
@@ -428,6 +419,22 @@ class _OutputFiles:
         else:
             self.fh = open(path, "w", encoding="utf-8", newline="")
             self.fh.write(CSV_HEADER + "\n")
+
+    def _row_key(self, line: str) -> tuple:
+        """(m, M, ensemble) of a complete line, which must be a row of this
+        run: six integer keys, with d, n and seed the config's and m, M and
+        ensemble on its grid, then three floats."""
+        cfg = self.cfg
+        parts = line.split(",")
+        try:  # the unpacking also refuses a line without exactly nine fields
+            d, n, m, M, seed, ensemble, _, _, _ = (*map(int, parts[:6]), *map(float, parts[6:]))
+        except ValueError:
+            raise ConfigError(f"cannot resume {cfg.out}: malformed row {line!r}") from None
+        if ((d, n, seed) != (cfg.d, cfg.n_params, cfg.seed) or m not in cfg.m_values
+                or M not in cfg.M_values or ensemble not in range(cfg.ensembles)):
+            raise ConfigError(f"cannot resume {cfg.out}: {line!r} is not a row of this run (d "
+                              f"{cfg.d}, seed {cfg.seed}, m, M, ensemble on its grid)")
+        return m, M, ensemble
 
     def _check_metadata(self, meta_path: str) -> None:
         try:

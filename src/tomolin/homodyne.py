@@ -152,21 +152,15 @@ class HomodyneMeasurement:
 
     points[j] is the quadrature point (theta_j, x_j); effects[j] already
     includes the loss channel (Heisenberg picture) and the bin width, so
-    probabilities are plain traces trace(rho E_j).  The effects need not be
-    complete; linearity is all the protocols use.
+    probabilities are plain traces trace(rho E_j), as
+    qstate.born_probabilities(rho, effects) computes them.  The effects
+    need not be complete; linearity is all the protocols use.
     """
 
     points: np.ndarray   # (m, 2)
     effects: np.ndarray  # (m, d_f, d_f)
     eta: float
     dx: float
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.effects.shape[0]
-
-    def probabilities(self, rho) -> np.ndarray:
-        return np.einsum("mij,ji->m", self.effects, np.asarray(rho)).real
 
 
 def homodyne_measurement(m: int, eta: float, rng, d_f: int,

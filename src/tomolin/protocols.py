@@ -19,30 +19,21 @@ __all__ = [
     "ProbeSet",
     "PatternSet",
     "InversionMatrix",
-    "TomographySetup",
     "LimitingCaseDiagnostics",
-    "DegenerateNormalizationError",
     "EstimationFailureError",
     "add_noise",
     "collect_patterns",
-    "make_setup",
     "standard_inversion_matrix",
     "pattern_inversion_matrix",
     "oracle_inversion_matrix",
-    "estimate",
     "estimate_batch",
     "trial_data",
     "batch_mse",
     "mse_theoretical",
-    "mse_empirical",
     "limiting_case_diagnostics",
 ]
 
 LEAD_FLOOR = 1e-6  # leading augmented coordinate below this is degenerate
-
-
-class DegenerateNormalizationError(ArithmeticError):
-    """Leading augmented coordinate of an estimate is too close to zero."""
 
 
 class EstimationFailureError(ArithmeticError):
@@ -88,10 +79,6 @@ class ProbeSet:
         return cls(np.vstack([np.ones(b.shape[1]), b]))
 
     @property
-    def n_params(self) -> int:
-        return self.r_matrix.shape[0] - 1
-
-    @property
     def n_probes(self) -> int:
         return self.r_matrix.shape[1]
 
@@ -120,10 +107,6 @@ class PatternSet:
             raise ValueError("pattern matrix contains non-finite entries")
 
     @property
-    def n_outcomes(self) -> int:
-        return self.f_matrix.shape[0]
-
-    @property
     def n_probes(self) -> int:
         return self.f_matrix.shape[1]
 
@@ -147,18 +130,6 @@ class InversionMatrix:
     def deaugmented(self) -> np.ndarray:
         """Rows mapping data to the physical coordinates (constant row dropped)."""
         return self.matrix[1:, :]
-
-
-@dataclass(frozen=True)
-class TomographySetup:
-    """One frozen experiment: true detector, probes, their collected
-    patterns, and the data-noise model."""
-
-    detector: qstate.DetectorModel
-    probes: ProbeSet
-    patterns: PatternSet
-    noise_data: NoiseSpec
-    rtol: float | None = None
 
 
 def add_noise(p, spec: NoiseSpec, rng) -> np.ndarray:
@@ -194,14 +165,6 @@ def collect_patterns(detector: qstate.DetectorModel, probes: ProbeSet,
     return PatternSet(add_noise(fwd @ probes.r_matrix, spec, rng))
 
 
-def make_setup(detector, probes, noise_patterns, noise_data, rng,
-               rtol: float | None = None) -> TomographySetup:
-    """Collect patterns once and freeze the experiment."""
-    patterns = collect_patterns(detector, probes, noise_patterns, rng)
-    return TomographySetup(detector=detector, probes=probes, patterns=patterns,
-                           noise_data=noise_data, rtol=rtol)
-
-
 def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
                               rtol: float | None = None) -> InversionMatrix:
     """Calibrate the detector as F R+ and invert it: A_s = (F R+)+."""
@@ -232,27 +195,11 @@ def _check_counts(patterns: PatternSet, probes: ProbeSet) -> None:
         )
 
 
-def estimate(inv: InversionMatrix, f) -> np.ndarray:
-    """Linear estimate r = (inv @ f)[1:] / (inv @ f)[0].
-
-    The leading coordinate estimates the constant 1 and renormalises the
-    affine scale; no physicality projection is applied.
-    """
-    f = np.asarray(f, dtype=float)
-    raw = inv.matrix @ f
-    lead = raw[0]
-    if abs(lead) < LEAD_FLOOR:
-        raise DegenerateNormalizationError(
-            f"leading coordinate {lead:.2e} below {LEAD_FLOOR:.0e}"
-        )
-    return raw[1:] / lead
-
-
 def estimate_batch(inv: InversionMatrix, fmat) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise estimates; returns (estimates, valid_mask).
-
-    Columns whose leading coordinate falls below the degeneracy floor are
-    flagged invalid instead of raising.
+    """Linear estimates r = (inv @ f)[1:] / (inv @ f)[0] of the data
+    columns f, with no physicality projection; returns (estimates,
+    valid_mask), where a column is invalid when its leading coordinate,
+    the estimate of the constant 1, falls below LEAD_FLOOR.
     """
     raw = inv.matrix @ np.asarray(fmat, dtype=float)
     lead = raw[0, :]
@@ -269,24 +216,6 @@ def mse_theoretical(inv: InversionMatrix, epsilon: float, m: int) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     return epsilon**2 * matlib.hs_norm(inv.deaugmented) ** 2 / m
-
-
-def mse_empirical(setup: TomographySetup, kind: str, n_trials: int, rng,
-                  ensemble: str = "hs", max_failure_fraction: float = 0.01) -> float:
-    """Monte-Carlo mean of ||r_hat - r_true||^2 over fresh true states and
-    fresh data noise; the patterns stay fixed in the setup."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if kind == "standard":
-        inv = standard_inversion_matrix(setup.patterns, setup.probes, rtol=setup.rtol)
-    elif kind == "data-pattern":
-        inv = pattern_inversion_matrix(setup.patterns, setup.probes, rtol=setup.rtol)
-    else:
-        raise ValueError(f"unknown protocol kind {kind!r}")
-    basis = qstate.gellmann_basis(_dim_from_params(setup.probes.n_params))
-    true_blochs = qstate.random_blochs(basis, n_trials, rng, ensemble)
-    data = trial_data(setup.detector, true_blochs, setup.noise_data, rng)
-    return batch_mse(inv, data, true_blochs, max_failure_fraction=max_failure_fraction)
 
 
 def trial_data(detector: qstate.DetectorModel, true_blochs, noise: NoiseSpec,
@@ -316,13 +245,6 @@ def batch_mse(inv: InversionMatrix, data, true_blochs,
         )
     errors = np.sum((estimates - true_blochs) ** 2, axis=0)
     return float(np.mean(errors[valid]))
-
-
-def _dim_from_params(n: int) -> int:
-    d = int(round(np.sqrt(n + 1)))
-    if d * d - 1 != n:
-        raise ValueError(f"{n} parameters do not correspond to a d*d-1 Bloch space")
-    return d
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,6 @@ class Povm:
     dim: int
     elements: np.ndarray  # (m, dim, dim)
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.elements.shape[0]
-
     def validate(self, atol_psd: float = 1e-10, atol_sum: float = 1e-9) -> None:
         herm = np.abs(self.elements - np.conj(np.swapaxes(self.elements, 1, 2))).max()
         if herm > 1e-10:
@@ -188,10 +184,6 @@ class DetectorModel:
 
     offset: np.ndarray   # (m,)
     amatrix: np.ndarray  # (m, n)
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.offset.shape[0]
 
     def augmented(self) -> np.ndarray:
         """Forward matrix [b | A] acting on augmented states (1, r)."""

@@ -6,6 +6,7 @@ seeds of the bench configurations, so the whole gate is deterministic.
 """
 
 import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -34,17 +35,19 @@ def random_matrix(rng, max_dim=64):
     return x
 
 
+# one frozen experiment: detector, probes, their patterns, data-noise model
+Setup = namedtuple("Setup", "detector probes patterns noise_data")
+
+
 def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
     basis = qstate.gellmann_basis(d)
     povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
     detector = qstate.povm_to_affine(povm, basis)
     rhos = qstate.random_density_hs(d, rng, size=M)
     probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
-    setup = protocols.make_setup(
-        detector, probes,
-        protocols.NoiseSpec("ratio", pattern_ratio),
-        protocols.NoiseSpec("ratio", data_ratio), rng)
-    return setup, basis
+    patterns = protocols.collect_patterns(
+        detector, probes, protocols.NoiseSpec("ratio", pattern_ratio), rng)
+    return Setup(detector, probes, patterns, protocols.NoiseSpec("ratio", data_ratio)), basis
 
 
 def test_criterion_1_pseudoinverse_suite():
@@ -108,7 +111,10 @@ def test_criterion_3_equivalence_theorem():
         rho = qstate.random_density_hs(d, rng)
         r = qstate.state_to_bloch(rho, basis)
         f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
-        diff = np.abs(protocols.estimate(a_s, f) - protocols.estimate(a_p, f)).max()
+        est_s, valid_s = protocols.estimate_batch(a_s, f[:, None])
+        est_p, valid_p = protocols.estimate_batch(a_p, f[:, None])
+        assert valid_s[0] and valid_p[0]
+        diff = np.abs(est_s - est_p).max()
         worst_estimate = max(worst_estimate, diff)
     ok = worst_matrix < 1e-8 and worst_estimate < 1e-8
     report(3, ok, "200 full-column-rank setups: worst matrix deviation "

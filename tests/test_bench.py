@@ -2,8 +2,10 @@
 determinism, resumability, the selftest and the CLI."""
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from tomolin import bench, cli, matlib, selftest
+import tomolin
+from tomolin import bench, cli, matlib, protocols, selftest
 
 TINY_PROBES = dict(
     experiment="sweep-probes", d=2, m_values=(6,), M_values=(4, 6, 8),
@@ -226,6 +229,34 @@ def cellwise_outcome_rows(cfg):
 
 def csv_lines(rows):
     return [bench.CSV_HEADER, *(row.csv_row() for row in rows)]
+
+
+def _with_field(line, index, value):
+    """A CSV line, newline kept, with one field replaced."""
+    parts = line.rstrip("\n").split(",")
+    parts[index] = value
+    return ",".join(parts) + "\n"
+
+
+# edits of the lines of a finished TINY_PROBES CSV that a resume refuses;
+# each leaves every line complete
+MALFORMED_CSV_EDITS = {
+    "non-integer-key": lambda lines: [*lines[:2], _with_field(lines[2], 3, "x")],
+    "garbage-line": lambda lines: [*lines[:2], "garbage,line\n", *lines[2:]],
+    "blank-line": lambda lines: [*lines[:2], "\n", *lines[2:]],
+    "eight-fields": lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0] + "\n", *lines[3:]],
+    "ten-fields": lambda lines: [*lines[:2], lines[2][:-1] + ",1.0\n", *lines[3:]],
+    "non-float-value": lambda lines: [*lines[:2], _with_field(lines[2], 6, "x"), *lines[3:]],
+    "float-key": lambda lines: [*lines[:2], _with_field(lines[2], 5, "1.0"), *lines[3:]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    info.name for info in pkgutil.iter_modules(tomolin.__path__)))
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"tomolin.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
 
 
 def _exit_in_worker(cfg, m, ensemble):
@@ -556,22 +587,61 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
 
-    def test_resume_of_malformed_row_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit", MALFORMED_CSV_EDITS.values(), ids=MALFORMED_CSV_EDITS)
+    def test_resume_of_malformed_row_refused(self, tmp_path, capsys, edit):
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
                                    for k, v in TINY_PROBES.items()}))
         out = tmp_path / "probes.csv"
         meta = tmp_path / "probes.csv.meta.json"
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines(keepends=True)
-        parts = lines[2].split(",")
-        parts[3] = "x"  # the M key of a complete row
-        out.write_text("".join(lines[:2]) + ",".join(parts))
+        out.write_text("".join(edit(out.read_text().splitlines(keepends=True))))
         before = (out.read_bytes(), meta.read_bytes())
         capsys.readouterr()
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 1
         assert "config error:" in capsys.readouterr().err
         assert (out.read_bytes(), meta.read_bytes()) == before
+
+    def test_resume_accepts_infinite_value(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_PROBES.items()}))
+        out = tmp_path / "probes.csv"
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join([*lines[:2], _with_field(lines[2], 8, "inf"), *lines[3:]]))
+        before = out.read_bytes()
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "0 rows written" in capsys.readouterr().out
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 8}, {"d": 3}, {"m_values": [3]}, {"M_values": [7]}, {"ensembles": 1},
+    ], ids=["seed", "d", "m", "M", "ensemble"])
+    def test_resume_of_other_run_without_metadata_refused(self, tmp_path, capsys, change):
+        # with the .meta.json gone, the rows themselves must match the config
+        doc = dict(d=2, m_values=[3, 4], M_values=[6], ensembles=2, trials=20)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep-outcomes", "--config", str(cfg), "--seed", "7",
+                         "--out", str(out)]) == 0
+        (tmp_path / "o.csv.meta.json").unlink()
+        before = out.read_bytes()
+        cfg.write_text(json.dumps({**doc, "seed": 7, **change}))
+        capsys.readouterr()
+        assert cli.main(["sweep-outcomes", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "not a row of this run" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "o.csv"]
+
+    def test_all_degenerate_estimates_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(protocols, "LEAD_FLOOR", np.inf)
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_PROBES.items()}))
+        assert cli.main(["sweep-probes", "--config", str(cfg)]) == 2
+        assert "numerical failure:" in capsys.readouterr().err
 
     def test_full_scale_flag_changes_defaults(self):
         args = cli._build_parser().parse_args(["homodyne", "--full-scale"])

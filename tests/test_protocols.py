@@ -1,6 +1,8 @@
 """Tests for the two linear-inversion protocols, noise injection, MSE
 models and the limiting-case diagnostics."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,19 +10,35 @@ from scipy.stats import spearmanr
 
 from tomolin import matlib, protocols, qstate
 
+# one frozen experiment: detector, probes, their patterns, data-noise model
+Setup = namedtuple("Setup", "detector probes patterns noise_data")
 
-def make_random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06, rtol=None):
+
+def make_random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
     basis = qstate.gellmann_basis(d)
     povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
     detector = qstate.povm_to_affine(povm, basis)
     rhos = qstate.random_density_hs(d, rng, size=M)
     probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
-    return protocols.make_setup(
-        detector, probes,
-        protocols.NoiseSpec("ratio", pattern_ratio),
-        protocols.NoiseSpec("ratio", data_ratio),
-        rng, rtol=rtol,
-    ), basis
+    patterns = protocols.collect_patterns(
+        detector, probes, protocols.NoiseSpec("ratio", pattern_ratio), rng)
+    return Setup(detector, probes, patterns, protocols.NoiseSpec("ratio", data_ratio)), basis
+
+
+def estimate(inv, f):
+    """The estimate of one data vector: its column of estimate_batch,
+    which must be valid."""
+    r_hat, valid = protocols.estimate_batch(inv, np.asarray(f)[:, None])
+    assert valid[0]
+    return r_hat[:, 0]
+
+
+def trial_mse(setup, basis, inv, n_trials, rng):
+    """MSE of inv over fresh true states and fresh data noise, by the path
+    every experiment takes."""
+    true_blochs = qstate.random_blochs(basis, n_trials, rng)
+    data = protocols.trial_data(setup.detector, true_blochs, setup.noise_data, rng)
+    return protocols.batch_mse(inv, data, true_blochs)
 
 
 class TestNoiseSpec:
@@ -67,7 +85,7 @@ class TestProbeAndPatternSets:
     def test_probe_set_augmentation(self):
         ps = protocols.ProbeSet.from_blochs(np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert_allclose(ps.r_matrix[0], 1.0)
-        assert ps.n_params == 2 and ps.n_probes == 2
+        assert ps.r_matrix.shape == (3, 2) and ps.n_probes == 2
 
     def test_probe_set_requires_ones_row(self):
         with pytest.raises(ValueError, match="ones"):
@@ -165,14 +183,14 @@ class TestInversionMatrices:
             rho = qstate.random_density_hs(3, rng)
             r = qstate.state_to_bloch(rho, basis)
             p = setup.detector.probabilities(r)
-            assert_allclose(protocols.estimate(a_s, p), r, atol=1e-8)
+            assert_allclose(estimate(a_s, p), r, atol=1e-8)
 
     def test_pattern_exact_fit_recovers_probe(self):
         rng = np.random.default_rng(25)
         setup, _ = make_random_setup(3, 12, 7, rng, pattern_ratio=0.0)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         alpha = 3
-        est = protocols.estimate(a_p, setup.patterns.f_matrix[:, alpha])
+        est = estimate(a_p, setup.patterns.f_matrix[:, alpha])
         assert_allclose(est, setup.probes.r_matrix[1:, alpha], atol=1e-9)
 
     def test_gw_bridge_between_protocols(self):
@@ -194,7 +212,7 @@ class TestInversionMatrices:
         assert inv.kind == "oracle"
         rho = qstate.random_density_hs(2, rng)
         r = qstate.state_to_bloch(rho, basis)
-        assert_allclose(protocols.estimate(inv, setup.detector.probabilities(r)), r, atol=1e-10)
+        assert_allclose(estimate(inv, setup.detector.probabilities(r)), r, atol=1e-10)
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="count"):
@@ -216,14 +234,17 @@ class TestEstimate:
             rho = qstate.random_density_hs(2, rng)
             r = qstate.state_to_bloch(rho, basis)
             f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
-            if np.linalg.norm(protocols.estimate(inv, f)) > radius:
+            if np.linalg.norm(estimate(inv, f)) > radius:
                 left += 1
         assert left > 0
 
     def test_degenerate_lead_raises(self):
+        # the column is flagged invalid, and a batch of such columns fails
         inv = protocols.InversionMatrix("oracle", np.zeros((4, 3)))
-        with pytest.raises(protocols.DegenerateNormalizationError):
-            protocols.estimate(inv, np.ones(3))
+        _, valid = protocols.estimate_batch(inv, np.ones((3, 1)))
+        assert not valid[0]
+        with pytest.raises(protocols.EstimationFailureError):
+            protocols.batch_mse(inv, np.ones((3, 1)), np.zeros((3, 1)))
 
     def test_equivalence_regime_paired_estimates(self):
         rng = np.random.default_rng(32)
@@ -234,7 +255,67 @@ class TestEstimate:
             rho = qstate.random_density_hs(3, rng)
             r = qstate.state_to_bloch(rho, basis)
             f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
-            assert np.abs(protocols.estimate(a_s, f) - protocols.estimate(a_p, f)).max() < 1e-8
+            assert np.abs(estimate(a_s, f) - estimate(a_p, f)).max() < 1e-8
+
+
+class TestEstimateBatch:
+    def test_valid_mask_at_the_lead_floor(self):
+        # the identity reads the leading coordinate off each column exactly
+        inv = protocols.InversionMatrix("oracle", np.eye(3))
+        floor = protocols.LEAD_FLOOR
+        below = np.nextafter(floor, 0.0)
+        fmat = np.vstack([[floor, below, -floor, -below, 0.0], np.ones((2, 5))])
+        estimates, valid = protocols.estimate_batch(inv, fmat)
+        assert valid.tolist() == [True, False, True, False, False]
+        assert_allclose(estimates[:, valid], [[1 / floor, -1 / floor]] * 2, rtol=1e-15)
+
+    def test_degenerate_column_leaves_other_columns_unchanged(self):
+        rng = np.random.default_rng(71)
+        inv = protocols.InversionMatrix("oracle", rng.standard_normal((9, 30)))
+        fmat = rng.standard_normal((30, 200))
+        estimates, valid = protocols.estimate_batch(inv, fmat)
+        assert valid.all()
+        fmat[:, 17] = 0.0
+        degenerate, valid = protocols.estimate_batch(inv, fmat)
+        assert np.flatnonzero(~valid).tolist() == [17]
+        others = np.arange(200) != 17
+        assert np.array_equal(degenerate[:, others], estimates[:, others])
+
+    def test_one_column_call(self):
+        # a one-column call has the bits of the matrix-vector estimate; a
+        # column of a wider batch goes through another BLAS kernel and may
+        # differ in the last bits
+        rng = np.random.default_rng(72)
+        inv = protocols.InversionMatrix("oracle", rng.standard_normal((16, 130)))
+        fmat = rng.standard_normal((130, 50))
+        estimates, _ = protocols.estimate_batch(inv, fmat)
+        for j in range(50):
+            column, valid = protocols.estimate_batch(inv, fmat[:, j:j + 1])
+            raw = inv.matrix @ fmat[:, j]
+            assert valid.tolist() == [True]
+            assert np.array_equal(column[:, 0], raw[1:] / raw[0])
+            assert_allclose(column[:, 0], estimates[:, j], rtol=1e-12, atol=1e-12)
+
+
+class TestBatchMse:
+    def _batch(self, failures):
+        # 200 columns whose estimates are all exact but for the degenerate ones
+        rng = np.random.default_rng(73)
+        true_blochs = rng.standard_normal((3, 200))
+        inv = protocols.InversionMatrix("oracle", np.eye(4))
+        data = np.vstack([np.ones(200), true_blochs])
+        data[0, :failures] = 0.0
+        return inv, data, true_blochs
+
+    def test_failures_within_budget_are_excluded(self):
+        inv, data, true_blochs = self._batch(2)  # exactly 1% of 200
+        data[1:, 2] += 0.1
+        assert protocols.batch_mse(inv, data, true_blochs) == pytest.approx(0.03 / 198)
+
+    def test_one_failure_over_budget_raises(self):
+        inv, data, true_blochs = self._batch(3)
+        with pytest.raises(protocols.EstimationFailureError, match="3/200"):
+            protocols.batch_mse(inv, data, true_blochs)
 
 
 class TestMseTheoretical:
@@ -272,36 +353,30 @@ class TestMseTheoretical:
 class TestMseEmpirical:
     def test_zero_noise_hits_numerical_floor(self):
         rng = np.random.default_rng(51)
-        setup, _ = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0, data_ratio=0.0)
-        for kind in ("standard", "data-pattern"):
-            mse = protocols.mse_empirical(setup, kind, 50, np.random.default_rng(1))
-            assert mse < 1e-16
+        setup, basis = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0, data_ratio=0.0)
+        for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
+            inv = build(setup.patterns, setup.probes)
+            assert trial_mse(setup, basis, inv, 50, np.random.default_rng(1)) < 1e-16
 
     def test_noise_quadrupling(self):
         # clean patterns so the error is purely data noise, which the
         # estimator maps linearly
         rng = np.random.default_rng(52)
         setup1, basis = make_random_setup(3, 14, 12, rng, pattern_ratio=0.0, data_ratio=0.02)
-        setup2 = protocols.TomographySetup(
-            detector=setup1.detector, probes=setup1.probes, patterns=setup1.patterns,
-            noise_data=protocols.NoiseSpec("ratio", 0.04),
-        )
-        m1 = protocols.mse_empirical(setup1, "data-pattern", 4000, np.random.default_rng(2))
-        m2 = protocols.mse_empirical(setup2, "data-pattern", 4000, np.random.default_rng(2))
+        setup2 = setup1._replace(noise_data=protocols.NoiseSpec("ratio", 0.04))
+        inv = protocols.pattern_inversion_matrix(setup1.patterns, setup1.probes)
+        m1 = trial_mse(setup1, basis, inv, 4000, np.random.default_rng(2))
+        m2 = trial_mse(setup2, basis, inv, 4000, np.random.default_rng(2))
         assert m2 / m1 == pytest.approx(4.0, rel=0.1)
 
     def test_equivalence_regime_paired_mse(self):
         rng = np.random.default_rng(53)
-        setup, _ = make_random_setup(3, 11, 8, rng)
-        m_std = protocols.mse_empirical(setup, "standard", 500, np.random.default_rng(3))
-        m_pat = protocols.mse_empirical(setup, "data-pattern", 500, np.random.default_rng(3))
+        setup, basis = make_random_setup(3, 11, 8, rng)
+        a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
+        a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
+        m_std = trial_mse(setup, basis, a_s, 500, np.random.default_rng(3))
+        m_pat = trial_mse(setup, basis, a_p, 500, np.random.default_rng(3))
         assert m_std == pytest.approx(m_pat, rel=1e-6)
-
-    def test_unknown_kind(self):
-        rng = np.random.default_rng(54)
-        setup, _ = make_random_setup(2, 5, 4, rng)
-        with pytest.raises(ValueError, match="kind"):
-            protocols.mse_empirical(setup, "bayes", 10, rng)
 
 
 class TestLimitingCaseDiagnostics:
