@@ -16,7 +16,6 @@ import math
 import os
 import pathlib
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -331,7 +330,8 @@ def _homodyne_cell(cfg: ExperimentConfig, m: int, ensemble: int):
     r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()), basis)
     # every trial measures the same state: compute its response once
     p_true = detector.probabilities(r_true)
-    data = protocols.add_noise(np.tile(p_true[:, None], (1, cfg.trials)), cfg.data_noise, rng)
+    repeated = np.broadcast_to(p_true[:, None], (m, cfg.trials))
+    data = protocols.add_noise(repeated, cfg.data_noise, rng)
     row, invs = _evaluate(cfg, m, cfg.M_values[0], ensemble, probes, patterns,
                           data, r_true[:, None])
     return row, invs, data
@@ -371,12 +371,12 @@ class _OutputFiles:
     ConfigError before either file is touched: a CSV whose first line is
     not CSV_HEADER, an existing .meta.json that records another config when
     rows are resumed (only out and workers may differ), and a complete line
-    after the header that is not a row of this run (_row_key), with or
-    without a .meta.json.  Then the .meta.json is written, and the CSV is
-    opened for append after cutting off an unterminated last line left by
-    an interrupted run, or written anew with its header.  An OSError while
-    either file is opened, such as a missing directory, also becomes
-    ConfigError.
+    after the header that is not a row of this run (_row_key) or repeats
+    the key of an earlier one, with or without a .meta.json.  Then the
+    .meta.json is written, and the CSV is opened for append after cutting
+    off an unterminated last line left by an interrupted run, or written
+    anew with its header.  An OSError while either file is opened, such as
+    a missing directory, also becomes ConfigError.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -408,7 +408,12 @@ class _OutputFiles:
             raise ConfigError(f"cannot resume {path}: its first line is not the header {CSV_HEADER}")
         if lines[1:]:
             self._check_metadata(path + ".meta.json")
-        self.done = {self._row_key(line) for line in lines[1:]}
+        for line in lines[1:]:
+            key = self._row_key(line)
+            if key in self.done:
+                raise ConfigError(f"cannot resume {path}: {line!r} repeats the (m, M, ensemble) "
+                                  f"{key} of an earlier row")
+            self.done.add(key)
         # the .meta.json first: once the CSV is open nothing else can fail
         with open(path + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump(_metadata(self.cfg), fh, indent=2, sort_keys=True)
@@ -513,6 +518,8 @@ def _cell_results(cfg: ExperimentConfig, task, keys):
         for key in keys:
             yield task(cfg, *key)
         return
+    # imported here, so that a run on one worker loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     # forked workers inherit the one-thread pin; others set it when they start
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_set_blas_threads,
                              initargs=(1,)) as pool:
@@ -560,13 +567,14 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
 
 
 def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
-    # the axis strings are formatted once and reused for every point
+    # the axis strings are formatted once and reused for every point; the
+    # values are turned into Python floats one row at a time
     xs = [f"{x:.12e}" for x in grid.x_axis.tolist()]
     ps = [f"{p:.12e}" for p in grid.p_axis.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,p,w\n")
-        for x, row in zip(xs, grid.values.tolist()):
-            fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(ps, row)))
+        for x, row in zip(xs, grid.values):
+            fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(ps, row.tolist())))
 
 
 def run_homodyne(cfg: ExperimentConfig):

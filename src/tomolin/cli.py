@@ -7,7 +7,6 @@ worker process that died, 3 selftest failure.
 import argparse
 import ctypes
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -101,12 +100,14 @@ def main(argv=None) -> int:
     except bench.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except BrokenProcessPool as exc:
-        print(f"worker process failed: {exc}", file=sys.stderr)
-        return 2
     except (matlib.SvdError, protocols.EstimationFailureError,
             np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # BrokenProcessPool is a RuntimeError; its module is loaded only
+        # where a pool was built, at --workers > 1
+        pool = sys.modules.get("concurrent.futures.process")
+        broken = pool is not None and isinstance(exc, pool.BrokenProcessPool)
+        failure = "worker process failed" if broken else "numerical failure"
+        print(f"{failure}: {exc}", file=sys.stderr)
         return 2
     print(f"{len(rows)} rows" + (f" written to {cfg.out}" if cfg.out else " computed"))
     return 0

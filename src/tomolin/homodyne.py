@@ -243,25 +243,15 @@ def _wigner_kernel(m: int, n: int, gauss: np.ndarray, z: np.ndarray,
     return pref * z ** (m - n) * _genlaguerre(n, m - n, two_r2)
 
 
-def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:
-    """Wigner function of a Fock-basis density matrix.
+_WIGNER_ROWS = 16  # x rows per block of a Wigner grid
 
-    Uses the associated-Laguerre kernel; W(0,0) equals the scaled parity
-    sum (1/pi) sum_n (-1)^n rho_nn and the grid integral is 1 for states
-    well contained in the grid.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if x_axis is None:
-        x_axis = np.linspace(-5.0, 5.0, 201)
-    if p_axis is None:
-        p_axis = x_axis
-    x_axis = np.asarray(x_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
+
+def _wigner_block(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
+    # the Wigner function on the full (x, p) grid of the given axes
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     r2 = xg**2 + pg**2
     grid = (np.exp(-r2) / np.pi, xg - 1j * pg, 2.0 * r2)
-    # only the grid terms live through the Fock loop, where a homodyne run
-    # reaches its peak memory
+    # only the grid terms live through the Fock loop
     del xg, pg, r2
     d = rho.shape[0]
     values = np.zeros(grid[0].shape, dtype=complex)
@@ -270,4 +260,27 @@ def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:
         for n in range(m):
             # off-diagonal pairs contribute twice the real part
             values += 2.0 * np.real(rho[m, n] * _wigner_kernel(m, n, *grid))
-    return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values.real)
+    return values.real
+
+
+def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:
+    """Wigner function of a Fock-basis density matrix.
+
+    Uses the associated-Laguerre kernel; W(0,0) equals the scaled parity
+    sum (1/pi) sum_n (-1)^n rho_nn and the grid integral is 1 for states
+    well contained in the grid.  The grid is evaluated _WIGNER_ROWS x rows
+    at a time: every step is elementwise, so a block has the bits of the
+    whole grid, and only one block of temporaries is alive at a time.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if x_axis is None:
+        x_axis = np.linspace(-5.0, 5.0, 201)
+    if p_axis is None:
+        p_axis = x_axis
+    x_axis = np.asarray(x_axis, dtype=float)
+    p_axis = np.asarray(p_axis, dtype=float)
+    values = np.empty((x_axis.size, p_axis.size))
+    for start in range(0, x_axis.size, _WIGNER_ROWS):
+        rows = slice(start, start + _WIGNER_ROWS)
+        values[rows] = _wigner_block(rho, x_axis[rows], p_axis)
+    return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)

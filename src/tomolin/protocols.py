@@ -137,19 +137,25 @@ def add_noise(p, spec: NoiseSpec, rng) -> np.ndarray:
 
     fixed mode: p + dp with dp uniform on the sphere of radius spec.value.
     ratio mode: i.i.d. Gaussian per entry, sigma = spec.value * rms(column).
+
+    p is only read, so it may be a read-only or broadcast view.  The result
+    is one new C-ordered array: the squares, then the noise, are written
+    into it and p is added last, the draws and products of p + noise.
     """
     arr = np.asarray(p, dtype=float)
     if spec.value == 0.0:
         return arr.copy()
     vec = arr.ndim == 1
     cols = arr[:, None] if vec else arr
+    out = np.empty(cols.shape)
     if spec.mode == "fixed":
-        dp = rng.standard_normal(cols.shape)
-        dp *= spec.value / np.linalg.norm(dp, axis=0, keepdims=True)
-        out = cols + dp
+        rng.standard_normal(out=out)
+        out *= spec.value / np.linalg.norm(out, axis=0, keepdims=True)
     else:
-        rms = np.sqrt(np.mean(cols**2, axis=0, keepdims=True))
-        out = cols + rng.standard_normal(cols.shape) * (spec.value * rms)
+        rms = np.sqrt(np.mean(np.square(cols, out=out), axis=0, keepdims=True))
+        rng.standard_normal(out=out)
+        out *= spec.value * rms
+    out += cols
     return out[:, 0] if vec else out
 
 

@@ -2,6 +2,7 @@
 determinism, resumability, the selftest and the CLI."""
 
 import ast
+import concurrent.futures
 import importlib
 import json
 import os
@@ -9,12 +10,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tomolin
-from tomolin import bench, cli, matlib, protocols, selftest
+from tomolin import bench, cli, homodyne, matlib, protocols, qstate, selftest
 
 TINY_PROBES = dict(
     experiment="sweep-probes", d=2, m_values=(6,), M_values=(4, 6, 8),
@@ -248,6 +250,8 @@ MALFORMED_CSV_EDITS = {
     "ten-fields": lambda lines: [*lines[:2], lines[2][:-1] + ",1.0\n", *lines[3:]],
     "non-float-value": lambda lines: [*lines[:2], _with_field(lines[2], 6, "x"), *lines[3:]],
     "float-key": lambda lines: [*lines[:2], _with_field(lines[2], 5, "1.0"), *lines[3:]],
+    "repeated-row": lambda lines: [*lines, lines[1]],
+    "repeated-key": lambda lines: [*lines, _with_field(lines[1], 6, "1.0")],
 }
 
 
@@ -279,12 +283,12 @@ class TestRunLayer:
     def test_one_pool_per_run(self, monkeypatch, tiny, run, workers, pools):
         built = []
 
-        class CountingPool(bench.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run(bench.ExperimentConfig(**tiny, workers=workers))
         assert len(built) == pools
 
@@ -313,7 +317,7 @@ class TestRunLayer:
     def test_resumed_run_with_nothing_to_do_builds_no_pool(self, tmp_path, monkeypatch):
         out = str(tmp_path / "probes.csv")
         bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out))
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         assert bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out,
                                                              workers=2)) == []
 
@@ -365,6 +369,66 @@ class TestRunHomodyne:
         for name in names:
             if not name.endswith(".meta.json"):
                 assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def _wigner_csv_whole_grid(grid, path):
+    # the Wigner CSV writer that turned the whole grid into Python floats at
+    # once, kept as the byte reference of bench._wigner_csv
+    xs = [f"{x:.12e}" for x in grid.x_axis.tolist()]
+    ps = [f"{p:.12e}" for p in grid.p_axis.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,p,w\n")
+        for x, row in zip(xs, grid.values.tolist()):
+            fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(ps, row)))
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that Python and numpy allocate during fn(*args),
+    its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _true_signal_grid() -> homodyne.WignerGrid:
+    signal = homodyne.true_signal(6)
+    axis = np.linspace(-5.0, 5.0, 201)
+    return homodyne.wigner(np.outer(signal, signal.conj()), axis, axis)
+
+
+class TestHomodyneRunMemory:
+    """Deterministic memory guards of the kernels of a homodyne run."""
+
+    def test_wigner_grid_peak(self):
+        assert _traced_peak(_true_signal_grid) < 1.0e6
+
+    def test_wigner_values_own_a_real_buffer(self):
+        values = _true_signal_grid().values
+        assert values.dtype == np.float64 and values.base is None
+
+    def test_wigner_csv_peak(self, tmp_path):
+        grid = _true_signal_grid()
+        assert _traced_peak(bench._wigner_csv, grid, str(tmp_path / "w.csv")) < 0.2e6
+
+    @pytest.mark.parametrize("points, p_points", [(201, 201), (5, 9)])
+    def test_wigner_csv_bytes_equal_whole_grid_writer(self, tmp_path, points, p_points):
+        rho = qstate.random_density_hs(6, np.random.default_rng(5))
+        grid = homodyne.wigner(rho, np.linspace(-5.0, 5.0, points),
+                               np.linspace(-4.0, 4.0, p_points))
+        bench._wigner_csv(grid, str(tmp_path / "rows.csv"))
+        _wigner_csv_whole_grid(grid, str(tmp_path / "whole.csv"))
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_add_noise_peak_on_broadcast_data(self):
+        # the homodyne data: one response column repeated over the trials
+        p_true = np.random.default_rng(6).random(130)
+        repeated = np.broadcast_to(p_true[:, None], (130, 500))
+        spec = protocols.NoiseSpec("ratio", 0.06)
+        peak = _traced_peak(protocols.add_noise, repeated, spec, np.random.default_rng(7))
+        assert peak < 1.2 * repeated.size * repeated.itemsize
 
 
 class TestSelfTest:
@@ -509,6 +573,26 @@ class TestCli:
         assert result.stdout.splitlines()[-1] == "0 False"
         assert (tmp_path / "homo_wigner_pattern_m9.csv").exists()
         assert (tmp_path / "homo_wigner_standard_m12.csv").exists()
+
+    def test_one_worker_runs_do_not_load_multiprocessing(self, tmp_path):
+        # the pool machinery is imported only where a pool is built
+        outcomes = tmp_path / "outcomes.json"
+        outcomes.write_text(json.dumps(dict(d=2, m_values=[3, 4], M_values=[6], ensembles=2,
+                                            trials=20)))
+        homodyne_cfg = tmp_path / "homodyne.json"
+        homodyne_cfg.write_text(json.dumps(dict(d=3, m_values=[9, 12], M_values=[12],
+                                                ensembles=1, trials=10, wigner_points=11)))
+        code = ("import sys, tomolin.cli; "
+                f"a = tomolin.cli.main(['sweep-outcomes', '--config', {str(outcomes)!r}, "
+                "'--workers', '1']); "
+                f"b = tomolin.cli.main(['homodyne', '--config', {str(homodyne_cfg)!r}, "
+                f"'--workers', '1', '--out', {str(tmp_path / 'homo.csv')!r}]); "
+                "print(a, b, sorted({'concurrent.futures.process', 'multiprocessing'} "
+                "& set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.splitlines()[-1] == "0 0 []"
+        assert (tmp_path / "homo_wigner_true.csv").exists()
 
     def test_runtime_imports_are_stdlib_and_dependencies(self):
         # every import of src/tomolin is the standard library, the package

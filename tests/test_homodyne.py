@@ -32,10 +32,10 @@ def _coherent_loop(alpha, d_f):
     return c / np.linalg.norm(c)
 
 
-def _wigner_scipy_loop(rho, axis):
-    # the Laguerre-form Wigner function with one scipy genlaguerre per Fock
-    # pair, in the kernel's operation order
-    xg, pg = np.meshgrid(axis, axis, indexing="ij")
+def _wigner_scipy_loop(rho, x_axis, p_axis=None):
+    # the Laguerre-form Wigner function on the whole grid at once, with one
+    # scipy genlaguerre per Fock pair, in the kernel's operation order
+    xg, pg = np.meshgrid(x_axis, x_axis if p_axis is None else p_axis, indexing="ij")
     r2 = xg**2 + pg**2
     gauss, z, two_r2 = np.exp(-r2) / np.pi, xg - 1j * pg, 2.0 * r2
     values = np.zeros(gauss.shape, dtype=complex)
@@ -371,3 +371,14 @@ class TestLaguerreKernel:
         axis = np.linspace(-5.0, 5.0, 101)
         assert np.array_equal(homodyne.wigner(rho, axis, axis).values,
                               _wigner_scipy_loop(rho, axis))
+
+    @pytest.mark.parametrize("points, p_points", [(2, 2), (7, 7), (16, 16), (17, 17),
+                                                  (201, 201), (5, 9)])
+    def test_row_blocks_equal_whole_grid(self, points, p_points):
+        # grids below, at and just past one block of x rows, and non-square
+        rho = qstate.random_density_hs(6, np.random.default_rng(40 + points))
+        x_axis = np.linspace(-5.0, 5.0, points)
+        p_axis = np.linspace(-4.0, 4.5, p_points)
+        grid = homodyne.wigner(rho, x_axis, p_axis)
+        assert grid.values.shape == (points, p_points)
+        assert np.array_equal(grid.values, _wigner_scipy_loop(rho, x_axis, p_axis))

@@ -51,6 +51,24 @@ class TestNoiseSpec:
             protocols.NoiseSpec("fixed", -1.0)
 
 
+def _add_noise_reference(p, spec, rng):
+    # add_noise as the sum of the input and a separate noise array, kept as
+    # the bit-exact reference of the one-buffer form
+    arr = np.asarray(p, dtype=float)
+    if spec.value == 0.0:
+        return arr.copy()
+    vec = arr.ndim == 1
+    cols = arr[:, None] if vec else arr
+    if spec.mode == "fixed":
+        dp = rng.standard_normal(cols.shape)
+        dp *= spec.value / np.linalg.norm(dp, axis=0, keepdims=True)
+        out = cols + dp
+    else:
+        rms = np.sqrt(np.mean(cols**2, axis=0, keepdims=True))
+        out = cols + rng.standard_normal(cols.shape) * (spec.value * rms)
+    return out[:, 0] if vec else out
+
+
 class TestAddNoise:
     def test_zero_value_is_identity(self):
         rng = np.random.default_rng(1)
@@ -70,6 +88,22 @@ class TestAddNoise:
         p = rng.random((5, 7))
         f = protocols.add_noise(p, protocols.NoiseSpec("fixed", 0.01), rng)
         assert_allclose(np.linalg.norm(f - p, axis=0), 0.01, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["fixed", "ratio"])
+    @pytest.mark.parametrize("value", [0.06, 0.0])
+    @pytest.mark.parametrize("shape", ["1-D", "2-D", "broadcast"])
+    def test_bits_equal_reference(self, mode, value, shape):
+        p = np.random.default_rng(5).random((13, 50))
+        # the broadcast view repeats one column, as the homodyne data does
+        given = {"1-D": p[:, 0].copy(), "2-D": p,
+                 "broadcast": np.broadcast_to(p[:, :1], p.shape)}[shape]
+        # the reference gets a contiguous copy, as the tiled homodyne data was
+        before = given.copy()
+        spec = protocols.NoiseSpec(mode, value)
+        expected = _add_noise_reference(before, spec, np.random.default_rng(6))
+        result = protocols.add_noise(given, spec, np.random.default_rng(6))
+        assert np.array_equal(result, expected)
+        assert np.array_equal(given, before)
 
     def test_ratio_mode_sigma(self):
         rng = np.random.default_rng(4)
