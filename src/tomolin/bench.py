@@ -15,6 +15,8 @@ import json
 import math
 import os
 import pathlib
+import signal
+import sys
 import typing
 from dataclasses import dataclass, fields
 
@@ -358,6 +360,22 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             for name, value in ((f.name, getattr(cfg, f.name)) for f in fields(cfg))}
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a text file that replaces path once the block completes.  It is
+    written under a temporary name in the same directory, so path never
+    holds a partial file, and removed if the block raises."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 # settings that may differ between a run and its resumption
 _RESUME_FREE_KEYS = ("out", "workers")
 
@@ -415,7 +433,7 @@ class _OutputFiles:
                                   f"{key} of an earlier row")
             self.done.add(key)
         # the .meta.json first: once the CSV is open nothing else can fail
-        with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+        with _replacing(path + ".meta.json") as fh:
             json.dump(_metadata(self.cfg), fh, indent=2, sort_keys=True)
             fh.write("\n")
         if self.done:
@@ -495,6 +513,31 @@ def _set_blas_threads(count: int):
     return previous
 
 
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _init_worker(parent) -> None:
+    """Start a pool worker: BLAS on one thread and, on Linux, a SIGTERM when
+    the parent dies, so that a killed run leaves no worker behind.  Linux
+    sends it when the thread that forked the worker ends; pool.map submits,
+    and so starts the workers, from the main thread.  A worker whose parent
+    died before the signal was armed sees another parent pid and exits.
+    parent is the pid of the forking process, or None when the workers are
+    not forked from it."""
+    _set_blas_threads(1)
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if parent is not None and os.getppid() != parent:
+        os._exit(1)
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread inside the block, in this
@@ -519,10 +562,11 @@ def _cell_results(cfg: ExperimentConfig, task, keys):
             yield task(cfg, *key)
         return
     # imported here, so that a run on one worker loads no multiprocessing
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    # forked workers inherit the one-thread pin; others set it when they start
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_set_blas_threads,
-                             initargs=(1,)) as pool:
+    parent = os.getpid() if multiprocessing.get_start_method() == "fork" else None
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                             initargs=(parent,)) as pool:
         yield from pool.map(functools.partial(task, cfg), *zip(*keys))
 
 
@@ -571,7 +615,7 @@ def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
     # values are turned into Python floats one row at a time
     xs = [f"{x:.12e}" for x in grid.x_axis.tolist()]
     ps = [f"{p:.12e}" for p in grid.p_axis.tolist()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write("x,p,w\n")
         for x, row in zip(xs, grid.values):
             fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(ps, row.tolist())))

@@ -6,6 +6,7 @@ worker process that died, 3 selftest failure.
 
 import argparse
 import ctypes
+import importlib
 import sys
 
 import numpy as np
@@ -67,6 +68,31 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
+def _import_numpy_random_without_openssl() -> None:
+    """Import numpy.random without loading OpenSSL.
+
+    numpy.random imports secrets, which imports hmac and hashlib, and both
+    load _hashlib and with it OpenSSL's libcrypto: 3.4 MB of every run's
+    resident memory, though every generator here is seeded and nothing is
+    hashed.  With _hashlib blocked, hmac takes its compare_digest from
+    _operator and hashlib its digests from CPython's builtin modules.  The
+    hmac and hashlib modules made here then leave sys.modules, so a later
+    import of hashlib loads OpenSSL as usual.  Pool workers are forked later
+    and inherit the import.  Does nothing when numpy.random or _hashlib is
+    already loaded.
+    """
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return
+    made = [name for name in ("hmac", "hashlib") if name not in sys.modules]
+    sys.modules["_hashlib"] = None  # makes "import _hashlib" raise ImportError
+    try:
+        importlib.import_module("numpy.random")
+    finally:
+        del sys.modules["_hashlib"]
+        for name in made:
+            sys.modules.pop(name, None)
+
+
 def _load_config(args) -> bench.ExperimentConfig:
     """One config document: the --config file, the subcommand's default
     grid for the grid keys the file leaves out, then the subcommand as
@@ -84,6 +110,7 @@ def _load_config(args) -> bench.ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _keep_freed_memory()
+    _import_numpy_random_without_openssl()
     try:
         cfg = _load_config(args)
         if args.command == "selftest":

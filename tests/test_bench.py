@@ -3,13 +3,16 @@ determinism, resumability, the selftest and the CLI."""
 
 import ast
 import concurrent.futures
+import contextlib
 import importlib
 import json
 import os
 import pkgutil
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -314,12 +317,84 @@ class TestRunLayer:
             set_threads(previous)
         assert inside == [1] * TINY_PROBES["ensembles"] and after == 2
 
+    def test_forkserver_workers_run(self):
+        # a forkserver, not the run, is the workers' parent, and the
+        # initializer must not take that for a dead run
+        code = ("import multiprocessing, tomolin.bench as b; "
+                "multiprocessing.set_start_method('forkserver'); "
+                f"print(len(b.run_sweep_outcomes(b.ExperimentConfig(**{TINY_OUTCOMES!r}, "
+                "workers=2))))")
+        result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.split() == ["6"]
+
     def test_resumed_run_with_nothing_to_do_builds_no_pool(self, tmp_path, monkeypatch):
         out = str(tmp_path / "probes.csv")
         bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         assert bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out,
                                                              workers=2)) == []
+
+
+def _proc_state(pid) -> tuple:
+    """(state, parent pid) of a process from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", "r") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _alive(pid) -> bool:
+    stat = _proc_state(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid: int) -> list:
+    stats = {int(entry): _proc_state(entry) for entry in os.listdir("/proc") if entry.isdigit()}
+    return [child for child, stat in stats.items()
+            if stat is not None and stat[0] != "Z" and stat[1] == pid]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux only")
+def test_worker_initializer_arms_parent_death_signal():
+    # PR_GET_PDEATHSIG reads the armed signal; a parent pid other than the
+    # expected one means the parent died before, and the worker exits
+    code = ("import ctypes, os, tomolin.bench as b; b._init_worker(os.getppid()); "
+            "sig = ctypes.c_int(); ctypes.CDLL(None).prctl(2, ctypes.byref(sig)); "
+            "print(sig.value, flush=True); b._init_worker(os.getppid() + 1); print('alive')")
+    result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1 and result.stdout.split() == [str(int(signal.SIGTERM))]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_killed_run_leaves_no_workers(tmp_path):
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(dict(d=3, m_values=list(range(9, 500)), M_values=[12],
+                                   ensembles=4, trials=200)))
+    out = tmp_path / "o.csv"
+    proc = subprocess.Popen([sys.executable, "-m", "tomolin.cli", "sweep-outcomes", "--config",
+                             str(cfg), "--workers", "2", "--out", str(out)],
+                            env=_cli_env(), start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not (out.exists() and out.read_text().count("\n") > 1):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        workers = _children(proc.pid)
+        assert proc.poll() is None and len(workers) == 2
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 class TestRunHomodyne:
@@ -369,6 +444,40 @@ class TestRunHomodyne:
         for name in names:
             if not name.endswith(".meta.json"):
                 assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+class _FailingRows:
+    """Grid values that yield two rows, then raise."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __iter__(self):
+        yield from self.values[:2]
+        raise RuntimeError("interrupted")
+
+
+class TestAtomicWrites:
+    def test_interrupted_wigner_export_leaves_no_partial_file(self, tmp_path):
+        grid = _true_signal_grid()
+        grid = homodyne.WignerGrid(grid.x_axis, grid.p_axis, _FailingRows(grid.values))
+        path = tmp_path / "homo_wigner_true.csv"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            bench._wigner_csv(grid, str(path))
+        assert os.listdir(tmp_path) == []
+        # a file of an earlier run keeps its bytes
+        path.write_text("earlier\n")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            bench._wigner_csv(grid, str(path))
+        assert os.listdir(tmp_path) == [path.name] and path.read_text() == "earlier\n"
+
+    def test_interrupted_metadata_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # json.dump writes the keys before the unserialisable value
+        monkeypatch.setattr(bench, "_metadata", lambda cfg: {"a": 1, "z": object()})
+        with pytest.raises(TypeError):
+            bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES,
+                                                          out=str(tmp_path / "p.csv")))
+        assert os.listdir(tmp_path) == []
 
 
 def _wigner_csv_whole_grid(grid, path):
@@ -593,6 +702,59 @@ class TestCli:
                                 capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout.splitlines()[-1] == "0 0 []"
         assert (tmp_path / "homo_wigner_true.csv").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_do_not_load_openssl(self, tmp_path, workers):
+        # numpy.random is imported with OpenSSL's _hashlib blocked; hashlib
+        # and OS entropy still work in the same process afterwards
+        outcomes = tmp_path / "outcomes.json"
+        outcomes.write_text(json.dumps(dict(d=2, m_values=[3, 4], M_values=[6], ensembles=2,
+                                            trials=20)))
+        homodyne_cfg = tmp_path / "homodyne.json"
+        homodyne_cfg.write_text(json.dumps(dict(d=3, m_values=[9, 12], M_values=[12],
+                                                ensembles=1, trials=10, wigner_points=11)))
+        code = f"""
+import json, sys, tomolin.cli
+codes = [tomolin.cli.main(["sweep-outcomes", "--config", {str(outcomes)!r},
+                           "--workers", "{workers}"]),
+         tomolin.cli.main(["homodyne", "--config", {str(homodyne_cfg)!r}, "--workers",
+                           "{workers}", "--out", {str(tmp_path / "homo.csv")!r}])]
+hashlib_loaded = "_hashlib" in sys.modules
+maps = open("/proc/self/maps").read() if sys.platform.startswith("linux") else ""
+ssl = sorted({{line.split()[-1] for line in maps.splitlines()
+               if "libcrypto" in line or "libssl" in line}})
+import hashlib
+import numpy as np
+print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
+                      sha256=hashlib.sha256(b"tomolin").hexdigest(),
+                      entropy=np.random.SeedSequence().entropy.bit_length())))
+"""
+        result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60, check=True)
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0]
+        assert not report["hashlib_loaded"]
+        assert report["ssl"] == []
+        assert report["sha256"] == ("ac9d9d53cc470633a89a2af798f0a4026d3baafc2819994f"
+                                    "b3f71cf807037f86")
+        assert report["entropy"] > 64
+
+    def test_numpy_random_import_leaves_loaded_hashlib_alone(self):
+        # with _hashlib loaded first, the CLI imports nothing itself, and a
+        # later hashlib import gets the OpenSSL digests as usual
+        code = ("import hashlib, sys, tomolin.cli; before = sys.modules['hashlib']; "
+                "tomolin.cli._import_numpy_random_without_openssl(); "
+                "print(sys.modules['hashlib'] is before, 'numpy.random' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.split() == ["True", "False"]
+        code = ("import sys, tomolin.cli; tomolin.cli._import_numpy_random_without_openssl(); "
+                "print(sorted({'_hashlib', 'hashlib', 'hmac'} & set(sys.modules)), "
+                "'numpy.random' in sys.modules, end=' '); "
+                "import hashlib; print('_hashlib' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "[] True True"
 
     def test_runtime_imports_are_stdlib_and_dependencies(self):
         # every import of src/tomolin is the standard library, the package
