@@ -13,7 +13,6 @@ from . import bench, homodyne, matlib, protocols, qstate, selftest
 from .bench import ExperimentConfig, SweepResult, run_homodyne, run_sweep_outcomes, run_sweep_probes
 from .matlib import GwDecomposition, SvdFactorization, gw_decompose, hs_norm, penrose_check, pinv, reverse_order_holds, svd
 from .protocols import (
-    InversionMatrix,
     NoiseSpec,
     PatternSet,
     ProbeSet,

@@ -15,15 +15,12 @@ from math import factorial
 import numpy as np
 
 __all__ = [
-    "QuadratureOutcome",
     "HomodyneMeasurement",
     "WignerGrid",
     "coherent_state_fock",
     "true_signal",
     "kraus_operators",
-    "loss_channel",
     "hermite_functions",
-    "quadrature_functional",
     "homodyne_measurement",
     "wigner",
 ]
@@ -78,14 +75,6 @@ def kraus_operators(d_f: int, eta: float) -> np.ndarray:
     return _kraus_stack(d_f, float(eta))
 
 
-def loss_channel(rho, eta: float) -> np.ndarray:
-    """Apply the loss channel sum_k A_k rho A_k*; trace preserving and
-    completely positive by construction."""
-    rho = np.asarray(rho, dtype=complex)
-    ks = kraus_operators(rho.shape[0], eta)
-    return np.einsum("kij,jl,kml->im", ks, rho, ks.conj())
-
-
 def loss_channel_adjoint(op, eta: float) -> np.ndarray:
     """Heisenberg picture of the loss channel: sum_k A_k* op A_k, so that
     trace(loss(rho) op) = trace(rho adjoint(op)).  op may be a (..., d, d)
@@ -119,31 +108,11 @@ def hermite_functions(x, d_f: int) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class QuadratureOutcome:
-    """A single homodyne point: phase in [0, pi) and quadrature value."""
-
-    theta: float
-    x: float
-    x_max: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta < np.pi:
-            raise ValueError(f"theta must lie in [0, pi), got {self.theta}")
-        if abs(self.x) > self.x_max:
-            raise ValueError(f"|x| = {abs(self.x)} exceeds x_max = {self.x_max}")
-
-
 def _quadrature_functionals(theta, x, d_f: int) -> np.ndarray:
     # |x_theta><x_theta| for arrays of points, shape theta.shape + (d_f, d_f)
     theta = np.asarray(theta, dtype=float)
     amp = hermite_functions(x, d_f) * np.exp(1j * np.arange(d_f) * theta[..., None])
     return amp[..., :, None] * amp.conj()[..., None, :]
-
-
-def quadrature_functional(outcome: QuadratureOutcome, d_f: int) -> np.ndarray:
-    """Rank-one operator |x_theta><x_theta| in the truncated Fock basis."""
-    return _quadrature_functionals(outcome.theta, outcome.x, d_f)
 
 
 @dataclass(frozen=True)
@@ -184,14 +153,6 @@ class WignerGrid:
     x_axis: np.ndarray
     p_axis: np.ndarray
     values: np.ndarray  # (len(x_axis), len(p_axis))
-
-    def integral(self) -> float:
-        dx = self.x_axis[1] - self.x_axis[0]
-        dp = self.p_axis[1] - self.p_axis[0]
-        return float(self.values.sum() * dx * dp)
-
-    def min(self) -> float:
-        return float(self.values.min())
 
     def value_at(self, x: float, p: float) -> float:
         i = int(np.argmin(np.abs(self.x_axis - x)))

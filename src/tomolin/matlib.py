@@ -68,8 +68,14 @@ class SvdFactorization:
     def numerical_rank(self) -> int:
         return int(np.count_nonzero(self.singular_values > self.rank_tolerance))
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v.conj().T
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse: the singular values above
+        rank_tolerance are inverted, the rest dropped."""
+        s = self.singular_values
+        inv = np.zeros_like(s)
+        keep = s > self.rank_tolerance
+        inv[keep] = 1.0 / s[keep]
+        return (self.v * inv) @ self.u.conj().T
 
 
 def svd(x, rtol: float | None = None) -> SvdFactorization:
@@ -97,12 +103,7 @@ def pinv(x, rtol: float | None = None) -> np.ndarray:
 
     Singular values above rtol * sigma_max are inverted, the rest dropped.
     """
-    f = svd(x, rtol=rtol)
-    s = f.singular_values
-    inv = np.zeros_like(s)
-    keep = s > f.rank_tolerance
-    inv[keep] = 1.0 / s[keep]
-    return (f.v * inv) @ f.u.conj().T
+    return svd(x, rtol=rtol).pinv()
 
 
 @dataclass(frozen=True)

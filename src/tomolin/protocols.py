@@ -3,9 +3,9 @@
 Standard detector tomography calibrates first (A = F R+) and inverts the
 calibrated response; data-pattern tomography fits the signal data with the
 probe patterns and mixes the probes with the same coefficients.  Both are
-expressed here as a single inversion matrix applied to the data vector, in
-affine-augmented coordinates (1, r) so the constant detector offset is
-carried implicitly.
+expressed here as a single inversion matrix, a plain (n + 1, m) array
+applied to the data vector, in affine-augmented coordinates (1, r) so the
+constant detector offset is carried implicitly.
 """
 
 from dataclasses import dataclass, field
@@ -18,14 +18,12 @@ __all__ = [
     "NoiseSpec",
     "ProbeSet",
     "PatternSet",
-    "InversionMatrix",
     "LimitingCaseDiagnostics",
     "EstimationFailureError",
     "add_noise",
     "collect_patterns",
     "standard_inversion_matrix",
     "pattern_inversion_matrix",
-    "oracle_inversion_matrix",
     "estimate_batch",
     "trial_data",
     "batch_mse",
@@ -114,24 +112,6 @@ class PatternSet:
         return PatternSet(self.f_matrix[:, :count])
 
 
-@dataclass(frozen=True)
-class InversionMatrix:
-    """A data-to-state map in augmented coordinates."""
-
-    kind: str  # standard | data-pattern | oracle
-    matrix: np.ndarray  # (n + 1, m)
-
-    @property
-    def hs_norm_value(self) -> float:
-        """Hilbert-Schmidt norm of the matrix, computed when read."""
-        return matlib.hs_norm(self.matrix)
-
-    @property
-    def deaugmented(self) -> np.ndarray:
-        """Rows mapping data to the physical coordinates (constant row dropped)."""
-        return self.matrix[1:, :]
-
-
 def add_noise(p, spec: NoiseSpec, rng) -> np.ndarray:
     """Perturb a probability vector, or each column of a matrix.
 
@@ -172,26 +152,17 @@ def collect_patterns(detector: qstate.DetectorModel, probes: ProbeSet,
 
 
 def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
-                              rtol: float | None = None) -> InversionMatrix:
+                              rtol: float | None = None) -> np.ndarray:
     """Calibrate the detector as F R+ and invert it: A_s = (F R+)+."""
     _check_counts(patterns, probes)
-    calibrated = patterns.f_matrix @ probes.pinv(rtol)
-    return InversionMatrix("standard", matlib.pinv(calibrated, rtol=rtol))
+    return matlib.pinv(patterns.f_matrix @ probes.pinv(rtol), rtol=rtol)
 
 
 def pattern_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
-                             rtol: float | None = None) -> InversionMatrix:
+                             rtol: float | None = None) -> np.ndarray:
     """Fit data with patterns and mix the probes: A_p = R F+."""
     _check_counts(patterns, probes)
-    return InversionMatrix(
-        "data-pattern", probes.r_matrix @ matlib.pinv(patterns.f_matrix, rtol=rtol)
-    )
-
-
-def oracle_inversion_matrix(detector: qstate.DetectorModel,
-                            rtol: float | None = None) -> InversionMatrix:
-    """Pseudoinverse of the true augmented forward matrix."""
-    return InversionMatrix("oracle", matlib.pinv(detector.augmented(), rtol=rtol))
+    return probes.r_matrix @ matlib.pinv(patterns.f_matrix, rtol=rtol)
 
 
 def _check_counts(patterns: PatternSet, probes: ProbeSet) -> None:
@@ -201,27 +172,29 @@ def _check_counts(patterns: PatternSet, probes: ProbeSet) -> None:
         )
 
 
-def estimate_batch(inv: InversionMatrix, fmat) -> tuple[np.ndarray, np.ndarray]:
+def estimate_batch(inv: np.ndarray, fmat) -> tuple[np.ndarray, np.ndarray]:
     """Linear estimates r = (inv @ f)[1:] / (inv @ f)[0] of the data
-    columns f, with no physicality projection; returns (estimates,
-    valid_mask), where a column is invalid when its leading coordinate,
-    the estimate of the constant 1, falls below LEAD_FLOOR.
+    columns f by the (n + 1, m) inversion matrix inv, with no physicality
+    projection; returns (estimates, valid_mask), where a column is invalid
+    when its leading coordinate, the estimate of the constant 1, falls
+    below LEAD_FLOOR.
     """
-    raw = inv.matrix @ np.asarray(fmat, dtype=float)
+    raw = inv @ np.asarray(fmat, dtype=float)
     lead = raw[0, :]
     valid = np.abs(lead) >= LEAD_FLOOR
     safe = np.where(valid, lead, 1.0)
     return raw[1:, :] / safe[None, :], valid
 
 
-def mse_theoretical(inv: InversionMatrix, epsilon: float, m: int) -> float:
+def mse_theoretical(inv: np.ndarray, epsilon: float, m: int) -> float:
     """Noise-averaged error epsilon^2 ||A||^2 / m for sphere-uniform data
-    noise of strength epsilon, using the de-augmented inversion matrix."""
+    noise of strength epsilon, using the de-augmented inversion matrix
+    A = inv[1:] (the constant row dropped)."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return epsilon**2 * matlib.hs_norm(inv.deaugmented) ** 2 / m
+    return epsilon**2 * matlib.hs_norm(inv[1:]) ** 2 / m
 
 
 def trial_data(detector: qstate.DetectorModel, true_blochs, noise: NoiseSpec,
@@ -233,7 +206,7 @@ def trial_data(detector: qstate.DetectorModel, true_blochs, noise: NoiseSpec,
     return add_noise(detector.augmented() @ augmented, noise, rng)
 
 
-def batch_mse(inv: InversionMatrix, data, true_blochs,
+def batch_mse(inv: np.ndarray, data, true_blochs,
               max_failure_fraction: float = 0.01) -> float:
     """Mean squared Bloch error of the estimates of the data columns against
     the true Bloch columns.
@@ -259,24 +232,24 @@ class LimitingCaseDiagnostics:
 
     hs_norm_standard: float
     hs_norm_pattern: float
-    h_singular_values: np.ndarray
     h_norm: float
     h_rank: int
     u11_norm: float
     u11_bound: float
-    numerical_rank_probes: int
-    numerical_rank_patterns: int
 
 
 def limiting_case_diagnostics(patterns: PatternSet, probes: ProbeSet,
                               rtol: float | None = None) -> LimitingCaseDiagnostics:
     """Diagnostics for redundant probe sets, M > min(m, n + 1).
 
-    Returns the protocol norms, the singular spectrum of the skew projector
+    Returns the protocol norms, the norm and rank of the skew projector
     h = (F+ F R+ R)+ that appears in the standard inversion, and the norm of
     the n_aug x m corner block of V_R* V_F.  Checks ||h|| >= sqrt(rank h)
     (every singular value of a projector on its support is >= 1) and
     ||U11|| <= sqrt(min block dimension).
+
+    R and F are factorised once each; R+, F+, A_s = (F R+)+, A_p = R F+
+    and U11 all come from those two factorisations.
     """
     _check_counts(patterns, probes)
     f = patterns.f_matrix
@@ -289,31 +262,27 @@ def limiting_case_diagnostics(patterns: PatternSet, probes: ProbeSet,
             f"diagnostics need a redundant probe set, M > min(m, n+1); "
             f"got M={big_m}, m={m}, n+1={n_aug}"
         )
-    a_s = standard_inversion_matrix(patterns, probes, rtol=rtol)
-    a_p = pattern_inversion_matrix(patterns, probes, rtol=rtol)
-    fp = matlib.pinv(f, rtol=rtol)
-    rp = probes.pinv(rtol)
-    h = matlib.pinv((fp @ f) @ (rp @ r), rtol=rtol)
-    fh = matlib.svd(h, rtol=rtol)
-    h_norm = matlib.hs_norm(h)
-    h_rank = fh.numerical_rank
-    if h_norm < np.sqrt(h_rank) - 1e-9:
-        raise AssertionError(f"projector norm {h_norm} below sqrt(rank) {np.sqrt(h_rank)}")
     fr = matlib.svd(r, rtol=rtol)
     ff = matlib.svd(f, rtol=rtol)
+    rp = fr.pinv()
+    fp = ff.pinv()
+    a_s = matlib.pinv(f @ rp, rtol=rtol)
+    a_p = r @ fp
+    h = matlib.pinv((fp @ f) @ (rp @ r), rtol=rtol)
+    h_norm = matlib.hs_norm(h)
+    h_rank = matlib.svd(h, rtol=rtol).numerical_rank
+    if h_norm < np.sqrt(h_rank) - 1e-9:
+        raise AssertionError(f"projector norm {h_norm} below sqrt(rank) {np.sqrt(h_rank)}")
     u11 = fr.v.conj().T @ ff.v
     u11_norm = matlib.hs_norm(u11)
     u11_bound = np.sqrt(min(u11.shape))
     if u11_norm > u11_bound + 1e-9:
         raise AssertionError(f"corner block norm {u11_norm} above bound {u11_bound}")
     return LimitingCaseDiagnostics(
-        hs_norm_standard=a_s.hs_norm_value,
-        hs_norm_pattern=a_p.hs_norm_value,
-        h_singular_values=fh.singular_values,
+        hs_norm_standard=matlib.hs_norm(a_s),
+        hs_norm_pattern=matlib.hs_norm(a_p),
         h_norm=h_norm,
         h_rank=h_rank,
         u11_norm=u11_norm,
         u11_bound=float(u11_bound),
-        numerical_rank_probes=fr.numerical_rank,
-        numerical_rank_patterns=ff.numerical_rank,
     )

@@ -196,8 +196,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        worst_equiv = max(worst_equiv, matlib.hs_norm(a_s.matrix - a_p.matrix)
-                          / matlib.hs_norm(a_p.matrix))
+        worst_equiv = max(worst_equiv, matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p))
     yield SelfTestCheck("protocols", "equivalence-full-rank", count, worst_equiv, 1e-8)
 
     worst_norm = 0.0
@@ -207,12 +206,12 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        worst_norm = max(worst_norm, a_s.hs_norm_value - a_p.hs_norm_value)
+        worst_norm = max(worst_norm, matlib.hs_norm(a_s) - matlib.hs_norm(a_p))
     yield SelfTestCheck("protocols", "norm-inequality", count, worst_norm, 1e-10)
 
     # noise model: empirical mean of ||A dp||^2 against eps^2 ||A||^2 / m
     a = rng.standard_normal((6, 9))
-    inv = protocols.InversionMatrix("oracle", np.vstack([np.ones(9), a]))
+    inv = np.vstack([np.ones(9), a])
     eps = 0.05
     draws = rng.standard_normal((20000, 9))
     draws *= eps / np.linalg.norm(draws, axis=1, keepdims=True)
@@ -231,8 +230,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         dec = matlib.gw_decompose(f, matlib.pinv(r, rtol=cfg.rtol), rtol=cfg.rtol)
         bridged = r @ (dec.h + dec.g) @ matlib.pinv(f, rtol=cfg.rtol)
-        worst_gw = max(worst_gw, matlib.hs_norm(a_s.matrix - bridged)
-                       / matlib.hs_norm(a_s.matrix))
+        worst_gw = max(worst_gw, matlib.hs_norm(a_s - bridged) / matlib.hs_norm(a_s))
     yield SelfTestCheck("protocols", "gw-bridge", max(5, count // 2), worst_gw, 1e-9)
 
     worst_unbiased = 0.0

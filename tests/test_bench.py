@@ -397,6 +397,77 @@ def test_killed_run_leaves_no_workers(tmp_path):
         proc.wait()
 
 
+# runs long enough, some 200 cells, that a kill after their first rows
+# finds them mid-grid; homodyne exports at m = n + 1 = 9 and m = M = 20
+KILLED_RUNS = {
+    "sweep-outcomes": dict(experiment="sweep-outcomes", d=3, m_values=list(range(9, 109)),
+                           M_values=[12], ensembles=2, trials=100, seed=7),
+    "homodyne": dict(experiment="homodyne", d=3, m_values=list(range(9, 109)), M_values=[20],
+                     ensembles=2, trials=20, seed=7, wigner_points=21),
+}
+KILL_AFTER_ROWS = 10
+
+
+def _run_files(directory) -> dict:
+    """{name: bytes} of every file in a run's directory, each .meta.json
+    without its `out` line, which names the directory."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        if path.name.endswith(".meta.json"):
+            lines = [line for line in lines if not line.startswith(b'  "out": ')]
+        files[path.name] = b"".join(lines)
+    return files
+
+
+@pytest.fixture(scope="module", params=sorted(KILLED_RUNS))
+def uninterrupted_run(request, tmp_path_factory):
+    """(experiment, config path, files) of an uninterrupted 1-worker run."""
+    experiment = request.param
+    workdir = tmp_path_factory.mktemp(experiment)
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps(KILLED_RUNS[experiment]))
+    (workdir / "run").mkdir()
+    assert cli.main([experiment, "--config", str(cfg), "--workers", "1",
+                     "--out", str(workdir / "run" / "run.csv")]) == 0
+    return experiment, cfg, _run_files(workdir / "run")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, tmp_path):
+    # SIGKILL once the CSV holds KILL_AFTER_ROWS rows, found by polling, then
+    # rerun the same command: the CSV, .meta.json and Wigner files are
+    # those of the uninterrupted run, but for the worker count recorded
+    experiment, cfg, expected = uninterrupted_run
+    (tmp_path / "run").mkdir()
+    out = tmp_path / "run" / "run.csv"
+    command = [sys.executable, "-m", "tomolin.cli", experiment, "--config", str(cfg),
+               "--workers", str(workers), "--out", str(out)]
+    proc = subprocess.Popen(command, env=_cli_env(), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not (out.exists() and out.read_text().count("\n") > KILL_AFTER_ROWS):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait() == -signal.SIGKILL
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    doc = KILLED_RUNS[experiment]
+    rows = out.read_text().count("\n") - 1
+    assert KILL_AFTER_ROWS <= rows < len(doc["m_values"]) * doc["ensembles"]
+    resumed = subprocess.run(command, env=_cli_env(), capture_output=True, text=True,
+                             timeout=120)
+    assert resumed.returncode == 0, resumed.stderr
+    meta = "run.csv.meta.json"
+    expected = {**expected, meta: expected[meta].replace(
+        b'  "workers": 1,\n', f'  "workers": {workers},\n'.encode())}
+    assert _run_files(tmp_path / "run") == expected
+
+
 class TestRunHomodyne:
     def test_rows_and_wigner_exports(self, tmp_path):
         out = str(tmp_path / "homo.csv")

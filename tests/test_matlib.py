@@ -40,7 +40,8 @@ class TestSvd:
         rng = np.random.default_rng(7)
         x = random_matrix(rng, 7, 4)
         f = matlib.svd(x)
-        rel = np.linalg.norm(f.reconstruct() - x) / np.linalg.norm(x)
+        reconstructed = (f.u * f.singular_values) @ f.v.conj().T
+        rel = np.linalg.norm(reconstructed - x) / np.linalg.norm(x)
         assert rel < 1e-10
 
     def test_orthonormal_factors(self):
@@ -93,6 +94,30 @@ class TestPinv:
     def test_custom_rtol_truncates(self):
         x = np.diag([1.0, 1e-8])
         assert matlib.svd(matlib.pinv(x, rtol=1e-4)).numerical_rank == 1
+
+    @pytest.mark.parametrize("rows, cols, complex_, rank, rtol", [
+        (7, 4, False, None, None),
+        (5, 9, True, None, None),
+        (8, 6, False, 3, None),
+        (6, 8, True, 2, None),
+        (1, 6, False, None, None),
+        (6, 5, False, None, 0.3),
+        (4, 7, True, None, 0.5),
+    ])
+    def test_factorization_pinv_has_the_formula_bits(self, rows, cols, complex_, rank, rtol):
+        # the truncated inverse as a thin numpy SVD, the cutoff rtol *
+        # sigma_max with rtol defaulting to max(rows, cols) * eps, and the
+        # kept singular values inverted
+        x = random_matrix(np.random.default_rng(rows * cols), rows, cols, complex_, rank)
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        cutoff = (max(x.shape) * np.finfo(float).eps if rtol is None else rtol) * s[0]
+        inv = np.zeros_like(s)
+        inv[s > cutoff] = 1.0 / s[s > cutoff]
+        formula = (vh.conj().T * inv) @ u.conj().T
+        assert np.array_equal(matlib.svd(x, rtol=rtol).pinv(), formula)
+        assert np.array_equal(matlib.pinv(x, rtol=rtol), formula)
+        if rtol is not None:
+            assert np.count_nonzero(inv) < min(rows, cols)
 
 
 class TestPenroseCheck:
