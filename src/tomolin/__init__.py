@@ -13,7 +13,6 @@ from . import bench, homodyne, matlib, protocols, qstate, selftest
 from .bench import ExperimentConfig, SweepResult, run_homodyne, run_sweep_outcomes, run_sweep_probes
 from .matlib import GwDecomposition, SvdFactorization, gw_decompose, hs_norm, penrose_check, pinv, reverse_order_holds, svd
 from .protocols import (
-    NoiseSpec,
     PatternSet,
     ProbeSet,
     add_noise,
@@ -26,7 +25,6 @@ from .protocols import (
 from .qstate import (
     DetectorModel,
     OperatorBasis,
-    Povm,
     born_probabilities,
     bloch_to_state,
     gellmann_basis,

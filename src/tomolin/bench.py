@@ -80,14 +80,6 @@ class ExperimentConfig:
     def n_params(self) -> int:
         return self.d * self.d - 1
 
-    @property
-    def pattern_noise(self) -> protocols.NoiseSpec:
-        return protocols.NoiseSpec("ratio", self.noise_ratio_patterns)
-
-    @property
-    def data_noise(self) -> protocols.NoiseSpec:
-        return protocols.NoiseSpec("ratio", self.noise_ratio_data)
-
     def __post_init__(self):
         # a JSON list is stored as a tuple, so every config compares and
         # hashes the same however it was built
@@ -249,15 +241,18 @@ def _draw_srm_detector(d: int, m: int, basis, rng):
     raise RuntimeError(f"square-root measurement redraw budget exhausted (d={d}, m={m})")
 
 
-def _evaluate(cfg: ExperimentConfig, m: int, M: int, ensemble: int,
-              probes, patterns, data, true_blochs):
-    """One sweep point: build A_s and A_p once and return the CSV row of
-    their MSEs together with both inversion matrices."""
-    invs = (protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol),
+def _inversion_matrices(cfg: ExperimentConfig, probes, patterns) -> tuple:
+    """(A_s, A_p) of a sweep point."""
+    return (protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol),
             protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol))
-    e2s, e2p = (protocols.batch_mse(inv, data, true_blochs) for inv in invs)
-    row = SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p)
-    return row, invs
+
+
+def _evaluate(cfg: ExperimentConfig, m: int, M: int, ensemble: int,
+              probes, patterns, data, true_blochs) -> SweepResult:
+    """One sweep point: the CSV row of the MSEs of A_s and A_p."""
+    e2s, e2p = (protocols.batch_mse(inv, data, true_blochs)
+                for inv in _inversion_matrices(cfg, probes, patterns))
+    return SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p)
 
 
 def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
@@ -273,11 +268,11 @@ def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     detector = _draw_srm_detector(cfg.d, m, basis, rng)
     probes_full = protocols.ProbeSet.from_blochs(
         qstate.random_blochs(basis, max(cfg.M_values), rng, cfg.state_ensemble))
-    patterns_full = protocols.collect_patterns(detector, probes_full, cfg.pattern_noise, rng)
+    patterns_full = protocols.collect_patterns(detector, probes_full, cfg.noise_ratio_patterns, rng)
     true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
-    data = protocols.trial_data(detector, true_blochs, cfg.data_noise, rng)
+    data = protocols.trial_data(detector, true_blochs, cfg.noise_ratio_data, rng)
     return [_evaluate(cfg, m, M, ensemble, probes_full.prefix(M), patterns_full.prefix(M),
-                      data, true_blochs)[0]
+                      data, true_blochs)
             for M in cfg.M_values]
 
 
@@ -300,10 +295,10 @@ def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     probes = _outcome_probes(cfg.seed, cfg.d, M, ensemble, cfg.state_ensemble)
     rng = _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble)
     detector = _draw_srm_detector(cfg.d, m, basis, rng)
-    patterns = protocols.collect_patterns(detector, probes, cfg.pattern_noise, rng)
+    patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
     true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
-    data = protocols.trial_data(detector, true_blochs, cfg.data_noise, rng)
-    return [_evaluate(cfg, m, M, ensemble, probes, patterns, data, true_blochs)[0]]
+    data = protocols.trial_data(detector, true_blochs, cfg.noise_ratio_data, rng)
+    return [_evaluate(cfg, m, M, ensemble, probes, patterns, data, true_blochs)]
 
 
 def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
@@ -317,39 +312,38 @@ def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
 
 
 def _homodyne_cell(cfg: ExperimentConfig, m: int, ensemble: int):
-    """One homodyne cell: random quadrature set, coherent probe patterns and
-    repeated noisy data of the fixed benchmark signal.
+    """The draws of one homodyne cell: random quadrature set, coherent probe
+    patterns and repeated noisy data of the fixed benchmark signal.
 
-    Returns the sweep row, both inversion matrices and the data."""
+    Returns (probes, patterns, data, true_blochs), the last the Bloch
+    vector of the signal as one column."""
     basis = qstate.gellmann_basis(cfg.d)
     rng = _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble)
-    meas = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
-                                         dx=cfg.dx, x_max=cfg.x_max)
-    detector = qstate.povm_to_affine(meas.effects, basis)
+    _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
+                                               dx=cfg.dx, x_max=cfg.x_max)
+    detector = qstate.povm_to_affine(effects, basis)
     probes = _homodyne_probes(cfg, basis, rng)
-    patterns = protocols.collect_patterns(detector, probes, cfg.pattern_noise, rng)
+    patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
     signal = homodyne.true_signal(cfg.d)
     r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()), basis)
     # every trial measures the same state: compute its response once
     p_true = detector.probabilities(r_true)
     repeated = np.broadcast_to(p_true[:, None], (m, cfg.trials))
-    data = protocols.add_noise(repeated, cfg.data_noise, rng)
-    row, invs = _evaluate(cfg, m, cfg.M_values[0], ensemble, probes, patterns,
-                          data, r_true[:, None])
-    return row, invs, data
+    data = protocols.add_noise(repeated, cfg.noise_ratio_data, rng)
+    return probes, patterns, data, r_true[:, None]
 
 
 def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
-    return [_homodyne_cell(cfg, m, ensemble)[0]]
+    return [_evaluate(cfg, m, cfg.M_values[0], ensemble, *_homodyne_cell(cfg, m, ensemble))]
 
 
 def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
     """Estimates of both protocols from the trial-averaged data of ensemble
     0 at m, recomputed from the cell's key; None where an estimate is
     degenerate.  The cell's arrays are freed on return."""
-    _, invs, data = _homodyne_cell(cfg, m, 0)
+    probes, patterns, data, _ = _homodyne_cell(cfg, m, 0)
     estimates = {}
-    for kind, inv in zip(("standard", "pattern"), invs):
+    for kind, inv in zip(("standard", "pattern"), _inversion_matrices(cfg, probes, patterns)):
         r_hat, valid = protocols.estimate_batch(inv, data.mean(axis=1, keepdims=True))
         estimates[kind] = r_hat[:, 0] if valid[0] else None
     return estimates
@@ -363,9 +357,10 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 @contextlib.contextmanager
 def _replacing(path: str):
     """Yield a text file that replaces path once the block completes.  It is
-    written under a temporary name in the same directory, so path never
-    holds a partial file, and removed if the block raises."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    written to path + ".tmp", so path never holds a partial file, and
+    removed if the block raises.  Only a run's parent process writes these
+    files, so a rerun after a kill overwrites a leftover .tmp file."""
+    tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -570,15 +565,17 @@ def _cell_results(cfg: ExperimentConfig, task, keys):
         yield from pool.map(functools.partial(task, cfg), *zip(*keys))
 
 
-def _run_grid(cfg: ExperimentConfig, task):
+def _run_grid(cfg: ExperimentConfig, experiment: str, task):
     """Run task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
     skipping cells whose rows cfg.out already holds, and write and return
     the new rows in (m, M, ensemble) order, with BLAS on one thread.
 
-    An output that _OutputFiles refuses raises ConfigError before anything
-    is written.
+    A config that is invalid or made for another experiment, and an output
+    that _OutputFiles refuses, raise ConfigError before anything is written.
     """
     cfg.validate()
+    if cfg.experiment != experiment:
+        raise ConfigError(f"a config for experiment {cfg.experiment!r} cannot run {experiment}")
     results = []
     with _one_blas_thread(), _OutputFiles(cfg) as output:
         done = output.done
@@ -598,7 +595,7 @@ def _run_grid(cfg: ExperimentConfig, task):
 def run_sweep_probes(cfg: ExperimentConfig):
     """Performance-ratio sweep over the probe count M at fixed outcome
     counts; one CSV row per (m, M, ensemble)."""
-    return _run_grid(cfg, _probe_sweep_task)
+    return _run_grid(cfg, "sweep-probes", _probe_sweep_task)
 
 
 def run_sweep_outcomes(cfg: ExperimentConfig):
@@ -607,7 +604,7 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
     Each ensemble's probe set is shared across m: every process, this one
     or a pool worker, draws it at most once in a run."""
     _outcome_probes.cache_clear()
-    return _run_grid(cfg, _outcome_sweep_task)
+    return _run_grid(cfg, "sweep-outcomes", _outcome_sweep_task)
 
 
 def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
@@ -627,7 +624,7 @@ def run_homodyne(cfg: ExperimentConfig):
     complete point and at m = M (reconstructed from ensemble 0 by
     trial-averaged data).  The two points coincide when n + 1 = M, and
     are then exported once."""
-    results = _run_grid(cfg, _homodyne_task)
+    results = _run_grid(cfg, "homodyne", _homodyne_task)
     export_m = cfg.wigner_export_m
     if export_m is None:
         export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])

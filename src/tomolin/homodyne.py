@@ -15,7 +15,6 @@ from math import factorial
 import numpy as np
 
 __all__ = [
-    "HomodyneMeasurement",
     "WignerGrid",
     "coherent_state_fock",
     "true_signal",
@@ -47,7 +46,7 @@ def coherent_state_fock(alpha, d_f: int) -> np.ndarray:
     return c / np.sqrt(sqnorm)
 
 
-def true_signal(d_f: int = 6) -> np.ndarray:
+def true_signal(d_f: int) -> np.ndarray:
     """The benchmark signal: amplitudes (sqrt(0.1), sqrt(0.2), sqrt(0.3))
     on the first three Fock states, renormalised to unit norm."""
     if d_f < 3:
@@ -115,35 +114,25 @@ def _quadrature_functionals(theta, x, d_f: int) -> np.ndarray:
     return amp[..., :, None] * amp.conj()[..., None, :]
 
 
-@dataclass(frozen=True)
-class HomodyneMeasurement:
-    """m binned quadrature functionals of an inefficient homodyne detector.
+def homodyne_measurement(m: int, eta: float, rng, d_f: int,
+                         dx: float = 0.1, x_max: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw m quadrature points with theta ~ U[0, pi), x ~ U[-x_max, x_max]
+    and build the binned functionals p_j = trace(loss(rho, eta) |x><x|) dx
+    of an inefficient homodyne detector.
 
-    points[j] is the quadrature point (theta_j, x_j); effects[j] already
+    Returns (points, effects): row j of the (m, 2) points is the quadrature
+    point (theta_j, x_j), and E_j of the (m, d_f, d_f) effects already
     includes the loss channel (Heisenberg picture) and the bin width, so
     probabilities are plain traces trace(rho E_j), as
     qstate.born_probabilities(rho, effects) computes them.  The effects
     need not be complete; linearity is all the protocols use.
     """
-
-    points: np.ndarray   # (m, 2)
-    effects: np.ndarray  # (m, d_f, d_f)
-    eta: float
-    dx: float
-
-
-def homodyne_measurement(m: int, eta: float, rng, d_f: int,
-                         dx: float = 0.1, x_max: float = 5.0) -> HomodyneMeasurement:
-    """Draw m quadrature points with theta ~ U[0, pi), x ~ U[-x_max, x_max]
-    and build the corresponding binned measurement functionals
-    p_j = trace(loss(rho, eta) |x><x|) dx."""
     if m < 1:
         raise ValueError("need at least one quadrature point")
     # row j holds (theta_j, x_j), in the order of alternating scalar draws
     points = rng.uniform([0.0, -x_max], [np.pi, x_max], size=(m, 2))
     functionals = _quadrature_functionals(points[:, 0], points[:, 1], d_f)
-    effects = dx * loss_channel_adjoint(functionals, eta)
-    return HomodyneMeasurement(points=points, effects=effects, eta=eta, dx=dx)
+    return points, dx * loss_channel_adjoint(functionals, eta)
 
 
 @dataclass(frozen=True)

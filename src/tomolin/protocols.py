@@ -15,7 +15,6 @@ import numpy as np
 from . import matlib, qstate
 
 __all__ = [
-    "NoiseSpec",
     "ProbeSet",
     "PatternSet",
     "LimitingCaseDiagnostics",
@@ -32,25 +31,11 @@ __all__ = [
 ]
 
 LEAD_FLOOR = 1e-6  # leading augmented coordinate below this is degenerate
+MAX_FAILURE_FRACTION = 0.01  # share of degenerate estimates a batch may exclude
 
 
 class EstimationFailureError(ArithmeticError):
     """Too many degenerate estimates in a trial batch."""
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive noise: 'fixed' draws uniformly on the sphere ||dp|| = value,
-    'ratio' adds i.i.d. Gaussian entries with sigma = value * rms(p)."""
-
-    mode: str
-    value: float
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "ratio"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.value < 0:
-            raise ValueError("noise value must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -112,43 +97,40 @@ class PatternSet:
         return PatternSet(self.f_matrix[:, :count])
 
 
-def add_noise(p, spec: NoiseSpec, rng) -> np.ndarray:
-    """Perturb a probability vector, or each column of a matrix.
-
-    fixed mode: p + dp with dp uniform on the sphere of radius spec.value.
-    ratio mode: i.i.d. Gaussian per entry, sigma = spec.value * rms(column).
+def add_noise(p, ratio: float, rng) -> np.ndarray:
+    """Perturb a probability vector, or each column of a matrix, by i.i.d.
+    Gaussian entries with sigma = ratio * rms(column); ratio must be >= 0.
 
     p is only read, so it may be a read-only or broadcast view.  The result
     is one new C-ordered array: the squares, then the noise, are written
     into it and p is added last, the draws and products of p + noise.
     """
+    if ratio < 0:
+        raise ValueError(f"noise ratio must be >= 0, got {ratio}")
     arr = np.asarray(p, dtype=float)
-    if spec.value == 0.0:
+    if ratio == 0.0:
         return arr.copy()
     vec = arr.ndim == 1
     cols = arr[:, None] if vec else arr
     out = np.empty(cols.shape)
-    if spec.mode == "fixed":
-        rng.standard_normal(out=out)
-        out *= spec.value / np.linalg.norm(out, axis=0, keepdims=True)
-    else:
-        rms = np.sqrt(np.mean(np.square(cols, out=out), axis=0, keepdims=True))
-        rng.standard_normal(out=out)
-        out *= spec.value * rms
+    rms = np.sqrt(np.mean(np.square(cols, out=out), axis=0, keepdims=True))
+    rng.standard_normal(out=out)
+    out *= ratio * rms
     out += cols
     return out[:, 0] if vec else out
 
 
 def collect_patterns(detector: qstate.DetectorModel, probes: ProbeSet,
-                     spec: NoiseSpec, rng) -> PatternSet:
-    """Measure every probe through the detector and perturb the responses."""
+                     ratio: float, rng) -> PatternSet:
+    """Measure every probe through the detector and perturb the responses
+    by add_noise at the given ratio."""
     fwd = detector.augmented()
     if fwd.shape[1] != probes.r_matrix.shape[0]:
         raise ValueError(
             f"detector expects {fwd.shape[1]} augmented parameters, "
             f"probes carry {probes.r_matrix.shape[0]}"
         )
-    return PatternSet(add_noise(fwd @ probes.r_matrix, spec, rng))
+    return PatternSet(add_noise(fwd @ probes.r_matrix, ratio, rng))
 
 
 def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
@@ -197,30 +179,29 @@ def mse_theoretical(inv: np.ndarray, epsilon: float, m: int) -> float:
     return epsilon**2 * matlib.hs_norm(inv[1:]) ** 2 / m
 
 
-def trial_data(detector: qstate.DetectorModel, true_blochs, noise: NoiseSpec,
+def trial_data(detector: qstate.DetectorModel, true_blochs, ratio: float,
                rng) -> np.ndarray:
-    """Noisy detector responses (m, batch) to the true states given as Bloch
-    columns (n, batch)."""
+    """Detector responses (m, batch) to the true states given as Bloch
+    columns (n, batch), perturbed by add_noise at the given ratio."""
     true_blochs = np.atleast_2d(np.asarray(true_blochs, dtype=float))
     augmented = np.vstack([np.ones(true_blochs.shape[1]), true_blochs])
-    return add_noise(detector.augmented() @ augmented, noise, rng)
+    return add_noise(detector.augmented() @ augmented, ratio, rng)
 
 
-def batch_mse(inv: np.ndarray, data, true_blochs,
-              max_failure_fraction: float = 0.01) -> float:
+def batch_mse(inv: np.ndarray, data, true_blochs) -> float:
     """Mean squared Bloch error of the estimates of the data columns against
     the true Bloch columns.
 
     Degenerate estimates are excluded from the mean while they stay within
-    max_failure_fraction of the batch, otherwise the batch fails hard.
+    MAX_FAILURE_FRACTION of the batch, otherwise the batch fails hard.
     """
     estimates, valid = estimate_batch(inv, data)
     batch = valid.size
     failures = int(batch - valid.sum())
-    if failures > max_failure_fraction * batch:
+    if failures > MAX_FAILURE_FRACTION * batch:
         raise EstimationFailureError(
             f"{failures}/{batch} estimates degenerate, above the "
-            f"{max_failure_fraction:.0%} exclusion budget"
+            f"{MAX_FAILURE_FRACTION:.0%} exclusion budget"
         )
     errors = np.sum((estimates - true_blochs) ** 2, axis=0)
     return float(np.mean(errors[valid]))

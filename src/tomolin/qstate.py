@@ -9,7 +9,6 @@ import numpy as np
 
 __all__ = [
     "OperatorBasis",
-    "Povm",
     "DetectorModel",
     "RankDeficientGramError",
     "gellmann_basis",
@@ -23,6 +22,8 @@ __all__ = [
     "random_blochs",
     "square_root_measurement",
 ]
+
+GRAM_EIG_FLOOR = 1e-12  # smallest Gram eigenvalue, relative to the largest
 
 
 class RankDeficientGramError(ValueError):
@@ -158,27 +159,6 @@ def bloch_to_state(r, basis: OperatorBasis) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Povm:
-    """Measurement with PSD elements summing to the identity."""
-
-    dim: int
-    elements: np.ndarray  # (m, dim, dim)
-
-    def validate(self, atol_psd: float = 1e-10, atol_sum: float = 1e-9) -> None:
-        herm = np.abs(self.elements - np.conj(np.swapaxes(self.elements, 1, 2))).max()
-        if herm > 1e-10:
-            raise ValueError(f"POVM elements not Hermitian (deviation {herm:.2e})")
-        for el in self.elements:
-            lo = np.linalg.eigvalsh(el)[0]
-            if lo < -atol_psd:
-                raise ValueError(f"POVM element not PSD (min eigenvalue {lo:.2e})")
-        total = self.elements.sum(axis=0)
-        dev = np.abs(total - np.eye(self.dim)).max()
-        if dev > atol_sum:
-            raise ValueError(f"POVM elements do not sum to identity (deviation {dev:.2e})")
-
-
-@dataclass(frozen=True)
 class DetectorModel:
     """Affine response p_j = b_j + sum_k a_jk r_k of a measurement device."""
 
@@ -194,22 +174,19 @@ class DetectorModel:
         return self.offset + self.amatrix @ r
 
 
-def _element_stack(povm) -> tuple[np.ndarray, int]:
-    if isinstance(povm, Povm):
-        return np.asarray(povm.elements), povm.dim
-    arr = np.asarray(povm)
+def _element_stack(effects) -> tuple[np.ndarray, int]:
+    arr = np.asarray(effects)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected a stack of square operators, got shape {arr.shape}")
     return arr, arr.shape[1]
 
 
-def povm_to_affine(povm, basis: OperatorBasis) -> DetectorModel:
-    """Affine decomposition b_j = trace(E_j)/d, a_jk = trace(E_j G_k).
-
-    Accepts a Povm or any stack of Hermitian effects; completeness is not
-    required, only linearity of the response in the state.
+def povm_to_affine(effects, basis: OperatorBasis) -> DetectorModel:
+    """Affine decomposition b_j = trace(E_j)/d, a_jk = trace(E_j G_k) of an
+    (m, d, d) stack of Hermitian effects; completeness is not required,
+    only linearity of the response in the state.
     """
-    elements, d = _element_stack(povm)
+    elements, d = _element_stack(effects)
     if d != basis.dim:
         raise ValueError(f"measurement dim {d} != basis dim {basis.dim}")
     b = np.trace(elements, axis1=1, axis2=2).real / d
@@ -217,9 +194,10 @@ def povm_to_affine(povm, basis: OperatorBasis) -> DetectorModel:
     return DetectorModel(offset=b, amatrix=a)
 
 
-def born_probabilities(rho, povm) -> np.ndarray:
-    """Outcome probabilities p_j = trace(rho E_j)."""
-    elements, d = _element_stack(povm)
+def born_probabilities(rho, effects) -> np.ndarray:
+    """Outcome probabilities p_j = trace(rho E_j) of an (m, d, d) effect
+    stack."""
+    elements, d = _element_stack(effects)
     rho = np.asarray(rho)
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} != measurement dim {d}")
@@ -268,11 +246,12 @@ def random_blochs(basis: OperatorBasis, count: int, rng, ensemble: str = "hs") -
     return state_to_bloch(rhos, basis).T
 
 
-def square_root_measurement(states, eig_floor: float = 1e-12) -> Povm:
-    """POVM E_j = G^{-1/2} |phi_j><phi_j| G^{-1/2} with G = sum_j |phi_j><phi_j|.
+def square_root_measurement(states) -> np.ndarray:
+    """The (m, d, d) stack of POVM elements E_j = G^{-1/2} |phi_j><phi_j| G^{-1/2}
+    with G = sum_j |phi_j><phi_j|.
 
     Raises RankDeficientGramError when G has an eigenvalue below
-    eig_floor * lambda_max; the caller should redraw the states.
+    GRAM_EIG_FLOOR * lambda_max; the caller should redraw the states.
     """
     kets = np.asarray(states, dtype=complex)
     if kets.ndim != 2:
@@ -282,11 +261,10 @@ def square_root_measurement(states, eig_floor: float = 1e-12) -> Povm:
         raise ValueError(f"need at least d={d} states for a full-rank Gram operator, got {m}")
     gram = np.einsum("mi,mj->ij", kets, kets.conj())
     w, u = np.linalg.eigh(gram)
-    if w[0] < eig_floor * w[-1]:
+    if w[0] < GRAM_EIG_FLOOR * w[-1]:
         raise RankDeficientGramError(
             f"Gram operator rank deficient: eigenvalue ratio {w[0] / w[-1]:.2e}"
         )
     g_inv_half = (u / np.sqrt(w)) @ u.conj().T
     rotated = kets @ g_inv_half.T  # G^{-1/2} |phi_j>
-    elements = rotated[:, :, None] * rotated.conj()[:, None, :]
-    return Povm(dim=d, elements=elements)
+    return rotated[:, :, None] * rotated.conj()[:, None, :]

@@ -167,7 +167,7 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
         for m in range(d, 3 * d + 1):
             kets = qstate.haar_random_pure(d, rng, size=m)
             povm = qstate.square_root_measurement(kets)
-            worst_comp = max(worst_comp, np.abs(povm.elements.sum(axis=0) - np.eye(d)).max())
+            worst_comp = max(worst_comp, np.abs(povm.sum(axis=0) - np.eye(d)).max())
             cases += 1
     yield SelfTestCheck("qstate", "srm-completeness", cases, worst_comp, 1e-9)
 
@@ -178,8 +178,7 @@ def _selftest_setup(cfg: bench.ExperimentConfig, basis, m: int, M: int, rng, noi
     detector = bench._draw_srm_detector(basis.dim, max(m, basis.dim), basis, rng)
     probes = protocols.ProbeSet.from_blochs(
         qstate.random_blochs(basis, M, rng, cfg.state_ensemble))
-    patterns = protocols.collect_patterns(
-        detector, probes, protocols.NoiseSpec("ratio", noise), rng)
+    patterns = protocols.collect_patterns(detector, probes, noise, rng)
     return detector, probes, patterns
 
 

@@ -35,7 +35,7 @@ def random_matrix(rng, max_dim=64):
     return x
 
 
-# one frozen experiment: detector, probes, their patterns, data-noise model
+# one frozen experiment: detector, probes, their patterns, data-noise ratio
 Setup = namedtuple("Setup", "detector probes patterns noise_data")
 
 
@@ -45,9 +45,8 @@ def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
     detector = qstate.povm_to_affine(povm, basis)
     rhos = qstate.random_density_hs(d, rng, size=M)
     probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
-    patterns = protocols.collect_patterns(
-        detector, probes, protocols.NoiseSpec("ratio", pattern_ratio), rng)
-    return Setup(detector, probes, patterns, protocols.NoiseSpec("ratio", data_ratio)), basis
+    patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
+    return Setup(detector, probes, patterns, data_ratio), basis
 
 
 def test_criterion_1_pseudoinverse_suite():

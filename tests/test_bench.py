@@ -258,12 +258,27 @@ MALFORMED_CSV_EDITS = {
 }
 
 
+def _package_reexports() -> dict:
+    """{module: names} that tomolin/__init__.py imports from its modules."""
+    with open(tomolin.__file__, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            names.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    return names
+
+
 @pytest.mark.parametrize("name", sorted(
     info.name for info in pkgutil.iter_modules(tomolin.__path__)))
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"tomolin.{name}")
-    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    exported = getattr(module, "__all__", ())
+    missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+    # a name the package re-exports from this module is in its __all__
+    unlisted = [attr for attr in _package_reexports().get(name, ()) if attr not in exported]
+    assert unlisted == []
 
 
 def _exit_in_worker(cfg, m, ensemble):
@@ -294,6 +309,19 @@ class TestRunLayer:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run(bench.ExperimentConfig(**tiny, workers=workers))
         assert len(built) == pools
+
+    @pytest.mark.parametrize("run, doc", [
+        (bench.run_sweep_probes, TINY_OUTCOMES),
+        # a sweep-probes config: an outcome sweep would write only M = 6
+        (bench.run_sweep_outcomes, dict(d=2, m_values=(4,), M_values=(6, 8), ensembles=1,
+                                        trials=5)),
+        # a sweep-probes config at d = 2, below the homodyne minimum of 3
+        (bench.run_homodyne, dict(d=2, m_values=(4,), M_values=(6,), ensembles=1, trials=5)),
+    ], ids=["probes", "outcomes", "homodyne"])
+    def test_run_refuses_another_experiments_config(self, tmp_path, run, doc):
+        with pytest.raises(bench.ConfigError, match="experiment"):
+            run(bench.ExperimentConfig(**doc, out=str(tmp_path / "run.csv")))
+        assert os.listdir(tmp_path) == []
 
     def test_blas_pinned_during_run_and_restored(self, monkeypatch):
         blas = bench._bundled_openblas()
@@ -398,14 +426,25 @@ def test_killed_run_leaves_no_workers(tmp_path):
 
 
 # runs long enough, some 200 cells, that a kill after their first rows
-# finds them mid-grid; homodyne exports at m = n + 1 = 9 and m = M = 20
+# finds them mid-grid; homodyne exports at m = n + 1 = 9 and m = M = 20.
+# "homodyne-wigner" is killed in its Wigner export instead, once a
+# temporary Wigner file exists: two cells, and five 201 x 201 grids
 KILLED_RUNS = {
     "sweep-outcomes": dict(experiment="sweep-outcomes", d=3, m_values=list(range(9, 109)),
                            M_values=[12], ensembles=2, trials=100, seed=7),
     "homodyne": dict(experiment="homodyne", d=3, m_values=list(range(9, 109)), M_values=[20],
                      ensembles=2, trials=20, seed=7, wigner_points=21),
+    "homodyne-wigner": dict(experiment="homodyne", d=3, m_values=[9, 20], M_values=[20],
+                            ensembles=1, trials=20, seed=7, wigner_points=201),
 }
 KILL_AFTER_ROWS = 10
+
+
+def _ready_to_kill(case, out) -> bool:
+    if case == "homodyne-wigner":
+        return any(path.name.endswith(".tmp") and "_wigner_" in path.name
+                   for path in out.parent.iterdir())
+    return out.exists() and out.read_text().count("\n") > KILL_AFTER_ROWS
 
 
 def _run_files(directory) -> dict:
@@ -422,32 +461,34 @@ def _run_files(directory) -> dict:
 
 @pytest.fixture(scope="module", params=sorted(KILLED_RUNS))
 def uninterrupted_run(request, tmp_path_factory):
-    """(experiment, config path, files) of an uninterrupted 1-worker run."""
-    experiment = request.param
-    workdir = tmp_path_factory.mktemp(experiment)
+    """(case, config path, files) of an uninterrupted 1-worker run."""
+    case = request.param
+    workdir = tmp_path_factory.mktemp(case)
     cfg = workdir / "cfg.json"
-    cfg.write_text(json.dumps(KILLED_RUNS[experiment]))
+    cfg.write_text(json.dumps(KILLED_RUNS[case]))
     (workdir / "run").mkdir()
-    assert cli.main([experiment, "--config", str(cfg), "--workers", "1",
+    assert cli.main([KILLED_RUNS[case]["experiment"], "--config", str(cfg), "--workers", "1",
                      "--out", str(workdir / "run" / "run.csv")]) == 0
-    return experiment, cfg, _run_files(workdir / "run")
+    return case, cfg, _run_files(workdir / "run")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, tmp_path):
-    # SIGKILL once the CSV holds KILL_AFTER_ROWS rows, found by polling, then
-    # rerun the same command: the CSV, .meta.json and Wigner files are
-    # those of the uninterrupted run, but for the worker count recorded
-    experiment, cfg, expected = uninterrupted_run
+    # SIGKILL once polling finds the CSV with KILL_AFTER_ROWS rows, or a
+    # temporary Wigner file, then rerun the same command: the CSV,
+    # .meta.json and Wigner files are those of the uninterrupted run, but
+    # for the worker count recorded, and no .tmp file is left
+    case, cfg, expected = uninterrupted_run
+    doc = KILLED_RUNS[case]
     (tmp_path / "run").mkdir()
     out = tmp_path / "run" / "run.csv"
-    command = [sys.executable, "-m", "tomolin.cli", experiment, "--config", str(cfg),
+    command = [sys.executable, "-m", "tomolin.cli", doc["experiment"], "--config", str(cfg),
                "--workers", str(workers), "--out", str(out)]
     proc = subprocess.Popen(command, env=_cli_env(), start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 30
-        while not (out.exists() and out.read_text().count("\n") > KILL_AFTER_ROWS):
+        while not _ready_to_kill(case, out):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.002)
         os.kill(proc.pid, signal.SIGKILL)
@@ -456,9 +497,12 @@ def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, t
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-    doc = KILLED_RUNS[experiment]
     rows = out.read_text().count("\n") - 1
-    assert KILL_AFTER_ROWS <= rows < len(doc["m_values"]) * doc["ensembles"]
+    cells = len(doc["m_values"]) * doc["ensembles"]
+    if case == "homodyne-wigner":
+        assert rows == cells
+    else:
+        assert KILL_AFTER_ROWS <= rows < cells
     resumed = subprocess.run(command, env=_cli_env(), capture_output=True, text=True,
                              timeout=120)
     assert resumed.returncode == 0, resumed.stderr
@@ -504,6 +548,17 @@ class TestRunHomodyne:
             ensembles=1, trials=10, wigner_points=21))
         assert calls == [16]
         assert sorted(exports) == [("pattern", 16), ("standard", 16)]
+
+    def test_two_batch_mse_calls_per_cell(self, monkeypatch):
+        # the Wigner exports take their estimates without an MSE
+        calls = []
+        batch_mse = protocols.batch_mse
+        monkeypatch.setattr(protocols, "batch_mse",
+                            lambda *args: calls.append(args) or batch_mse(*args))
+        cfg = bench.ExperimentConfig(**TINY_HOMODYNE)
+        _, exports = bench.run_homodyne(cfg)
+        assert len(exports) == 4
+        assert len(calls) == 2 * len(cfg.m_values) * cfg.ensembles
 
     def test_two_workers_write_the_same_files(self, tmp_path):
         for workers in (1, 2):
@@ -606,8 +661,7 @@ class TestHomodyneRunMemory:
         # the homodyne data: one response column repeated over the trials
         p_true = np.random.default_rng(6).random(130)
         repeated = np.broadcast_to(p_true[:, None], (130, 500))
-        spec = protocols.NoiseSpec("ratio", 0.06)
-        peak = _traced_peak(protocols.add_noise, repeated, spec, np.random.default_rng(7))
+        peak = _traced_peak(protocols.add_noise, repeated, 0.06, np.random.default_rng(7))
         assert peak < 1.2 * repeated.size * repeated.itemsize
 
 

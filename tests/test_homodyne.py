@@ -233,15 +233,11 @@ class TestQuadratureFunctional:
 
 class TestHomodyneMeasurement:
     def test_vacuum_probability_at_origin(self):
-        meas = homodyne.HomodyneMeasurement(
-            points=np.array([[0.3, 0.0]]),
-            effects=np.array([0.1 * homodyne.loss_channel_adjoint(
-                oracles.quadrature_functional(oracles.QuadratureOutcome(0.3, 0.0), 4), 1.0)]),
-            eta=1.0, dx=0.1,
-        )
+        effects = np.array([0.1 * homodyne.loss_channel_adjoint(
+            oracles.quadrature_functional(oracles.QuadratureOutcome(0.3, 0.0), 4), 1.0)])
         vac = np.zeros((4, 4), dtype=complex)
         vac[0, 0] = 1.0
-        p_vac = qstate.born_probabilities(vac, meas.effects)
+        p_vac = qstate.born_probabilities(vac, effects)
         assert p_vac[0] == pytest.approx(0.1 / np.sqrt(np.pi), abs=1e-12)
 
     @pytest.mark.parametrize("d_f", [3, 4, 6, 8])
@@ -249,30 +245,37 @@ class TestHomodyneMeasurement:
         for eta in (0.0, 0.3, 0.8, 1.0):
             for m in (1, 30, 130):
                 seed = (d_f, int(10 * eta), m)
-                meas = homodyne.homodyne_measurement(m, eta, np.random.default_rng(seed), d_f)
+                got_points, got_effects = homodyne.homodyne_measurement(
+                    m, eta, np.random.default_rng(seed), d_f)
                 points, effects = _measurement_loop(m, eta, np.random.default_rng(seed), d_f)
-                assert [tuple(p) for p in meas.points.tolist()] == points
-                assert np.array_equal(meas.effects, effects)
+                assert [tuple(p) for p in got_points.tolist()] == points
+                assert np.array_equal(got_effects, effects)
                 per_outcome = np.array([
                     0.1 * homodyne.loss_channel_adjoint(oracles.quadrature_functional(
                         oracles.QuadratureOutcome(theta, x), d_f), eta)
-                    for theta, x in meas.points.tolist()])
-                assert np.array_equal(meas.effects, per_outcome)
+                    for theta, x in got_points.tolist()])
+                assert np.array_equal(got_effects, per_outcome)
+
+    def test_returns_points_and_effects(self):
+        result = homodyne.homodyne_measurement(7, 0.8, np.random.default_rng(10), 5)
+        assert type(result) is tuple and len(result) == 2
+        points, effects = result
+        assert points.shape == (7, 2) and effects.shape == (7, 5, 5)
 
     def test_linearity_in_the_state(self):
         rng = np.random.default_rng(11)
-        meas = homodyne.homodyne_measurement(7, 0.8, rng, 5)
+        _, effects = homodyne.homodyne_measurement(7, 0.8, rng, 5)
         rho1 = qstate.random_density_hs(5, rng)
         rho2 = qstate.random_density_hs(5, rng)
         a = 0.3
-        mix = qstate.born_probabilities(a * rho1 + (1 - a) * rho2, meas.effects)
-        p1, p2 = (qstate.born_probabilities(rho, meas.effects) for rho in (rho1, rho2))
+        mix = qstate.born_probabilities(a * rho1 + (1 - a) * rho2, effects)
+        p1, p2 = (qstate.born_probabilities(rho, effects) for rho in (rho1, rho2))
         assert_allclose(mix, a * p1 + (1 - a) * p2, atol=1e-14)
 
     def test_outcome_distributions(self):
         rng = np.random.default_rng(12)
-        meas = homodyne.homodyne_measurement(500, 0.8, rng, 4, x_max=3.0)
-        thetas, xs = meas.points.T
+        points, _ = homodyne.homodyne_measurement(500, 0.8, rng, 4, x_max=3.0)
+        thetas, xs = points.T
         assert 0 <= thetas.min() and thetas.max() < np.pi
         assert np.abs(xs).max() <= 3.0
 

@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 
 from tomolin import matlib, protocols, qstate
 
-# one frozen experiment: detector, probes, their patterns, data-noise model
+# one frozen experiment: detector, probes, their patterns, data-noise ratio
 Setup = namedtuple("Setup", "detector probes patterns noise_data")
 
 
@@ -20,9 +20,8 @@ def make_random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
     detector = qstate.povm_to_affine(povm, basis)
     rhos = qstate.random_density_hs(d, rng, size=M)
     probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
-    patterns = protocols.collect_patterns(
-        detector, probes, protocols.NoiseSpec("ratio", pattern_ratio), rng)
-    return Setup(detector, probes, patterns, protocols.NoiseSpec("ratio", data_ratio)), basis
+    patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
+    return Setup(detector, probes, patterns, data_ratio), basis
 
 
 def estimate(inv, f):
@@ -41,31 +40,16 @@ def trial_mse(setup, basis, inv, n_trials, rng):
     return protocols.batch_mse(inv, data, true_blochs)
 
 
-class TestNoiseSpec:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            protocols.NoiseSpec("gaussian", 0.1)
-
-    def test_rejects_negative_value(self):
-        with pytest.raises(ValueError):
-            protocols.NoiseSpec("fixed", -1.0)
-
-
-def _add_noise_reference(p, spec, rng):
+def _add_noise_reference(p, ratio, rng):
     # add_noise as the sum of the input and a separate noise array, kept as
     # the bit-exact reference of the one-buffer form
     arr = np.asarray(p, dtype=float)
-    if spec.value == 0.0:
+    if ratio == 0.0:
         return arr.copy()
     vec = arr.ndim == 1
     cols = arr[:, None] if vec else arr
-    if spec.mode == "fixed":
-        dp = rng.standard_normal(cols.shape)
-        dp *= spec.value / np.linalg.norm(dp, axis=0, keepdims=True)
-        out = cols + dp
-    else:
-        rms = np.sqrt(np.mean(cols**2, axis=0, keepdims=True))
-        out = cols + rng.standard_normal(cols.shape) * (spec.value * rms)
+    rms = np.sqrt(np.mean(cols**2, axis=0, keepdims=True))
+    out = cols + rng.standard_normal(cols.shape) * (ratio * rms)
     return out[:, 0] if vec else out
 
 
@@ -73,43 +57,30 @@ class TestAddNoise:
     def test_zero_value_is_identity(self):
         rng = np.random.default_rng(1)
         p = np.array([0.2, 0.3, 0.5])
-        for mode in ("fixed", "ratio"):
-            assert_allclose(protocols.add_noise(p, protocols.NoiseSpec(mode, 0.0), rng), p)
+        assert_allclose(protocols.add_noise(p, 0.0, rng), p)
 
-    def test_fixed_strength_is_exact(self):
-        rng = np.random.default_rng(2)
-        p = np.array([0.2, 0.3, 0.5, 0.0])
-        eps = 0.037
-        f = protocols.add_noise(p, protocols.NoiseSpec("fixed", eps), rng)
-        assert np.linalg.norm(f - p) == pytest.approx(eps, rel=1e-12)
+    def test_rejects_negative_ratio(self):
+        with pytest.raises(ValueError, match="ratio"):
+            protocols.add_noise(np.array([0.2, 0.3, 0.5]), -0.1, np.random.default_rng(2))
 
-    def test_fixed_strength_per_column(self):
-        rng = np.random.default_rng(3)
-        p = rng.random((5, 7))
-        f = protocols.add_noise(p, protocols.NoiseSpec("fixed", 0.01), rng)
-        assert_allclose(np.linalg.norm(f - p, axis=0), 0.01, rtol=1e-12)
-
-    @pytest.mark.parametrize("mode", ["fixed", "ratio"])
-    @pytest.mark.parametrize("value", [0.06, 0.0])
+    @pytest.mark.parametrize("ratio", [0.06, 0.0], ids="{}-ratio".format)
     @pytest.mark.parametrize("shape", ["1-D", "2-D", "broadcast"])
-    def test_bits_equal_reference(self, mode, value, shape):
+    def test_bits_equal_reference(self, ratio, shape):
         p = np.random.default_rng(5).random((13, 50))
         # the broadcast view repeats one column, as the homodyne data does
         given = {"1-D": p[:, 0].copy(), "2-D": p,
                  "broadcast": np.broadcast_to(p[:, :1], p.shape)}[shape]
         # the reference gets a contiguous copy, as the tiled homodyne data was
         before = given.copy()
-        spec = protocols.NoiseSpec(mode, value)
-        expected = _add_noise_reference(before, spec, np.random.default_rng(6))
-        result = protocols.add_noise(given, spec, np.random.default_rng(6))
+        expected = _add_noise_reference(before, ratio, np.random.default_rng(6))
+        result = protocols.add_noise(given, ratio, np.random.default_rng(6))
         assert np.array_equal(result, expected)
         assert np.array_equal(given, before)
 
     def test_ratio_mode_sigma(self):
         rng = np.random.default_rng(4)
         p = np.array([0.1, 0.5, 0.2, 0.2])
-        spec = protocols.NoiseSpec("ratio", 0.06)
-        draws = np.array([protocols.add_noise(p, spec, rng) - p for _ in range(25_000)])
+        draws = np.array([protocols.add_noise(p, 0.06, rng) - p for _ in range(25_000)])
         sigma = draws.std()
         expected = 0.06 * np.sqrt(np.mean(p**2))
         assert abs(sigma - expected) / expected < 0.02
@@ -154,7 +125,7 @@ class TestCollectPatterns:
         povm = qstate.square_root_measurement(qstate.haar_random_pure(3, rng, size=10))
         detector = qstate.povm_to_affine(povm, basis)
         probes = protocols.ProbeSet.from_blochs(np.zeros((8, 1)))
-        patterns = protocols.collect_patterns(detector, probes, protocols.NoiseSpec("ratio", 0.0), rng)
+        patterns = protocols.collect_patterns(detector, probes, 0.0, rng)
         assert_allclose(patterns.f_matrix[:, 0], detector.offset, atol=1e-14)
 
     def test_columns_match_per_probe_evaluation(self):
@@ -170,7 +141,7 @@ class TestCollectPatterns:
         det = qstate.DetectorModel(offset=np.zeros(3), amatrix=np.zeros((3, 5)))
         probes = protocols.ProbeSet.from_blochs(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="augmented"):
-            protocols.collect_patterns(det, probes, protocols.NoiseSpec("ratio", 0.0), rng)
+            protocols.collect_patterns(det, probes, 0.0, rng)
 
 
 class TestInversionMatrices:
@@ -396,7 +367,7 @@ class TestMseEmpirical:
         # estimator maps linearly
         rng = np.random.default_rng(52)
         setup1, basis = make_random_setup(3, 14, 12, rng, pattern_ratio=0.0, data_ratio=0.02)
-        setup2 = setup1._replace(noise_data=protocols.NoiseSpec("ratio", 0.04))
+        setup2 = setup1._replace(noise_data=0.04)
         inv = protocols.pattern_inversion_matrix(setup1.patterns, setup1.probes)
         m1 = trial_mse(setup1, basis, inv, 4000, np.random.default_rng(2))
         m2 = trial_mse(setup2, basis, inv, 4000, np.random.default_rng(2))
@@ -469,8 +440,7 @@ class TestLimitingCaseDiagnostics:
             detector = qstate.povm_to_affine(povm, basis)
             rhos = qstate.random_density_hs(d, rng, size=max(m_values))
             probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
-            patterns = protocols.collect_patterns(
-                detector, probes, protocols.NoiseSpec("ratio", 0.03), rng)
+            patterns = protocols.collect_patterns(detector, probes, 0.03, rng)
             for j, M in enumerate(m_values):
                 diag = protocols.limiting_case_diagnostics(patterns.prefix(M), probes.prefix(M))
                 logs[s, j] = np.log(diag.hs_norm_standard / diag.hs_norm_pattern)

@@ -147,7 +147,7 @@ class TestGellmannTraces:
 class TestDetectorModel:
     def test_computational_basis_offsets(self):
         basis = qstate.gellmann_basis(2)
-        povm = qstate.Povm(dim=2, elements=np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex))
+        povm = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
         det = qstate.povm_to_affine(povm, basis)
         assert_allclose(det.offset, [0.5, 0.5], atol=1e-15)
 
@@ -182,11 +182,11 @@ class TestBornProbabilities:
         rng = np.random.default_rng(31)
         povm = qstate.square_root_measurement(qstate.haar_random_pure(3, rng, size=5))
         p = qstate.born_probabilities(np.eye(3) / 3, povm)
-        expected = np.trace(povm.elements, axis1=1, axis2=2).real / 3
+        expected = np.trace(povm, axis1=1, axis2=2).real / 3
         assert_allclose(p, expected, atol=1e-14)
 
     def test_projective_ground_state(self):
-        povm = qstate.Povm(dim=2, elements=np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex))
+        povm = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
         assert_allclose(qstate.born_probabilities(np.diag([1.0, 0.0]).astype(complex), povm), [1.0, 0.0], atol=1e-15)
 
     def test_normalised_and_nonnegative(self):
@@ -256,14 +256,22 @@ class TestSquareRootMeasurement:
         kets = np.eye(3, dtype=complex)
         povm = qstate.square_root_measurement(kets)
         for j in range(3):
-            assert_allclose(povm.elements[j], np.outer(kets[j], kets[j].conj()), atol=1e-12)
+            assert_allclose(povm[j], np.outer(kets[j], kets[j].conj()), atol=1e-12)
 
     @pytest.mark.parametrize("d,m", [(2, 2), (2, 5), (3, 4), (4, 12), (3, 9)])
     def test_completeness(self, d, m):
         rng = np.random.default_rng(100 * d + m)
         povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
-        povm.validate()
-        assert np.abs(povm.elements.sum(axis=0) - np.eye(d)).max() < 1e-9
+        # Hermitian and positive semidefinite elements that sum to one
+        assert np.abs(povm - np.conj(np.swapaxes(povm, 1, 2))).max() <= 1e-10
+        assert np.linalg.eigvalsh(povm).min() >= -1e-10
+        assert np.abs(povm.sum(axis=0) - np.eye(d)).max() < 1e-9
+
+    def test_returns_the_effect_stack(self):
+        kets = qstate.haar_random_pure(3, np.random.default_rng(48), size=5)
+        effects = qstate.square_root_measurement(kets)
+        assert type(effects) is np.ndarray
+        assert effects.shape == (5, 3, 3) and effects.dtype == complex
 
     def test_two_state_case_against_closed_form(self):
         # states |0> and |+>; G = [[3/2, 1/2], [1/2, 1/2]], and for a SPD
@@ -277,7 +285,7 @@ class TestSquareRootMeasurement:
             g_inv_half @ np.outer(k, k.conj()) @ g_inv_half for k in kets
         ])
         povm = qstate.square_root_measurement(kets)
-        assert np.abs(povm.elements - expected).max() < 1e-10
+        assert np.abs(povm - expected).max() < 1e-10
 
     def test_rank_deficient_gram_rejected(self):
         kets = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
