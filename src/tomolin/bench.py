@@ -248,10 +248,9 @@ def _inversion_matrices(cfg: ExperimentConfig, probes, patterns) -> tuple:
 
 
 def _evaluate(cfg: ExperimentConfig, m: int, M: int, ensemble: int,
-              probes, patterns, data, true_blochs) -> SweepResult:
-    """One sweep point: the CSV row of the MSEs of A_s and A_p."""
-    e2s, e2p = (protocols.batch_mse(inv, data, true_blochs)
-                for inv in _inversion_matrices(cfg, probes, patterns))
+              invs, data, true_blochs) -> SweepResult:
+    """One sweep point: the CSV row of the MSEs of invs = (A_s, A_p)."""
+    e2s, e2p = (protocols.batch_mse(inv, data, true_blochs) for inv in invs)
     return SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p)
 
 
@@ -271,7 +270,8 @@ def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     patterns_full = protocols.collect_patterns(detector, probes_full, cfg.noise_ratio_patterns, rng)
     true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
     data = protocols.trial_data(detector, true_blochs, cfg.noise_ratio_data, rng)
-    return [_evaluate(cfg, m, M, ensemble, probes_full.prefix(M), patterns_full.prefix(M),
+    return [_evaluate(cfg, m, M, ensemble,
+                      _inversion_matrices(cfg, probes_full.prefix(M), patterns_full.prefix(M)),
                       data, true_blochs)
             for M in cfg.M_values]
 
@@ -298,7 +298,8 @@ def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
     patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
     true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
     data = protocols.trial_data(detector, true_blochs, cfg.noise_ratio_data, rng)
-    return [_evaluate(cfg, m, M, ensemble, probes, patterns, data, true_blochs)]
+    return [_evaluate(cfg, m, M, ensemble, _inversion_matrices(cfg, probes, patterns),
+                      data, true_blochs)]
 
 
 def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
@@ -315,22 +316,28 @@ def _homodyne_cell(cfg: ExperimentConfig, m: int, ensemble: int):
     """The draws of one homodyne cell: random quadrature set, coherent probe
     patterns and repeated noisy data of the fixed benchmark signal.
 
-    Returns (probes, patterns, data, true_blochs), the last the Bloch
-    vector of the signal as one column."""
+    Returns (invs, data, true_blochs): (A_s, A_p), the data, and the Bloch
+    vector of the signal as one column.  The inversions draw nothing, so
+    they are built, and the measurement, probes and patterns freed, before
+    the (m, trials) data are drawn."""
     basis = qstate.gellmann_basis(cfg.d)
     rng = _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble)
     _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
                                                dx=cfg.dx, x_max=cfg.x_max)
     detector = qstate.povm_to_affine(effects, basis)
+    del effects
     probes = _homodyne_probes(cfg, basis, rng)
     patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
+    invs = _inversion_matrices(cfg, probes, patterns)
+    del probes, patterns
     signal = homodyne.true_signal(cfg.d)
     r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()), basis)
     # every trial measures the same state: compute its response once
     p_true = detector.probabilities(r_true)
+    del detector
     repeated = np.broadcast_to(p_true[:, None], (m, cfg.trials))
     data = protocols.add_noise(repeated, cfg.noise_ratio_data, rng)
-    return probes, patterns, data, r_true[:, None]
+    return invs, data, r_true[:, None]
 
 
 def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
@@ -341,10 +348,11 @@ def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
     """Estimates of both protocols from the trial-averaged data of ensemble
     0 at m, recomputed from the cell's key; None where an estimate is
     degenerate.  The cell's arrays are freed on return."""
-    probes, patterns, data, _ = _homodyne_cell(cfg, m, 0)
+    invs, data, _ = _homodyne_cell(cfg, m, 0)
+    mean = data.mean(axis=1, keepdims=True)
     estimates = {}
-    for kind, inv in zip(("standard", "pattern"), _inversion_matrices(cfg, probes, patterns)):
-        r_hat, valid = protocols.estimate_batch(inv, data.mean(axis=1, keepdims=True))
+    for kind, inv in zip(("standard", "pattern"), invs):
+        r_hat, valid = protocols.estimate_batch(inv, mean)
         estimates[kind] = r_hat[:, 0] if valid[0] else None
     return estimates
 
@@ -619,30 +627,31 @@ def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
 
 
 def run_homodyne(cfg: ExperimentConfig):
-    """Homodyne MSE-versus-m curves for the fixed benchmark signal, plus
-    Wigner grid exports for both protocols at the minimal informationally
-    complete point and at m = M (reconstructed from ensemble 0 by
-    trial-averaged data).  The two points coincide when n + 1 = M, and
-    are then exported once."""
+    """Homodyne MSE-versus-m curves for the fixed benchmark signal.
+
+    With cfg.out set, Wigner grids go next to it: the true state's first,
+    then both protocols' at the minimal informationally complete point and
+    at m = M (reconstructed from ensemble 0 by trial-averaged data), each
+    written before the next is computed.  The two points coincide when
+    n + 1 = M, and are then exported once.  Without cfg.out no grid is
+    computed.  Returns the new rows."""
     results = _run_grid(cfg, "homodyne", _homodyne_task)
+    if cfg.out is None:
+        return results
     export_m = cfg.wigner_export_m
     if export_m is None:
         export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
                                  if m in cfg.m_values)
     basis = qstate.gellmann_basis(cfg.d)
     axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
+    stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
+    signal = homodyne.true_signal(cfg.d)
+    _wigner_csv(homodyne.wigner(np.outer(signal, signal.conj()), axis, axis),
+                f"{stem}_wigner_true.csv")
     with _one_blas_thread():
-        exports = {
-            (kind, m): homodyne.wigner(qstate.bloch_to_state(r_hat, basis), axis, axis)
-            for m in export_m
-            for kind, r_hat in _mean_estimates(cfg, m).items()
-            if r_hat is not None
-        }
-    if cfg.out is not None:
-        signal = homodyne.true_signal(cfg.d)
-        rho_true = np.outer(signal, signal.conj())
-        stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-        _wigner_csv(homodyne.wigner(rho_true, axis, axis), f"{stem}_wigner_true.csv")
-        for (kind, m), grid in exports.items():
-            _wigner_csv(grid, f"{stem}_wigner_{kind}_m{m}.csv")
-    return results, exports
+        for m in export_m:
+            for kind, r_hat in _mean_estimates(cfg, m).items():
+                if r_hat is not None:
+                    _wigner_csv(homodyne.wigner(qstate.bloch_to_state(r_hat, basis), axis, axis),
+                                f"{stem}_wigner_{kind}_m{m}.csv")
+    return results

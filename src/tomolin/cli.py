@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure or a
-worker process that died, 3 selftest failure.
+Exit codes: 0 success, 1 configuration error or an OSError while output
+is written (a full disk, say), 2 numerical failure or a worker process
+that died, 3 selftest failure.
 """
 
 import argparse
@@ -123,9 +124,12 @@ def main(argv=None) -> int:
         elif args.command == "sweep-outcomes":
             rows = bench.run_sweep_outcomes(cfg)
         else:
-            rows, _ = bench.run_homodyne(cfg)
+            rows = bench.run_homodyne(cfg)
     except bench.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except (matlib.SvdError, protocols.EstimationFailureError,
             np.linalg.LinAlgError, RuntimeError) as exc:

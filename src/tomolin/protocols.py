@@ -159,13 +159,16 @@ def estimate_batch(inv: np.ndarray, fmat) -> tuple[np.ndarray, np.ndarray]:
     columns f by the (n + 1, m) inversion matrix inv, with no physicality
     projection; returns (estimates, valid_mask), where a column is invalid
     when its leading coordinate, the estimate of the constant 1, falls
-    below LEAD_FLOOR.
+    below LEAD_FLOOR.  The estimates are divided in place and returned as
+    a view of the product inv @ f, so no second batch is allocated.
     """
     raw = inv @ np.asarray(fmat, dtype=float)
     lead = raw[0, :]
     valid = np.abs(lead) >= LEAD_FLOOR
     safe = np.where(valid, lead, 1.0)
-    return raw[1:, :] / safe[None, :], valid
+    estimates = raw[1:, :]
+    estimates /= safe
+    return estimates, valid
 
 
 def mse_theoretical(inv: np.ndarray, epsilon: float, m: int) -> float:
@@ -203,7 +206,10 @@ def batch_mse(inv: np.ndarray, data, true_blochs) -> float:
             f"{failures}/{batch} estimates degenerate, above the "
             f"{MAX_FAILURE_FRACTION:.0%} exclusion budget"
         )
-    errors = np.sum((estimates - true_blochs) ** 2, axis=0)
+    # in place: the squared errors overwrite the estimates
+    estimates -= true_blochs
+    np.square(estimates, out=estimates)
+    errors = np.sum(estimates, axis=0)
     return float(np.mean(errors[valid]))
 
 

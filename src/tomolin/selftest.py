@@ -250,8 +250,11 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
 def run_selftest(cfg: bench.ExperimentConfig) -> SelfTestReport:
     """Run the matlib, qstate and protocols invariant suites and report
     worst residuals against their tolerances, with BLAS on one thread as
-    in every run."""
+    in every run.  A config that is invalid or made for another experiment
+    raises ConfigError."""
     cfg.validate()
+    if cfg.experiment != "selftest":
+        raise bench.ConfigError(f"a config for experiment {cfg.experiment!r} cannot run selftest")
     rng = bench._rng(cfg.seed, bench._TAG_SELFTEST)
     checks = []
     with bench._one_blas_thread():

@@ -213,8 +213,8 @@ def homodyne_sweep(tmp_path_factory):
         M_values=(40,), ensembles=20, trials=100, seed=42, out=out, workers=1,
     )
     start = time.monotonic()
-    rows, exports = bench.run_homodyne(cfg)
-    return cfg, rows, exports, time.monotonic() - start
+    rows = bench.run_homodyne(cfg)
+    return cfg, rows, out, time.monotonic() - start
 
 
 def test_criterion_8_homodyne_resonances(homodyne_sweep):
@@ -236,7 +236,7 @@ def test_criterion_8_homodyne_resonances(homodyne_sweep):
 
 
 def test_criterion_9_wigner_checks(homodyne_sweep):
-    cfg, _, exports, _ = homodyne_sweep
+    cfg, _, out, _ = homodyne_sweep
     vac = np.zeros((4, 4), dtype=complex)
     vac[0, 0] = 1.0
     one = np.zeros((4, 4), dtype=complex)
@@ -246,7 +246,10 @@ def test_criterion_9_wigner_checks(homodyne_sweep):
     amps = homodyne.true_signal(cfg.d)
     truth = homodyne.wigner(np.outer(amps, amps.conj()))
     w_sig = truth.value_at(0.0, 0.0)
-    recon = exports[("pattern", cfg.n_params + 1)]
+    points = cfg.wigner_points
+    x, p, w = np.loadtxt(f"{out[:-4]}_wigner_pattern_m{cfg.n_params + 1}.csv",
+                         delimiter=",", skiprows=1, unpack=True)
+    recon = homodyne.WignerGrid(x[::points], p[:points], w.reshape(points, points))
     sign_ok = truth.values.min() < 0 and recon.values.min() < 0
     ok = (abs(w_vac - 1 / np.pi) < 1e-8 and abs(w_one + 1 / np.pi) < 1e-8
           and abs(w_sig - 1 / (3 * np.pi)) < 1e-6 and sign_ok)

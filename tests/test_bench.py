@@ -4,6 +4,7 @@ determinism, resumability, the selftest and the CLI."""
 import ast
 import concurrent.futures
 import contextlib
+import errno
 import importlib
 import json
 import os
@@ -512,13 +513,22 @@ def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, t
     assert _run_files(tmp_path / "run") == expected
 
 
+def _wigner_exports(directory) -> list:
+    """(kind, m) of each reconstructed Wigner grid a homodyne run wrote to
+    directory, from the file names <stem>_wigner_<kind>_m<m>.csv."""
+    names = (re.fullmatch(r".*_wigner_(standard|pattern)_m(\d+)\.csv", p.name)
+             for p in directory.iterdir())
+    return [(match[1], int(match[2])) for match in names if match]
+
+
 class TestRunHomodyne:
     def test_rows_and_wigner_exports(self, tmp_path):
         out = str(tmp_path / "homo.csv")
         cfg = bench.ExperimentConfig(**TINY_HOMODYNE, out=out)
-        rows, exports = bench.run_homodyne(cfg)
+        rows = bench.run_homodyne(cfg)
         assert len(rows) == 4 * 2
         # exports at the minimal augmented point and at m = M
+        exports = _wigner_exports(tmp_path)
         assert ("pattern", 16) in exports and ("standard", 40) in exports
         stem = out[:-4]
         for name in ("_wigner_true.csv", "_wigner_pattern_m16.csv", "_wigner_standard_m40.csv"):
@@ -533,7 +543,7 @@ class TestRunHomodyne:
         dx = (2 * cfg.wigner_span) / (cfg.wigner_points - 1)
         assert truth[:, 2].sum() * dx * dx == pytest.approx(1.0, abs=1e-2)
 
-    def test_coinciding_export_points_computed_once(self, monkeypatch):
+    def test_coinciding_export_points_computed_once(self, tmp_path, monkeypatch):
         # d = 4 and M = 16 make the minimal point n + 1 equal to M
         calls = []
         mean_estimates = bench._mean_estimates
@@ -543,20 +553,22 @@ class TestRunHomodyne:
             return mean_estimates(cfg, m)
 
         monkeypatch.setattr(bench, "_mean_estimates", counting)
-        _, exports = bench.run_homodyne(bench.ExperimentConfig(
+        bench.run_homodyne(bench.ExperimentConfig(
             experiment="homodyne", d=4, m_values=(14, 16), M_values=(16,),
-            ensembles=1, trials=10, wigner_points=21))
+            ensembles=1, trials=10, wigner_points=21, out=str(tmp_path / "homo.csv")))
+        exports = _wigner_exports(tmp_path)
         assert calls == [16]
         assert sorted(exports) == [("pattern", 16), ("standard", 16)]
 
-    def test_two_batch_mse_calls_per_cell(self, monkeypatch):
+    def test_two_batch_mse_calls_per_cell(self, tmp_path, monkeypatch):
         # the Wigner exports take their estimates without an MSE
         calls = []
         batch_mse = protocols.batch_mse
         monkeypatch.setattr(protocols, "batch_mse",
                             lambda *args: calls.append(args) or batch_mse(*args))
-        cfg = bench.ExperimentConfig(**TINY_HOMODYNE)
-        _, exports = bench.run_homodyne(cfg)
+        cfg = bench.ExperimentConfig(**TINY_HOMODYNE, out=str(tmp_path / "homo.csv"))
+        bench.run_homodyne(cfg)
+        exports = _wigner_exports(tmp_path)
         assert len(exports) == 4
         assert len(calls) == 2 * len(cfg.m_values) * cfg.ensembles
 
@@ -664,6 +676,33 @@ class TestHomodyneRunMemory:
         peak = _traced_peak(protocols.add_noise, repeated, 0.06, np.random.default_rng(7))
         assert peak < 1.2 * repeated.size * repeated.itemsize
 
+    def test_full_scale_cell_peak(self):
+        # the inversions are built before the 520 kB (m, trials) data are
+        # drawn, and the MSE squares the errors in place
+        cfg = bench.ExperimentConfig(**cli.FULL_SCALE_HOMODYNE, experiment="homodyne")
+        bench._homodyne_task(cfg, 30, 0)  # fills the caches of a d = 6 run
+        assert _traced_peak(bench._homodyne_task, cfg, 130, 0) < 0.9e6
+
+    def test_run_peak_with_wigner_exports(self, tmp_path):
+        # four reconstructed 201 x 201 grids and the true one, each written
+        # before the next is computed
+        cfg = bench.ExperimentConfig(experiment="homodyne", d=6, M_values=(100,),
+                                     m_values=(36, 100), ensembles=1, trials=20,
+                                     out=str(tmp_path / "homo.csv"))
+        bench._homodyne_task(cfg, 36, 0)  # fills the caches of a d = 6 run
+        assert _traced_peak(bench.run_homodyne, cfg) < 1.0e6
+        assert len(_wigner_exports(tmp_path)) == 4
+
+    def test_run_without_out_computes_no_wigner_grid(self, tmp_path, monkeypatch):
+        calls = []
+        wigner = homodyne.wigner
+        monkeypatch.setattr(homodyne, "wigner",
+                            lambda *args: calls.append(args) or wigner(*args))
+        monkeypatch.chdir(tmp_path)
+        rows = bench.run_homodyne(bench.ExperimentConfig(**TINY_HOMODYNE))
+        assert len(rows) == 4 * 2
+        assert calls == [] and os.listdir(tmp_path) == []
+
 
 class TestSelfTest:
     def test_default_passes(self):
@@ -677,6 +716,11 @@ class TestSelfTest:
         report = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
         summary = [l for l in report.format_lines() if "checks passed" in l]
         assert len(summary) == 3
+
+    def test_refuses_another_experiments_config(self):
+        with pytest.raises(bench.ConfigError, match="experiment"):
+            selftest.run_selftest(bench.ExperimentConfig(experiment="homodyne", d=6,
+                                                         M_values=(100,)))
 
     def test_corrupted_pinv_tolerance_fails(self):
         report = selftest.run_selftest(
@@ -739,6 +783,24 @@ class TestCli:
         assert cli.main(["sweep-probes", "--config", str(cfg), "--workers", "2"]) == 2
         err = capsys.readouterr().err
         assert "worker process failed" in err and "numerical failure" not in err
+
+    @pytest.mark.parametrize("owner, writer", [(bench, "_wigner_csv"),
+                                               (bench._OutputFiles, "write_rows")],
+                             ids=["wigner", "rows"])
+    def test_output_error_exit_code(self, tmp_path, capsys, monkeypatch, owner, writer):
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(owner, writer, full_disk)
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_HOMODYNE.items()}))
+        out = tmp_path / "homo.csv"
+        assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
 
     def test_sweep_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.json"
@@ -926,7 +988,7 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         # of this config moves in its last digit between 1 and 2 OpenBLAS
         # threads unless the run pins BLAS itself
         code = ("from tomolin import bench; "
-                "rows, _ = bench.run_homodyne(bench.ExperimentConfig(experiment='homodyne', "
+                "rows = bench.run_homodyne(bench.ExperimentConfig(experiment='homodyne', "
                 "d=6, M_values=(100,), m_values=(122,), ensembles=17, trials=20)); "
                 "print('\\n'.join(row.csv_row() for row in rows))")
         outputs = {}
