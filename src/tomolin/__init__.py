@@ -17,7 +17,6 @@ from .protocols import (
     ProbeSet,
     add_noise,
     collect_patterns,
-    limiting_case_diagnostics,
     mse_theoretical,
     pattern_inversion_matrix,
     standard_inversion_matrix,

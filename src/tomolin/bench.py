@@ -28,7 +28,9 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "SweepResult",
+    "Cell",
     "CSV_HEADER",
+    "cells",
     "run_sweep_probes",
     "run_sweep_outcomes",
     "run_homodyne",
@@ -118,10 +120,6 @@ class ExperimentConfig:
         cfg = cls(**doc)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        return cls.from_dict(read_config_document(path))
 
 
 def _annotation(tp) -> tuple:
@@ -247,32 +245,30 @@ def _inversion_matrices(cfg: ExperimentConfig, probes, patterns) -> tuple:
             protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol))
 
 
-def _evaluate(cfg: ExperimentConfig, m: int, M: int, ensemble: int,
-              invs, data, true_blochs) -> SweepResult:
-    """One sweep point: the CSV row of the MSEs of invs = (A_s, A_p)."""
-    e2s, e2p = (protocols.batch_mse(inv, data, true_blochs) for inv in invs)
-    return SweepResult(cfg.d, cfg.n_params, m, M, cfg.seed, ensemble, e2s, e2p)
+class Cell(typing.NamedTuple):
+    """The draws of one (m, M, ensemble) point of an experiment."""
+
+    M: int
+    invs: tuple          # (A_s, A_p), (n + 1, m) each
+    data: np.ndarray     # (m, trials) noisy detector responses
+    truth: np.ndarray    # (n, trials) Bloch columns, or (n, 1) for homodyne
 
 
-def _probe_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
-    """All M points of one measurement ensemble at fixed m.
+def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
+    """The cells of a random square-root measurement at every M.
 
-    The measurement, trial states and data noise are drawn once per
-    ensemble and shared along the curve; probes are drawn once at max(M)
-    and prefix-sliced, so growing M literally adds probes.  This keeps the
-    per-ensemble curves comparable point to point.
-    """
-    rng = _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble)
+    The measurement, trial states and data noise are drawn once and shared
+    along M.  Without a given probe set, one is drawn at max(M) after the
+    measurement and prefix-sliced, so growing M literally adds probes."""
     basis = qstate.gellmann_basis(cfg.d)
     detector = _draw_srm_detector(cfg.d, m, basis, rng)
-    probes_full = protocols.ProbeSet.from_blochs(
-        qstate.random_blochs(basis, max(cfg.M_values), rng, cfg.state_ensemble))
-    patterns_full = protocols.collect_patterns(detector, probes_full, cfg.noise_ratio_patterns, rng)
-    true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
-    data = protocols.trial_data(detector, true_blochs, cfg.noise_ratio_data, rng)
-    return [_evaluate(cfg, m, M, ensemble,
-                      _inversion_matrices(cfg, probes_full.prefix(M), patterns_full.prefix(M)),
-                      data, true_blochs)
+    if probes is None:
+        probes = protocols.ProbeSet.from_blochs(
+            qstate.random_blochs(basis, max(cfg.M_values), rng, cfg.state_ensemble))
+    patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
+    truth = qstate.random_blochs(basis, cfg.trials, rng)
+    data = protocols.trial_data(detector, truth, cfg.noise_ratio_data, rng)
+    return [Cell(M, _inversion_matrices(cfg, probes.prefix(M), patterns.prefix(M)), data, truth)
             for M in cfg.M_values]
 
 
@@ -287,21 +283,6 @@ def _outcome_probes(seed: int, d: int, M: int, ensemble: int,
     return protocols.ProbeSet.from_blochs(qstate.random_blochs(basis, M, rng, state_ensemble))
 
 
-def _outcome_sweep_task(cfg: ExperimentConfig, m: int, ensemble: int):
-    """One (m, ensemble) cell at fixed M; its ensemble's probe set is the
-    same at every m."""
-    basis = qstate.gellmann_basis(cfg.d)
-    M = cfg.M_values[0]
-    probes = _outcome_probes(cfg.seed, cfg.d, M, ensemble, cfg.state_ensemble)
-    rng = _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble)
-    detector = _draw_srm_detector(cfg.d, m, basis, rng)
-    patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
-    true_blochs = qstate.random_blochs(basis, cfg.trials, rng)
-    data = protocols.trial_data(detector, true_blochs, cfg.noise_ratio_data, rng)
-    return [_evaluate(cfg, m, M, ensemble, _inversion_matrices(cfg, probes, patterns),
-                      data, true_blochs)]
-
-
 def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
     # coherent probes uniform in area over the disk |alpha| < 0.8
     M = cfg.M_values[0]
@@ -312,16 +293,12 @@ def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
     return protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
 
 
-def _homodyne_cell(cfg: ExperimentConfig, m: int, ensemble: int):
-    """The draws of one homodyne cell: random quadrature set, coherent probe
-    patterns and repeated noisy data of the fixed benchmark signal.
-
-    Returns (invs, data, true_blochs): (A_s, A_p), the data, and the Bloch
-    vector of the signal as one column.  The inversions draw nothing, so
-    they are built, and the measurement, probes and patterns freed, before
-    the (m, trials) data are drawn."""
+def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
+    """The one cell of a random quadrature set with coherent probe patterns
+    and repeated noisy data of the fixed benchmark signal.  The inversions
+    draw nothing, so they are built, and the measurement, probes and
+    patterns freed, before the (m, trials) data are drawn."""
     basis = qstate.gellmann_basis(cfg.d)
-    rng = _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble)
     _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
                                                dx=cfg.dx, x_max=cfg.x_max)
     detector = qstate.povm_to_affine(effects, basis)
@@ -337,21 +314,42 @@ def _homodyne_cell(cfg: ExperimentConfig, m: int, ensemble: int):
     del detector
     repeated = np.broadcast_to(p_true[:, None], (m, cfg.trials))
     data = protocols.add_noise(repeated, cfg.noise_ratio_data, rng)
-    return invs, data, r_true[:, None]
+    return [Cell(cfg.M_values[0], invs, data, r_true[:, None])]
 
 
-def _homodyne_task(cfg: ExperimentConfig, m: int, ensemble: int):
-    return [_evaluate(cfg, m, cfg.M_values[0], ensemble, *_homodyne_cell(cfg, m, ensemble))]
+def cells(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
+    """The cells of one ensemble of cfg's experiment at m, one per M, drawn
+    exactly as a run draws them from (seed, stream tag, m, ensemble).  The
+    inversions have a run's bits when BLAS runs on one thread, as in a run."""
+    if cfg.experiment == "sweep-probes":
+        return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble))
+    if cfg.experiment == "sweep-outcomes":
+        probes = _outcome_probes(cfg.seed, cfg.d, cfg.M_values[0], ensemble, cfg.state_ensemble)
+        return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble), probes)
+    if cfg.experiment == "homodyne":
+        return _homodyne_cells(cfg, m, _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble))
+    raise ConfigError(f"experiment {cfg.experiment!r} has no cells")
+
+
+def _task(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
+    """The CSV rows of one ensemble at m: the MSEs of both protocols in
+    each cell.  Overflow warnings are silenced, since a non-finite pattern
+    or MSE raises its own error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [SweepResult(cfg.d, cfg.n_params, m, cell.M, cfg.seed, ensemble,
+                            *(protocols.batch_mse(inv, cell.data, cell.truth)
+                              for inv in cell.invs))
+                for cell in cells(cfg, m, ensemble)]
 
 
 def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
     """Estimates of both protocols from the trial-averaged data of ensemble
     0 at m, recomputed from the cell's key; None where an estimate is
     degenerate.  The cell's arrays are freed on return."""
-    invs, data, _ = _homodyne_cell(cfg, m, 0)
-    mean = data.mean(axis=1, keepdims=True)
+    (cell,) = cells(cfg, m, 0)
+    mean = cell.data.mean(axis=1, keepdims=True)
     estimates = {}
-    for kind, inv in zip(("standard", "pattern"), invs):
+    for kind, inv in zip(("standard", "pattern"), cell.invs):
         r_hat, valid = protocols.estimate_batch(inv, mean)
         estimates[kind] = r_hat[:, 0] if valid[0] else None
     return estimates
@@ -556,13 +554,13 @@ def _one_blas_thread():
             _set_blas_threads(previous)
 
 
-def _cell_results(cfg: ExperimentConfig, task, keys):
-    """Yield task(cfg, m, ensemble) for each key, in key order: in this
+def _cell_results(cfg: ExperimentConfig, keys):
+    """Yield _task(cfg, m, ensemble) for each key, in key order: in this
     process at one worker, otherwise from one pool that serves the whole
     run, so later cells are already queued while earlier ones are written."""
     if cfg.workers == 1 or not keys:
         for key in keys:
-            yield task(cfg, *key)
+            yield _task(cfg, *key)
         return
     # imported here, so that a run on one worker loads no multiprocessing
     import multiprocessing
@@ -570,11 +568,11 @@ def _cell_results(cfg: ExperimentConfig, task, keys):
     parent = os.getpid() if multiprocessing.get_start_method() == "fork" else None
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
                              initargs=(parent,)) as pool:
-        yield from pool.map(functools.partial(task, cfg), *zip(*keys))
+        yield from pool.map(functools.partial(_task, cfg), *zip(*keys))
 
 
-def _run_grid(cfg: ExperimentConfig, experiment: str, task):
-    """Run task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
+def _run_grid(cfg: ExperimentConfig, experiment: str):
+    """Run _task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
     skipping cells whose rows cfg.out already holds, and write and return
     the new rows in (m, M, ensemble) order, with BLAS on one thread.
 
@@ -589,9 +587,9 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, task):
         done = output.done
         keys = [(m, e) for m in cfg.m_values for e in range(cfg.ensembles)
                 if any((m, M, e) not in done for M in cfg.M_values)]
-        cells = zip(keys, _cell_results(cfg, task, keys))
-        for m, m_cells in itertools.groupby(cells, key=lambda cell: cell[0][0]):
-            m_rows = [row for _, rows in m_cells for row in rows
+        keyed = zip(keys, _cell_results(cfg, keys))
+        for m, m_results in itertools.groupby(keyed, key=lambda item: item[0][0]):
+            m_rows = [row for _, rows in m_results for row in rows
                       if (m, row.M, row.ensemble) not in done]
             for M in cfg.M_values:
                 point_rows = [row for row in m_rows if row.M == M]
@@ -603,7 +601,7 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, task):
 def run_sweep_probes(cfg: ExperimentConfig):
     """Performance-ratio sweep over the probe count M at fixed outcome
     counts; one CSV row per (m, M, ensemble)."""
-    return _run_grid(cfg, "sweep-probes", _probe_sweep_task)
+    return _run_grid(cfg, "sweep-probes")
 
 
 def run_sweep_outcomes(cfg: ExperimentConfig):
@@ -612,7 +610,7 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
     Each ensemble's probe set is shared across m: every process, this one
     or a pool worker, draws it at most once in a run."""
     _outcome_probes.cache_clear()
-    return _run_grid(cfg, "sweep-outcomes", _outcome_sweep_task)
+    return _run_grid(cfg, "sweep-outcomes")
 
 
 def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
@@ -635,7 +633,7 @@ def run_homodyne(cfg: ExperimentConfig):
     written before the next is computed.  The two points coincide when
     n + 1 = M, and are then exported once.  Without cfg.out no grid is
     computed.  Returns the new rows."""
-    results = _run_grid(cfg, "homodyne", _homodyne_task)
+    results = _run_grid(cfg, "homodyne")
     if cfg.out is None:
         return results
     export_m = cfg.wigner_export_m

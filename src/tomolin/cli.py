@@ -131,8 +131,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1
-    except (matlib.SvdError, protocols.EstimationFailureError,
+    except (matlib.SvdError, protocols.EstimationFailureError, FloatingPointError,
             np.linalg.LinAlgError, RuntimeError) as exc:
+        # FloatingPointError: patterns that overflow
         # BrokenProcessPool is a RuntimeError; its module is loaded only
         # where a pool was built, at --workers > 1
         pool = sys.modules.get("concurrent.futures.process")

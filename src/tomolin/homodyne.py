@@ -143,11 +143,6 @@ class WignerGrid:
     p_axis: np.ndarray
     values: np.ndarray  # (len(x_axis), len(p_axis))
 
-    def value_at(self, x: float, p: float) -> float:
-        i = int(np.argmin(np.abs(self.x_axis - x)))
-        j = int(np.argmin(np.abs(self.p_axis - p)))
-        return float(self.values[i, j])
-
 
 def _binom(n: int, k: int) -> float:
     """Binomial coefficient C(n, k) for integral n >= 0 by the product form

@@ -17,7 +17,6 @@ from . import matlib, qstate
 __all__ = [
     "ProbeSet",
     "PatternSet",
-    "LimitingCaseDiagnostics",
     "EstimationFailureError",
     "add_noise",
     "collect_patterns",
@@ -27,7 +26,6 @@ __all__ = [
     "trial_data",
     "batch_mse",
     "mse_theoretical",
-    "limiting_case_diagnostics",
 ]
 
 LEAD_FLOOR = 1e-6  # leading augmented coordinate below this is degenerate
@@ -35,7 +33,7 @@ MAX_FAILURE_FRACTION = 0.01  # share of degenerate estimates a batch may exclude
 
 
 class EstimationFailureError(ArithmeticError):
-    """Too many degenerate estimates in a trial batch."""
+    """Too many degenerate estimates in a trial batch, or a non-finite MSE."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,8 @@ class ProbeSet:
         return self.r_matrix.shape[1]
 
     def prefix(self, count: int) -> "ProbeSet":
-        return ProbeSet(self.r_matrix[:, :count])
+        """The first count probes; self at the full count, so its R+ is kept."""
+        return self if count == self.n_probes else ProbeSet(self.r_matrix[:, :count])
 
     def pinv(self, rtol: float | None = None) -> np.ndarray:
         """R+, read-only and computed once per rtol."""
@@ -94,7 +93,7 @@ class PatternSet:
         return self.f_matrix.shape[1]
 
     def prefix(self, count: int) -> "PatternSet":
-        return PatternSet(self.f_matrix[:, :count])
+        return self if count == self.n_probes else PatternSet(self.f_matrix[:, :count])
 
 
 def add_noise(p, ratio: float, rng) -> np.ndarray:
@@ -123,14 +122,19 @@ def add_noise(p, ratio: float, rng) -> np.ndarray:
 def collect_patterns(detector: qstate.DetectorModel, probes: ProbeSet,
                      ratio: float, rng) -> PatternSet:
     """Measure every probe through the detector and perturb the responses
-    by add_noise at the given ratio."""
+    by add_noise at the given ratio.  Raises FloatingPointError when the
+    patterns overflow to non-finite entries."""
     fwd = detector.augmented()
     if fwd.shape[1] != probes.r_matrix.shape[0]:
         raise ValueError(
             f"detector expects {fwd.shape[1]} augmented parameters, "
             f"probes carry {probes.r_matrix.shape[0]}"
         )
-    return PatternSet(add_noise(fwd @ probes.r_matrix, ratio, rng))
+    f = add_noise(fwd @ probes.r_matrix, ratio, rng)
+    if not np.all(np.isfinite(f)):
+        raise FloatingPointError(f"the {f.shape[0]} x {f.shape[1]} patterns overflowed "
+                                 "to non-finite entries")
+    return PatternSet(f)
 
 
 def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
@@ -174,7 +178,11 @@ def estimate_batch(inv: np.ndarray, fmat) -> tuple[np.ndarray, np.ndarray]:
 def mse_theoretical(inv: np.ndarray, epsilon: float, m: int) -> float:
     """Noise-averaged error epsilon^2 ||A||^2 / m for sphere-uniform data
     noise of strength epsilon, using the de-augmented inversion matrix
-    A = inv[1:] (the constant row dropped)."""
+    A = inv[1:] (the constant row dropped).
+
+    The ratio noise of add_noise, as the CLI adds it to a response p, has
+    the same expected error with epsilon = ratio * ||p||_2: its m entries
+    have variance (ratio * ||p||_2)^2 / m, as a sphere draw's do."""
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     if m < 1:
@@ -196,7 +204,8 @@ def batch_mse(inv: np.ndarray, data, true_blochs) -> float:
     the true Bloch columns.
 
     Degenerate estimates are excluded from the mean while they stay within
-    MAX_FAILURE_FRACTION of the batch, otherwise the batch fails hard.
+    MAX_FAILURE_FRACTION of the batch, otherwise the batch fails hard, as
+    it does when the mean is not finite.
     """
     estimates, valid = estimate_batch(inv, data)
     batch = valid.size
@@ -210,66 +219,8 @@ def batch_mse(inv: np.ndarray, data, true_blochs) -> float:
     estimates -= true_blochs
     np.square(estimates, out=estimates)
     errors = np.sum(estimates, axis=0)
-    return float(np.mean(errors[valid]))
-
-
-@dataclass(frozen=True)
-class LimitingCaseDiagnostics:
-    """Norm bookkeeping behind the regime analysis of the two protocols."""
-
-    hs_norm_standard: float
-    hs_norm_pattern: float
-    h_norm: float
-    h_rank: int
-    u11_norm: float
-    u11_bound: float
-
-
-def limiting_case_diagnostics(patterns: PatternSet, probes: ProbeSet,
-                              rtol: float | None = None) -> LimitingCaseDiagnostics:
-    """Diagnostics for redundant probe sets, M > min(m, n + 1).
-
-    Returns the protocol norms, the norm and rank of the skew projector
-    h = (F+ F R+ R)+ that appears in the standard inversion, and the norm of
-    the n_aug x m corner block of V_R* V_F.  Checks ||h|| >= sqrt(rank h)
-    (every singular value of a projector on its support is >= 1) and
-    ||U11|| <= sqrt(min block dimension).
-
-    R and F are factorised once each; R+, F+, A_s = (F R+)+, A_p = R F+
-    and U11 all come from those two factorisations.
-    """
-    _check_counts(patterns, probes)
-    f = patterns.f_matrix
-    r = probes.r_matrix
-    n_aug = r.shape[0]
-    m = f.shape[0]
-    big_m = r.shape[1]
-    if big_m <= min(m, n_aug):
-        raise ValueError(
-            f"diagnostics need a redundant probe set, M > min(m, n+1); "
-            f"got M={big_m}, m={m}, n+1={n_aug}"
-        )
-    fr = matlib.svd(r, rtol=rtol)
-    ff = matlib.svd(f, rtol=rtol)
-    rp = fr.pinv()
-    fp = ff.pinv()
-    a_s = matlib.pinv(f @ rp, rtol=rtol)
-    a_p = r @ fp
-    h = matlib.pinv((fp @ f) @ (rp @ r), rtol=rtol)
-    h_norm = matlib.hs_norm(h)
-    h_rank = matlib.svd(h, rtol=rtol).numerical_rank
-    if h_norm < np.sqrt(h_rank) - 1e-9:
-        raise AssertionError(f"projector norm {h_norm} below sqrt(rank) {np.sqrt(h_rank)}")
-    u11 = fr.v.conj().T @ ff.v
-    u11_norm = matlib.hs_norm(u11)
-    u11_bound = np.sqrt(min(u11.shape))
-    if u11_norm > u11_bound + 1e-9:
-        raise AssertionError(f"corner block norm {u11_norm} above bound {u11_bound}")
-    return LimitingCaseDiagnostics(
-        hs_norm_standard=matlib.hs_norm(a_s),
-        hs_norm_pattern=matlib.hs_norm(a_p),
-        h_norm=h_norm,
-        h_rank=h_rank,
-        u11_norm=u11_norm,
-        u11_bound=float(u11_bound),
-    )
+    mse = float(np.mean(errors[valid]))
+    if not np.isfinite(mse):
+        raise EstimationFailureError(f"mean squared error {mse} over {batch - failures} "
+                                     "estimates is not finite")
+    return mse

@@ -1,16 +1,19 @@
-"""Reference forms of the homodyne layer that only the tests use.
+"""Reference forms and diagnostics that only the tests use.
 
 loss_channel is the Schrodinger picture of the photon-loss channel, the
 reference for homodyne.loss_channel_adjoint; QuadratureOutcome and
 quadrature_functional build one quadrature functional at a time, the
 reference for the batched functionals of homodyne.homodyne_measurement.
+value_at reads a Wigner grid at its point nearest to (x, p),
+limiting_case_diagnostics does the norm bookkeeping of the two protocols
+for redundant probe sets, and keyed_cells lists the cells of a run.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from tomolin import homodyne
+from tomolin import bench, homodyne, matlib, protocols
 
 
 def loss_channel(rho, eta: float) -> np.ndarray:
@@ -39,3 +42,81 @@ class QuadratureOutcome:
 def quadrature_functional(outcome: QuadratureOutcome, d_f: int) -> np.ndarray:
     """Rank-one operator |x_theta><x_theta| in the truncated Fock basis."""
     return homodyne._quadrature_functionals(outcome.theta, outcome.x, d_f)
+
+
+def value_at(grid: homodyne.WignerGrid, x: float, p: float) -> float:
+    """The value of a Wigner grid at its point nearest to (x, p)."""
+    i = int(np.argmin(np.abs(grid.x_axis - x)))
+    j = int(np.argmin(np.abs(grid.p_axis - p)))
+    return float(grid.values[i, j])
+
+
+def keyed_cells(cfg: bench.ExperimentConfig) -> list:
+    """(m, ensemble, cell) of every cell of cfg's grid in (m, ensemble)
+    order, with BLAS on one thread as in a run, so with a run's bits."""
+    with bench._one_blas_thread():
+        return [(m, e, cell) for m in cfg.m_values for e in range(cfg.ensembles)
+                for cell in bench.cells(cfg, m, e)]
+
+
+@dataclass(frozen=True)
+class LimitingCaseDiagnostics:
+    """Norm bookkeeping behind the regime analysis of the two protocols."""
+
+    hs_norm_standard: float
+    hs_norm_pattern: float
+    h_norm: float
+    h_rank: int
+    u11_norm: float
+    u11_bound: float
+
+
+def limiting_case_diagnostics(patterns: protocols.PatternSet,
+                              probes: protocols.ProbeSet,
+                              rtol: float | None = None) -> LimitingCaseDiagnostics:
+    """Diagnostics for redundant probe sets, M > min(m, n + 1).
+
+    Returns the protocol norms, the norm and rank of the skew projector
+    h = (F+ F R+ R)+ that appears in the standard inversion, and the norm of
+    the n_aug x m corner block of V_R* V_F.  Checks ||h|| >= sqrt(rank h)
+    (every singular value of a projector on its support is >= 1) and
+    ||U11|| <= sqrt(min block dimension).
+
+    R and F are factorised once each; R+, F+, A_s = (F R+)+, A_p = R F+
+    and U11 all come from those two factorisations.
+    """
+    protocols._check_counts(patterns, probes)
+    f = patterns.f_matrix
+    r = probes.r_matrix
+    n_aug = r.shape[0]
+    m = f.shape[0]
+    big_m = r.shape[1]
+    if big_m <= min(m, n_aug):
+        raise ValueError(
+            f"diagnostics need a redundant probe set, M > min(m, n+1); "
+            f"got M={big_m}, m={m}, n+1={n_aug}"
+        )
+    fr = matlib.svd(r, rtol=rtol)
+    ff = matlib.svd(f, rtol=rtol)
+    rp = fr.pinv()
+    fp = ff.pinv()
+    a_s = matlib.pinv(f @ rp, rtol=rtol)
+    a_p = r @ fp
+    h = matlib.pinv((fp @ f) @ (rp @ r), rtol=rtol)
+    h_norm = matlib.hs_norm(h)
+    h_rank = matlib.svd(h, rtol=rtol).numerical_rank
+    if h_norm < np.sqrt(h_rank) - 1e-9:
+        raise AssertionError(f"projector norm {h_norm} below sqrt(rank) {np.sqrt(h_rank)}")
+    u11 = fr.v.conj().T @ ff.v
+    u11_norm = matlib.hs_norm(u11)
+    u11_bound = np.sqrt(min(u11.shape))
+    if u11_norm > u11_bound + 1e-9:
+        raise AssertionError(f"corner block norm {u11_norm} above bound {u11_bound}")
+    return LimitingCaseDiagnostics(
+        hs_norm_standard=matlib.hs_norm(a_s),
+        hs_norm_pattern=matlib.hs_norm(a_p),
+        h_norm=h_norm,
+        h_rank=h_rank,
+        u11_norm=u11_norm,
+        u11_bound=float(u11_bound),
+    )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import oracles
 from tomolin import bench, homodyne, matlib, protocols, qstate
 from tomolin.selftest import penrose_with_properties
 
@@ -241,11 +242,11 @@ def test_criterion_9_wigner_checks(homodyne_sweep):
     vac[0, 0] = 1.0
     one = np.zeros((4, 4), dtype=complex)
     one[1, 1] = 1.0
-    w_vac = homodyne.wigner(vac).value_at(0.0, 0.0)
-    w_one = homodyne.wigner(one).value_at(0.0, 0.0)
+    w_vac = oracles.value_at(homodyne.wigner(vac), 0.0, 0.0)
+    w_one = oracles.value_at(homodyne.wigner(one), 0.0, 0.0)
     amps = homodyne.true_signal(cfg.d)
     truth = homodyne.wigner(np.outer(amps, amps.conj()))
-    w_sig = truth.value_at(0.0, 0.0)
+    w_sig = oracles.value_at(truth, 0.0, 0.0)
     points = cfg.wigner_points
     x, p, w = np.loadtxt(f"{out[:-4]}_wigner_pattern_m{cfg.n_params + 1}.csv",
                          delimiter=",", skiprows=1, unpack=True)

@@ -19,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 import tomolin
 from tomolin import bench, cli, homodyne, matlib, protocols, qstate, selftest
 
@@ -70,14 +71,14 @@ class TestExperimentConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "sweep-probes", "d": 2,
                                     "m_values": [5], "M_values": [4]}))
-        cfg = bench.ExperimentConfig.from_file(str(path))
+        cfg = bench.ExperimentConfig.from_dict(bench.read_config_document(str(path)))
         assert cfg.d == 2 and cfg.m_values == (5,)
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(bench.ConfigError):
-            bench.ExperimentConfig.from_file(str(path))
+            bench.ExperimentConfig.from_dict(bench.read_config_document(str(path)))
 
 
 def read_rows(path):
@@ -143,7 +144,7 @@ class TestSweepProbes:
         cfg = bench.ExperimentConfig(**TINY_PROBES)
         rows = bench.run_sweep_probes(cfg)
         target = rows[4]
-        again = bench._probe_sweep_task(cfg, target.m, target.ensemble)
+        again = bench._task(cfg, target.m, target.ensemble)
         match = [r for r in again if r.M == target.M][0]
         assert match == target
 
@@ -174,7 +175,7 @@ class TestSweepOutcomes:
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES)
         basis_rows = {}
         for m in cfg.m_values:
-            rows = bench._outcome_sweep_task(cfg, m, 1)
+            rows = bench._task(cfg, m, 1)
             basis_rows[m] = rows[0]
         # distinct m cells exist and come from the same probe draw; the
         # derivation key for probes ignores m, so this must not raise
@@ -229,12 +230,49 @@ def cellwise_outcome_rows(cfg):
     for m in cfg.m_values:
         for e in range(cfg.ensembles):
             bench._outcome_probes.cache_clear()
-            rows.extend(bench._outcome_sweep_task(cfg, m, e))
+            rows.extend(bench._task(cfg, m, e))
     return rows
 
 
 def csv_lines(rows):
     return [bench.CSV_HEADER, *(row.csv_row() for row in rows)]
+
+
+RUNS = {
+    "probes": (TINY_PROBES, bench.run_sweep_probes),
+    "outcomes": (TINY_OUTCOMES_D4, bench.run_sweep_outcomes),
+    "homodyne": (TINY_HOMODYNE, bench.run_homodyne),
+}
+
+
+class TestCells:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_cells_give_the_rows_of_a_run(self, name):
+        tiny, run = RUNS[name]
+        cfg = bench.ExperimentConfig(**tiny)
+        rows = run(cfg)
+        again = [bench.SweepResult(cfg.d, cfg.n_params, m, cell.M, cfg.seed, e,
+                                   *(protocols.batch_mse(inv, cell.data, cell.truth)
+                                     for inv in cell.invs))
+                 for m, e, cell in oracles.keyed_cells(cfg)]
+        # exact float equality: the same bits
+        assert sorted(again, key=lambda r: (r.m, r.M, r.ensemble)) == rows
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_cell_shapes(self, name):
+        cfg = bench.ExperimentConfig(**RUNS[name][0])
+        n = cfg.n_params
+        truth = (n, 1) if name == "homodyne" else (n, cfg.trials)
+        for m in cfg.m_values:
+            cells = bench.cells(cfg, m, 0)
+            assert [cell.M for cell in cells] == list(cfg.M_values)
+            for cell in cells:
+                assert [inv.shape for inv in cell.invs] == [(n + 1, m)] * 2
+                assert cell.data.shape == (m, cfg.trials) and cell.truth.shape == truth
+
+    def test_selftest_config_has_no_cells(self):
+        with pytest.raises(bench.ConfigError, match="no cells"):
+            bench.cells(bench.ExperimentConfig(experiment="selftest"), 4, 0)
 
 
 def _with_field(line, index, value):
@@ -280,6 +318,34 @@ def test_every_exported_name_resolves(name):
     # a name the package re-exports from this module is in its __all__
     unlisted = [attr for attr in _package_reexports().get(name, ()) if attr not in exported]
     assert unlisted == []
+
+
+def _is_entry_point(name: str) -> bool:
+    # called only from outside the package: the CLI, the runs and cells
+    return name in ("main", "cells") or name.startswith("run_")
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # a public module-level function or class must be named somewhere in
+    # src/tomolin beyond its definition, __all__ and the package's
+    # re-exports, which are strings and import aliases, not names
+    trees = {}
+    for info in pkgutil.iter_modules(tomolin.__path__):
+        with open(importlib.import_module(f"tomolin.{info.name}").__file__,
+                  "r", encoding="utf-8") as fh:
+            trees[info.name] = ast.parse(fh.read())
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and not _is_entry_point(node.name)
+              and node.name not in used]
+    assert unused == []
 
 
 def _exit_in_worker(cfg, m, ensemble):
@@ -330,13 +396,13 @@ class TestRunLayer:
             pytest.skip("numpy carries no bundled OpenBLAS")
         get_threads, set_threads = blas
         inside = []
-        task = bench._probe_sweep_task
+        task = bench._task
 
         def recording(cfg, m, ensemble):
             inside.append(get_threads())
             return task(cfg, m, ensemble)
 
-        monkeypatch.setattr(bench, "_probe_sweep_task", recording)
+        monkeypatch.setattr(bench, "_task", recording)
         previous = get_threads()
         set_threads(2)
         try:
@@ -680,8 +746,8 @@ class TestHomodyneRunMemory:
         # the inversions are built before the 520 kB (m, trials) data are
         # drawn, and the MSE squares the errors in place
         cfg = bench.ExperimentConfig(**cli.FULL_SCALE_HOMODYNE, experiment="homodyne")
-        bench._homodyne_task(cfg, 30, 0)  # fills the caches of a d = 6 run
-        assert _traced_peak(bench._homodyne_task, cfg, 130, 0) < 0.9e6
+        bench._task(cfg, 30, 0)  # fills the caches of a d = 6 run
+        assert _traced_peak(bench._task, cfg, 130, 0) < 0.9e6
 
     def test_run_peak_with_wigner_exports(self, tmp_path):
         # four reconstructed 201 x 201 grids and the true one, each written
@@ -689,7 +755,7 @@ class TestHomodyneRunMemory:
         cfg = bench.ExperimentConfig(experiment="homodyne", d=6, M_values=(100,),
                                      m_values=(36, 100), ensembles=1, trials=20,
                                      out=str(tmp_path / "homo.csv"))
-        bench._homodyne_task(cfg, 36, 0)  # fills the caches of a d = 6 run
+        bench._task(cfg, 36, 0)  # fills the caches of a d = 6 run
         assert _traced_peak(bench.run_homodyne, cfg) < 1.0e6
         assert len(_wigner_exports(tmp_path)) == 4
 
@@ -776,13 +842,28 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
 
     def test_worker_crash_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(bench, "_probe_sweep_task", _exit_in_worker)
+        monkeypatch.setattr(bench, "_task", _exit_in_worker)
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
                                    for k, v in TINY_PROBES.items()}))
         assert cli.main(["sweep-probes", "--config", str(cfg), "--workers", "2"]) == 2
         err = capsys.readouterr().err
         assert "worker process failed" in err and "numerical failure" not in err
+
+    @pytest.mark.parametrize("doc", [
+        dict(experiment="sweep-outcomes", d=2, m_values=[4], M_values=[6], ensembles=1,
+             trials=20, noise_ratio_data=1e308),
+        dict(experiment="homodyne", d=3, m_values=[9], M_values=[12], ensembles=1,
+             trials=20, dx=1e300),
+    ], ids=["infinite-mse", "overflowed-patterns"])
+    def test_non_finite_values_exit_code(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run.csv"
+        assert cli.main([doc["experiment"], "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+        assert out.read_text() == bench.CSV_HEADER + "\n"
 
     @pytest.mark.parametrize("owner, writer", [(bench, "_wigner_csv"),
                                                (bench._OutputFiles, "write_rows")],

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import spearmanr
 
+import oracles
 from tomolin import matlib, protocols, qstate
 
 # one frozen experiment: detector, probes, their patterns, data-noise ratio
@@ -111,6 +112,16 @@ class TestProbeAndPatternSets:
         with pytest.raises(ValueError, match="non-finite"):
             protocols.PatternSet(np.array([[np.nan, 1.0]]))
 
+    def test_prefix_at_full_count_is_the_set(self):
+        # so a probe set keeps its R+ through a prefix of all its probes
+        rng = np.random.default_rng(15)
+        ps = protocols.ProbeSet.from_blochs(rng.standard_normal((8, 12)))
+        patterns = protocols.PatternSet(rng.standard_normal((5, 12)))
+        rp = ps.pinv()
+        assert ps.prefix(12) is ps and ps.prefix(12).pinv() is rp
+        assert patterns.prefix(12) is patterns
+        assert ps.prefix(6).n_probes == patterns.prefix(6).n_probes == 6
+
 
 class TestCollectPatterns:
     def test_noiseless_collection_is_forward_map(self):
@@ -142,6 +153,17 @@ class TestCollectPatterns:
         probes = protocols.ProbeSet.from_blochs(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="augmented"):
             protocols.collect_patterns(det, probes, 0.0, rng)
+
+    def test_overflowed_patterns_raise(self):
+        # responses of 3e300 are finite, but their squares for the noise
+        # RMS are not
+        rng = np.random.default_rng(16)
+        det = qstate.DetectorModel(offset=np.full(3, 1e300), amatrix=np.full((3, 2), 1e300))
+        probes = protocols.ProbeSet.from_blochs(np.ones((2, 4)))
+        assert np.all(protocols.collect_patterns(det, probes, 0.0, rng).f_matrix == 3e300)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflowed"):
+            protocols.collect_patterns(det, probes, 0.03, rng)
 
 
 class TestInversionMatrices:
@@ -321,6 +343,13 @@ class TestBatchMse:
         with pytest.raises(protocols.EstimationFailureError, match="3/200"):
             protocols.batch_mse(inv, data, true_blochs)
 
+    def test_non_finite_mean_raises(self):
+        inv, data, true_blochs = self._batch(0)
+        data[1, 5] = 1e200  # its squared error overflows
+        with np.errstate(over="ignore"), \
+                pytest.raises(protocols.EstimationFailureError, match="not finite"):
+            protocols.batch_mse(inv, data, true_blochs)
+
 
 class TestMseTheoretical:
     def test_identity_matrix(self):
@@ -388,12 +417,12 @@ class TestLimitingCaseDiagnostics:
         rng = np.random.default_rng(61)
         setup, _ = make_random_setup(3, 11, 8, rng)
         with pytest.raises(ValueError, match="redundant"):
-            protocols.limiting_case_diagnostics(setup.patterns, setup.probes)
+            oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
 
     def test_projector_spectrum_bounds(self):
         rng = np.random.default_rng(62)
         setup, _ = make_random_setup(3, 9, 20, rng)
-        diag = protocols.limiting_case_diagnostics(setup.patterns, setup.probes)
+        diag = oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
         assert diag.h_norm >= np.sqrt(diag.h_rank) - 1e-9
         assert diag.u11_norm <= diag.u11_bound + 1e-9
         assert diag.hs_norm_standard > 0 and diag.hs_norm_pattern > 0
@@ -409,7 +438,7 @@ class TestLimitingCaseDiagnostics:
             return svd(x, rtol=rtol)
 
         monkeypatch.setattr(matlib, "svd", counting)
-        protocols.limiting_case_diagnostics(setup.patterns, setup.probes)
+        oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
         # R is 9 x 20, F is 12 x 20 and F R+ is 12 x 9; the other two are
         # the 20 x 20 projector argument and h
         assert shapes.count((9, 20)) == 1
@@ -421,7 +450,7 @@ class TestLimitingCaseDiagnostics:
         rng = np.random.default_rng(63)
         for _ in range(20):
             setup, _ = make_random_setup(2, 14, 10, rng)  # m >= M > n+1
-            diag = protocols.limiting_case_diagnostics(setup.patterns, setup.probes)
+            diag = oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
             assert diag.hs_norm_standard <= diag.hs_norm_pattern + 1e-10
 
     def test_minimal_measurement_trend_with_probe_count(self):
@@ -442,7 +471,7 @@ class TestLimitingCaseDiagnostics:
             probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
             patterns = protocols.collect_patterns(detector, probes, 0.03, rng)
             for j, M in enumerate(m_values):
-                diag = protocols.limiting_case_diagnostics(patterns.prefix(M), probes.prefix(M))
+                diag = oracles.limiting_case_diagnostics(patterns.prefix(M), probes.prefix(M))
                 logs[s, j] = np.log(diag.hs_norm_standard / diag.hs_norm_pattern)
         geo_curve = np.exp(logs.mean(axis=0))
         assert geo_curve[-1] > geo_curve[0]
