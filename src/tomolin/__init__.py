@@ -23,7 +23,6 @@ from .protocols import (
 )
 from .qstate import (
     DetectorModel,
-    OperatorBasis,
     born_probabilities,
     bloch_to_state,
     gellmann_basis,

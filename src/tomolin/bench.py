@@ -228,12 +228,12 @@ def _rng(seed: int, *key: int):
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _draw_srm_detector(d: int, m: int, basis, rng):
+def _draw_srm_detector(d: int, m: int, rng):
     for _ in range(_MAX_REDRAWS):
         try:
             kets = qstate.haar_random_pure(d, rng, size=m)
             povm = qstate.square_root_measurement(kets)
-            return qstate.povm_to_affine(povm, basis)
+            return qstate.povm_to_affine(povm)
         except qstate.RankDeficientGramError:
             continue
     raise RuntimeError(f"square-root measurement redraw budget exhausted (d={d}, m={m})")
@@ -260,13 +260,12 @@ def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
     The measurement, trial states and data noise are drawn once and shared
     along M.  Without a given probe set, one is drawn at max(M) after the
     measurement and prefix-sliced, so growing M literally adds probes."""
-    basis = qstate.gellmann_basis(cfg.d)
-    detector = _draw_srm_detector(cfg.d, m, basis, rng)
+    detector = _draw_srm_detector(cfg.d, m, rng)
     if probes is None:
         probes = protocols.ProbeSet.from_blochs(
-            qstate.random_blochs(basis, max(cfg.M_values), rng, cfg.state_ensemble))
+            qstate.random_blochs(cfg.d, max(cfg.M_values), rng, cfg.state_ensemble))
     patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
-    truth = qstate.random_blochs(basis, cfg.trials, rng)
+    truth = qstate.random_blochs(cfg.d, cfg.trials, rng)
     data = protocols.trial_data(detector, truth, cfg.noise_ratio_data, rng)
     return [Cell(M, _inversion_matrices(cfg, probes.prefix(M), patterns.prefix(M)), data, truth)
             for M in cfg.M_values]
@@ -279,18 +278,17 @@ def _outcome_probes(seed: int, d: int, M: int, ensemble: int,
     ignores m.  Memoised, so each process draws it, and computes its R+,
     at most once; run_sweep_outcomes clears the memo when it starts."""
     rng = _rng(seed, _TAG_OUTCOME_PROBES, ensemble)
-    basis = qstate.gellmann_basis(d)
-    return protocols.ProbeSet.from_blochs(qstate.random_blochs(basis, M, rng, state_ensemble))
+    return protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng, state_ensemble))
 
 
-def _homodyne_probes(cfg: ExperimentConfig, basis, rng) -> protocols.ProbeSet:
+def _homodyne_probes(cfg: ExperimentConfig, rng) -> protocols.ProbeSet:
     # coherent probes uniform in area over the disk |alpha| < 0.8
     M = cfg.M_values[0]
     radii = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, M))
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, M))
     kets = homodyne.coherent_state_fock(radii * phases, cfg.d)
     rhos = np.einsum("mi,mj->mij", kets, kets.conj())
-    return protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
+    return protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
 
 
 def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
@@ -298,17 +296,16 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     and repeated noisy data of the fixed benchmark signal.  The inversions
     draw nothing, so they are built, and the measurement, probes and
     patterns freed, before the (m, trials) data are drawn."""
-    basis = qstate.gellmann_basis(cfg.d)
     _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
                                                dx=cfg.dx, x_max=cfg.x_max)
-    detector = qstate.povm_to_affine(effects, basis)
+    detector = qstate.povm_to_affine(effects)
     del effects
-    probes = _homodyne_probes(cfg, basis, rng)
+    probes = _homodyne_probes(cfg, rng)
     patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
     invs = _inversion_matrices(cfg, probes, patterns)
     del probes, patterns
     signal = homodyne.true_signal(cfg.d)
-    r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()), basis)
+    r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()))
     # every trial measures the same state: compute its response once
     p_true = detector.probabilities(r_true)
     del detector
@@ -447,13 +444,18 @@ class _OutputFiles:
     def _row_key(self, line: str) -> tuple:
         """(m, M, ensemble) of a complete line, which must be a row of this
         run: six integer keys, with d, n and seed the config's and m, M and
-        ensemble on its grid, then three floats."""
+        ensemble on its grid, then two finite MSEs >= 0 and a ratio >= 0,
+        which may be infinite."""
         cfg = self.cfg
         parts = line.split(",")
         try:  # the unpacking also refuses a line without exactly nine fields
-            d, n, m, M, seed, ensemble, _, _, _ = (*map(int, parts[:6]), *map(float, parts[6:]))
+            d, n, m, M, seed, ensemble, e2_std, e2_pat, ratio = (*map(int, parts[:6]),
+                                                                 *map(float, parts[6:]))
         except ValueError:
             raise ConfigError(f"cannot resume {cfg.out}: malformed row {line!r}") from None
+        if not (all(math.isfinite(e) and e >= 0 for e in (e2_std, e2_pat)) and ratio >= 0):
+            raise ConfigError(f"cannot resume {cfg.out}: {line!r} holds an MSE that is not "
+                              f"finite and >= 0, or a ratio that is NaN or negative")
         if ((d, n, seed) != (cfg.d, cfg.n_params, cfg.seed) or m not in cfg.m_values
                 or M not in cfg.M_values or ensemble not in range(cfg.ensembles)):
             raise ConfigError(f"cannot resume {cfg.out}: {line!r} is not a row of this run (d "
@@ -613,15 +615,15 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
     return _run_grid(cfg, "sweep-outcomes")
 
 
-def _wigner_csv(grid: homodyne.WignerGrid, path: str) -> None:
-    # the axis strings are formatted once and reused for every point; the
-    # values are turned into Python floats one row at a time
-    xs = [f"{x:.12e}" for x in grid.x_axis.tolist()]
-    ps = [f"{p:.12e}" for p in grid.p_axis.tolist()]
+def _wigner_csv(path: str, axis: np.ndarray, values: np.ndarray) -> None:
+    # values are a Wigner grid over axis x axis; the axis strings are
+    # formatted once and reused for every point, and the values are turned
+    # into Python floats one row at a time
+    points = [f"{v:.12e}" for v in axis.tolist()]
     with _replacing(path) as fh:
         fh.write("x,p,w\n")
-        for x, row in zip(xs, grid.values):
-            fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(ps, row.tolist())))
+        for x, row in zip(points, values):
+            fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(points, row.tolist())))
 
 
 def run_homodyne(cfg: ExperimentConfig):
@@ -640,16 +642,15 @@ def run_homodyne(cfg: ExperimentConfig):
     if export_m is None:
         export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
                                  if m in cfg.m_values)
-    basis = qstate.gellmann_basis(cfg.d)
     axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
     stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
     signal = homodyne.true_signal(cfg.d)
-    _wigner_csv(homodyne.wigner(np.outer(signal, signal.conj()), axis, axis),
-                f"{stem}_wigner_true.csv")
+    _wigner_csv(f"{stem}_wigner_true.csv", axis,
+                homodyne.wigner(np.outer(signal, signal.conj()), axis, axis))
     with _one_blas_thread():
         for m in export_m:
             for kind, r_hat in _mean_estimates(cfg, m).items():
                 if r_hat is not None:
-                    _wigner_csv(homodyne.wigner(qstate.bloch_to_state(r_hat, basis), axis, axis),
-                                f"{stem}_wigner_{kind}_m{m}.csv")
+                    _wigner_csv(f"{stem}_wigner_{kind}_m{m}.csv", axis,
+                                homodyne.wigner(qstate.bloch_to_state(r_hat), axis, axis))
     return results

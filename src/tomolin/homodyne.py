@@ -8,14 +8,12 @@ sqrt(2) |alpha| cos(arg(alpha) - theta).  Wigner functions normalise to
 unit integral over the (x, p) plane.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 __all__ = [
-    "WignerGrid",
     "coherent_state_fock",
     "true_signal",
     "kraus_operators",
@@ -114,8 +112,8 @@ def _quadrature_functionals(theta, x, d_f: int) -> np.ndarray:
     return amp[..., :, None] * amp.conj()[..., None, :]
 
 
-def homodyne_measurement(m: int, eta: float, rng, d_f: int,
-                         dx: float = 0.1, x_max: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
+def homodyne_measurement(m: int, eta: float, rng, d_f: int, *,
+                         dx: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Draw m quadrature points with theta ~ U[0, pi), x ~ U[-x_max, x_max]
     and build the binned functionals p_j = trace(loss(rho, eta) |x><x|) dx
     of an inefficient homodyne detector.
@@ -133,15 +131,6 @@ def homodyne_measurement(m: int, eta: float, rng, d_f: int,
     points = rng.uniform([0.0, -x_max], [np.pi, x_max], size=(m, 2))
     functionals = _quadrature_functionals(points[:, 0], points[:, 1], d_f)
     return points, dx * loss_channel_adjoint(functionals, eta)
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    """Wigner function sampled on a rectangular phase-space grid."""
-
-    x_axis: np.ndarray
-    p_axis: np.ndarray
-    values: np.ndarray  # (len(x_axis), len(p_axis))
 
 
 def _binom(n: int, k: int) -> float:
@@ -208,8 +197,9 @@ def _wigner_block(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np
     return values.real
 
 
-def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:
-    """Wigner function of a Fock-basis density matrix.
+def wigner(rho, x_axis, p_axis) -> np.ndarray:
+    """Wigner function of a Fock-basis density matrix: the
+    (len(x_axis), len(p_axis)) array of its values on the grid of the axes.
 
     Uses the associated-Laguerre kernel; W(0,0) equals the scaled parity
     sum (1/pi) sum_n (-1)^n rho_nn and the grid integral is 1 for states
@@ -218,14 +208,10 @@ def wigner(rho, x_axis=None, p_axis=None) -> WignerGrid:
     whole grid, and only one block of temporaries is alive at a time.
     """
     rho = np.asarray(rho, dtype=complex)
-    if x_axis is None:
-        x_axis = np.linspace(-5.0, 5.0, 201)
-    if p_axis is None:
-        p_axis = x_axis
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     values = np.empty((x_axis.size, p_axis.size))
     for start in range(0, x_axis.size, _WIGNER_ROWS):
         rows = slice(start, start + _WIGNER_ROWS)
         values[rows] = _wigner_block(rho, x_axis[rows], p_axis)
-    return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
+    return values

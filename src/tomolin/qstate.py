@@ -1,14 +1,15 @@
-"""Finite-dimensional quantum objects: operator bases, Bloch coordinates,
-Born-rule probabilities, random states and square-root measurements."""
+"""Finite-dimensional quantum objects in Gell-Mann coordinates: Bloch
+vectors, Born-rule probabilities, random states and square-root
+measurements.  The dimension d comes from an input's shape or an integer."""
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
 __all__ = [
-    "OperatorBasis",
     "DetectorModel",
     "RankDeficientGramError",
     "gellmann_basis",
@@ -30,20 +31,16 @@ class RankDeficientGramError(ValueError):
     """The Gram operator of the input states is numerically rank deficient."""
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Traceless orthonormal Hermitian basis: trace(G_i G_j) = delta_ij."""
-
-    dim: int
-    gammas: np.ndarray  # (dim**2 - 1, dim, dim), complex
-
-    @property
-    def size(self) -> int:
-        return self.dim * self.dim - 1
-
-
 @lru_cache(maxsize=None)
-def _gellmann_stack(d: int) -> np.ndarray:
+def gellmann_basis(d: int) -> np.ndarray:
+    """The read-only (d**2 - 1, d, d) stack of the generalised Gell-Mann
+    matrices of dimension d: symmetric and antisymmetric pair matrices
+    followed by the diagonal family, normalised to trace(G_i G_j) = delta_ij.
+
+    For d = 2 this is (sigma_x, sigma_y, sigma_z) / sqrt(2).
+    """
+    if d < 2:
+        raise ValueError(f"basis needs dimension >= 2, got {d}")
     mats = []
     for j, k in combinations(range(d), 2):
         m = np.zeros((d, d), dtype=complex)
@@ -81,7 +78,7 @@ def _gellmann_trace_plan(d: int) -> tuple:
     term t and the slice of the terms that holds it.
     """
     terms = []
-    for g in _gellmann_stack(d):
+    for g in gellmann_basis(d):
         rows, cols = np.nonzero(g)  # row-major, so ascending (i, j)
         entries = []
         for i, j in zip(rows.tolist(), cols.tolist()):
@@ -125,37 +122,28 @@ def _gellmann_traces(x, d: int) -> np.ndarray:
     return out
 
 
-def gellmann_basis(d: int) -> OperatorBasis:
-    """Generalised Gell-Mann basis of dimension d: symmetric and
-    antisymmetric pair matrices followed by the diagonal family,
-    normalised to trace(G_i G_j) = delta_ij.
-
-    For d = 2 this is (sigma_x, sigma_y, sigma_z) / sqrt(2).
-    """
-    if d < 2:
-        raise ValueError(f"basis needs dimension >= 2, got {d}")
-    return OperatorBasis(dim=d, gammas=_gellmann_stack(d))
-
-
-def state_to_bloch(rho, basis: OperatorBasis) -> np.ndarray:
-    """Coordinates r_i = trace(rho G_i); accepts a single state or a stack."""
+def state_to_bloch(rho) -> np.ndarray:
+    """Coordinates r_i = trace(rho G_i) of a (d, d) state or a (..., d, d)
+    stack of them."""
     rho = np.asarray(rho)
-    if rho.shape[-1] != basis.dim or rho.shape[-2] != basis.dim:
-        raise ValueError(f"state dim {rho.shape[-1]} != basis dim {basis.dim}")
-    return _gellmann_traces(rho, basis.dim)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"expected square operators, got shape {rho.shape}")
+    return _gellmann_traces(rho, rho.shape[-1])
 
 
-def bloch_to_state(r, basis: OperatorBasis) -> np.ndarray:
-    """Reconstruct rho = 1/d + sum_i r_i G_i from Bloch coordinates.
+def bloch_to_state(r) -> np.ndarray:
+    """Reconstruct rho = 1/d + sum_i r_i G_i from its d**2 - 1 Bloch
+    coordinates, or a stack of states from (..., d**2 - 1) coordinates.
 
     The identity coefficient 1/d is forced by unit trace together with the
     tracelessness of the basis.
     """
     r = np.asarray(r, dtype=float)
-    if r.shape[-1] != basis.size:
-        raise ValueError(f"expected {basis.size} coordinates, got {r.shape[-1]}")
-    eye = np.eye(basis.dim) / basis.dim
-    return eye + np.einsum("...n,nij->...ij", r, basis.gammas)
+    count = r.shape[-1] if r.ndim else 0
+    d = isqrt(count + 1)
+    if d < 2 or d * d != count + 1:
+        raise ValueError(f"expected d**2 - 1 coordinates for a dimension d >= 2, got {count}")
+    return np.eye(d) / d + np.einsum("...n,nij->...ij", r, gellmann_basis(d))
 
 
 @dataclass(frozen=True)
@@ -181,14 +169,12 @@ def _element_stack(effects) -> tuple[np.ndarray, int]:
     return arr, arr.shape[1]
 
 
-def povm_to_affine(effects, basis: OperatorBasis) -> DetectorModel:
+def povm_to_affine(effects) -> DetectorModel:
     """Affine decomposition b_j = trace(E_j)/d, a_jk = trace(E_j G_k) of an
     (m, d, d) stack of Hermitian effects; completeness is not required,
     only linearity of the response in the state.
     """
     elements, d = _element_stack(effects)
-    if d != basis.dim:
-        raise ValueError(f"measurement dim {d} != basis dim {basis.dim}")
     b = np.trace(elements, axis1=1, axis2=2).real / d
     a = _gellmann_traces(elements, d)
     return DetectorModel(offset=b, amatrix=a)
@@ -234,16 +220,17 @@ def random_density_pure(d: int, rng, size: int | None = None) -> np.ndarray:
     return np.einsum("...i,...j->...ij", v, v.conj())
 
 
-def random_blochs(basis: OperatorBasis, count: int, rng, ensemble: str = "hs") -> np.ndarray:
-    """Bloch columns (n, count) of random states: Hilbert-Schmidt mixed
-    states for ensemble "hs", Haar-random pure states for "pure"."""
+def random_blochs(d: int, count: int, rng, ensemble: str = "hs") -> np.ndarray:
+    """Bloch columns (d**2 - 1, count) of random states of dimension d:
+    Hilbert-Schmidt mixed states for ensemble "hs", Haar-random pure states
+    for "pure"."""
     if ensemble == "hs":
-        rhos = random_density_hs(basis.dim, rng, size=count)
+        rhos = random_density_hs(d, rng, size=count)
     elif ensemble == "pure":
-        rhos = random_density_pure(basis.dim, rng, size=count)
+        rhos = random_density_pure(d, rng, size=count)
     else:
         raise ValueError(f"unknown state ensemble {ensemble!r}")
-    return state_to_bloch(rhos, basis).T
+    return state_to_bloch(rhos).T
 
 
 def square_root_measurement(states) -> np.ndarray:

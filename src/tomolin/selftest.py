@@ -135,27 +135,25 @@ def penrose_with_properties(x, xp, rtol=None):
 def _qstate_suite(cfg: bench.ExperimentConfig, rng):
     worst = 0.0
     for d in range(2, 9):
-        basis = qstate.gellmann_basis(d)
-        n = basis.size
-        gram = np.einsum("aij,bji->ab", basis.gammas, basis.gammas).real
-        worst = max(worst, np.abs(gram - np.eye(n)).max())
-        worst = max(worst, np.abs(np.trace(basis.gammas, axis1=1, axis2=2)).max())
+        gammas = qstate.gellmann_basis(d)
+        gram = np.einsum("aij,bji->ab", gammas, gammas).real
+        worst = max(worst, np.abs(gram - np.eye(d * d - 1)).max())
+        worst = max(worst, np.abs(np.trace(gammas, axis1=1, axis2=2)).max())
     yield SelfTestCheck("qstate", "gellmann-orthonormality", 7, worst, 1e-12)
 
     worst_affine = worst_round = worst_norm = 0.0
     for d in (2, 3, 4, 6):
-        basis = qstate.gellmann_basis(d)
         for _ in range(max(5, cfg.selftest_count // 20)):
             kets = qstate.haar_random_pure(d, rng, size=2 * d)
             povm = qstate.square_root_measurement(kets)
-            det = qstate.povm_to_affine(povm, basis)
+            det = qstate.povm_to_affine(povm)
             rho = qstate.random_density_hs(d, rng)
-            r = qstate.state_to_bloch(rho, basis)
+            r = qstate.state_to_bloch(rho)
             p_affine = det.probabilities(r)
             p_born = qstate.born_probabilities(rho, povm)
             worst_affine = max(worst_affine, np.abs(p_affine - p_born).max())
             worst_norm = max(worst_norm, abs(p_born.sum() - 1.0))
-            rho_back = qstate.bloch_to_state(r, basis)
+            rho_back = qstate.bloch_to_state(r)
             worst_round = max(worst_round, np.abs(rho_back - rho).max())
     yield SelfTestCheck("qstate", "affine-vs-born", 4 * max(5, cfg.selftest_count // 20), worst_affine, 1e-12)
     yield SelfTestCheck("qstate", "bloch-round-trip", 4 * max(5, cfg.selftest_count // 20), worst_round, 1e-12)
@@ -172,19 +170,17 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
     yield SelfTestCheck("qstate", "srm-completeness", cases, worst_comp, 1e-9)
 
 
-def _selftest_setup(cfg: bench.ExperimentConfig, basis, m: int, M: int, rng, noise: float = 0.03):
+def _selftest_setup(cfg: bench.ExperimentConfig, d: int, m: int, M: int, rng, noise: float = 0.03):
     """A random square-root measurement with max(m, d) outcomes, M probes
-    and their noisy patterns, drawn in that order from rng."""
-    detector = bench._draw_srm_detector(basis.dim, max(m, basis.dim), basis, rng)
-    probes = protocols.ProbeSet.from_blochs(
-        qstate.random_blochs(basis, M, rng, cfg.state_ensemble))
+    and their noisy patterns in dimension d, drawn in that order from rng."""
+    detector = bench._draw_srm_detector(d, max(m, d), rng)
+    probes = protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng, cfg.state_ensemble))
     patterns = protocols.collect_patterns(detector, probes, noise, rng)
     return detector, probes, patterns
 
 
 def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     d = 3
-    basis = qstate.gellmann_basis(d)
     n_aug = d * d
     count = max(10, cfg.selftest_count // 4)
 
@@ -192,7 +188,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(count):
         M = int(rng.integers(3, n_aug + 1))
         m = int(rng.integers(M, M + 6))
-        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
+        detector, probes, patterns = _selftest_setup(cfg, d, m, M, rng)
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         worst_equiv = max(worst_equiv, matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p))
@@ -202,7 +198,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(count):
         M = int(rng.integers(n_aug + 1, n_aug + 8))
         m = int(rng.integers(M, M + 8))
-        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
+        detector, probes, patterns = _selftest_setup(cfg, d, m, M, rng)
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         worst_norm = max(worst_norm, matlib.hs_norm(a_s) - matlib.hs_norm(a_p))
@@ -223,7 +219,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(max(5, count // 2)):
         M = int(rng.integers(n_aug + 1, n_aug + 6))
         m = int(rng.integers(d, n_aug))
-        detector, probes, patterns = _selftest_setup(cfg, basis, m, M, rng)
+        detector, probes, patterns = _selftest_setup(cfg, d, m, M, rng)
         f = patterns.f_matrix
         r = probes.r_matrix
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
@@ -235,10 +231,10 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     worst_unbiased = 0.0
     for _ in range(10):
         M = n_aug + 3
-        detector, probes, patterns = _selftest_setup(cfg, basis, n_aug + 2, M, rng,
+        detector, probes, patterns = _selftest_setup(cfg, d, n_aug + 2, M, rng,
                                                      noise=0.0)
         rho = qstate.random_density_hs(d, rng)
-        r = qstate.state_to_bloch(rho, basis)
+        r = qstate.state_to_bloch(rho)
         data = detector.probabilities(r)
         for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
             inv = build(patterns, probes, rtol=cfg.rtol)

@@ -4,7 +4,7 @@ loss_channel is the Schrodinger picture of the photon-loss channel, the
 reference for homodyne.loss_channel_adjoint; QuadratureOutcome and
 quadrature_functional build one quadrature functional at a time, the
 reference for the batched functionals of homodyne.homodyne_measurement.
-value_at reads a Wigner grid at its point nearest to (x, p),
+value_at reads a square Wigner grid at its point nearest to (x, p),
 limiting_case_diagnostics does the norm bookkeeping of the two protocols
 for redundant probe sets, and keyed_cells lists the cells of a run.
 """
@@ -44,11 +44,12 @@ def quadrature_functional(outcome: QuadratureOutcome, d_f: int) -> np.ndarray:
     return homodyne._quadrature_functionals(outcome.theta, outcome.x, d_f)
 
 
-def value_at(grid: homodyne.WignerGrid, x: float, p: float) -> float:
-    """The value of a Wigner grid at its point nearest to (x, p)."""
-    i = int(np.argmin(np.abs(grid.x_axis - x)))
-    j = int(np.argmin(np.abs(grid.p_axis - p)))
-    return float(grid.values[i, j])
+def value_at(axis, values, x: float, p: float) -> float:
+    """The value of a Wigner grid over axis x axis at its point nearest to
+    (x, p)."""
+    i = int(np.argmin(np.abs(axis - x)))
+    j = int(np.argmin(np.abs(axis - p)))
+    return float(values[i, j])
 
 
 def keyed_cells(cfg: bench.ExperimentConfig) -> list:

@@ -41,13 +41,12 @@ Setup = namedtuple("Setup", "detector probes patterns noise_data")
 
 
 def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
-    basis = qstate.gellmann_basis(d)
     povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
-    detector = qstate.povm_to_affine(povm, basis)
+    detector = qstate.povm_to_affine(povm)
     rhos = qstate.random_density_hs(d, rng, size=M)
-    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
+    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
     patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
-    return Setup(detector, probes, patterns, data_ratio), basis
+    return Setup(detector, probes, patterns, data_ratio)
 
 
 def test_criterion_1_pseudoinverse_suite():
@@ -103,13 +102,13 @@ def test_criterion_3_equivalence_theorem():
         n_aug = d * d
         M = int(rng.integers(2, n_aug + 1))
         m = int(rng.integers(max(M, d), max(M, d) + 6))
-        setup, basis = random_setup(d, m, M, rng)
+        setup = random_setup(d, m, M, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         rel = matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p)
         worst_matrix = max(worst_matrix, rel)
         rho = qstate.random_density_hs(d, rng)
-        r = qstate.state_to_bloch(rho, basis)
+        r = qstate.state_to_bloch(rho)
         f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
         est_s, valid_s = protocols.estimate_batch(a_s, f[:, None])
         est_p, valid_p = protocols.estimate_batch(a_p, f[:, None])
@@ -130,7 +129,7 @@ def test_criterion_4_norm_inequality():
         n_aug = d * d
         M = int(rng.integers(n_aug + 1, n_aug + 10))
         m = int(rng.integers(M, M + 10))
-        setup, _ = random_setup(d, m, M, rng)
+        setup = random_setup(d, m, M, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         gap = matlib.hs_norm(a_s) - matlib.hs_norm(a_p)
@@ -242,21 +241,22 @@ def test_criterion_9_wigner_checks(homodyne_sweep):
     vac[0, 0] = 1.0
     one = np.zeros((4, 4), dtype=complex)
     one[1, 1] = 1.0
-    w_vac = oracles.value_at(homodyne.wigner(vac), 0.0, 0.0)
-    w_one = oracles.value_at(homodyne.wigner(one), 0.0, 0.0)
+    axis = np.linspace(-5.0, 5.0, 201)
+    w_vac = oracles.value_at(axis, homodyne.wigner(vac, axis, axis), 0.0, 0.0)
+    w_one = oracles.value_at(axis, homodyne.wigner(one, axis, axis), 0.0, 0.0)
     amps = homodyne.true_signal(cfg.d)
-    truth = homodyne.wigner(np.outer(amps, amps.conj()))
-    w_sig = oracles.value_at(truth, 0.0, 0.0)
+    truth = homodyne.wigner(np.outer(amps, amps.conj()), axis, axis)
+    w_sig = oracles.value_at(axis, truth, 0.0, 0.0)
     points = cfg.wigner_points
-    x, p, w = np.loadtxt(f"{out[:-4]}_wigner_pattern_m{cfg.n_params + 1}.csv",
+    _, _, w = np.loadtxt(f"{out[:-4]}_wigner_pattern_m{cfg.n_params + 1}.csv",
                          delimiter=",", skiprows=1, unpack=True)
-    recon = homodyne.WignerGrid(x[::points], p[:points], w.reshape(points, points))
-    sign_ok = truth.values.min() < 0 and recon.values.min() < 0
+    recon = w.reshape(points, points)
+    sign_ok = truth.min() < 0 and recon.min() < 0
     ok = (abs(w_vac - 1 / np.pi) < 1e-8 and abs(w_one + 1 / np.pi) < 1e-8
           and abs(w_sig - 1 / (3 * np.pi)) < 1e-6 and sign_ok)
     report(9, ok, f"W(0,0): vacuum {w_vac:.6f}, single photon {w_one:.6f}, "
-           f"signal {w_sig:.6f}; reconstruction min W {recon.values.min():.4f} "
-           f"(true {truth.values.min():.4f}), negativity sign recovered")
+           f"signal {w_sig:.6f}; reconstruction min W {recon.min():.4f} "
+           f"(true {truth.min():.4f}), negativity sign recovered")
 
 
 def test_criterion_10_byte_identical_reruns(probes_sweep, tmp_path):

@@ -294,6 +294,13 @@ MALFORMED_CSV_EDITS = {
     "float-key": lambda lines: [*lines[:2], _with_field(lines[2], 5, "1.0"), *lines[3:]],
     "repeated-row": lambda lines: [*lines, lines[1]],
     "repeated-key": lambda lines: [*lines, _with_field(lines[1], 6, "1.0")],
+    "nan-mse": lambda lines: [*lines[:2], _with_field(lines[2], 6, "nan"), *lines[3:]],
+    "infinite-mse": lambda lines: [*lines[:2], _with_field(lines[2], 7, "inf"), *lines[3:]],
+    "negative-mse": lambda lines: [*lines[:2], _with_field(lines[2], 7, "-1.0e-03"), *lines[3:]],
+    "nan-and-minus-infinite-mse": lambda lines: [
+        lines[0], _with_field(_with_field(lines[1], 6, "nan"), 7, "-inf"), *lines[2:-1]],
+    "nan-ratio": lambda lines: [*lines[:2], _with_field(lines[2], 8, "nan"), *lines[3:]],
+    "negative-ratio": lambda lines: [*lines[:2], _with_field(lines[2], 8, "-2.0"), *lines[3:]],
 }
 
 
@@ -663,16 +670,15 @@ class _FailingRows:
 
 class TestAtomicWrites:
     def test_interrupted_wigner_export_leaves_no_partial_file(self, tmp_path):
-        grid = _true_signal_grid()
-        grid = homodyne.WignerGrid(grid.x_axis, grid.p_axis, _FailingRows(grid.values))
+        values = _FailingRows(_true_signal_grid())
         path = tmp_path / "homo_wigner_true.csv"
         with pytest.raises(RuntimeError, match="interrupted"):
-            bench._wigner_csv(grid, str(path))
+            bench._wigner_csv(str(path), _WIGNER_AXIS, values)
         assert os.listdir(tmp_path) == []
         # a file of an earlier run keeps its bytes
         path.write_text("earlier\n")
         with pytest.raises(RuntimeError, match="interrupted"):
-            bench._wigner_csv(grid, str(path))
+            bench._wigner_csv(str(path), _WIGNER_AXIS, values)
         assert os.listdir(tmp_path) == [path.name] and path.read_text() == "earlier\n"
 
     def test_interrupted_metadata_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
@@ -684,14 +690,14 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == []
 
 
-def _wigner_csv_whole_grid(grid, path):
+def _wigner_csv_whole_grid(path, axis, values):
     # the Wigner CSV writer that turned the whole grid into Python floats at
     # once, kept as the byte reference of bench._wigner_csv
-    xs = [f"{x:.12e}" for x in grid.x_axis.tolist()]
-    ps = [f"{p:.12e}" for p in grid.p_axis.tolist()]
+    xs = [f"{x:.12e}" for x in axis.tolist()]
+    ps = [f"{p:.12e}" for p in axis.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,p,w\n")
-        for x, row in zip(xs, grid.values.tolist()):
+        for x, row in zip(xs, values.tolist()):
             fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(ps, row)))
 
 
@@ -706,10 +712,12 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def _true_signal_grid() -> homodyne.WignerGrid:
+_WIGNER_AXIS = np.linspace(-5.0, 5.0, 201)
+
+
+def _true_signal_grid() -> np.ndarray:
     signal = homodyne.true_signal(6)
-    axis = np.linspace(-5.0, 5.0, 201)
-    return homodyne.wigner(np.outer(signal, signal.conj()), axis, axis)
+    return homodyne.wigner(np.outer(signal, signal.conj()), _WIGNER_AXIS, _WIGNER_AXIS)
 
 
 class TestHomodyneRunMemory:
@@ -719,20 +727,20 @@ class TestHomodyneRunMemory:
         assert _traced_peak(_true_signal_grid) < 1.0e6
 
     def test_wigner_values_own_a_real_buffer(self):
-        values = _true_signal_grid().values
+        values = _true_signal_grid()
         assert values.dtype == np.float64 and values.base is None
 
     def test_wigner_csv_peak(self, tmp_path):
         grid = _true_signal_grid()
-        assert _traced_peak(bench._wigner_csv, grid, str(tmp_path / "w.csv")) < 0.2e6
+        assert _traced_peak(bench._wigner_csv, str(tmp_path / "w.csv"), _WIGNER_AXIS, grid) < 0.2e6
 
-    @pytest.mark.parametrize("points, p_points", [(201, 201), (5, 9)])
-    def test_wigner_csv_bytes_equal_whole_grid_writer(self, tmp_path, points, p_points):
+    @pytest.mark.parametrize("points", [201, 5])
+    def test_wigner_csv_bytes_equal_whole_grid_writer(self, tmp_path, points):
         rho = qstate.random_density_hs(6, np.random.default_rng(5))
-        grid = homodyne.wigner(rho, np.linspace(-5.0, 5.0, points),
-                               np.linspace(-4.0, 4.0, p_points))
-        bench._wigner_csv(grid, str(tmp_path / "rows.csv"))
-        _wigner_csv_whole_grid(grid, str(tmp_path / "whole.csv"))
+        axis = np.linspace(-5.0, 5.0, points)
+        grid = homodyne.wigner(rho, axis, axis)
+        bench._wigner_csv(str(tmp_path / "rows.csv"), axis, grid)
+        _wigner_csv_whole_grid(str(tmp_path / "whole.csv"), axis, grid)
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_add_noise_peak_on_broadcast_data(self):

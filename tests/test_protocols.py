@@ -16,13 +16,12 @@ Setup = namedtuple("Setup", "detector probes patterns noise_data")
 
 
 def make_random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
-    basis = qstate.gellmann_basis(d)
     povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
-    detector = qstate.povm_to_affine(povm, basis)
+    detector = qstate.povm_to_affine(povm)
     rhos = qstate.random_density_hs(d, rng, size=M)
-    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
+    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
     patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
-    return Setup(detector, probes, patterns, data_ratio), basis
+    return Setup(detector, probes, patterns, data_ratio)
 
 
 def estimate(inv, f):
@@ -33,10 +32,10 @@ def estimate(inv, f):
     return r_hat[:, 0]
 
 
-def trial_mse(setup, basis, inv, n_trials, rng):
+def trial_mse(setup, d, inv, n_trials, rng):
     """MSE of inv over fresh true states and fresh data noise, by the path
     every experiment takes."""
-    true_blochs = qstate.random_blochs(basis, n_trials, rng)
+    true_blochs = qstate.random_blochs(d, n_trials, rng)
     data = protocols.trial_data(setup.detector, true_blochs, setup.noise_data, rng)
     return protocols.batch_mse(inv, data, true_blochs)
 
@@ -126,22 +125,21 @@ class TestProbeAndPatternSets:
 class TestCollectPatterns:
     def test_noiseless_collection_is_forward_map(self):
         rng = np.random.default_rng(11)
-        setup, basis = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0)
+        setup = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0)
         expected = setup.detector.augmented() @ setup.probes.r_matrix
         assert_allclose(setup.patterns.f_matrix, expected, atol=1e-14)
 
     def test_maximally_mixed_probe_gives_offset(self):
         rng = np.random.default_rng(12)
-        basis = qstate.gellmann_basis(3)
         povm = qstate.square_root_measurement(qstate.haar_random_pure(3, rng, size=10))
-        detector = qstate.povm_to_affine(povm, basis)
+        detector = qstate.povm_to_affine(povm)
         probes = protocols.ProbeSet.from_blochs(np.zeros((8, 1)))
         patterns = protocols.collect_patterns(detector, probes, 0.0, rng)
         assert_allclose(patterns.f_matrix[:, 0], detector.offset, atol=1e-14)
 
     def test_columns_match_per_probe_evaluation(self):
         rng = np.random.default_rng(13)
-        setup, basis = make_random_setup(3, 11, 7, rng, pattern_ratio=0.0)
+        setup = make_random_setup(3, 11, 7, rng, pattern_ratio=0.0)
         for alpha in range(7):
             r = setup.probes.r_matrix[1:, alpha]
             assert_allclose(setup.patterns.f_matrix[:, alpha],
@@ -171,7 +169,7 @@ class TestInversionMatrices:
         # with R square and invertible, R+ = R^-1 and the two protocols
         # coincide by plain matrix algebra
         rng = np.random.default_rng(21)
-        setup, _ = make_random_setup(2, 6, 4, rng)
+        setup = make_random_setup(2, 6, 4, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         assert np.linalg.cond(setup.probes.r_matrix) < 1e3
@@ -184,7 +182,7 @@ class TestInversionMatrices:
             n_aug = d * d
             M = int(rng.integers(2, n_aug + 1))
             m = int(rng.integers(max(M, d), max(M, d) + 5))
-            setup, _ = make_random_setup(d, m, M, rng)
+            setup = make_random_setup(d, m, M, rng)
             a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
             a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
             rel = matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p)
@@ -197,24 +195,24 @@ class TestInversionMatrices:
             n_aug = d * d
             M = int(rng.integers(n_aug + 1, n_aug + 8))
             m = int(rng.integers(M, M + 8))
-            setup, _ = make_random_setup(d, m, M, rng)
+            setup = make_random_setup(d, m, M, rng)
             a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
             a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
             assert matlib.hs_norm(a_s) <= matlib.hs_norm(a_p) + 1e-10
 
     def test_noiseless_forward_backward(self):
         rng = np.random.default_rng(24)
-        setup, basis = make_random_setup(3, 12, 20, rng, pattern_ratio=0.0)
+        setup = make_random_setup(3, 12, 20, rng, pattern_ratio=0.0)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         for _ in range(5):
             rho = qstate.random_density_hs(3, rng)
-            r = qstate.state_to_bloch(rho, basis)
+            r = qstate.state_to_bloch(rho)
             p = setup.detector.probabilities(r)
             assert_allclose(estimate(a_s, p), r, atol=1e-8)
 
     def test_pattern_exact_fit_recovers_probe(self):
         rng = np.random.default_rng(25)
-        setup, _ = make_random_setup(3, 12, 7, rng, pattern_ratio=0.0)
+        setup = make_random_setup(3, 12, 7, rng, pattern_ratio=0.0)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         alpha = 3
         est = estimate(a_p, setup.patterns.f_matrix[:, alpha])
@@ -224,7 +222,7 @@ class TestInversionMatrices:
         # the standard matrix factors through the product decomposition of
         # F and R+ since (R+)+ = R
         rng = np.random.default_rng(26)
-        setup, _ = make_random_setup(3, 7, 14, rng)
+        setup = make_random_setup(3, 7, 14, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         f = setup.patterns.f_matrix
         r = setup.probes.r_matrix
@@ -234,10 +232,10 @@ class TestInversionMatrices:
 
     def test_oracle_inversion(self):
         rng = np.random.default_rng(27)
-        setup, basis = make_random_setup(2, 6, 4, rng)
+        setup = make_random_setup(2, 6, 4, rng)
         inv = matlib.pinv(setup.detector.augmented())
         rho = qstate.random_density_hs(2, rng)
-        r = qstate.state_to_bloch(rho, basis)
+        r = qstate.state_to_bloch(rho)
         assert_allclose(estimate(inv, setup.detector.probabilities(r)), r, atol=1e-10)
 
     def test_count_mismatch(self):
@@ -252,13 +250,13 @@ class TestEstimate:
     def test_unconstrained_estimates_may_leave_bloch_ball(self):
         # the linear estimator applies no physicality projection
         rng = np.random.default_rng(31)
-        setup, basis = make_random_setup(2, 4, 4, rng, data_ratio=0.5)
+        setup = make_random_setup(2, 4, 4, rng, data_ratio=0.5)
         inv = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         radius = np.sqrt(1.0 / 2.0)
         left = 0
         for _ in range(200):
             rho = qstate.random_density_hs(2, rng)
-            r = qstate.state_to_bloch(rho, basis)
+            r = qstate.state_to_bloch(rho)
             f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
             if np.linalg.norm(estimate(inv, f)) > radius:
                 left += 1
@@ -275,11 +273,11 @@ class TestEstimate:
     def test_equivalence_regime_paired_estimates(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
-            setup, basis = make_random_setup(3, 11, 8, rng)
+            setup = make_random_setup(3, 11, 8, rng)
             a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
             a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
             rho = qstate.random_density_hs(3, rng)
-            r = qstate.state_to_bloch(rho, basis)
+            r = qstate.state_to_bloch(rho)
             f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
             assert np.abs(estimate(a_s, f) - estimate(a_p, f)).max() < 1e-8
 
@@ -386,42 +384,42 @@ class TestMseTheoretical:
 class TestMseEmpirical:
     def test_zero_noise_hits_numerical_floor(self):
         rng = np.random.default_rng(51)
-        setup, basis = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0, data_ratio=0.0)
+        setup = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0, data_ratio=0.0)
         for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
             inv = build(setup.patterns, setup.probes)
-            assert trial_mse(setup, basis, inv, 50, np.random.default_rng(1)) < 1e-16
+            assert trial_mse(setup, 3, inv, 50, np.random.default_rng(1)) < 1e-16
 
     def test_noise_quadrupling(self):
         # clean patterns so the error is purely data noise, which the
         # estimator maps linearly
         rng = np.random.default_rng(52)
-        setup1, basis = make_random_setup(3, 14, 12, rng, pattern_ratio=0.0, data_ratio=0.02)
+        setup1 = make_random_setup(3, 14, 12, rng, pattern_ratio=0.0, data_ratio=0.02)
         setup2 = setup1._replace(noise_data=0.04)
         inv = protocols.pattern_inversion_matrix(setup1.patterns, setup1.probes)
-        m1 = trial_mse(setup1, basis, inv, 4000, np.random.default_rng(2))
-        m2 = trial_mse(setup2, basis, inv, 4000, np.random.default_rng(2))
+        m1 = trial_mse(setup1, 3, inv, 4000, np.random.default_rng(2))
+        m2 = trial_mse(setup2, 3, inv, 4000, np.random.default_rng(2))
         assert m2 / m1 == pytest.approx(4.0, rel=0.1)
 
     def test_equivalence_regime_paired_mse(self):
         rng = np.random.default_rng(53)
-        setup, basis = make_random_setup(3, 11, 8, rng)
+        setup = make_random_setup(3, 11, 8, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
-        m_std = trial_mse(setup, basis, a_s, 500, np.random.default_rng(3))
-        m_pat = trial_mse(setup, basis, a_p, 500, np.random.default_rng(3))
+        m_std = trial_mse(setup, 3, a_s, 500, np.random.default_rng(3))
+        m_pat = trial_mse(setup, 3, a_p, 500, np.random.default_rng(3))
         assert m_std == pytest.approx(m_pat, rel=1e-6)
 
 
 class TestLimitingCaseDiagnostics:
     def test_requires_redundant_probes(self):
         rng = np.random.default_rng(61)
-        setup, _ = make_random_setup(3, 11, 8, rng)
+        setup = make_random_setup(3, 11, 8, rng)
         with pytest.raises(ValueError, match="redundant"):
             oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
 
     def test_projector_spectrum_bounds(self):
         rng = np.random.default_rng(62)
-        setup, _ = make_random_setup(3, 9, 20, rng)
+        setup = make_random_setup(3, 9, 20, rng)
         diag = oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
         assert diag.h_norm >= np.sqrt(diag.h_rank) - 1e-9
         assert diag.u11_norm <= diag.u11_bound + 1e-9
@@ -429,7 +427,7 @@ class TestLimitingCaseDiagnostics:
 
     def test_factorises_r_and_f_once(self, monkeypatch):
         rng = np.random.default_rng(64)
-        setup, _ = make_random_setup(3, 12, 20, rng)
+        setup = make_random_setup(3, 12, 20, rng)
         shapes = []
         svd = matlib.svd
 
@@ -449,7 +447,7 @@ class TestLimitingCaseDiagnostics:
     def test_overcomplete_measurement_norm_ordering(self):
         rng = np.random.default_rng(63)
         for _ in range(20):
-            setup, _ = make_random_setup(2, 14, 10, rng)  # m >= M > n+1
+            setup = make_random_setup(2, 14, 10, rng)  # m >= M > n+1
             diag = oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
             assert diag.hs_norm_standard <= diag.hs_norm_pattern + 1e-10
 
@@ -460,15 +458,14 @@ class TestLimitingCaseDiagnostics:
         rng = np.random.default_rng(60)
         d = 4
         n_aug = d * d
-        basis = qstate.gellmann_basis(d)
         m_values = (17, 18, 20, 24, 32)
         n_setups = 120
         logs = np.zeros((n_setups, len(m_values)))
         for s in range(n_setups):
             povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=n_aug))
-            detector = qstate.povm_to_affine(povm, basis)
+            detector = qstate.povm_to_affine(povm)
             rhos = qstate.random_density_hs(d, rng, size=max(m_values))
-            probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos, basis).T)
+            probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
             patterns = protocols.collect_patterns(detector, probes, 0.03, rng)
             for j, M in enumerate(m_values):
                 diag = oracles.limiting_case_diagnostics(patterns.prefix(M), probes.prefix(M))

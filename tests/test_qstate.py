@@ -14,25 +14,30 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 class TestGellmannBasis:
     def test_qubit_basis_is_scaled_paulis(self):
-        basis = qstate.gellmann_basis(2)
-        assert_allclose(basis.gammas[0], SX / np.sqrt(2), atol=1e-15)
-        assert_allclose(basis.gammas[1], SY / np.sqrt(2), atol=1e-15)
-        assert_allclose(basis.gammas[2], SZ / np.sqrt(2), atol=1e-15)
+        gammas = qstate.gellmann_basis(2)
+        assert_allclose(gammas[0], SX / np.sqrt(2), atol=1e-15)
+        assert_allclose(gammas[1], SY / np.sqrt(2), atol=1e-15)
+        assert_allclose(gammas[2], SZ / np.sqrt(2), atol=1e-15)
 
     def test_qutrit_gram_matrix(self):
-        basis = qstate.gellmann_basis(3)
-        gram = np.einsum("aij,bji->ab", basis.gammas, basis.gammas).real
+        gammas = qstate.gellmann_basis(3)
+        gram = np.einsum("aij,bji->ab", gammas, gammas).real
         assert_allclose(gram, np.eye(8), atol=1e-14)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_count_tracelessness_hermiticity(self, d):
-        basis = qstate.gellmann_basis(d)
-        assert basis.gammas.shape == (d * d - 1, d, d)
-        assert np.abs(np.trace(basis.gammas, axis1=1, axis2=2)).max() < 1e-14
-        dev = np.abs(basis.gammas - np.conj(np.swapaxes(basis.gammas, 1, 2))).max()
+        gammas = qstate.gellmann_basis(d)
+        assert gammas.shape == (d * d - 1, d, d)
+        assert np.abs(np.trace(gammas, axis1=1, axis2=2)).max() < 1e-14
+        dev = np.abs(gammas - np.conj(np.swapaxes(gammas, 1, 2))).max()
         assert dev < 1e-14
-        gram = np.einsum("aij,bji->ab", basis.gammas, basis.gammas).real
+        gram = np.einsum("aij,bji->ab", gammas, gammas).real
         assert np.abs(gram - np.eye(d * d - 1)).max() < 1e-12
+
+    def test_is_one_cached_read_only_stack(self):
+        gammas = qstate.gellmann_basis(3)
+        assert qstate.gellmann_basis(3) is gammas
+        assert gammas.dtype == complex and not gammas.flags.writeable
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
@@ -41,51 +46,62 @@ class TestGellmannBasis:
 
 class TestBloch:
     def test_maximally_mixed_maps_to_zero(self):
-        basis = qstate.gellmann_basis(3)
-        r = qstate.state_to_bloch(np.eye(3) / 3, basis)
+        r = qstate.state_to_bloch(np.eye(3) / 3)
         assert np.abs(r).max() < 1e-15
 
     def test_ground_state_qubit(self):
-        basis = qstate.gellmann_basis(2)
         rho = np.diag([1.0, 0.0]).astype(complex)
-        r = qstate.state_to_bloch(rho, basis)
+        r = qstate.state_to_bloch(rho)
         assert_allclose(r, [0.0, 0.0, 1.0 / np.sqrt(2)], atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_round_trip(self, d):
         rng = np.random.default_rng(d)
-        basis = qstate.gellmann_basis(d)
         rho = qstate.random_density_hs(d, rng)
-        back = qstate.bloch_to_state(qstate.state_to_bloch(rho, basis), basis)
+        back = qstate.bloch_to_state(qstate.state_to_bloch(rho))
         assert np.abs(back - rho).max() < 1e-12
 
     def test_batched_round_trip(self):
         rng = np.random.default_rng(5)
-        basis = qstate.gellmann_basis(3)
         rhos = qstate.random_density_hs(3, rng, size=10)
-        rs = qstate.state_to_bloch(rhos, basis)
+        rs = qstate.state_to_bloch(rhos)
         assert rs.shape == (10, 8)
-        assert np.abs(qstate.bloch_to_state(rs, basis) - rhos).max() < 1e-12
+        assert np.abs(qstate.bloch_to_state(rs) - rhos).max() < 1e-12
 
     def test_pure_state_radius(self):
         rng = np.random.default_rng(6)
-        basis = qstate.gellmann_basis(4)
         kets = qstate.haar_random_pure(4, rng, size=50)
         rhos = np.einsum("mi,mj->mij", kets, kets.conj())
-        norms = np.linalg.norm(qstate.state_to_bloch(rhos, basis), axis=1)
+        norms = np.linalg.norm(qstate.state_to_bloch(rhos), axis=1)
         assert_allclose(norms, np.sqrt(3.0 / 4.0), atol=1e-9)
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            qstate.state_to_bloch(np.eye(3), qstate.gellmann_basis(2))
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_state_to_bloch_refuses_non_square_input(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            qstate.state_to_bloch(np.zeros(shape))
+
+    @pytest.mark.parametrize("count", [4, 5, 7])
+    def test_bloch_to_state_refuses_coordinate_count(self, count):
+        # d is read from d**2 - 1 coordinates: 3, 8 and 15 are counts, 4, 5
+        # and 7 are not
+        with pytest.raises(ValueError, match="coordinates"):
+            qstate.bloch_to_state(np.zeros(count))
+
+    @pytest.mark.parametrize("size", [None, 1, 6])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_round_trip_reads_dimension_from_shape(self, d, size):
+        rhos = qstate.random_density_hs(d, np.random.default_rng(50 + d), size=size)
+        back = qstate.bloch_to_state(qstate.state_to_bloch(rhos))
+        assert back.shape == rhos.shape
+        assert np.abs(back - rhos).max() < 1e-12
 
 
-def einsum_bloch(x, basis):
-    return np.einsum("nij,...ji->...n", basis.gammas, x).real
+def einsum_bloch(x, gammas):
+    return np.einsum("nij,...ji->...n", gammas, x).real
 
 
-def einsum_amatrix(x, basis):
-    return np.einsum("mij,nji->mn", x, basis.gammas).real
+def einsum_amatrix(x, gammas):
+    return np.einsum("mij,nji->mn", x, gammas).real
 
 
 def assert_same_bits(got, ref):
@@ -112,24 +128,24 @@ class TestGellmannTraces:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_state_to_bloch_matches_einsum(self, d, shape):
         rng = np.random.default_rng(100 * d + len(shape))
-        basis = qstate.gellmann_basis(d)
+        gammas = qstate.gellmann_basis(d)
         x = wide_range_matrices(rng, shape, d)
-        assert_same_bits(qstate.state_to_bloch(x, basis), einsum_bloch(x, basis))
+        assert_same_bits(qstate.state_to_bloch(x), einsum_bloch(x, gammas))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_state_to_bloch_real_input(self, d):
         rng = np.random.default_rng(200 + d)
-        basis = qstate.gellmann_basis(d)
+        gammas = qstate.gellmann_basis(d)
         for x in (rng.standard_normal((d, d)), rng.standard_normal((7, d, d)), np.eye(d) / d):
-            assert_same_bits(qstate.state_to_bloch(x, basis), einsum_bloch(x, basis))
+            assert_same_bits(qstate.state_to_bloch(x), einsum_bloch(x, gammas))
 
     @pytest.mark.parametrize("count", [1, 7, 500])
     @pytest.mark.parametrize("d", range(2, 9))
     def test_povm_to_affine_matches_einsum(self, d, count):
         rng = np.random.default_rng(300 * d + count)
-        basis = qstate.gellmann_basis(d)
+        gammas = qstate.gellmann_basis(d)
         x = wide_range_matrices(rng, (count,), d)
-        assert_same_bits(qstate.povm_to_affine(x, basis).amatrix, einsum_amatrix(x, basis))
+        assert_same_bits(qstate.povm_to_affine(x).amatrix, einsum_amatrix(x, gammas))
 
     @pytest.mark.parametrize("size", [None, 1, 7, 500])
     @pytest.mark.parametrize("d", range(2, 9))
@@ -146,17 +162,15 @@ class TestGellmannTraces:
 
 class TestDetectorModel:
     def test_computational_basis_offsets(self):
-        basis = qstate.gellmann_basis(2)
         povm = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-        det = qstate.povm_to_affine(povm, basis)
+        det = qstate.povm_to_affine(povm)
         assert_allclose(det.offset, [0.5, 0.5], atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_sum_rules(self, d):
         rng = np.random.default_rng(d + 10)
-        basis = qstate.gellmann_basis(d)
         povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=2 * d))
-        det = qstate.povm_to_affine(povm, basis)
+        det = qstate.povm_to_affine(povm)
         # completeness forces sum(b) = 1 and zero column sums of A
         assert det.offset.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(det.amatrix.sum(axis=0)).max() < 1e-12
@@ -164,12 +178,11 @@ class TestDetectorModel:
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_affine_matches_born(self, d):
         rng = np.random.default_rng(d + 20)
-        basis = qstate.gellmann_basis(d)
         for _ in range(25):
             povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=d + 3))
-            det = qstate.povm_to_affine(povm, basis)
+            det = qstate.povm_to_affine(povm)
             rho = qstate.random_density_hs(d, rng)
-            r = qstate.state_to_bloch(rho, basis)
+            r = qstate.state_to_bloch(rho)
             assert np.abs(det.probabilities(r) - qstate.born_probabilities(rho, povm)).max() < 1e-12
 
     def test_augmented_layout(self):
