@@ -22,7 +22,7 @@ from .protocols import (
     standard_inversion_matrix,
 )
 from .qstate import (
-    DetectorModel,
+    affine_response,
     born_probabilities,
     bloch_to_state,
     gellmann_basis,

@@ -186,6 +186,9 @@ DEFAULT_GRIDS = {
     "homodyne": dict(m_values=list(range(12, 49)), M_values=[40]),
 }
 
+# the homodyne config that --full-scale sets over the default grid
+FULL_SCALE_HOMODYNE = dict(d=6, M_values=[100], m_values=list(range(30, 131, 2)), ensembles=20)
+
 
 def read_config_document(path: str) -> dict:
     """The JSON object of a config file, unvalidated."""
@@ -252,6 +255,7 @@ class Cell(typing.NamedTuple):
     invs: tuple          # (A_s, A_p), (n + 1, m) each
     data: np.ndarray     # (m, trials) noisy detector responses
     truth: np.ndarray    # (n, trials) Bloch columns, or (n, 1) for homodyne
+    detector: np.ndarray  # (m, n + 1) detector matrix D, shared along M
 
 
 def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
@@ -267,8 +271,8 @@ def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
     patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
     truth = qstate.random_blochs(cfg.d, cfg.trials, rng)
     data = protocols.trial_data(detector, truth, cfg.noise_ratio_data, rng)
-    return [Cell(M, _inversion_matrices(cfg, probes.prefix(M), patterns.prefix(M)), data, truth)
-            for M in cfg.M_values]
+    return [Cell(M, _inversion_matrices(cfg, probes.prefix(M), patterns.prefix(M)), data, truth,
+                 detector) for M in cfg.M_values]
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,8 +298,9 @@ def _homodyne_probes(cfg: ExperimentConfig, rng) -> protocols.ProbeSet:
 def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     """The one cell of a random quadrature set with coherent probe patterns
     and repeated noisy data of the fixed benchmark signal.  The inversions
-    draw nothing, so they are built, and the measurement, probes and
-    patterns freed, before the (m, trials) data are drawn."""
+    draw nothing, so they are built, and the effects, probes and patterns
+    freed, before the (m, trials) data are drawn; the (m, n + 1) detector
+    matrix D is kept in the cell."""
     _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
                                                dx=cfg.dx, x_max=cfg.x_max)
     detector = qstate.povm_to_affine(effects)
@@ -307,24 +312,24 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     signal = homodyne.true_signal(cfg.d)
     r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()))
     # every trial measures the same state: compute its response once
-    p_true = detector.probabilities(r_true)
-    del detector
-    repeated = np.broadcast_to(p_true[:, None], (m, cfg.trials))
+    repeated = np.broadcast_to(qstate.affine_response(detector, r_true)[:, None],
+                               (m, cfg.trials))
     data = protocols.add_noise(repeated, cfg.noise_ratio_data, rng)
-    return [Cell(cfg.M_values[0], invs, data, r_true[:, None])]
+    return [Cell(cfg.M_values[0], invs, data, r_true[:, None], detector)]
 
 
 def cells(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
     """The cells of one ensemble of cfg's experiment at m, one per M, drawn
-    exactly as a run draws them from (seed, stream tag, m, ensemble).  The
-    inversions have a run's bits when BLAS runs on one thread, as in a run."""
-    if cfg.experiment == "sweep-probes":
-        return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble))
-    if cfg.experiment == "sweep-outcomes":
-        probes = _outcome_probes(cfg.seed, cfg.d, cfg.M_values[0], ensemble, cfg.state_ensemble)
-        return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble), probes)
-    if cfg.experiment == "homodyne":
-        return _homodyne_cells(cfg, m, _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble))
+    exactly as a run draws them from (seed, stream tag, m, ensemble), with
+    BLAS on one thread as in a run, so with a run's bits."""
+    with _one_blas_thread():
+        if cfg.experiment == "sweep-probes":
+            return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble))
+        if cfg.experiment == "sweep-outcomes":
+            probes = _outcome_probes(cfg.seed, cfg.d, cfg.M_values[0], ensemble, cfg.state_ensemble)
+            return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble), probes)
+        if cfg.experiment == "homodyne":
+            return _homodyne_cells(cfg, m, _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble))
     raise ConfigError(f"experiment {cfg.experiment!r} has no cells")
 
 

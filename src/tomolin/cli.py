@@ -14,8 +14,6 @@ import numpy as np
 
 from . import bench, matlib, protocols, selftest
 
-FULL_SCALE_HOMODYNE = dict(d=6, M_values=[100], m_values=list(range(30, 131, 2)), ensembles=20)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -101,7 +99,7 @@ def _load_config(args) -> bench.ExperimentConfig:
     doc = bench.read_config_document(args.config) if args.config else {}
     doc = {**bench.DEFAULT_GRIDS.get(args.command, {}), **doc, "experiment": args.command}
     if getattr(args, "full_scale", False):
-        doc.update(FULL_SCALE_HOMODYNE)
+        doc.update(bench.FULL_SCALE_HOMODYNE)
     for key in ("seed", "out", "workers"):
         if getattr(args, key) is not None:
             doc[key] = getattr(args, key)

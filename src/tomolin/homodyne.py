@@ -16,7 +16,7 @@ import numpy as np
 __all__ = [
     "coherent_state_fock",
     "true_signal",
-    "kraus_operators",
+    "loss_channel_adjoint",
     "hermite_functions",
     "homodyne_measurement",
     "wigner",
@@ -55,37 +55,35 @@ def true_signal(d_f: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kraus_stack(d_f: int, eta: float) -> np.ndarray:
-    ks = np.zeros((d_f, d_f, d_f))
+def _loss_coefficients(d_f: int, eta: float) -> np.ndarray:
+    # c[k, j] = sqrt(C(j + k, k) eta^j (1 - eta)^k), the entry (j, j + k) of
+    # the k-th Kraus operator A_k of the loss channel; zero where j + k >= d_f
+    c = np.zeros((d_f, d_f))
     for k in range(d_f):
         for n in range(k, d_f):
             binom = factorial(n) / (factorial(k) * factorial(n - k))
-            ks[k, n - k, n] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
-    ks.setflags(write=False)
-    return ks
-
-
-def kraus_operators(d_f: int, eta: float) -> np.ndarray:
-    """Kraus operators of the photon-loss (binomial beamsplitter) channel."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    return _kraus_stack(d_f, float(eta))
+            c[k, n - k] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
+    c.setflags(write=False)
+    return c
 
 
 def loss_channel_adjoint(op, eta: float) -> np.ndarray:
-    """Heisenberg picture of the loss channel: sum_k A_k* op A_k, so that
-    trace(loss(rho) op) = trace(rho adjoint(op)).  op may be a (..., d, d)
-    stack.
+    """Heisenberg picture of the photon-loss (binomial beamsplitter)
+    channel of efficiency eta in [0, 1]: sum_k A_k* op A_k, so that
+    trace(loss(rho) op) = trace(rho adjoint(op)).  op may be a
+    (..., d, d) stack.
 
     A_k has its only nonzero entries c_k on the k-th superdiagonal, so
     A_k* op A_k is op shifted down and right by k and scaled by c_k on both
     sides; the terms are added in ascending k."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     op = np.asarray(op, dtype=complex)
     d_f = op.shape[-1]
-    ks = kraus_operators(d_f, eta)
+    coefficients = _loss_coefficients(d_f, float(eta))
     out = np.zeros(op.shape, dtype=complex)
     for k in range(d_f):
-        c_k = np.diagonal(ks[k], offset=k)
+        c_k = coefficients[k, :d_f - k]
         out[..., k:, k:] += (c_k[:, None] * op[..., :d_f - k, :d_f - k]) * c_k
     return out
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matlib, qstate
+from . import matlib
 
 __all__ = [
     "ProbeSet",
@@ -119,18 +119,16 @@ def add_noise(p, ratio: float, rng) -> np.ndarray:
     return out[:, 0] if vec else out
 
 
-def collect_patterns(detector: qstate.DetectorModel, probes: ProbeSet,
-                     ratio: float, rng) -> PatternSet:
-    """Measure every probe through the detector and perturb the responses
-    by add_noise at the given ratio.  Raises FloatingPointError when the
-    patterns overflow to non-finite entries."""
-    fwd = detector.augmented()
-    if fwd.shape[1] != probes.r_matrix.shape[0]:
+def collect_patterns(detector: np.ndarray, probes: ProbeSet, ratio: float, rng) -> PatternSet:
+    """The patterns F = D R of the probes through the (m, n + 1) detector
+    matrix D, perturbed by add_noise at the given ratio.  Raises
+    FloatingPointError when they overflow to non-finite entries."""
+    if detector.shape[1] != probes.r_matrix.shape[0]:
         raise ValueError(
-            f"detector expects {fwd.shape[1]} augmented parameters, "
+            f"detector expects {detector.shape[1]} augmented parameters, "
             f"probes carry {probes.r_matrix.shape[0]}"
         )
-    f = add_noise(fwd @ probes.r_matrix, ratio, rng)
+    f = add_noise(detector @ probes.r_matrix, ratio, rng)
     if not np.all(np.isfinite(f)):
         raise FloatingPointError(f"the {f.shape[0]} x {f.shape[1]} patterns overflowed "
                                  "to non-finite entries")
@@ -190,13 +188,13 @@ def mse_theoretical(inv: np.ndarray, epsilon: float, m: int) -> float:
     return epsilon**2 * matlib.hs_norm(inv[1:]) ** 2 / m
 
 
-def trial_data(detector: qstate.DetectorModel, true_blochs, ratio: float,
-               rng) -> np.ndarray:
-    """Detector responses (m, batch) to the true states given as Bloch
-    columns (n, batch), perturbed by add_noise at the given ratio."""
+def trial_data(detector: np.ndarray, true_blochs, ratio: float, rng) -> np.ndarray:
+    """Responses (m, batch) of the (m, n + 1) detector matrix D to the true
+    states given as Bloch columns (n, batch), perturbed by add_noise at the
+    given ratio."""
     true_blochs = np.atleast_2d(np.asarray(true_blochs, dtype=float))
     augmented = np.vstack([np.ones(true_blochs.shape[1]), true_blochs])
-    return add_noise(detector.augmented() @ augmented, ratio, rng)
+    return add_noise(detector @ augmented, ratio, rng)
 
 
 def batch_mse(inv: np.ndarray, data, true_blochs) -> float:

@@ -1,8 +1,7 @@
 """Finite-dimensional quantum objects in Gell-Mann coordinates: Bloch
-vectors, Born-rule probabilities, random states and square-root
-measurements.  The dimension d comes from an input's shape or an integer."""
+vectors, detector matrices, Born-rule probabilities, random states and
+square-root measurements; d comes from an input's shape or an integer."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
@@ -10,12 +9,12 @@ from math import isqrt
 import numpy as np
 
 __all__ = [
-    "DetectorModel",
     "RankDeficientGramError",
     "gellmann_basis",
     "state_to_bloch",
     "bloch_to_state",
     "povm_to_affine",
+    "affine_response",
     "born_probabilities",
     "haar_random_pure",
     "random_density_hs",
@@ -146,22 +145,6 @@ def bloch_to_state(r) -> np.ndarray:
     return np.eye(d) / d + np.einsum("...n,nij->...ij", r, gellmann_basis(d))
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """Affine response p_j = b_j + sum_k a_jk r_k of a measurement device."""
-
-    offset: np.ndarray   # (m,)
-    amatrix: np.ndarray  # (m, n)
-
-    def augmented(self) -> np.ndarray:
-        """Forward matrix [b | A] acting on augmented states (1, r)."""
-        return np.hstack([self.offset[:, None], self.amatrix])
-
-    def probabilities(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return self.offset + self.amatrix @ r
-
-
 def _element_stack(effects) -> tuple[np.ndarray, int]:
     arr = np.asarray(effects)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -169,15 +152,32 @@ def _element_stack(effects) -> tuple[np.ndarray, int]:
     return arr, arr.shape[1]
 
 
-def povm_to_affine(effects) -> DetectorModel:
-    """Affine decomposition b_j = trace(E_j)/d, a_jk = trace(E_j G_k) of an
-    (m, d, d) stack of Hermitian effects; completeness is not required,
-    only linearity of the response in the state.
+def povm_to_affine(effects) -> np.ndarray:
+    """The detector matrix D = [b | A] of an (m, d, d) stack of Hermitian
+    effects: the contiguous (m, d**2) array of b_j = trace(E_j)/d and
+    a_jk = trace(E_j G_k), whose product D (1, r) is the response to the
+    Bloch vector r.  Completeness is not required, only linearity.
     """
     elements, d = _element_stack(effects)
     b = np.trace(elements, axis1=1, axis2=2).real / d
-    a = _gellmann_traces(elements, d)
-    return DetectorModel(offset=b, amatrix=a)
+    return np.hstack([b[:, None], _gellmann_traces(elements, d)])
+
+
+def affine_response(detector, r) -> np.ndarray:
+    """The response b + A r of the detector matrix D = [b | A] to the Bloch
+    vector r, with the bits of numpy's b + A @ r for the strided A of the
+    Gell-Mann traces: the products a_jk r_k added from zero in ascending k,
+    or a BLAS dot for a single row.  A BLAS product of D's columns may
+    differ in the last bit."""
+    detector = np.asarray(detector, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if r.shape != (detector.shape[1] - 1,):
+        raise ValueError(f"expected {detector.shape[1] - 1} Bloch coordinates, got shape {r.shape}")
+    if len(detector) == 1:
+        return detector[:, 0] + detector[:, 1:] @ r
+    terms = detector[:, 1:] * r
+    terms[:, 0] += 0.0  # the sum starts from zero, which turns -0.0 into 0.0
+    return detector[:, 0] + np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def born_probabilities(rho, effects) -> np.ndarray:

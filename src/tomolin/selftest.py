@@ -149,7 +149,7 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
             det = qstate.povm_to_affine(povm)
             rho = qstate.random_density_hs(d, rng)
             r = qstate.state_to_bloch(rho)
-            p_affine = det.probabilities(r)
+            p_affine = qstate.affine_response(det, r)
             p_born = qstate.born_probabilities(rho, povm)
             worst_affine = max(worst_affine, np.abs(p_affine - p_born).max())
             worst_norm = max(worst_norm, abs(p_born.sum() - 1.0))
@@ -235,7 +235,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
                                                      noise=0.0)
         rho = qstate.random_density_hs(d, rng)
         r = qstate.state_to_bloch(rho)
-        data = detector.probabilities(r)
+        data = qstate.affine_response(detector, r)
         for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
             inv = build(patterns, probes, rtol=cfg.rtol)
             r_hat, valid = protocols.estimate_batch(inv, data[:, None])

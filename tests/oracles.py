@@ -1,7 +1,8 @@
 """Reference forms and diagnostics that only the tests use.
 
-loss_channel is the Schrodinger picture of the photon-loss channel, the
-reference for homodyne.loss_channel_adjoint; QuadratureOutcome and
+kraus_operators and loss_channel are the Kraus stack and the Schrodinger
+picture of the photon-loss channel, the reference for
+homodyne.loss_channel_adjoint; QuadratureOutcome and
 quadrature_functional build one quadrature functional at a time, the
 reference for the batched functionals of homodyne.homodyne_measurement.
 value_at reads a square Wigner grid at its point nearest to (x, p),
@@ -10,17 +11,37 @@ for redundant probe sets, and keyed_cells lists the cells of a run.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
 from tomolin import bench, homodyne, matlib, protocols
 
 
+@lru_cache(maxsize=None)
+def _kraus_stack(d_f: int, eta: float) -> np.ndarray:
+    ks = np.zeros((d_f, d_f, d_f))
+    for k in range(d_f):
+        for n in range(k, d_f):
+            binom = factorial(n) / (factorial(k) * factorial(n - k))
+            ks[k, n - k, n] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
+    ks.setflags(write=False)
+    return ks
+
+
+def kraus_operators(d_f: int, eta: float) -> np.ndarray:
+    """Kraus operators of the photon-loss (binomial beamsplitter) channel."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    return _kraus_stack(d_f, float(eta))
+
+
 def loss_channel(rho, eta: float) -> np.ndarray:
     """Apply the loss channel sum_k A_k rho A_k*; trace preserving and
     completely positive by construction."""
     rho = np.asarray(rho, dtype=complex)
-    ks = homodyne.kraus_operators(rho.shape[0], eta)
+    ks = kraus_operators(rho.shape[0], eta)
     return np.einsum("kij,jl,kml->im", ks, rho, ks.conj())
 
 
@@ -54,10 +75,9 @@ def value_at(axis, values, x: float, p: float) -> float:
 
 def keyed_cells(cfg: bench.ExperimentConfig) -> list:
     """(m, ensemble, cell) of every cell of cfg's grid in (m, ensemble)
-    order, with BLAS on one thread as in a run, so with a run's bits."""
-    with bench._one_blas_thread():
-        return [(m, e, cell) for m in cfg.m_values for e in range(cfg.ensembles)
-                for cell in bench.cells(cfg, m, e)]
+    order, with a run's bits."""
+    return [(m, e, cell) for m in cfg.m_values for e in range(cfg.ensembles)
+            for cell in bench.cells(cfg, m, e)]
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def test_criterion_3_equivalence_theorem():
         worst_matrix = max(worst_matrix, rel)
         rho = qstate.random_density_hs(d, rng)
         r = qstate.state_to_bloch(rho)
-        f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
+        f = protocols.add_noise(qstate.affine_response(setup.detector, r), setup.noise_data, rng)
         est_s, valid_s = protocols.estimate_batch(a_s, f[:, None])
         est_p, valid_p = protocols.estimate_batch(a_p, f[:, None])
         assert valid_s[0] and valid_p[0]

@@ -269,6 +269,36 @@ class TestCells:
             for cell in cells:
                 assert [inv.shape for inv in cell.invs] == [(n + 1, m)] * 2
                 assert cell.data.shape == (m, cfg.trials) and cell.truth.shape == truth
+                # one detector matrix D, shared along M
+                assert cell.detector.shape == (m, n + 1) and cell.detector is cells[0].detector
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_cells_draw_on_one_blas_thread(self, name, monkeypatch):
+        # cells pins numpy's OpenBLAS to one thread by itself, as a run
+        # does, and restores the count it found
+        blas = bench._bundled_openblas()
+        if blas is None:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        get_threads, set_threads = blas
+        seen = []
+        collect_patterns = protocols.collect_patterns
+
+        def spy(*args):
+            seen.append(get_threads())
+            return collect_patterns(*args)
+
+        monkeypatch.setattr(protocols, "collect_patterns", spy)
+        cfg = bench.ExperimentConfig(**RUNS[name][0])
+        previous = get_threads()
+        set_threads(2)
+        try:
+            if get_threads() != 2:
+                pytest.skip("OpenBLAS runs on one thread at most here")
+            bench.cells(cfg, cfg.m_values[0], 0)
+            assert get_threads() == 2
+        finally:
+            set_threads(previous)
+        assert seen == [1]
 
     def test_selftest_config_has_no_cells(self):
         with pytest.raises(bench.ConfigError, match="no cells"):
@@ -753,7 +783,7 @@ class TestHomodyneRunMemory:
     def test_full_scale_cell_peak(self):
         # the inversions are built before the 520 kB (m, trials) data are
         # drawn, and the MSE squares the errors in place
-        cfg = bench.ExperimentConfig(**cli.FULL_SCALE_HOMODYNE, experiment="homodyne")
+        cfg = bench.ExperimentConfig(**bench.FULL_SCALE_HOMODYNE, experiment="homodyne")
         bench._task(cfg, 30, 0)  # fills the caches of a d = 6 run
         assert _traced_peak(bench._task, cfg, 130, 0) < 0.9e6
 

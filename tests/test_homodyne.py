@@ -64,7 +64,7 @@ def _integral(values):
 
 
 def _measurement_loop(m, eta, rng, d_f, dx=0.1, x_max=5.0):
-    ks = homodyne.kraus_operators(d_f, eta)
+    ks = oracles.kraus_operators(d_f, eta)
     points, effects = [], []
     for _ in range(m):
         theta = float(rng.uniform(0.0, np.pi))
@@ -154,7 +154,7 @@ class TestLossChannel:
     def test_kraus_completeness_and_trace_preservation(self):
         rng = np.random.default_rng(3)
         for eta in (0.2, 0.8):
-            ks = homodyne.kraus_operators(7, eta)
+            ks = oracles.kraus_operators(7, eta)
             total = np.einsum("kji,kjl->il", ks, ks)
             assert np.abs(total - np.eye(7)).max() < 1e-10
             rho = qstate.random_density_hs(7, rng)
@@ -172,7 +172,17 @@ class TestLossChannel:
 
     def test_efficiency_range(self):
         with pytest.raises(ValueError):
-            homodyne.kraus_operators(4, 1.2)
+            homodyne.loss_channel_adjoint(np.eye(4), 1.2)
+
+    @pytest.mark.parametrize("d_f", [3, 4, 6, 9])
+    def test_loss_coefficients_are_kraus_superdiagonals(self, d_f):
+        # row k of the table is the k-th superdiagonal of A_k, bit for bit
+        for eta in (0.0, 0.3, 0.8, 1.0):
+            table = homodyne._loss_coefficients(d_f, eta)
+            ks = oracles.kraus_operators(d_f, eta)
+            for k in range(d_f):
+                assert np.array_equal(table[k, :d_f - k], np.diagonal(ks[k], offset=k))
+                assert not table[k, d_f - k:].any()
 
 
 class TestHermiteFunctions:

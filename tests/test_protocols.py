@@ -126,7 +126,7 @@ class TestCollectPatterns:
     def test_noiseless_collection_is_forward_map(self):
         rng = np.random.default_rng(11)
         setup = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0)
-        expected = setup.detector.augmented() @ setup.probes.r_matrix
+        expected = setup.detector @ setup.probes.r_matrix
         assert_allclose(setup.patterns.f_matrix, expected, atol=1e-14)
 
     def test_maximally_mixed_probe_gives_offset(self):
@@ -135,7 +135,7 @@ class TestCollectPatterns:
         detector = qstate.povm_to_affine(povm)
         probes = protocols.ProbeSet.from_blochs(np.zeros((8, 1)))
         patterns = protocols.collect_patterns(detector, probes, 0.0, rng)
-        assert_allclose(patterns.f_matrix[:, 0], detector.offset, atol=1e-14)
+        assert_allclose(patterns.f_matrix[:, 0], detector[:, 0], atol=1e-14)
 
     def test_columns_match_per_probe_evaluation(self):
         rng = np.random.default_rng(13)
@@ -143,11 +143,11 @@ class TestCollectPatterns:
         for alpha in range(7):
             r = setup.probes.r_matrix[1:, alpha]
             assert_allclose(setup.patterns.f_matrix[:, alpha],
-                            setup.detector.probabilities(r), atol=1e-14)
+                            qstate.affine_response(setup.detector, r), atol=1e-14)
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(14)
-        det = qstate.DetectorModel(offset=np.zeros(3), amatrix=np.zeros((3, 5)))
+        det = np.zeros((3, 6))
         probes = protocols.ProbeSet.from_blochs(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="augmented"):
             protocols.collect_patterns(det, probes, 0.0, rng)
@@ -156,7 +156,7 @@ class TestCollectPatterns:
         # responses of 3e300 are finite, but their squares for the noise
         # RMS are not
         rng = np.random.default_rng(16)
-        det = qstate.DetectorModel(offset=np.full(3, 1e300), amatrix=np.full((3, 2), 1e300))
+        det = np.full((3, 3), 1e300)
         probes = protocols.ProbeSet.from_blochs(np.ones((2, 4)))
         assert np.all(protocols.collect_patterns(det, probes, 0.0, rng).f_matrix == 3e300)
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -207,7 +207,7 @@ class TestInversionMatrices:
         for _ in range(5):
             rho = qstate.random_density_hs(3, rng)
             r = qstate.state_to_bloch(rho)
-            p = setup.detector.probabilities(r)
+            p = qstate.affine_response(setup.detector, r)
             assert_allclose(estimate(a_s, p), r, atol=1e-8)
 
     def test_pattern_exact_fit_recovers_probe(self):
@@ -233,10 +233,10 @@ class TestInversionMatrices:
     def test_oracle_inversion(self):
         rng = np.random.default_rng(27)
         setup = make_random_setup(2, 6, 4, rng)
-        inv = matlib.pinv(setup.detector.augmented())
+        inv = matlib.pinv(setup.detector)
         rho = qstate.random_density_hs(2, rng)
         r = qstate.state_to_bloch(rho)
-        assert_allclose(estimate(inv, setup.detector.probabilities(r)), r, atol=1e-10)
+        assert_allclose(estimate(inv, qstate.affine_response(setup.detector, r)), r, atol=1e-10)
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="count"):
@@ -257,7 +257,7 @@ class TestEstimate:
         for _ in range(200):
             rho = qstate.random_density_hs(2, rng)
             r = qstate.state_to_bloch(rho)
-            f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
+            f = protocols.add_noise(qstate.affine_response(setup.detector, r), setup.noise_data, rng)
             if np.linalg.norm(estimate(inv, f)) > radius:
                 left += 1
         assert left > 0
@@ -278,7 +278,7 @@ class TestEstimate:
             a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
             rho = qstate.random_density_hs(3, rng)
             r = qstate.state_to_bloch(rho)
-            f = protocols.add_noise(setup.detector.probabilities(r), setup.noise_data, rng)
+            f = protocols.add_noise(qstate.affine_response(setup.detector, r), setup.noise_data, rng)
             assert np.abs(estimate(a_s, f) - estimate(a_p, f)).max() < 1e-8
 
 

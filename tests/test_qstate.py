@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tomolin import qstate
+from tomolin import homodyne, qstate
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -145,7 +145,10 @@ class TestGellmannTraces:
         rng = np.random.default_rng(300 * d + count)
         gammas = qstate.gellmann_basis(d)
         x = wide_range_matrices(rng, (count,), d)
-        assert_same_bits(qstate.povm_to_affine(x).amatrix, einsum_amatrix(x, gammas))
+        ref = einsum_amatrix(x, gammas)
+        assert_same_bits(qstate._gellmann_traces(x, d), ref)
+        # the A block of the contiguous D = [b | A] has D's strides, not einsum's
+        assert_same_bits(qstate.povm_to_affine(x)[:, 1:].copy(), ref.copy())
 
     @pytest.mark.parametrize("size", [None, 1, 7, 500])
     @pytest.mark.parametrize("d", range(2, 9))
@@ -164,7 +167,7 @@ class TestDetectorModel:
     def test_computational_basis_offsets(self):
         povm = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
         det = qstate.povm_to_affine(povm)
-        assert_allclose(det.offset, [0.5, 0.5], atol=1e-15)
+        assert_allclose(det[:, 0], [0.5, 0.5], atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_sum_rules(self, d):
@@ -172,8 +175,8 @@ class TestDetectorModel:
         povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=2 * d))
         det = qstate.povm_to_affine(povm)
         # completeness forces sum(b) = 1 and zero column sums of A
-        assert det.offset.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(det.amatrix.sum(axis=0)).max() < 1e-12
+        assert det[:, 0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(det[:, 1:].sum(axis=0)).max() < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_affine_matches_born(self, d):
@@ -183,11 +186,62 @@ class TestDetectorModel:
             det = qstate.povm_to_affine(povm)
             rho = qstate.random_density_hs(d, rng)
             r = qstate.state_to_bloch(rho)
-            assert np.abs(det.probabilities(r) - qstate.born_probabilities(rho, povm)).max() < 1e-12
+            assert np.abs(qstate.affine_response(det, r) - qstate.born_probabilities(rho, povm)).max() < 1e-12
 
     def test_augmented_layout(self):
-        det = qstate.DetectorModel(offset=np.array([0.25, 0.75]), amatrix=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert_allclose(det.augmented(), [[0.25, 1.0, 2.0], [0.75, 3.0, 4.0]])
+        # D = [b | A], one contiguous array: the offsets trace(E_j)/d, then
+        # the coordinates trace(E_j G_k) on sigma_x, sigma_y, sigma_z / sqrt(2)
+        povm = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        det = qstate.povm_to_affine(povm)
+        assert det.shape == (2, 4) and det.flags.c_contiguous
+        s = 1.0 / np.sqrt(2.0)
+        assert_allclose(det, [[0.5, 0.0, 0.0, s], [0.5, 0.0, 0.0, -s]], atol=1e-15)
+
+
+def strided_response(effects, r):
+    """The response as b + A @ r with A the strided real view of the
+    Gell-Mann traces, the unblocked numpy product summed from zero."""
+    d = effects.shape[1]
+    a = qstate._gellmann_traces(effects, d)
+    assert a.strides[1] == 16  # not unit-stride, so not a BLAS product
+    return np.trace(effects, axis1=1, axis2=2).real / d + a @ r
+
+
+class TestAffineResponse:
+    """affine_response(D, r) has the bits of b + A @ r for the strided A,
+    for square-root-measurement and homodyne effects."""
+
+    @pytest.mark.parametrize("kind", ["srm", "homodyne"])
+    @pytest.mark.parametrize("m", [1, "d", 16, 130])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_strided_product(self, d, m, kind):
+        count = d if m == "d" else m
+        rng = np.random.default_rng([d, count, kind == "srm"])
+        if kind == "srm":
+            # the first count effects of a measurement with >= d outcomes
+            kets = qstate.haar_random_pure(d, rng, size=max(count, d))
+            effects = qstate.square_root_measurement(kets)[:count]
+        else:
+            _, effects = homodyne.homodyne_measurement(count, 0.8, rng, d, dx=0.1, x_max=3.0)
+        det = qstate.povm_to_affine(effects)
+        states = [*qstate.random_density_hs(d, rng, size=4), np.eye(d) / d,
+                  qstate.random_density_pure(d, rng)]
+        for r in qstate.state_to_bloch(np.array(states)):
+            assert_same_bits(qstate.affine_response(det, r), strided_response(effects, r))
+
+    def test_sum_starts_from_zero(self):
+        # every product is -0.0: summed from zero they give 0.0, and
+        # b = -0.0 plus 0.0 is 0.0
+        det = np.array([[-0.0, -1.0, -1.0, -1.0]] * 2)
+        a = np.zeros((2, 3), dtype=complex).real
+        a[:] = -1.0
+        ref = np.array([-0.0, -0.0]) + a @ np.zeros(3)
+        assert not np.any(np.signbit(ref))
+        assert_same_bits(qstate.affine_response(det, np.zeros(3)), ref)
+
+    def test_coordinate_count(self):
+        with pytest.raises(ValueError, match="coordinates"):
+            qstate.affine_response(np.zeros((3, 4)), np.zeros(4))
 
 
 class TestBornProbabilities:
