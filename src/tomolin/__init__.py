@@ -10,28 +10,5 @@ detection.
 """
 
 from . import bench, homodyne, matlib, protocols, qstate, selftest
-from .bench import ExperimentConfig, SweepResult, run_homodyne, run_sweep_outcomes, run_sweep_probes
-from .matlib import GwDecomposition, SvdFactorization, gw_decompose, hs_norm, penrose_check, pinv, reverse_order_holds, svd
-from .protocols import (
-    PatternSet,
-    ProbeSet,
-    add_noise,
-    collect_patterns,
-    mse_theoretical,
-    pattern_inversion_matrix,
-    standard_inversion_matrix,
-)
-from .qstate import (
-    affine_response,
-    born_probabilities,
-    bloch_to_state,
-    gellmann_basis,
-    haar_random_pure,
-    povm_to_affine,
-    random_density_hs,
-    square_root_measurement,
-    state_to_bloch,
-)
-from .selftest import run_selftest
 
 __version__ = "0.1.0"

@@ -83,15 +83,14 @@ class ExperimentConfig:
         return self.d * self.d - 1
 
     def __post_init__(self):
-        # a JSON list is stored as a tuple, so every config compares and
-        # hashes the same however it was built
+        """Store a JSON list as a tuple, so every config compares and hashes
+        the same however it was built.  Then check every field against its
+        annotated type and its bound, then the rules that tie fields
+        together; raise ConfigError otherwise, so a config that exists is
+        valid."""
         for name, (base, _) in _FIELD_TYPES.items():
             if base is tuple and isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def validate(self) -> None:
-        """Check every field against its annotated type and its bound, then
-        the rules that tie fields together; raise ConfigError otherwise."""
         for name, (base, nullable) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if value is None and nullable:
@@ -117,9 +116,7 @@ class ExperimentConfig:
         unknown = set(doc) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
+        return cls(**doc)
 
 
 def _annotation(tp) -> tuple:
@@ -573,7 +570,10 @@ def _cell_results(cfg: ExperimentConfig, keys):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     parent = os.getpid() if multiprocessing.get_start_method() == "fork" else None
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+    # at most one worker per cell: a forked pool starts all of its workers
+    # at the first submit
+    workers = min(cfg.workers, len(keys))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(parent,)) as pool:
         yield from pool.map(functools.partial(_task, cfg), *zip(*keys))
 
@@ -583,10 +583,9 @@ def _run_grid(cfg: ExperimentConfig, experiment: str):
     skipping cells whose rows cfg.out already holds, and write and return
     the new rows in (m, M, ensemble) order, with BLAS on one thread.
 
-    A config that is invalid or made for another experiment, and an output
-    that _OutputFiles refuses, raise ConfigError before anything is written.
+    A config made for another experiment, and an output that _OutputFiles
+    refuses, raise ConfigError before anything is written.
     """
-    cfg.validate()
     if cfg.experiment != experiment:
         raise ConfigError(f"a config for experiment {cfg.experiment!r} cannot run {experiment}")
     results = []
@@ -623,11 +622,14 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
 def _wigner_csv(path: str, axis: np.ndarray, values: np.ndarray) -> None:
     # values are a Wigner grid over axis x axis; the axis strings are
     # formatted once and reused for every point, and the values are turned
-    # into Python floats one row at a time
+    # into Python floats one row at a time.  A non-finite value raises
+    # FloatingPointError, and path is then left as it was
     points = [f"{v:.12e}" for v in axis.tolist()]
     with _replacing(path) as fh:
         fh.write("x,p,w\n")
         for x, row in zip(points, values):
+            if not np.isfinite(row).all():
+                raise FloatingPointError(f"the Wigner grid of {path} is not finite")
             fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(points, row.tolist())))
 
 
@@ -650,12 +652,15 @@ def run_homodyne(cfg: ExperimentConfig):
     axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
     stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
     signal = homodyne.true_signal(cfg.d)
-    _wigner_csv(f"{stem}_wigner_true.csv", axis,
-                homodyne.wigner(np.outer(signal, signal.conj()), axis, axis))
-    with _one_blas_thread():
-        for m in export_m:
-            for kind, r_hat in _mean_estimates(cfg, m).items():
-                if r_hat is not None:
-                    _wigner_csv(f"{stem}_wigner_{kind}_m{m}.csv", axis,
-                                homodyne.wigner(qstate.bloch_to_state(r_hat), axis, axis))
+    # overflow warnings are silenced, since _wigner_csv refuses a grid that
+    # is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        _wigner_csv(f"{stem}_wigner_true.csv", axis,
+                    homodyne.wigner(np.outer(signal, signal.conj()), axis, axis))
+        with _one_blas_thread():
+            for m in export_m:
+                for kind, r_hat in _mean_estimates(cfg, m).items():
+                    if r_hat is not None:
+                        _wigner_csv(f"{stem}_wigner_{kind}_m{m}.csv", axis,
+                                    homodyne.wigner(qstate.bloch_to_state(r_hat), axis, axis))
     return results

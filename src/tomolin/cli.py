@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import bench, matlib, protocols, selftest
+from . import bench, protocols, selftest
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,9 +129,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1
-    except (matlib.SvdError, protocols.EstimationFailureError, FloatingPointError,
-            np.linalg.LinAlgError, RuntimeError) as exc:
-        # FloatingPointError: patterns that overflow
+    except (protocols.EstimationFailureError, FloatingPointError, np.linalg.LinAlgError,
+            RuntimeError) as exc:
+        # FloatingPointError: patterns that overflow or a non-finite Wigner
+        # grid; LinAlgError includes matlib.SvdError
         # BrokenProcessPool is a RuntimeError; its module is loaded only
         # where a pool was built, at --workers > 1
         pool = sys.modules.get("concurrent.futures.process")

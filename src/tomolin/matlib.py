@@ -11,13 +11,10 @@ import numpy as np
 __all__ = [
     "SvdError",
     "SvdFactorization",
-    "GwDecomposition",
-    "PenroseResiduals",
-    "as_matrix",
     "svd",
     "pinv",
     "penrose_check",
-    "reverse_order_holds",
+    "reverse_order_residual",
     "gw_decompose",
     "admissible_perturbation",
     "hs_norm",
@@ -30,7 +27,7 @@ class SvdError(np.linalg.LinAlgError):
     """SVD failed to converge; message carries shape and a condition estimate."""
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
+def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Validate and return x as a 2-D numpy array with finite entries."""
     a = np.asarray(x)
     if a.ndim == 1:
@@ -84,7 +81,7 @@ def svd(x, rtol: float | None = None) -> SvdFactorization:
     rtol sets the relative cutoff below which singular values are treated
     as zero; defaults to max(rows, cols) * machine epsilon.
     """
-    a = as_matrix(x)
+    a = _as_matrix(x)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -106,81 +103,61 @@ def pinv(x, rtol: float | None = None) -> np.ndarray:
     return svd(x, rtol=rtol).pinv()
 
 
-@dataclass(frozen=True)
-class PenroseResiduals:
-    """Relative residuals of the four defining pseudoinverse conditions."""
-
-    c1: float  # X Xp X = X
-    c2: float  # Xp X Xp = Xp
-    c3: float  # (X Xp)* = X Xp
-    c4: float  # (Xp X)* = Xp X
-
-    def max(self) -> float:
-        return max(self.c1, self.c2, self.c3, self.c4)
-
-
 def _rel(num: float, denom: float) -> float:
     return num / denom if denom > 0 else num
 
 
-def penrose_check(x, xp) -> PenroseResiduals:
-    """Residuals of the four conditions that characterise the pseudoinverse."""
-    a = as_matrix(x, "x")
-    b = as_matrix(xp, "xp")
+def penrose_check(x, xp) -> np.ndarray:
+    """Relative residuals of the four conditions that characterise the
+    pseudoinverse, in this order: c1 X Xp X = X, c2 Xp X Xp = Xp,
+    c3 (X Xp)* = X Xp and c4 (Xp X)* = Xp X."""
+    a = _as_matrix(x, "x")
+    b = _as_matrix(xp, "xp")
     if b.shape != (a.shape[1], a.shape[0]):
         raise ValueError(f"xp shape {b.shape} incompatible with x shape {a.shape}")
     ab = a @ b
     ba = b @ a
-    return PenroseResiduals(
-        c1=_rel(np.linalg.norm(ab @ a - a), np.linalg.norm(a)),
-        c2=_rel(np.linalg.norm(ba @ b - b), np.linalg.norm(b)),
-        c3=_rel(np.linalg.norm(ab.conj().T - ab), max(np.linalg.norm(ab), 1.0)),
-        c4=_rel(np.linalg.norm(ba.conj().T - ba), max(np.linalg.norm(ba), 1.0)),
-    )
+    return np.array([
+        _rel(np.linalg.norm(ab @ a - a), np.linalg.norm(a)),
+        _rel(np.linalg.norm(ba @ b - b), np.linalg.norm(b)),
+        _rel(np.linalg.norm(ab.conj().T - ab), max(np.linalg.norm(ab), 1.0)),
+        _rel(np.linalg.norm(ba.conj().T - ba), max(np.linalg.norm(ba), 1.0)),
+    ])
 
 
-def reverse_order_holds(x, y, tol: float = 1e-9, rtol: float | None = None):
-    """Test the reverse-order law (X Y)+ = Y+ X+.
+def reverse_order_residual(x, y, rtol: float | None = None) -> float:
+    """Residual of the reverse-order law (X Y)+ = Y+ X+, relative to
+    ||(X Y)+||.
 
-    Returns (holds, residual) with the residual relative to ||(X Y)+||.
     The law holds when X has orthonormal columns, Y has orthonormal rows,
     Y = X*, or X has full column rank and Y full row rank; it fails for
     generic rank-deficient products.
     """
-    a = as_matrix(x, "x")
-    b = as_matrix(y, "y")
+    a = _as_matrix(x, "x")
+    b = _as_matrix(y, "y")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
     lhs = pinv(a @ b, rtol=rtol)
     rhs = pinv(b, rtol=rtol) @ pinv(a, rtol=rtol)
-    residual = _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs))
-    return bool(residual <= tol), float(residual)
+    return float(_rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs)))
 
 
-@dataclass(frozen=True)
-class GwDecomposition:
-    """Factors of (X Y)+ = Y+ (h + g) X+ with h a skew projector and g the
-    unique minimal-norm correction orthogonal to h."""
-
-    h: np.ndarray
-    g: np.ndarray
-
-
-def gw_decompose(x, y, rtol: float | None = None) -> GwDecomposition:
+def gw_decompose(x, y, rtol: float | None = None) -> tuple:
     """Decompose the pseudoinverse of a product into projector and correction.
 
-    h = (X+ X Y Y+)+ and g = Y (X Y)+ X - h, which satisfies
-    Y Y+ g X+ X = g, trace(g* h) = 0 and the reconstruction identity.
+    Returns (h, g) with (X Y)+ = Y+ (h + g) X+: h = (X+ X Y Y+)+ is a skew
+    projector and g = Y (X Y)+ X - h is the unique minimal-norm correction,
+    which satisfies Y Y+ g X+ X = g and trace(g* h) = 0.
     """
-    a = as_matrix(x, "x")
-    b = as_matrix(y, "y")
+    a = _as_matrix(x, "x")
+    b = _as_matrix(y, "y")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
     ap = pinv(a, rtol=rtol)
     bp = pinv(b, rtol=rtol)
     h = pinv((ap @ a) @ (b @ bp), rtol=rtol)
     g = b @ pinv(a @ b, rtol=rtol) @ a - h
-    return GwDecomposition(h=h, g=g)
+    return h, g
 
 
 def admissible_perturbation(x, y, rng, rtol: float | None = None) -> np.ndarray:
@@ -190,8 +167,8 @@ def admissible_perturbation(x, y, rng, rtol: float | None = None) -> np.ndarray:
     A Gaussian draw is projected with Y Y+ (.) X+ X and the component
     violating X z Y = 0 is removed through a least-squares correction.
     """
-    a = as_matrix(x, "x")
-    b = as_matrix(y, "y")
+    a = _as_matrix(x, "x")
+    b = _as_matrix(y, "y")
     q = b @ pinv(b, rtol=rtol)
     p = pinv(a, rtol=rtol) @ a
     w = rng.standard_normal((a.shape[1], a.shape[1]))
@@ -206,4 +183,4 @@ def admissible_perturbation(x, y, rng, rtol: float | None = None) -> np.ndarray:
 
 def hs_norm(x) -> float:
     """Hilbert-Schmidt (Frobenius) norm, sqrt(trace(x* x))."""
-    return float(np.linalg.norm(as_matrix(x)))
+    return float(np.linalg.norm(_as_matrix(x)))

@@ -79,18 +79,18 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(pairs):
         x = rng.standard_normal((int(rng.integers(2, 10)), int(rng.integers(2, 10))))
         y = rng.standard_normal((x.shape[1], int(rng.integers(2, 10))))
-        dec = matlib.gw_decompose(x, y, rtol=cfg.rtol)
+        h, g = matlib.gw_decompose(x, y, rtol=cfg.rtol)
         lhs = matlib.pinv(x @ y, rtol=cfg.rtol)
         y_pinv = matlib.pinv(y, rtol=cfg.rtol)
         x_pinv = matlib.pinv(x, rtol=cfg.rtol)
-        rhs = y_pinv @ (dec.h + dec.g) @ x_pinv
+        rhs = y_pinv @ (h + g) @ x_pinv
         denom = max(np.linalg.norm(lhs), 1e-30)
         worst_recon = max(worst_recon, np.linalg.norm(lhs - rhs) / denom)
-        worst_orth = max(worst_orth, abs(np.trace(dec.g.conj().T @ dec.h)) / max(1.0, np.linalg.norm(dec.g) * np.linalg.norm(dec.h)))
+        worst_orth = max(worst_orth, abs(np.trace(g.conj().T @ h)) / max(1.0, np.linalg.norm(g) * np.linalg.norm(h)))
         base = np.linalg.norm(rhs)
         for _ in range(10):
             z = matlib.admissible_perturbation(x, y, rng, rtol=cfg.rtol)
-            alt = np.linalg.norm(y_pinv @ (dec.h + z) @ x_pinv)
+            alt = np.linalg.norm(y_pinv @ (h + z) @ x_pinv)
             # slack measured relative to the minimal norm; the inequality
             # is scale covariant, an absolute slack would not be
             worst_min = max(worst_min, (base - alt) / max(base, 1e-30))
@@ -103,12 +103,12 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(10):
         q = np.linalg.qr(rng.standard_normal((8, 4)))[0]
         y = rng.standard_normal((4, 6))
-        worst_pos = max(worst_pos, matlib.reverse_order_holds(q, y, rtol=cfg.rtol)[1])
+        worst_pos = max(worst_pos, matlib.reverse_order_residual(q, y, rtol=cfg.rtol))
         x = rng.standard_normal((4, 6))
-        worst_pos = max(worst_pos, matlib.reverse_order_holds(x, x.conj().T, rtol=cfg.rtol)[1])
+        worst_pos = max(worst_pos, matlib.reverse_order_residual(x, x.conj().T, rtol=cfg.rtol))
         g = rng.standard_normal((4, 6))
         h = rng.standard_normal((6, 4))
-        best_neg = min(best_neg, matlib.reverse_order_holds(g, h, rtol=cfg.rtol)[1])
+        best_neg = min(best_neg, matlib.reverse_order_residual(g, h, rtol=cfg.rtol))
     yield SelfTestCheck("matlib", "reverse-order-valid-cases", 20, worst_pos, 1e-9)
     # negative control: generic products must violate the law
     yield SelfTestCheck("matlib", "reverse-order-negative-control", 10,
@@ -223,8 +223,8 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         f = patterns.f_matrix
         r = probes.r_matrix
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        dec = matlib.gw_decompose(f, matlib.pinv(r, rtol=cfg.rtol), rtol=cfg.rtol)
-        bridged = r @ (dec.h + dec.g) @ matlib.pinv(f, rtol=cfg.rtol)
+        h, g = matlib.gw_decompose(f, matlib.pinv(r, rtol=cfg.rtol), rtol=cfg.rtol)
+        bridged = r @ (h + g) @ matlib.pinv(f, rtol=cfg.rtol)
         worst_gw = max(worst_gw, matlib.hs_norm(a_s - bridged) / matlib.hs_norm(a_s))
     yield SelfTestCheck("protocols", "gw-bridge", max(5, count // 2), worst_gw, 1e-9)
 
@@ -246,9 +246,8 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
 def run_selftest(cfg: bench.ExperimentConfig) -> SelfTestReport:
     """Run the matlib, qstate and protocols invariant suites and report
     worst residuals against their tolerances, with BLAS on one thread as
-    in every run.  A config that is invalid or made for another experiment
-    raises ConfigError."""
-    cfg.validate()
+    in every run.  A config made for another experiment raises
+    ConfigError."""
     if cfg.experiment != "selftest":
         raise bench.ConfigError(f"a config for experiment {cfg.experiment!r} cannot run selftest")
     rng = bench._rng(cfg.seed, bench._TAG_SELFTEST)

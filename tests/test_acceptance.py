@@ -74,18 +74,18 @@ def test_criterion_2_product_decomposition_suite():
         y = rng.standard_normal((x.shape[1], int(rng.integers(2, 13))))
         if np.iscomplexobj(x):
             y = y + 1j * rng.standard_normal(y.shape)
-        dec = matlib.gw_decompose(x, y)
+        h, g = matlib.gw_decompose(x, y)
         xp = matlib.pinv(x)
         yp = matlib.pinv(y)
         lhs = matlib.pinv(x @ y)
-        rhs = yp @ (dec.h + dec.g) @ xp
+        rhs = yp @ (h + g) @ xp
         worst_recon = max(worst_recon, np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30))
-        denom = max(np.linalg.norm(dec.g) * np.linalg.norm(dec.h), 1.0)
-        worst_orth = max(worst_orth, abs(np.trace(dec.g.conj().T @ dec.h)) / denom)
+        denom = max(np.linalg.norm(g) * np.linalg.norm(h), 1.0)
+        worst_orth = max(worst_orth, abs(np.trace(g.conj().T @ h)) / denom)
         base = np.linalg.norm(rhs)
         for _ in range(100):
             z = matlib.admissible_perturbation(x, y, rng)
-            alt = np.linalg.norm(yp @ (dec.h + z) @ xp)
+            alt = np.linalg.norm(yp @ (h + z) @ xp)
             worst_min = max(worst_min, (base - alt) / max(base, 1e-30))
     elapsed = time.monotonic() - start
     ok = worst_recon < 1e-9 and worst_orth < 1e-9 and worst_min < 1e-10 and elapsed < 60.0

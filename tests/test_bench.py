@@ -6,6 +6,7 @@ import concurrent.futures
 import contextlib
 import errno
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -44,7 +45,7 @@ TINY_HOMODYNE = dict(
 
 class TestExperimentConfig:
     def test_defaults_validate(self):
-        bench.ExperimentConfig().validate()
+        bench.ExperimentConfig()
 
     @pytest.mark.parametrize("overrides", [
         dict(experiment="mle"),
@@ -61,7 +62,7 @@ class TestExperimentConfig:
     def test_validation_rejects(self, overrides):
         from dataclasses import replace
         with pytest.raises(bench.ConfigError):
-            replace(bench.ExperimentConfig(), **overrides).validate()
+            replace(bench.ExperimentConfig(), **overrides)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(bench.ConfigError, match="unknown config keys"):
@@ -300,6 +301,17 @@ class TestCells:
             set_threads(previous)
         assert seen == [1]
 
+    @pytest.mark.parametrize("doc, m", [
+        (dict(experiment="sweep-outcomes", d=4, m_values=(2,), M_values=(6,)), 2),
+        (dict(experiment="homodyne", d=2, m_values=(4,), M_values=(6,)), 4),
+        ({**TINY_PROBES, "noise_ratio_data": -1}, 6),
+        ({**TINY_PROBES, "state_ensemble": "bures"}, 6),
+    ], ids=["m-below-d", "homodyne-qubit", "negative-noise", "unknown-ensemble"])
+    def test_cells_refuse_an_invalid_config(self, doc, m):
+        # a run refuses these configs, so the cells of a run refuse them too
+        with pytest.raises(bench.ConfigError):
+            bench.cells(bench.ExperimentConfig(**doc), m, 0)
+
     def test_selftest_config_has_no_cells(self):
         with pytest.raises(bench.ConfigError, match="no cells"):
             bench.cells(bench.ExperimentConfig(experiment="selftest"), 4, 0)
@@ -334,17 +346,6 @@ MALFORMED_CSV_EDITS = {
 }
 
 
-def _package_reexports() -> dict:
-    """{module: names} that tomolin/__init__.py imports from its modules."""
-    with open(tomolin.__file__, "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    names = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            names.setdefault(node.module, []).extend(alias.name for alias in node.names)
-    return names
-
-
 @pytest.mark.parametrize("name", sorted(
     info.name for info in pkgutil.iter_modules(tomolin.__path__)))
 def test_every_exported_name_resolves(name):
@@ -352,9 +353,12 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", ())
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
-    # a name the package re-exports from this module is in its __all__
-    unlisted = [attr for attr in _package_reexports().get(name, ()) if attr not in exported]
-    assert unlisted == []
+
+
+def test_package_holds_only_its_modules():
+    # every public name lives in its module; the package re-exports none
+    public = {name: value for name, value in vars(tomolin).items() if not name.startswith("_")}
+    assert [name for name, value in public.items() if not inspect.ismodule(value)] == []
 
 
 def _is_entry_point(name: str) -> bool:
@@ -364,8 +368,8 @@ def _is_entry_point(name: str) -> bool:
 
 def test_every_public_definition_is_used_in_the_package():
     # a public module-level function or class must be named somewhere in
-    # src/tomolin beyond its definition, __all__ and the package's
-    # re-exports, which are strings and import aliases, not names
+    # src/tomolin beyond its definition and __all__, whose entries are
+    # strings, not names
     trees = {}
     for info in pkgutil.iter_modules(tomolin.__path__):
         with open(importlib.import_module(f"tomolin.{info.name}").__file__,
@@ -413,6 +417,29 @@ class TestRunLayer:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         run(bench.ExperimentConfig(**tiny, workers=workers))
         assert len(built) == pools
+
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
+        # a forked pool starts all of its workers at the first submit; the
+        # stand-in pool records its size and maps in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        rows = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES, workers=5000))
+        cells = len(TINY_OUTCOMES["m_values"]) * TINY_OUTCOMES["ensembles"]
+        assert sizes == [cells] and len(rows) == cells
 
     @pytest.mark.parametrize("run, doc", [
         (bench.run_sweep_probes, TINY_OUTCOMES),
@@ -902,6 +929,32 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
         assert out.read_text() == bench.CSV_HEADER + "\n"
+
+    def test_non_finite_wigner_grid_exit_code(self, tmp_path, capsys):
+        # the Wigner kernel overflows at |x| = 1e300; the rows are kept and
+        # no grid file is left, under its name or as a .tmp
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(dict(experiment="homodyne", d=3, m_values=[9], M_values=[9],
+                                       ensembles=1, trials=10, wigner_span=1e300,
+                                       wigner_points=2)))
+        out = tmp_path / "run.csv"
+        assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+        assert sorted(os.listdir(tmp_path)) == ["overflow.json", "run.csv", "run.csv.meta.json"]
+        assert len(read_rows(out)) == 1
+
+    def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_PROBES.items()}))
+        assert cli.main(["sweep-probes", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: SVD did not converge for")
 
     @pytest.mark.parametrize("owner, writer", [(bench, "_wigner_csv"),
                                                (bench._OutputFiles, "write_rows")],

@@ -60,6 +60,16 @@ class TestSvd:
         with pytest.raises(ValueError, match="nonempty"):
             matlib.svd(np.empty((0, 3)))
 
+    def test_failed_decomposition_raises_svd_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        x = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(matlib.SvdError,
+                           match=r"for 3x2 matrix \(condition estimate 2\.000e\+00\)"):
+            matlib.svd(x)
+
 
 class TestPinv:
     def test_identity(self):
@@ -131,6 +141,13 @@ class TestPenroseCheck:
         res = matlib.penrose_check(x, x.T)
         assert res.max() > 1e-3
 
+    def test_residuals_in_condition_order(self):
+        # X = I, Xp = [[1, 1], [0, 1]]: the four residuals all differ but
+        # c3 and c4
+        res = matlib.penrose_check(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert res.shape == (4,)
+        assert_allclose(res, np.sqrt([1 / 2, 1 / 3, 2 / 3, 2 / 3]), rtol=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="incompatible"):
             matlib.penrose_check(np.eye(3), np.eye(4))
@@ -141,33 +158,28 @@ class TestReverseOrder:
         rng = np.random.default_rng(31)
         q = np.linalg.qr(rng.standard_normal((8, 5)))[0]
         y = rng.standard_normal((5, 7))
-        holds, residual = matlib.reverse_order_holds(q, y)
-        assert holds and residual < 1e-9
+        assert matlib.reverse_order_residual(q, y) < 1e-9
 
     def test_conjugate_transpose_pair(self):
         rng = np.random.default_rng(32)
         x = random_matrix(rng, 4, 7, complex_=True)
-        holds, _ = matlib.reverse_order_holds(x, x.conj().T)
-        assert holds
+        assert matlib.reverse_order_residual(x, x.conj().T) <= 1e-9
 
     def test_full_rank_pair(self):
         rng = np.random.default_rng(33)
         x = random_matrix(rng, 8, 4)  # full column rank
         y = random_matrix(rng, 4, 9)  # full row rank
-        holds, _ = matlib.reverse_order_holds(x, y)
-        assert holds
+        assert matlib.reverse_order_residual(x, y) <= 1e-9
 
     def test_generic_product_fails(self):
         rng = np.random.default_rng(34)
         x = random_matrix(rng, 4, 6)
         y = random_matrix(rng, 6, 4)
-        holds, residual = matlib.reverse_order_holds(x, y)
-        assert not holds
-        assert residual > 1e-3
+        assert matlib.reverse_order_residual(x, y) > 1e-3
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="inner dimensions"):
-            matlib.reverse_order_holds(np.eye(3), np.eye(4))
+            matlib.reverse_order_residual(np.eye(3), np.eye(4))
 
 
 def gw_norm(x, y, h, middle):
@@ -176,17 +188,17 @@ def gw_norm(x, y, h, middle):
 
 class TestGwDecompose:
     def test_identity_pair(self):
-        dec = matlib.gw_decompose(np.eye(4), np.eye(4))
-        assert_allclose(dec.h, np.eye(4), atol=1e-12)
-        assert_allclose(dec.g, np.zeros((4, 4)), atol=1e-12)
+        h, g = matlib.gw_decompose(np.eye(4), np.eye(4))
+        assert_allclose(h, np.eye(4), atol=1e-12)
+        assert_allclose(g, np.zeros((4, 4)), atol=1e-12)
 
     def test_full_rank_pair_reduces_to_reverse_order(self):
         rng = np.random.default_rng(41)
         x = random_matrix(rng, 9, 5)   # full column rank
         y = random_matrix(rng, 5, 8)   # full row rank
-        dec = matlib.gw_decompose(x, y)
-        assert_allclose(dec.h, np.eye(5), atol=1e-10)
-        assert_allclose(dec.g, np.zeros((5, 5)), atol=1e-10)
+        h, g = matlib.gw_decompose(x, y)
+        assert_allclose(h, np.eye(5), atol=1e-10)
+        assert_allclose(g, np.zeros((5, 5)), atol=1e-10)
         assert_allclose(matlib.pinv(x @ y), matlib.pinv(y) @ matlib.pinv(x), atol=1e-10)
 
     @pytest.mark.parametrize("shapes,ranks", [
@@ -198,41 +210,41 @@ class TestGwDecompose:
         rng = np.random.default_rng(42)
         x = random_matrix(rng, *shapes[0], rank=ranks[0])
         y = random_matrix(rng, *shapes[1], rank=ranks[1])
-        dec = matlib.gw_decompose(x, y)
+        h, g = matlib.gw_decompose(x, y)
         lhs = matlib.pinv(x @ y)
-        rhs = matlib.pinv(y) @ (dec.h + dec.g) @ matlib.pinv(x)
+        rhs = matlib.pinv(y) @ (h + g) @ matlib.pinv(x)
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-9
         # defining constraint and orthogonality
         q = y @ matlib.pinv(y)
         p = matlib.pinv(x) @ x
-        assert np.linalg.norm(q @ dec.g @ p - dec.g) < 1e-9
-        assert abs(np.trace(dec.g.conj().T @ dec.h)) < 1e-9
+        assert np.linalg.norm(q @ g @ p - g) < 1e-9
+        assert abs(np.trace(g.conj().T @ h)) < 1e-9
         # h is built from the two projectors
-        assert_allclose(dec.h, matlib.pinv(p @ q), atol=1e-9)
+        assert_allclose(h, matlib.pinv(p @ q), atol=1e-9)
         # the subspace identities used to recover g in closed form
-        assert np.linalg.norm(q @ dec.h - dec.h) < 1e-9
-        assert np.linalg.norm(dec.h @ p - dec.h) < 1e-9
+        assert np.linalg.norm(q @ h - h) < 1e-9
+        assert np.linalg.norm(h @ p - h) < 1e-9
 
     def test_minimality_against_random_admissible(self):
         rng = np.random.default_rng(43)
         x = random_matrix(rng, 5, 8)
         y = random_matrix(rng, 8, 6)
-        dec = matlib.gw_decompose(x, y)
-        base = gw_norm(x, y, dec.h, dec.g)
+        h, g = matlib.gw_decompose(x, y)
+        base = gw_norm(x, y, h, g)
         q = y @ matlib.pinv(y)
         p = matlib.pinv(x) @ x
         for _ in range(100):
             z = matlib.admissible_perturbation(x, y, rng)
             assert np.linalg.norm(q @ z @ p - z) < 1e-9
             assert np.linalg.norm(x @ z @ y) < 1e-9
-            assert gw_norm(x, y, dec.h, z) >= base - 1e-10
+            assert gw_norm(x, y, h, z) >= base - 1e-10
 
     def test_h_rank_matches_subspace_intersection(self):
         # rank(h) = dim( R(Y) intersect [R(X*) + N(Y*)] ), by rank arithmetic
         rng = np.random.default_rng(44)
         x = random_matrix(rng, 6, 8, rank=4)
         y = random_matrix(rng, 8, 5, rank=3)
-        dec = matlib.gw_decompose(x, y)
+        h, _ = matlib.gw_decompose(x, y)
         b_y = np.linalg.qr(y)[0][:, :3]                        # basis of R(Y)
         b_xs = np.linalg.qr(x.conj().T)[0][:, :4]              # basis of R(X*)
         null_ys = np.linalg.svd(y.conj().T)[2].conj().T[:, 3:]  # basis of N(Y*)
@@ -240,7 +252,7 @@ class TestGwDecompose:
         dim_sum = np.linalg.matrix_rank(np.hstack([b_xs, null_ys]))
         b_sum = b_sum[:, :dim_sum]
         inter_dim = 3 + dim_sum - np.linalg.matrix_rank(np.hstack([b_y, b_sum]))
-        assert matlib.svd(dec.h).numerical_rank == inter_dim
+        assert matlib.svd(h).numerical_rank == inter_dim
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="inner dimensions"):
@@ -320,7 +332,7 @@ def test_gw_reconstruction_for_arbitrary_shapes(m, n, p, seed):
     rng = np.random.default_rng(seed)
     x = random_matrix(rng, m, n)
     y = random_matrix(rng, n, p)
-    dec = matlib.gw_decompose(x, y)
+    h, g = matlib.gw_decompose(x, y)
     lhs = matlib.pinv(x @ y)
-    rhs = matlib.pinv(y) @ (dec.h + dec.g) @ matlib.pinv(x)
+    rhs = matlib.pinv(y) @ (h + g) @ matlib.pinv(x)
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(lhs), 1.0)

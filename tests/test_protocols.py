@@ -226,8 +226,8 @@ class TestInversionMatrices:
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         f = setup.patterns.f_matrix
         r = setup.probes.r_matrix
-        dec = matlib.gw_decompose(f, matlib.pinv(r))
-        bridged = r @ (dec.h + dec.g) @ matlib.pinv(f)
+        h, g = matlib.gw_decompose(f, matlib.pinv(r))
+        bridged = r @ (h + g) @ matlib.pinv(f)
         assert matlib.hs_norm(a_s - bridged) / matlib.hs_norm(a_s) < 1e-9
 
     def test_oracle_inversion(self):
