@@ -31,6 +31,7 @@ __all__ = [
     "Cell",
     "CSV_HEADER",
     "cells",
+    "srm_setup",
     "run_sweep_probes",
     "run_sweep_outcomes",
     "run_homodyne",
@@ -228,15 +229,25 @@ def _rng(seed: int, *key: int):
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _draw_srm_detector(d: int, m: int, rng):
+def srm_setup(d: int, m: int, M: int, state_ensemble: str, noise: float, rng,
+              probes=None) -> tuple:
+    """(D, probes, patterns) of a random square-root measurement with m
+    outcomes in dimension d, drawn from rng in that order: the (m, n + 1)
+    detector matrix D, redrawn while its Gram matrix is rank deficient;
+    unless given, M probes from state_ensemble; their patterns at the
+    noise ratio."""
     for _ in range(_MAX_REDRAWS):
         try:
             kets = qstate.haar_random_pure(d, rng, size=m)
-            povm = qstate.square_root_measurement(kets)
-            return qstate.povm_to_affine(povm)
+            detector = qstate.povm_to_affine(qstate.square_root_measurement(kets))
+            break
         except qstate.RankDeficientGramError:
             continue
-    raise RuntimeError(f"square-root measurement redraw budget exhausted (d={d}, m={m})")
+    else:
+        raise RuntimeError(f"square-root measurement redraw budget exhausted (d={d}, m={m})")
+    if probes is None:
+        probes = protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng, state_ensemble))
+    return detector, probes, protocols.collect_patterns(detector, probes, noise, rng)
 
 
 def _inversion_matrices(cfg: ExperimentConfig, probes, patterns) -> tuple:
@@ -261,11 +272,8 @@ def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
     The measurement, trial states and data noise are drawn once and shared
     along M.  Without a given probe set, one is drawn at max(M) after the
     measurement and prefix-sliced, so growing M literally adds probes."""
-    detector = _draw_srm_detector(cfg.d, m, rng)
-    if probes is None:
-        probes = protocols.ProbeSet.from_blochs(
-            qstate.random_blochs(cfg.d, max(cfg.M_values), rng, cfg.state_ensemble))
-    patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
+    detector, probes, patterns = srm_setup(cfg.d, m, max(cfg.M_values), cfg.state_ensemble,
+                                           cfg.noise_ratio_patterns, rng, probes)
     truth = qstate.random_blochs(cfg.d, cfg.trials, rng)
     data = protocols.trial_data(detector, truth, cfg.noise_ratio_data, rng)
     return [Cell(M, _inversion_matrices(cfg, probes.prefix(M), patterns.prefix(M)), data, truth,
@@ -578,6 +586,12 @@ def _cell_results(cfg: ExperimentConfig, keys):
         yield from pool.map(functools.partial(_task, cfg), *zip(*keys))
 
 
+def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
+    """Raise ConfigError for a config made for another experiment."""
+    if cfg.experiment != experiment:
+        raise ConfigError(f"a config for experiment {cfg.experiment!r} cannot run {experiment}")
+
+
 def _run_grid(cfg: ExperimentConfig, experiment: str):
     """Run _task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
     skipping cells whose rows cfg.out already holds, and write and return
@@ -586,8 +600,7 @@ def _run_grid(cfg: ExperimentConfig, experiment: str):
     A config made for another experiment, and an output that _OutputFiles
     refuses, raise ConfigError before anything is written.
     """
-    if cfg.experiment != experiment:
-        raise ConfigError(f"a config for experiment {cfg.experiment!r} cannot run {experiment}")
+    _require_experiment(cfg, experiment)
     results = []
     with _one_blas_thread(), _OutputFiles(cfg) as output:
         done = output.done
@@ -619,17 +632,23 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
     return _run_grid(cfg, "sweep-outcomes")
 
 
+def _wigner_grid(rho: np.ndarray, axis: np.ndarray, path: str) -> np.ndarray:
+    """The Wigner grid of rho over axis x axis, bound for path; one that is
+    not finite raises FloatingPointError."""
+    values = homodyne.wigner(rho, axis, axis)
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"the Wigner grid of {path} is not finite")
+    return values
+
+
 def _wigner_csv(path: str, axis: np.ndarray, values: np.ndarray) -> None:
     # values are a Wigner grid over axis x axis; the axis strings are
     # formatted once and reused for every point, and the values are turned
-    # into Python floats one row at a time.  A non-finite value raises
-    # FloatingPointError, and path is then left as it was
+    # into Python floats one row at a time
     points = [f"{v:.12e}" for v in axis.tolist()]
     with _replacing(path) as fh:
         fh.write("x,p,w\n")
         for x, row in zip(points, values):
-            if not np.isfinite(row).all():
-                raise FloatingPointError(f"the Wigner grid of {path} is not finite")
             fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(points, row.tolist())))
 
 
@@ -638,29 +657,35 @@ def run_homodyne(cfg: ExperimentConfig):
 
     With cfg.out set, Wigner grids go next to it: the true state's first,
     then both protocols' at the minimal informationally complete point and
-    at m = M (reconstructed from ensemble 0 by trial-averaged data), each
+    at m = M (reconstructed from ensemble 0 by trial-averaged data).  The
+    true state's grid is evaluated before the first cell, so a grid that is
+    not finite is refused before anything is written; the others are each
     written before the next is computed.  The two points coincide when
     n + 1 = M, and are then exported once.  Without cfg.out no grid is
     computed.  Returns the new rows."""
-    results = _run_grid(cfg, "homodyne")
+    _require_experiment(cfg, "homodyne")
     if cfg.out is None:
-        return results
+        return _run_grid(cfg, "homodyne")
+    axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
+    stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
+    signal = homodyne.true_signal(cfg.d)
+    true_path = f"{stem}_wigner_true.csv"
     export_m = cfg.wigner_export_m
     if export_m is None:
         export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
                                  if m in cfg.m_values)
-    axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
-    stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    signal = homodyne.true_signal(cfg.d)
-    # overflow warnings are silenced, since _wigner_csv refuses a grid that
+    # overflow warnings are silenced, since _wigner_grid refuses a grid that
     # is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        _wigner_csv(f"{stem}_wigner_true.csv", axis,
-                    homodyne.wigner(np.outer(signal, signal.conj()), axis, axis))
+        true_grid = _wigner_grid(np.outer(signal, signal.conj()), axis, true_path)
+        results = _run_grid(cfg, "homodyne")
+        _wigner_csv(true_path, axis, true_grid)
+        del true_grid
         with _one_blas_thread():
             for m in export_m:
                 for kind, r_hat in _mean_estimates(cfg, m).items():
                     if r_hat is not None:
-                        _wigner_csv(f"{stem}_wigner_{kind}_m{m}.csv", axis,
-                                    homodyne.wigner(qstate.bloch_to_state(r_hat), axis, axis))
+                        path = f"{stem}_wigner_{kind}_m{m}.csv"
+                        _wigner_csv(path, axis,
+                                    _wigner_grid(qstate.bloch_to_state(r_hat), axis, path))
     return results

@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 configuration error or an OSError while output
-is written (a full disk, say), 2 numerical failure or a worker process
-that died, 3 selftest failure.
+Exit codes: 0 success, 1 configuration error, an OSError while output is
+written (a full disk, say) or memory exhausted, 2 numerical failure or a
+worker process that died, 3 selftest failure.
 """
 
 import argparse
@@ -113,10 +113,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         if args.command == "selftest":
-            report = selftest.run_selftest(cfg)
-            for line in report.format_lines():
+            checks = selftest.run_selftest(cfg)
+            for line in selftest.format_lines(checks):
                 print(line)
-            return 0 if report.passed else 3
+            return 0 if all(worst <= tol for *_, worst, tol in checks) else 3
         if args.command == "sweep-probes":
             rows = bench.run_sweep_probes(cfg)
         elif args.command == "sweep-outcomes":
@@ -128,6 +128,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except (protocols.EstimationFailureError, FloatingPointError, np.linalg.LinAlgError,
             RuntimeError) as exc:

@@ -1,50 +1,28 @@
-"""Invariant selftest: the matlib, qstate and protocols suites, each check
-reporting its worst residual against a tolerance."""
-
-from dataclasses import dataclass
+"""Invariant selftest: the matlib, qstate and protocols suites.  Each check
+is a tuple (suite, name, count, worst, tol): the worst residual over count
+cases, which passes when it is at most tol."""
 
 import numpy as np
 
 from . import bench, matlib, protocols, qstate
 
-__all__ = ["SelfTestCheck", "SelfTestReport", "penrose_with_properties", "run_selftest"]
+__all__ = ["format_lines", "penrose_with_properties", "run_selftest"]
 
 
-@dataclass(frozen=True)
-class SelfTestCheck:
-    suite: str
-    name: str
-    count: int
-    worst: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.tol
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (f"[{status}] {self.suite}/{self.name}: {self.count} cases, "
-                f"worst {self.worst:.3e} (tol {self.tol:.1e})")
-
-
-@dataclass(frozen=True)
-class SelfTestReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def format_lines(self):
-        lines = [c.line() for c in self.checks]
-        suites = sorted({c.suite for c in self.checks})
-        for suite in suites:
-            n = sum(1 for c in self.checks if c.suite == suite)
-            bad = sum(1 for c in self.checks if c.suite == suite and not c.passed)
-            lines.append(f"{suite}: {n - bad}/{n} checks passed")
-        lines.append("selftest: " + ("PASS" if self.passed else "FAIL"))
-        return lines
+def format_lines(checks) -> list:
+    """The report of the checks: one line each, then per suite the count of
+    checks passed, then the verdict, selftest: PASS or FAIL."""
+    lines = []
+    passed = {}
+    for suite, name, count, worst, tol in checks:
+        ok = worst <= tol
+        passed.setdefault(suite, []).append(ok)
+        lines.append(f"[{'pass' if ok else 'FAIL'}] {suite}/{name}: {count} cases, "
+                     f"worst {worst:.3e} (tol {tol:.1e})")
+    for suite, oks in sorted(passed.items()):
+        lines.append(f"{suite}: {sum(oks)}/{len(oks)} checks passed")
+    lines.append("selftest: " + ("PASS" if all(map(all, passed.values())) else "FAIL"))
+    return lines
 
 
 def _random_shaped_matrix(rng, max_dim: int = 20):
@@ -71,8 +49,8 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
         penrose, props = penrose_with_properties(x, xp, cfg.rtol)
         worst_penrose = max(worst_penrose, penrose)
         worst_props = max(worst_props, props)
-    yield SelfTestCheck("matlib", "penrose-c1-c4", count, worst_penrose, 1e-9)
-    yield SelfTestCheck("matlib", "pinv-properties", count, worst_props, 1e-9)
+    yield "matlib", "penrose-c1-c4", count, worst_penrose, 1e-9
+    yield "matlib", "pinv-properties", count, worst_props, 1e-9
 
     worst_recon = worst_orth = worst_min = 0.0
     pairs = max(10, count // 4)
@@ -94,9 +72,9 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
             # slack measured relative to the minimal norm; the inequality
             # is scale covariant, an absolute slack would not be
             worst_min = max(worst_min, (base - alt) / max(base, 1e-30))
-    yield SelfTestCheck("matlib", "gw-reconstruction", pairs, worst_recon, 1e-9)
-    yield SelfTestCheck("matlib", "gw-orthogonality", pairs, worst_orth, 1e-9)
-    yield SelfTestCheck("matlib", "gw-minimality", pairs * 10, worst_min, 1e-10)
+    yield "matlib", "gw-reconstruction", pairs, worst_recon, 1e-9
+    yield "matlib", "gw-orthogonality", pairs, worst_orth, 1e-9
+    yield "matlib", "gw-minimality", pairs * 10, worst_min, 1e-10
 
     worst_pos = 0.0
     best_neg = np.inf
@@ -109,10 +87,10 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
         g = rng.standard_normal((4, 6))
         h = rng.standard_normal((6, 4))
         best_neg = min(best_neg, matlib.reverse_order_residual(g, h, rtol=cfg.rtol))
-    yield SelfTestCheck("matlib", "reverse-order-valid-cases", 20, worst_pos, 1e-9)
+    yield "matlib", "reverse-order-valid-cases", 20, worst_pos, 1e-9
     # negative control: generic products must violate the law
-    yield SelfTestCheck("matlib", "reverse-order-negative-control", 10,
-                        1e-3 - best_neg if best_neg < 1e-3 else 0.0, 0.0)
+    yield ("matlib", "reverse-order-negative-control", 10,
+           1e-3 - best_neg if best_neg < 1e-3 else 0.0, 0.0)
 
 
 def penrose_with_properties(x, xp, rtol=None):
@@ -139,11 +117,12 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
         gram = np.einsum("aij,bji->ab", gammas, gammas).real
         worst = max(worst, np.abs(gram - np.eye(d * d - 1)).max())
         worst = max(worst, np.abs(np.trace(gammas, axis1=1, axis2=2)).max())
-    yield SelfTestCheck("qstate", "gellmann-orthonormality", 7, worst, 1e-12)
+    yield "qstate", "gellmann-orthonormality", 7, worst, 1e-12
 
     worst_affine = worst_round = worst_norm = 0.0
+    per_d = max(5, cfg.selftest_count // 20)
     for d in (2, 3, 4, 6):
-        for _ in range(max(5, cfg.selftest_count // 20)):
+        for _ in range(per_d):
             kets = qstate.haar_random_pure(d, rng, size=2 * d)
             povm = qstate.square_root_measurement(kets)
             det = qstate.povm_to_affine(povm)
@@ -155,9 +134,9 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
             worst_norm = max(worst_norm, abs(p_born.sum() - 1.0))
             rho_back = qstate.bloch_to_state(r)
             worst_round = max(worst_round, np.abs(rho_back - rho).max())
-    yield SelfTestCheck("qstate", "affine-vs-born", 4 * max(5, cfg.selftest_count // 20), worst_affine, 1e-12)
-    yield SelfTestCheck("qstate", "bloch-round-trip", 4 * max(5, cfg.selftest_count // 20), worst_round, 1e-12)
-    yield SelfTestCheck("qstate", "born-normalisation", 4 * max(5, cfg.selftest_count // 20), worst_norm, 1e-9)
+    yield "qstate", "affine-vs-born", 4 * per_d, worst_affine, 1e-12
+    yield "qstate", "bloch-round-trip", 4 * per_d, worst_round, 1e-12
+    yield "qstate", "born-normalisation", 4 * per_d, worst_norm, 1e-9
 
     worst_comp = 0.0
     cases = 0
@@ -167,16 +146,7 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
             povm = qstate.square_root_measurement(kets)
             worst_comp = max(worst_comp, np.abs(povm.sum(axis=0) - np.eye(d)).max())
             cases += 1
-    yield SelfTestCheck("qstate", "srm-completeness", cases, worst_comp, 1e-9)
-
-
-def _selftest_setup(cfg: bench.ExperimentConfig, d: int, m: int, M: int, rng, noise: float = 0.03):
-    """A random square-root measurement with max(m, d) outcomes, M probes
-    and their noisy patterns in dimension d, drawn in that order from rng."""
-    detector = bench._draw_srm_detector(d, max(m, d), rng)
-    probes = protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng, cfg.state_ensemble))
-    patterns = protocols.collect_patterns(detector, probes, noise, rng)
-    return detector, probes, patterns
+    yield "qstate", "srm-completeness", cases, worst_comp, 1e-9
 
 
 def _protocols_suite(cfg: bench.ExperimentConfig, rng):
@@ -184,25 +154,18 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     n_aug = d * d
     count = max(10, cfg.selftest_count // 4)
 
-    worst_equiv = 0.0
-    for _ in range(count):
-        M = int(rng.integers(3, n_aug + 1))
-        m = int(rng.integers(M, M + 6))
-        detector, probes, patterns = _selftest_setup(cfg, d, m, M, rng)
-        a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        worst_equiv = max(worst_equiv, matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p))
-    yield SelfTestCheck("protocols", "equivalence-full-rank", count, worst_equiv, 1e-8)
-
-    worst_norm = 0.0
-    for _ in range(count):
-        M = int(rng.integers(n_aug + 1, n_aug + 8))
-        m = int(rng.integers(M, M + 8))
-        detector, probes, patterns = _selftest_setup(cfg, d, m, M, rng)
-        a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        a_p = protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        worst_norm = max(worst_norm, matlib.hs_norm(a_s) - matlib.hs_norm(a_p))
-    yield SelfTestCheck("protocols", "norm-inequality", count, worst_norm, 1e-10)
+    # A_s = A_p at full column rank, M <= n + 1, and ||A_s|| >= ||A_p|| beyond
+    hs = matlib.hs_norm
+    for name, M_low, m_extra, gap, tol in (
+            ("equivalence-full-rank", 3, 6, lambda a_s, a_p: hs(a_s - a_p) / hs(a_p), 1e-8),
+            ("norm-inequality", n_aug + 1, 8, lambda a_s, a_p: hs(a_s) - hs(a_p), 1e-10)):
+        worst = 0.0
+        for _ in range(count):
+            M = int(rng.integers(M_low, M_low + 7))
+            m = int(rng.integers(M, M + m_extra))
+            _, probes, patterns = bench.srm_setup(d, m, M, cfg.state_ensemble, 0.03, rng)
+            worst = max(worst, gap(*bench._inversion_matrices(cfg, probes, patterns)))
+        yield "protocols", name, count, worst, tol
 
     # noise model: empirical mean of ||A dp||^2 against eps^2 ||A||^2 / m
     a = rng.standard_normal((6, 9))
@@ -212,27 +175,26 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     draws *= eps / np.linalg.norm(draws, axis=1, keepdims=True)
     empirical = np.mean(np.sum((draws @ a.T) ** 2, axis=1))
     predicted = protocols.mse_theoretical(inv, eps, 9)
-    yield SelfTestCheck("protocols", "noise-model-consistency", 20000,
-                        abs(empirical - predicted) / predicted, 0.03)
+    yield ("protocols", "noise-model-consistency", 20000,
+           abs(empirical - predicted) / predicted, 0.03)
 
     worst_gw = 0.0
     for _ in range(max(5, count // 2)):
         M = int(rng.integers(n_aug + 1, n_aug + 6))
         m = int(rng.integers(d, n_aug))
-        detector, probes, patterns = _selftest_setup(cfg, d, m, M, rng)
+        _, probes, patterns = bench.srm_setup(d, m, M, cfg.state_ensemble, 0.03, rng)
         f = patterns.f_matrix
         r = probes.r_matrix
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         h, g = matlib.gw_decompose(f, matlib.pinv(r, rtol=cfg.rtol), rtol=cfg.rtol)
         bridged = r @ (h + g) @ matlib.pinv(f, rtol=cfg.rtol)
         worst_gw = max(worst_gw, matlib.hs_norm(a_s - bridged) / matlib.hs_norm(a_s))
-    yield SelfTestCheck("protocols", "gw-bridge", max(5, count // 2), worst_gw, 1e-9)
+    yield "protocols", "gw-bridge", max(5, count // 2), worst_gw, 1e-9
 
     worst_unbiased = 0.0
     for _ in range(10):
-        M = n_aug + 3
-        detector, probes, patterns = _selftest_setup(cfg, d, n_aug + 2, M, rng,
-                                                     noise=0.0)
+        detector, probes, patterns = bench.srm_setup(d, n_aug + 2, n_aug + 3, cfg.state_ensemble,
+                                                     0.0, rng)
         rho = qstate.random_density_hs(d, rng)
         r = qstate.state_to_bloch(rho)
         data = qstate.affine_response(detector, r)
@@ -240,20 +202,14 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
             inv = build(patterns, probes, rtol=cfg.rtol)
             r_hat, valid = protocols.estimate_batch(inv, data[:, None])
             worst_unbiased = max(worst_unbiased, np.abs(r_hat[:, 0] - r).max() if valid[0] else np.inf)
-    yield SelfTestCheck("protocols", "zero-noise-unbiasedness", 10, worst_unbiased, 1e-8)
+    yield "protocols", "zero-noise-unbiasedness", 10, worst_unbiased, 1e-8
 
 
-def run_selftest(cfg: bench.ExperimentConfig) -> SelfTestReport:
-    """Run the matlib, qstate and protocols invariant suites and report
-    worst residuals against their tolerances, with BLAS on one thread as
-    in every run.  A config made for another experiment raises
-    ConfigError."""
-    if cfg.experiment != "selftest":
-        raise bench.ConfigError(f"a config for experiment {cfg.experiment!r} cannot run selftest")
+def run_selftest(cfg: bench.ExperimentConfig) -> tuple:
+    """The checks (suite, name, count, worst, tol) of the matlib, qstate and
+    protocols invariant suites, run with BLAS on one thread as in every
+    run.  A config made for another experiment raises ConfigError."""
+    bench._require_experiment(cfg, "selftest")
     rng = bench._rng(cfg.seed, bench._TAG_SELFTEST)
-    checks = []
     with bench._one_blas_thread():
-        checks.extend(_matlib_suite(cfg, rng))
-        checks.extend(_qstate_suite(cfg, rng))
-        checks.extend(_protocols_suite(cfg, rng))
-    return SelfTestReport(checks=tuple(checks))
+        return (*_matlib_suite(cfg, rng), *_qstate_suite(cfg, rng), *_protocols_suite(cfg, rng))

@@ -393,6 +393,10 @@ def _exit_in_worker(cfg, m, ensemble):
     os._exit(1)
 
 
+def _unexpected_task(cfg, m, ensemble):
+    raise AssertionError(f"cell (m {m}, ensemble {ensemble}) computed")
+
+
 def _cli_env(**extra):
     """The environment of a CLI subprocess that imports tomolin from src."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -837,16 +841,29 @@ class TestHomodyneRunMemory:
 
 class TestSelfTest:
     def test_default_passes(self):
-        report = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
-        assert report.passed
-        lines = report.format_lines()
+        checks = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
+        assert all(worst <= tol for *_, worst, tol in checks)
+        lines = selftest.format_lines(checks)
         assert any("matlib" in line for line in lines)
         assert lines[-1] == "selftest: PASS"
 
     def test_reports_counts_per_suite(self):
-        report = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
-        summary = [l for l in report.format_lines() if "checks passed" in l]
+        checks = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest", selftest_count=40))
+        summary = [l for l in selftest.format_lines(checks) if "checks passed" in l]
         assert len(summary) == 3
+
+    def test_format_lines_reports_failures(self):
+        checks = (("b", "ok", 4, 1e-12, 1e-9),
+                  ("a", "bad", 3, 2.5e-3, 1e-9),
+                  ("a", "slack", 10, -0.25, 1e-10))
+        assert selftest.format_lines(checks) == [
+            "[pass] b/ok: 4 cases, worst 1.000e-12 (tol 1.0e-09)",
+            "[FAIL] a/bad: 3 cases, worst 2.500e-03 (tol 1.0e-09)",
+            "[pass] a/slack: 10 cases, worst -2.500e-01 (tol 1.0e-10)",
+            "a: 1/2 checks passed",
+            "b: 1/1 checks passed",
+            "selftest: FAIL",
+        ]
 
     def test_refuses_another_experiments_config(self):
         with pytest.raises(bench.ConfigError, match="experiment"):
@@ -854,11 +871,10 @@ class TestSelfTest:
                                                          M_values=(100,)))
 
     def test_corrupted_pinv_tolerance_fails(self):
-        report = selftest.run_selftest(
+        checks = selftest.run_selftest(
             bench.ExperimentConfig(experiment="selftest", selftest_count=20, rtol=0.5))
-        assert not report.passed
-        failed = [c for c in report.checks if not c.passed]
-        assert any(c.name == "penrose-c1-c4" for c in failed)
+        failed = [name for _, name, _, worst, tol in checks if not worst <= tol]
+        assert "penrose-c1-c4" in failed
 
 
 class TestCli:
@@ -930,9 +946,10 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("numerical failure:")
         assert out.read_text() == bench.CSV_HEADER + "\n"
 
-    def test_non_finite_wigner_grid_exit_code(self, tmp_path, capsys):
-        # the Wigner kernel overflows at |x| = 1e300; the rows are kept and
-        # no grid file is left, under its name or as a .tmp
+    def test_non_finite_wigner_grid_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the Wigner kernel overflows at |x| = 1e300; the true state's grid
+        # is refused before the first cell, so no file is written
+        monkeypatch.setattr(bench, "_task", _unexpected_task)
         cfg = tmp_path / "overflow.json"
         cfg.write_text(json.dumps(dict(experiment="homodyne", d=3, m_values=[9], M_values=[9],
                                        ensembles=1, trials=10, wigner_span=1e300,
@@ -941,8 +958,20 @@ class TestCli:
         assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
-        assert sorted(os.listdir(tmp_path)) == ["overflow.json", "run.csv", "run.csv.meta.json"]
-        assert len(read_rows(out)) == 1
+        assert os.listdir(tmp_path) == ["overflow.json"]
+
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(qstate, "random_density_hs", exhausted)
+        out = tmp_path / "run.csv"
+        assert cli.main(["sweep-outcomes", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "out of memory: Unable to allocate 596. GiB for an array"]
+        assert read_rows(out) == []
 
     def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

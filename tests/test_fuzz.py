@@ -1,0 +1,94 @@
+"""Fuzz gate over config documents: every CLI run of a small, possibly
+invalid or extreme config either succeeds with only finite values in the
+files it wrote, or exits with a documented code and one stderr line,
+leaving no partial file under a final name."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tomolin import cli
+
+# the documented failure exits and the first words of their stderr line
+FAILURES = {
+    1: ("config error: ", "output error: ", "out of memory: "),
+    2: ("numerical failure: ", "worker process failed: "),
+}
+
+
+@st.composite
+def config_documents(draw) -> dict:
+    """A small config document of a sweep or the homodyne experiment: d <= 4,
+    at most three m values, two ensembles and 20 trials, one worker, with
+    edge values such as zero noise, eta 0 or 1, rtol near 1, m < n + 1,
+    M = 1 and extreme dx, x_max and wigner_span."""
+    experiment = draw(st.sampled_from(["sweep-probes", "sweep-outcomes", "homodyne"]))
+    # homodyne needs d >= 3 and a sweep m >= d; one below either is refused
+    d = draw(st.integers(2 if experiment == "homodyne" else 1, 3)) + 1
+    m_values = draw(st.lists(st.integers(d - 1, 20), min_size=1, max_size=3, unique=True))
+    doc = dict(
+        experiment=experiment,
+        d=d,
+        m_values=m_values,
+        M_values=draw(st.lists(st.integers(1, 20), min_size=1, unique=True,
+                               max_size=3 if experiment == "sweep-probes" else 1)),
+        noise_ratio_patterns=draw(st.sampled_from((0.0, 1e-12, 0.03, 2.0))),
+        noise_ratio_data=draw(st.sampled_from((0.0, 1e-12, 0.06, 2.0))),
+        ensembles=draw(st.integers(1, 2)),
+        trials=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32)),
+        workers=1,
+        rtol=draw(st.one_of(st.none(), st.sampled_from((1e-300, 1e-8, 0.5, 1 - 1e-12)))),
+        state_ensemble=draw(st.sampled_from(["hs", "pure"])),
+        eta=draw(st.sampled_from((0.0, 1e-9, 0.8, 1.0))),
+        dx=draw(st.sampled_from((1e-300, 1e-3, 0.1, 1e3, 1e300))),
+        x_max=draw(st.sampled_from((1e-300, 1e-3, 3.0, 1e3, 1e300))),
+        wigner_span=draw(st.sampled_from((1e-300, 1e-3, 5.0, 1e3, 1e300))),
+        wigner_points=draw(st.integers(2, 4)),
+    )
+    if draw(st.booleans()):
+        doc["wigner_export_m"] = draw(st.lists(st.sampled_from(m_values), max_size=2,
+                                               unique=True))
+    return doc
+
+
+def _finite_csv(path: str) -> bool:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()[1:]
+    return all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+
+
+def _complete(path: str) -> bool:
+    # every file under a final name ends at a complete line
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    return blob.endswith(b"\n")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=config_documents())
+def test_every_run_succeeds_finite_or_fails_documented(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([doc["experiment"], "--config", config,
+                             "--out", os.path.join(tmp, "run.csv")])
+        written = sorted(set(os.listdir(tmp)) - {"config.json"})
+        assert not any(name.endswith(".tmp") for name in written)
+        assert all(_complete(os.path.join(tmp, name)) for name in written)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert all(_finite_csv(os.path.join(tmp, name)) for name in written
+                       if name.endswith(".csv"))
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(FAILURES[code])
