@@ -27,7 +27,6 @@ from . import homodyne, matlib, protocols, qstate
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "SweepResult",
     "Cell",
     "CSV_HEADER",
     "cells",
@@ -200,31 +199,6 @@ def read_config_document(path: str) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """One CSV row: MSE statistics of a single measurement ensemble at one
-    sweep point, regenerable from (seed, m, M, ensemble) and the config."""
-
-    d: int
-    n: int
-    m: int
-    M: int
-    seed: int
-    ensemble: int
-    e2_std: float
-    e2_pat: float
-
-    @property
-    def ratio(self) -> float:
-        return self.e2_std / self.e2_pat if self.e2_pat > 0 else np.inf
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.d},{self.n},{self.m},{self.M},{self.seed},{self.ensemble},"
-            f"{self.e2_std:.12e},{self.e2_pat:.12e},{self.ratio:.12e}"
-        )
-
-
 def _rng(seed: int, *key: int):
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
@@ -339,13 +313,12 @@ def cells(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
 
 
 def _task(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
-    """The CSV rows of one ensemble at m: the MSEs of both protocols in
-    each cell.  Overflow warnings are silenced, since a non-finite pattern
-    or MSE raises its own error."""
+    """The rows (m, M, ensemble, e2_std, e2_pat) of one ensemble at m: the
+    MSEs of both protocols in each cell.  Overflow warnings are silenced,
+    since a non-finite pattern or MSE raises its own error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [SweepResult(cfg.d, cfg.n_params, m, cell.M, cfg.seed, ensemble,
-                            *(protocols.batch_mse(inv, cell.data, cell.truth)
-                              for inv in cell.invs))
+        return [(m, cell.M, ensemble, *(protocols.batch_mse(inv, cell.data, cell.truth)
+                                        for inv in cell.invs))
                 for cell in cells(cfg, m, ensemble)]
 
 
@@ -389,7 +362,8 @@ _RESUME_FREE_KEYS = ("out", "workers")
 
 
 class _OutputFiles:
-    """The output CSV of a run, cfg.out, and its .meta.json.
+    """The output CSV of a run, cfg.out, and its .meta.json; the one place
+    that formats a result row (write_rows) and parses one (_row_key).
 
     Entering reads an existing CSV once: its header, the keys (m, M,
     ensemble) of its complete lines into `done`, and the end of its last
@@ -451,6 +425,18 @@ class _OutputFiles:
             self.fh = open(path, "w", encoding="utf-8", newline="")
             self.fh.write(CSV_HEADER + "\n")
 
+    def write_rows(self, rows) -> None:
+        """Append rows (m, M, ensemble, e2_std, e2_pat) as CSV lines, with
+        the config's d, n and seed and the ratio e2_std / e2_pat, inf where
+        e2_pat is 0; the lines _row_key reads back."""
+        if self.fh is not None:
+            cfg = self.cfg
+            for m, M, ensemble, e2_std, e2_pat in rows:
+                ratio = e2_std / e2_pat if e2_pat > 0 else np.inf
+                self.fh.write(f"{cfg.d},{cfg.n_params},{m},{M},{cfg.seed},{ensemble},"
+                              f"{e2_std:.12e},{e2_pat:.12e},{ratio:.12e}\n")
+            self.fh.flush()
+
     def _row_key(self, line: str) -> tuple:
         """(m, M, ensemble) of a complete line, which must be a row of this
         run: six integer keys, with d, n and seed the config's and m, M and
@@ -489,12 +475,6 @@ class _OutputFiles:
             diffs = ", ".join(f"{key} {old.get(key)!r} -> {new.get(key)!r}" for key in changed)
             raise ConfigError(f"cannot resume {self.cfg.out}, written with a different config "
                               f"({diffs}); use another --out or remove the file")
-
-    def write_rows(self, rows) -> None:
-        if self.fh is not None:
-            for row in rows:
-                self.fh.write(row.csv_row() + "\n")
-            self.fh.flush()
 
 
 @functools.lru_cache(maxsize=None)
@@ -608,10 +588,9 @@ def _run_grid(cfg: ExperimentConfig, experiment: str):
                 if any((m, M, e) not in done for M in cfg.M_values)]
         keyed = zip(keys, _cell_results(cfg, keys))
         for m, m_results in itertools.groupby(keyed, key=lambda item: item[0][0]):
-            m_rows = [row for _, rows in m_results for row in rows
-                      if (m, row.M, row.ensemble) not in done]
+            m_rows = [row for _, rows in m_results for row in rows if row[:3] not in done]
             for M in cfg.M_values:
-                point_rows = [row for row in m_rows if row.M == M]
+                point_rows = [row for row in m_rows if row[1] == M]
                 output.write_rows(point_rows)
                 results.extend(point_rows)
     return results

@@ -4,13 +4,10 @@ pseudoinverse decomposition (X Y)+ = Y+ (h + g) X+.
 All operations are pure functions on real or complex 2-D numpy arrays.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SvdError",
-    "SvdFactorization",
     "svd",
     "pinv",
     "penrose_check",
@@ -52,34 +49,11 @@ def _condition_estimate(a: np.ndarray) -> float:
         return np.nan
 
 
-@dataclass(frozen=True)
-class SvdFactorization:
-    """Thin SVD x = u @ diag(s) @ v*, singular values nonincreasing."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-    rank_tolerance: float
-
-    @property
-    def numerical_rank(self) -> int:
-        return int(np.count_nonzero(self.singular_values > self.rank_tolerance))
-
-    def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse: the singular values above
-        rank_tolerance are inverted, the rest dropped."""
-        s = self.singular_values
-        inv = np.zeros_like(s)
-        keep = s > self.rank_tolerance
-        inv[keep] = 1.0 / s[keep]
-        return (self.v * inv) @ self.u.conj().T
-
-
-def svd(x, rtol: float | None = None) -> SvdFactorization:
-    """Thin singular value decomposition of a real or complex matrix.
-
-    rtol sets the relative cutoff below which singular values are treated
-    as zero; defaults to max(rows, cols) * machine epsilon.
+def svd(x, rtol: float | None = None) -> tuple:
+    """Thin singular value decomposition x = u @ diag(s) @ v* of a real or
+    complex matrix, as the tuple (u, s, v, tol): s nonincreasing and tol =
+    rtol * s[0], the cutoff at and below which a singular value counts as
+    zero.  rtol defaults to max(rows, cols) * machine epsilon.
     """
     a = _as_matrix(x)
     try:
@@ -91,8 +65,7 @@ def svd(x, rtol: float | None = None) -> SvdFactorization:
         ) from exc
     if rtol is None:
         rtol = max(a.shape) * _EPS
-    smax = s[0] if s.size else 0.0
-    return SvdFactorization(u, s, vh.conj().T, rank_tolerance=float(rtol * smax))
+    return u, s, vh.conj().T, float(rtol * s[0])
 
 
 def pinv(x, rtol: float | None = None) -> np.ndarray:
@@ -100,7 +73,10 @@ def pinv(x, rtol: float | None = None) -> np.ndarray:
 
     Singular values above rtol * sigma_max are inverted, the rest dropped.
     """
-    return svd(x, rtol=rtol).pinv()
+    u, s, v, tol = svd(x, rtol=rtol)
+    inv = np.zeros_like(s)
+    inv[s > tol] = 1.0 / s[s > tol]
+    return (v * inv) @ u.conj().T
 
 
 def _rel(num: float, denom: float) -> float:

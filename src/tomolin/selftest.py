@@ -1,6 +1,7 @@
 """Invariant selftest: the matlib, qstate and protocols suites.  Each check
 is a tuple (suite, name, count, worst, tol): the worst residual over count
-cases, which passes when it is at most tol."""
+cases, which passes when it is at most tol.  Residuals are accumulated with
+np.maximum, so a NaN residual makes worst NaN and fails its check."""
 
 import numpy as np
 
@@ -47,8 +48,8 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
         x = _random_shaped_matrix(rng)
         xp = matlib.pinv(x, rtol=cfg.rtol)
         penrose, props = penrose_with_properties(x, xp, cfg.rtol)
-        worst_penrose = max(worst_penrose, penrose)
-        worst_props = max(worst_props, props)
+        worst_penrose = np.maximum(worst_penrose, penrose)
+        worst_props = np.maximum(worst_props, props)
     yield "matlib", "penrose-c1-c4", count, worst_penrose, 1e-9
     yield "matlib", "pinv-properties", count, worst_props, 1e-9
 
@@ -63,15 +64,16 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
         x_pinv = matlib.pinv(x, rtol=cfg.rtol)
         rhs = y_pinv @ (h + g) @ x_pinv
         denom = max(np.linalg.norm(lhs), 1e-30)
-        worst_recon = max(worst_recon, np.linalg.norm(lhs - rhs) / denom)
-        worst_orth = max(worst_orth, abs(np.trace(g.conj().T @ h)) / max(1.0, np.linalg.norm(g) * np.linalg.norm(h)))
+        worst_recon = np.maximum(worst_recon, np.linalg.norm(lhs - rhs) / denom)
+        worst_orth = np.maximum(worst_orth, abs(np.trace(g.conj().T @ h))
+                                / max(1.0, np.linalg.norm(g) * np.linalg.norm(h)))
         base = np.linalg.norm(rhs)
         for _ in range(10):
             z = matlib.admissible_perturbation(x, y, rng, rtol=cfg.rtol)
             alt = np.linalg.norm(y_pinv @ (h + z) @ x_pinv)
             # slack measured relative to the minimal norm; the inequality
             # is scale covariant, an absolute slack would not be
-            worst_min = max(worst_min, (base - alt) / max(base, 1e-30))
+            worst_min = np.maximum(worst_min, (base - alt) / max(base, 1e-30))
     yield "matlib", "gw-reconstruction", pairs, worst_recon, 1e-9
     yield "matlib", "gw-orthogonality", pairs, worst_orth, 1e-9
     yield "matlib", "gw-minimality", pairs * 10, worst_min, 1e-10
@@ -81,16 +83,17 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(10):
         q = np.linalg.qr(rng.standard_normal((8, 4)))[0]
         y = rng.standard_normal((4, 6))
-        worst_pos = max(worst_pos, matlib.reverse_order_residual(q, y, rtol=cfg.rtol))
+        worst_pos = np.maximum(worst_pos, matlib.reverse_order_residual(q, y, rtol=cfg.rtol))
         x = rng.standard_normal((4, 6))
-        worst_pos = max(worst_pos, matlib.reverse_order_residual(x, x.conj().T, rtol=cfg.rtol))
+        worst_pos = np.maximum(worst_pos,
+                               matlib.reverse_order_residual(x, x.conj().T, rtol=cfg.rtol))
         g = rng.standard_normal((4, 6))
         h = rng.standard_normal((6, 4))
-        best_neg = min(best_neg, matlib.reverse_order_residual(g, h, rtol=cfg.rtol))
+        best_neg = np.minimum(best_neg, matlib.reverse_order_residual(g, h, rtol=cfg.rtol))
     yield "matlib", "reverse-order-valid-cases", 20, worst_pos, 1e-9
     # negative control: generic products must violate the law
     yield ("matlib", "reverse-order-negative-control", 10,
-           1e-3 - best_neg if best_neg < 1e-3 else 0.0, 0.0)
+           np.maximum(1e-3 - best_neg, 0.0), 0.0)
 
 
 def penrose_with_properties(x, xp, rtol=None):
@@ -107,7 +110,7 @@ def penrose_with_properties(x, xp, rtol=None):
     p2 = np.linalg.norm(matlib.pinv(xp, rtol=rtol) - x) / max(np.linalg.norm(x), 1e-30)
     p3 = np.linalg.norm(xs_pinv - xp.conj().T) / denom
     p4 = np.linalg.norm(xsx_pinv - xp @ xs_pinv) / max(np.linalg.norm(xsx_pinv), 1e-30)
-    return res, max(p1a, p1b, p2, p3, p4)
+    return res, np.max((p1a, p1b, p2, p3, p4))
 
 
 def _qstate_suite(cfg: bench.ExperimentConfig, rng):
@@ -115,8 +118,8 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
     for d in range(2, 9):
         gammas = qstate.gellmann_basis(d)
         gram = np.einsum("aij,bji->ab", gammas, gammas).real
-        worst = max(worst, np.abs(gram - np.eye(d * d - 1)).max())
-        worst = max(worst, np.abs(np.trace(gammas, axis1=1, axis2=2)).max())
+        worst = np.maximum(worst, np.abs(gram - np.eye(d * d - 1)).max())
+        worst = np.maximum(worst, np.abs(np.trace(gammas, axis1=1, axis2=2)).max())
     yield "qstate", "gellmann-orthonormality", 7, worst, 1e-12
 
     worst_affine = worst_round = worst_norm = 0.0
@@ -130,10 +133,10 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
             r = qstate.state_to_bloch(rho)
             p_affine = qstate.affine_response(det, r)
             p_born = qstate.born_probabilities(rho, povm)
-            worst_affine = max(worst_affine, np.abs(p_affine - p_born).max())
-            worst_norm = max(worst_norm, abs(p_born.sum() - 1.0))
+            worst_affine = np.maximum(worst_affine, np.abs(p_affine - p_born).max())
+            worst_norm = np.maximum(worst_norm, abs(p_born.sum() - 1.0))
             rho_back = qstate.bloch_to_state(r)
-            worst_round = max(worst_round, np.abs(rho_back - rho).max())
+            worst_round = np.maximum(worst_round, np.abs(rho_back - rho).max())
     yield "qstate", "affine-vs-born", 4 * per_d, worst_affine, 1e-12
     yield "qstate", "bloch-round-trip", 4 * per_d, worst_round, 1e-12
     yield "qstate", "born-normalisation", 4 * per_d, worst_norm, 1e-9
@@ -144,7 +147,7 @@ def _qstate_suite(cfg: bench.ExperimentConfig, rng):
         for m in range(d, 3 * d + 1):
             kets = qstate.haar_random_pure(d, rng, size=m)
             povm = qstate.square_root_measurement(kets)
-            worst_comp = max(worst_comp, np.abs(povm.sum(axis=0) - np.eye(d)).max())
+            worst_comp = np.maximum(worst_comp, np.abs(povm.sum(axis=0) - np.eye(d)).max())
             cases += 1
     yield "qstate", "srm-completeness", cases, worst_comp, 1e-9
 
@@ -164,7 +167,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
             M = int(rng.integers(M_low, M_low + 7))
             m = int(rng.integers(M, M + m_extra))
             _, probes, patterns = bench.srm_setup(d, m, M, cfg.state_ensemble, 0.03, rng)
-            worst = max(worst, gap(*bench._inversion_matrices(cfg, probes, patterns)))
+            worst = np.maximum(worst, gap(*bench._inversion_matrices(cfg, probes, patterns)))
         yield "protocols", name, count, worst, tol
 
     # noise model: empirical mean of ||A dp||^2 against eps^2 ||A||^2 / m
@@ -188,7 +191,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
         h, g = matlib.gw_decompose(f, matlib.pinv(r, rtol=cfg.rtol), rtol=cfg.rtol)
         bridged = r @ (h + g) @ matlib.pinv(f, rtol=cfg.rtol)
-        worst_gw = max(worst_gw, matlib.hs_norm(a_s - bridged) / matlib.hs_norm(a_s))
+        worst_gw = np.maximum(worst_gw, matlib.hs_norm(a_s - bridged) / matlib.hs_norm(a_s))
     yield "protocols", "gw-bridge", max(5, count // 2), worst_gw, 1e-9
 
     worst_unbiased = 0.0
@@ -201,15 +204,18 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
             inv = build(patterns, probes, rtol=cfg.rtol)
             r_hat, valid = protocols.estimate_batch(inv, data[:, None])
-            worst_unbiased = max(worst_unbiased, np.abs(r_hat[:, 0] - r).max() if valid[0] else np.inf)
+            error = np.abs(r_hat[:, 0] - r).max() if valid[0] else np.inf
+            worst_unbiased = np.maximum(worst_unbiased, error)
     yield "protocols", "zero-noise-unbiasedness", 10, worst_unbiased, 1e-8
 
 
 def run_selftest(cfg: bench.ExperimentConfig) -> tuple:
     """The checks (suite, name, count, worst, tol) of the matlib, qstate and
     protocols invariant suites, run with BLAS on one thread as in every
-    run.  A config made for another experiment raises ConfigError."""
+    run.  Overflow warnings are silenced, since a residual that is not
+    finite fails its check.  A config made for another experiment raises
+    ConfigError."""
     bench._require_experiment(cfg, "selftest")
     rng = bench._rng(cfg.seed, bench._TAG_SELFTEST)
-    with bench._one_blas_thread():
+    with bench._one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         return (*_matlib_suite(cfg, rng), *_qstate_suite(cfg, rng), *_protocols_suite(cfg, rng))

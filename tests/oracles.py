@@ -7,7 +7,8 @@ quadrature_functional build one quadrature functional at a time, the
 reference for the batched functionals of homodyne.homodyne_measurement.
 value_at reads a square Wigner grid at its point nearest to (x, p),
 limiting_case_diagnostics does the norm bookkeeping of the two protocols
-for redundant probe sets, and keyed_cells lists the cells of a run.
+for redundant probe sets, keyed_cells lists the cells of a run, and
+numerical_rank counts the singular values above matlib.svd's cutoff.
 """
 
 from dataclasses import dataclass
@@ -80,6 +81,19 @@ def keyed_cells(cfg: bench.ExperimentConfig) -> list:
             for cell in bench.cells(cfg, m, e)]
 
 
+def numerical_rank(x, rtol: float | None = None) -> int:
+    """The count of singular values of x above the cutoff of matlib.svd."""
+    _, s, _, tol = matlib.svd(x, rtol=rtol)
+    return int(np.count_nonzero(s > tol))
+
+
+def _truncated_inverse(u, s, v, tol) -> np.ndarray:
+    """The pseudoinverse of u diag(s) v*, with matlib.pinv's arithmetic."""
+    inv = np.zeros_like(s)
+    inv[s > tol] = 1.0 / s[s > tol]
+    return (v * inv) @ u.conj().T
+
+
 @dataclass(frozen=True)
 class LimitingCaseDiagnostics:
     """Norm bookkeeping behind the regime analysis of the two protocols."""
@@ -119,16 +133,16 @@ def limiting_case_diagnostics(patterns: protocols.PatternSet,
         )
     fr = matlib.svd(r, rtol=rtol)
     ff = matlib.svd(f, rtol=rtol)
-    rp = fr.pinv()
-    fp = ff.pinv()
+    rp = _truncated_inverse(*fr)
+    fp = _truncated_inverse(*ff)
     a_s = matlib.pinv(f @ rp, rtol=rtol)
     a_p = r @ fp
     h = matlib.pinv((fp @ f) @ (rp @ r), rtol=rtol)
     h_norm = matlib.hs_norm(h)
-    h_rank = matlib.svd(h, rtol=rtol).numerical_rank
+    h_rank = numerical_rank(h, rtol=rtol)
     if h_norm < np.sqrt(h_rank) - 1e-9:
         raise AssertionError(f"projector norm {h_norm} below sqrt(rank) {np.sqrt(h_rank)}")
-    u11 = fr.v.conj().T @ ff.v
+    u11 = fr[2].conj().T @ ff[2]  # V_R* V_F
     u11_norm = matlib.hs_norm(u11)
     u11_bound = np.sqrt(min(u11.shape))
     if u11_norm > u11_bound + 1e-9:

@@ -176,7 +176,8 @@ def test_criterion_6_probe_sweep_trend(probes_sweep):
     m_gate = 18
     curve = []
     for M in cfg.M_values:
-        ratios = [r.ratio for r in rows if r.m == m_gate and r.M == M]
+        ratios = [e2_std / e2_pat for row_m, row_M, _, e2_std, e2_pat in rows
+                  if row_m == m_gate and row_M == M]
         assert len(ratios) == cfg.ensembles
         curve.append(float(np.mean(ratios)))
     trend = spearmanr(cfg.M_values, curve).statistic
@@ -197,7 +198,7 @@ def test_criterion_7_outcome_sweep_endpoints():
     elapsed = time.monotonic() - start
 
     def mean_ratio(m):
-        vals = [r.ratio for r in rows if r.m == m]
+        vals = [e2_std / e2_pat for row_m, _, _, e2_std, e2_pat in rows if row_m == m]
         return float(np.mean(vals))
 
     low, high = mean_ratio(16), mean_ratio(60)
@@ -223,8 +224,8 @@ def test_criterion_8_homodyne_resonances(homodyne_sweep):
     minimal_m = n + 1  # minimal informationally complete point in augmented counting
     M = cfg.M_values[0]
     ms = np.array(cfg.m_values)
-    std_curve = np.array([np.mean([r.e2_std for r in rows if r.m == m]) for m in ms])
-    pat_curve = np.array([np.mean([r.e2_pat for r in rows if r.m == m]) for m in ms])
+    std_curve = np.array([np.mean([r[3] for r in rows if r[0] == m]) for m in ms])
+    pat_curve = np.array([np.mean([r[4] for r in rows if r[0] == m]) for m in ms])
     std_peak = int(ms[np.argmax(std_curve)])
     pat_peak = int(ms[np.argmax(pat_curve)])
     sep = std_curve[list(ms).index(minimal_m)] / pat_curve[list(ms).index(minimal_m)]

@@ -7,6 +7,7 @@ import contextlib
 import errno
 import importlib
 import inspect
+import io
 import json
 import os
 import pkgutil
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,22 +147,23 @@ class TestSweepProbes:
         cfg = bench.ExperimentConfig(**TINY_PROBES)
         rows = bench.run_sweep_probes(cfg)
         target = rows[4]
-        again = bench._task(cfg, target.m, target.ensemble)
-        match = [r for r in again if r.M == target.M][0]
+        m, M, ensemble = target[:3]
+        again = bench._task(cfg, m, ensemble)
+        match = [r for r in again if r[1] == M][0]
         assert match == target
 
     def test_pattern_resonance_at_equal_counts(self):
         # at m = M the pattern fit inverts a square, noise-limited matrix
         # and the data-pattern protocol loses badly
         rows = bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES))
-        resonant = [r.ratio for r in rows if r.M == 6]
+        resonant = [e2_std / e2_pat for _, M, _, e2_std, e2_pat in rows if M == 6]
         assert np.mean(resonant) < 1.0
 
     def test_zero_noise_everywhere_hits_numerical_floor(self):
         cfg = bench.ExperimentConfig(**{**TINY_PROBES, "M_values": (8,)},
                                      noise_ratio_patterns=0.0, noise_ratio_data=0.0)
         rows = bench.run_sweep_probes(cfg)
-        assert all(r.e2_std < 1e-16 and r.e2_pat < 1e-16 for r in rows)
+        assert all(e2_std < 1e-16 and e2_pat < 1e-16 for *_, e2_std, e2_pat in rows)
 
 
 class TestSweepOutcomes:
@@ -168,9 +171,9 @@ class TestSweepOutcomes:
         out = str(tmp_path / "outcomes.csv")
         rows = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES, out=out))
         assert len(rows) == 3 * 2
-        ms = [r.m for r in rows]
+        ms = [r[0] for r in rows]
         assert ms == sorted(ms)
-        assert all(r.M == 6 for r in rows)
+        assert all(r[1] == 6 for r in rows)
 
     def test_probe_stream_shared_across_m(self):
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES)
@@ -180,7 +183,7 @@ class TestSweepOutcomes:
             basis_rows[m] = rows[0]
         # distinct m cells exist and come from the same probe draw; the
         # derivation key for probes ignores m, so this must not raise
-        assert len({r.m for r in basis_rows.values()}) == 3
+        assert len({r[0] for r in basis_rows.values()}) == 3
 
     def test_shared_probes_give_cellwise_rows(self):
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
@@ -198,7 +201,7 @@ class TestSweepOutcomes:
 
     def test_resume_missing_ensembles(self, tmp_path):
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
-        expected = csv_lines(cellwise_outcome_rows(cfg))
+        expected = csv_lines(cfg, cellwise_outcome_rows(cfg))
         # ensemble 1 is missing at every m and ensemble 2 at the first m,
         # so the resumed run meets some probe sets first at a later m
         keys = [(line.split(",")[2], line.split(",")[5]) for line in expected[1:]]
@@ -214,14 +217,14 @@ class TestSweepOutcomes:
         out = tmp_path / "w2.csv"
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4, out=str(out), workers=2)
         bench.run_sweep_outcomes(cfg)
-        assert out.read_text().splitlines() == csv_lines(cellwise_outcome_rows(cfg))
+        assert out.read_text().splitlines() == csv_lines(cfg, cellwise_outcome_rows(cfg))
 
     def test_run_after_other_seed_draws_its_own_probes(self):
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
         other = bench.run_sweep_outcomes(bench.ExperimentConfig(**{**TINY_OUTCOMES_D4, "seed": 8}))
         rows = bench.run_sweep_outcomes(cfg)
         assert rows == cellwise_outcome_rows(cfg)
-        assert all(a.e2_std != b.e2_std for a, b in zip(rows, other))
+        assert all(a[3] != b[3] for a, b in zip(rows, other))
 
 
 def cellwise_outcome_rows(cfg):
@@ -235,8 +238,38 @@ def cellwise_outcome_rows(cfg):
     return rows
 
 
-def csv_lines(rows):
-    return [bench.CSV_HEADER, *(row.csv_row() for row in rows)]
+def csv_lines(cfg, rows):
+    """The CSV lines of cfg's run that holds rows, as _OutputFiles writes
+    them."""
+    output = bench._OutputFiles(cfg)
+    output.fh = io.StringIO()
+    output.write_rows(rows)
+    return [bench.CSV_HEADER, *output.fh.getvalue().splitlines()]
+
+
+class TestRowCodec:
+    # (m, M, ensemble, e2_std, e2_pat) on TINY_PROBES' grid, with a zero
+    # pattern MSE (ratio inf) and the smallest subnormal
+    ROWS = [(6, 4, 0, 0.125, 0.5), (6, 6, 1, 2.0, 0.0), (6, 8, 2, 5e-324, 5e-324),
+            (6, 4, 2, 1.0, 5e-324), (6, 8, 0, 0.0, 3.0), (6, 6, 2, 1.0 / 3.0, 1e300)]
+
+    def test_write_rows_has_the_old_format(self, tmp_path):
+        cfg = bench.ExperimentConfig(**TINY_PROBES, out=str(tmp_path / "rows.csv"))
+        with bench._OutputFiles(cfg) as output:
+            output.write_rows(self.ROWS)
+        # the f-string of the former result record, with its ratio
+        expected = "".join(
+            f"{cfg.d},{cfg.n_params},{m},{M},{cfg.seed},{e},"
+            f"{e2_std:.12e},{e2_pat:.12e},{e2_std / e2_pat if e2_pat > 0 else np.inf:.12e}\n"
+            for m, M, e, e2_std, e2_pat in self.ROWS)
+        assert (tmp_path / "rows.csv").read_bytes() == (bench.CSV_HEADER + "\n" + expected).encode()
+        assert "inf" in expected.splitlines()[1] and "4.940656458412e-324" in expected
+
+    def test_row_key_reads_back_each_written_line(self):
+        cfg = bench.ExperimentConfig(**TINY_PROBES)
+        lines = csv_lines(cfg, self.ROWS)[1:]
+        output = bench._OutputFiles(cfg)
+        assert [output._row_key(line) for line in lines] == [row[:3] for row in self.ROWS]
 
 
 RUNS = {
@@ -252,12 +285,11 @@ class TestCells:
         tiny, run = RUNS[name]
         cfg = bench.ExperimentConfig(**tiny)
         rows = run(cfg)
-        again = [bench.SweepResult(cfg.d, cfg.n_params, m, cell.M, cfg.seed, e,
-                                   *(protocols.batch_mse(inv, cell.data, cell.truth)
-                                     for inv in cell.invs))
+        again = [(m, cell.M, e, *(protocols.batch_mse(inv, cell.data, cell.truth)
+                                  for inv in cell.invs))
                  for m, e, cell in oracles.keyed_cells(cfg)]
         # exact float equality: the same bits
-        assert sorted(again, key=lambda r: (r.m, r.M, r.ensemble)) == rows
+        assert sorted(again, key=lambda r: r[:3]) == rows
 
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_cell_shapes(self, name):
@@ -870,6 +902,20 @@ class TestSelfTest:
             selftest.run_selftest(bench.ExperimentConfig(experiment="homodyne", d=6,
                                                          M_values=(100,)))
 
+    @pytest.mark.parametrize("name, residual, failed", [
+        ("penrose_check", lambda x, xp: np.full(4, np.nan), ["penrose-c1-c4"]),
+        ("reverse_order_residual", lambda x, y, rtol=None: np.nan,
+         ["reverse-order-valid-cases", "reverse-order-negative-control"]),
+    ], ids=["penrose", "reverse-order"])
+    def test_nan_residual_fails_its_check(self, monkeypatch, name, residual, failed):
+        # a NaN residual must not be dropped by the running worst, nor pass
+        # the negative control as NaN
+        monkeypatch.setattr(matlib, name, residual)
+        checks = selftest.run_selftest(bench.ExperimentConfig(experiment="selftest",
+                                                              selftest_count=2))
+        assert [check for _, check, _, worst, tol in checks if not worst <= tol] == failed
+        assert selftest.format_lines(checks)[-1] == "selftest: FAIL"
+
     def test_corrupted_pinv_tolerance_fails(self):
         checks = selftest.run_selftest(
             bench.ExperimentConfig(experiment="selftest", selftest_count=20, rtol=0.5))
@@ -887,6 +933,17 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"experiment": "selftest", "selftest_count": 20, "rtol": 0.5}))
         assert cli.main(["selftest", "--config", str(cfg)]) == 3
+
+    def test_selftest_overflow_fails_without_warnings(self, tmp_path, capsys):
+        # rtol 1e-300 keeps singular values of rounding, whose inverses
+        # overflow in the residual norms
+        cfg = tmp_path / "tiny-rtol.json"
+        cfg.write_text(json.dumps({"rtol": 1e-300}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["selftest", "--config", str(cfg)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
@@ -1191,7 +1248,7 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         code = ("from tomolin import bench; "
                 "rows = bench.run_homodyne(bench.ExperimentConfig(experiment='homodyne', "
                 "d=6, M_values=(100,), m_values=(122,), ensembles=17, trials=20)); "
-                "print('\\n'.join(row.csv_row() for row in rows))")
+                "print('\\n'.join(map(repr, rows)))")
         outputs = {}
         for threads in ("1", "2"):
             outputs[threads] = subprocess.run(

@@ -1,7 +1,9 @@
 """Fuzz gate over config documents: every CLI run of a small, possibly
 invalid or extreme config either succeeds with only finite values in the
 files it wrote, or exits with a documented code and one stderr line,
-leaving no partial file under a final name."""
+leaving no partial file under a final name.  Every selftest run passes or
+fails with its verdict as the last line, writes nothing to stderr and no
+file."""
 
 import contextlib
 import io
@@ -71,7 +73,7 @@ def _complete(path: str) -> bool:
     return blob.endswith(b"\n")
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(doc=config_documents())
 def test_every_run_succeeds_finite_or_fails_documented(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,3 +94,24 @@ def test_every_run_succeeds_finite_or_fails_documented(doc):
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith(FAILURES[code])
+
+
+@settings(max_examples=25)
+@given(doc=st.fixed_dictionaries(dict(
+    selftest_count=st.sampled_from((1, 2, 100)),
+    rtol=st.sampled_from((None, 1e-300, 1e-8, 0.5, 1 - 1e-12)),
+    seed=st.integers(min_value=0),
+)))
+def test_every_selftest_passes_or_fails_quietly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["selftest", "--config", config,
+                             "--out", os.path.join(tmp, "run.csv")])
+        assert (code, out.getvalue().splitlines()[-1]) in ((0, "selftest: PASS"),
+                                                           (3, "selftest: FAIL"))
+        assert err.getvalue() == ""
+        assert os.listdir(tmp) == ["config.json"]

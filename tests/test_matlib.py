@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from tomolin import matlib
 
 
@@ -26,31 +27,31 @@ def random_matrix(rng, rows, cols, complex_=False, rank=None):
 
 class TestSvd:
     def test_identity(self):
-        f = matlib.svd(np.eye(3))
-        assert_allclose(f.singular_values, [1.0, 1.0, 1.0])
-        assert_allclose(np.abs(f.u), np.eye(3), atol=1e-14)
-        assert_allclose(np.abs(f.v), np.eye(3), atol=1e-14)
+        u, s, v, _ = matlib.svd(np.eye(3))
+        assert_allclose(s, [1.0, 1.0, 1.0])
+        assert_allclose(np.abs(u), np.eye(3), atol=1e-14)
+        assert_allclose(np.abs(v), np.eye(3), atol=1e-14)
 
     def test_already_diagonal(self):
-        f = matlib.svd(np.diag([3.0, 0.0]))
-        assert_allclose(f.singular_values, [3.0, 0.0], atol=1e-15)
-        assert f.numerical_rank == 1
+        _, s, _, _ = matlib.svd(np.diag([3.0, 0.0]))
+        assert_allclose(s, [3.0, 0.0], atol=1e-15)
+        assert oracles.numerical_rank(np.diag([3.0, 0.0])) == 1
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(7)
         x = random_matrix(rng, 7, 4)
-        f = matlib.svd(x)
-        reconstructed = (f.u * f.singular_values) @ f.v.conj().T
+        u, s, v, _ = matlib.svd(x)
+        reconstructed = (u * s) @ v.conj().T
         rel = np.linalg.norm(reconstructed - x) / np.linalg.norm(x)
         assert rel < 1e-10
 
     def test_orthonormal_factors(self):
         rng = np.random.default_rng(8)
         x = random_matrix(rng, 5, 9, complex_=True)
-        f = matlib.svd(x)
-        assert_allclose(f.u.conj().T @ f.u, np.eye(5), atol=1e-12)
-        assert_allclose(f.v.conj().T @ f.v, np.eye(5), atol=1e-12)
-        assert np.all(np.diff(f.singular_values) <= 0)
+        u, s, v, _ = matlib.svd(x)
+        assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
+        assert_allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+        assert np.all(np.diff(s) <= 0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -91,7 +92,7 @@ class TestPinv:
         x = random_matrix(rng, 8, 6, rank=3)
         xp = matlib.pinv(x)
         assert matlib.penrose_check(x, xp).max() < 1e-9
-        assert matlib.svd(xp).numerical_rank == 3
+        assert oracles.numerical_rank(xp) == 3
 
     def test_agrees_with_ridge_limit(self):
         # (X*X + delta I)^-1 X* at delta = 1e-12 for well-conditioned X
@@ -103,7 +104,7 @@ class TestPinv:
 
     def test_custom_rtol_truncates(self):
         x = np.diag([1.0, 1e-8])
-        assert matlib.svd(matlib.pinv(x, rtol=1e-4)).numerical_rank == 1
+        assert oracles.numerical_rank(matlib.pinv(x, rtol=1e-4)) == 1
 
     @pytest.mark.parametrize("rows, cols, complex_, rank, rtol", [
         (7, 4, False, None, None),
@@ -124,7 +125,6 @@ class TestPinv:
         inv = np.zeros_like(s)
         inv[s > cutoff] = 1.0 / s[s > cutoff]
         formula = (vh.conj().T * inv) @ u.conj().T
-        assert np.array_equal(matlib.svd(x, rtol=rtol).pinv(), formula)
         assert np.array_equal(matlib.pinv(x, rtol=rtol), formula)
         if rtol is not None:
             assert np.count_nonzero(inv) < min(rows, cols)
@@ -252,7 +252,7 @@ class TestGwDecompose:
         dim_sum = np.linalg.matrix_rank(np.hstack([b_xs, null_ys]))
         b_sum = b_sum[:, :dim_sum]
         inter_dim = 3 + dim_sum - np.linalg.matrix_rank(np.hstack([b_y, b_sum]))
-        assert matlib.svd(h).numerical_rank == inter_dim
+        assert oracles.numerical_rank(h) == inter_dim
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="inner dimensions"):
@@ -308,7 +308,7 @@ class TestHsNorm:
         assert matlib.hs_norm(x) == pytest.approx(np.sqrt(np.sum(np.abs(x) ** 2)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     rows=st.integers(1, 12),
     cols=st.integers(1, 12),
@@ -323,7 +323,7 @@ def test_pinv_satisfies_penrose_for_arbitrary_shapes(rows, cols, seed, complex_,
     assert matlib.penrose_check(x, matlib.pinv(x)).max() < 1e-9
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     m=st.integers(2, 8), n=st.integers(2, 8), p=st.integers(2, 8),
     seed=st.integers(0, 2**31 - 1),

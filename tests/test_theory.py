@@ -42,8 +42,8 @@ def test_mse_ratio_follows_norm_ratio(seed):
     # the correlation read 0.9966 at seed 42 and 0.9978 at seed 7, and
     # between 0.973 and 0.9973 at the 19 other seeds
     rows, cells = _outcome_sweep(seed)
-    assert [(r.m, r.ensemble, r.M) for r in rows] == [(m, e, c.M) for m, e, c in cells]
-    mse_ratio = [np.log(r.e2_std / r.e2_pat) for r in rows]
+    assert [(m, e, M) for m, M, e, *_ in rows] == [(m, e, c.M) for m, e, c in cells]
+    mse_ratio = [np.log(e2_std / e2_pat) for *_, e2_std, e2_pat in rows]
     norm_ratio = [np.log(_sq_norm(c.invs[0][1:]) / _sq_norm(c.invs[1][1:]))
                   for _, _, c in cells]
     assert np.corrcoef(mse_ratio, norm_ratio)[0, 1] > 0.95
@@ -56,10 +56,11 @@ def test_mean_mse_ratio_follows_norm_ratio_at_each_m(seed):
     # seeds.  The minimal point m = n + 1 = 16 is left out: its heavy tails
     # and exclusions put the two means 0.37 to 0.49 apart in log
     rows, cells = _outcome_sweep(seed)
-    m_values = sorted({r.m for r in rows if r.m >= 20})
+    m_values = sorted({r[0] for r in rows if r[0] >= 20})
     assert m_values == list(range(20, 61, 4))
     for m in m_values:
-        mse_ratio = np.mean([r.e2_std / r.e2_pat for r in rows if r.m == m])
+        mse_ratio = np.mean([e2_std / e2_pat for row_m, *_, e2_std, e2_pat in rows
+                             if row_m == m])
         norm_ratio = np.mean([_sq_norm(c.invs[0][1:]) / _sq_norm(c.invs[1][1:])
                               for cell_m, _, c in cells if cell_m == m])
         assert abs(np.log(mse_ratio / norm_ratio)) < 0.1, m
