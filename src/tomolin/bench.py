@@ -297,42 +297,82 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     return [Cell(cfg.M_values[0], invs, data, r_true[:, None], detector)]
 
 
+@functools.lru_cache(maxsize=None)
+def _bundled_openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when numpy carries none."""
+    for path in (pathlib.Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _numerics():
+    """The numerics of every unit of work, a function that computes numbers
+    a run writes (cells, _task, _mean_estimates, selftest.run_selftest),
+    entered by the unit itself, as a with block or a decorator.
+
+    numpy's bundled OpenBLAS runs on one thread inside, and the previous
+    count is restored on exit: the count can move the last bit of a result,
+    so output bytes are fixed only at a fixed count.  Another BLAS needs its
+    own thread variable set to 1.  Overflow and invalid warnings are
+    silenced, since a value that is not finite is refused explicitly: a
+    pattern or MSE raises its own error, and a selftest residual fails its
+    check."""
+    get_threads, set_threads = _bundled_openblas() or (lambda: None, lambda count: None)
+    previous = get_threads()
+    set_threads(1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    finally:
+        set_threads(previous)
+
+
+@_numerics()
 def cells(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
     """The cells of one ensemble of cfg's experiment at m, one per M, drawn
-    exactly as a run draws them from (seed, stream tag, m, ensemble), with
-    BLAS on one thread as in a run, so with a run's bits."""
-    with _one_blas_thread():
-        if cfg.experiment == "sweep-probes":
-            return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble))
-        if cfg.experiment == "sweep-outcomes":
-            probes = _outcome_probes(cfg.seed, cfg.d, cfg.M_values[0], ensemble, cfg.state_ensemble)
-            return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble), probes)
-        if cfg.experiment == "homodyne":
-            return _homodyne_cells(cfg, m, _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble))
+    exactly as a run draws them from (seed, stream tag, m, ensemble), under
+    a run's _numerics, so with a run's bits."""
+    if cfg.experiment == "sweep-probes":
+        return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble))
+    if cfg.experiment == "sweep-outcomes":
+        probes = _outcome_probes(cfg.seed, cfg.d, cfg.M_values[0], ensemble, cfg.state_ensemble)
+        return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble), probes)
+    if cfg.experiment == "homodyne":
+        return _homodyne_cells(cfg, m, _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble))
     raise ConfigError(f"experiment {cfg.experiment!r} has no cells")
 
 
+@_numerics()
 def _task(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
     """The rows (m, M, ensemble, e2_std, e2_pat) of one ensemble at m: the
-    MSEs of both protocols in each cell.  Overflow warnings are silenced,
-    since a non-finite pattern or MSE raises its own error."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [(m, cell.M, ensemble, *(protocols.batch_mse(inv, cell.data, cell.truth)
-                                        for inv in cell.invs))
-                for cell in cells(cfg, m, ensemble)]
+    MSEs of both protocols in each cell."""
+    return [(m, cell.M, ensemble, *(protocols.batch_mse(inv, cell.data, cell.truth)
+                                    for inv in cell.invs))
+            for cell in cells(cfg, m, ensemble)]
 
 
+@_numerics()
 def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
-    """Estimates of both protocols from the trial-averaged data of ensemble
-    0 at m, recomputed from the cell's key; None where an estimate is
-    degenerate.  The cell's arrays are freed on return."""
+    """The states both protocols estimate from the trial-averaged data of
+    ensemble 0 at m, recomputed from the cell's key; None where an estimate
+    is degenerate.  The cell's arrays are freed on return."""
     (cell,) = cells(cfg, m, 0)
     mean = cell.data.mean(axis=1, keepdims=True)
-    estimates = {}
+    states = {}
     for kind, inv in zip(("standard", "pattern"), cell.invs):
         r_hat, valid = protocols.estimate_batch(inv, mean)
-        estimates[kind] = r_hat[:, 0] if valid[0] else None
-    return estimates
+        states[kind] = qstate.bloch_to_state(r_hat[:, 0]) if valid[0] else None
+    return states
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -359,6 +399,10 @@ def _replacing(path: str):
 
 # settings that may differ between a run and its resumption
 _RESUME_FREE_KEYS = ("out", "workers")
+
+# a resumed row's ratio against e2_std / e2_pat of its 13-digit fields:
+# write_rows takes the ratio of the unrounded MSEs
+_RATIO_RTOL = 1e-9
 
 
 class _OutputFiles:
@@ -440,8 +484,8 @@ class _OutputFiles:
     def _row_key(self, line: str) -> tuple:
         """(m, M, ensemble) of a complete line, which must be a row of this
         run: six integer keys, with d, n and seed the config's and m, M and
-        ensemble on its grid, then two finite MSEs >= 0 and a ratio >= 0,
-        which may be infinite."""
+        ensemble on its grid, then two finite MSEs >= 0 and their ratio: inf
+        where e2_pat is 0, otherwise within _RATIO_RTOL of e2_std / e2_pat."""
         cfg = self.cfg
         parts = line.split(",")
         try:  # the unpacking also refuses a line without exactly nine fields
@@ -449,9 +493,13 @@ class _OutputFiles:
                                                                  *map(float, parts[6:]))
         except ValueError:
             raise ConfigError(f"cannot resume {cfg.out}: malformed row {line!r}") from None
-        if not (all(math.isfinite(e) and e >= 0 for e in (e2_std, e2_pat)) and ratio >= 0):
+        if not all(math.isfinite(e) and e >= 0 for e in (e2_std, e2_pat)):
             raise ConfigError(f"cannot resume {cfg.out}: {line!r} holds an MSE that is not "
-                              f"finite and >= 0, or a ratio that is NaN or negative")
+                              f"finite and >= 0")
+        if not math.isclose(ratio, e2_std / e2_pat if e2_pat > 0 else math.inf,
+                            rel_tol=_RATIO_RTOL):
+            raise ConfigError(f"cannot resume {cfg.out}: the ratio of {line!r} is not "
+                              f"e2_std / e2_pat, inf where e2_pat is 0")
         if ((d, n, seed) != (cfg.d, cfg.n_params, cfg.seed) or m not in cfg.m_values
                 or M not in cfg.M_values or ensemble not in range(cfg.ensembles)):
             raise ConfigError(f"cannot resume {cfg.out}: {line!r} is not a row of this run (d "
@@ -477,47 +525,17 @@ class _OutputFiles:
                               f"({diffs}); use another --out or remove the file")
 
 
-@functools.lru_cache(maxsize=None)
-def _bundled_openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when numpy carries none."""
-    for path in (pathlib.Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-        return get_threads, set_threads
-    return None
-
-
-def _set_blas_threads(count: int):
-    """Set the thread count of numpy's bundled OpenBLAS and return the one
-    it replaces; without the bundled library, do nothing and return None."""
-    blas = _bundled_openblas()
-    if blas is None:
-        return None
-    get_threads, set_threads = blas
-    previous = get_threads()
-    set_threads(count)
-    return previous
-
-
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 def _init_worker(parent) -> None:
-    """Start a pool worker: BLAS on one thread and, on Linux, a SIGTERM when
-    the parent dies, so that a killed run leaves no worker behind.  Linux
+    """Start a pool worker: on Linux, arm a SIGTERM for when the parent
+    dies, so that a killed run leaves no worker behind.  Linux
     sends it when the thread that forked the worker ends; pool.map submits,
     and so starts the workers, from the main thread.  A worker whose parent
     died before the signal was armed sees another parent pid and exits.
     parent is the pid of the forking process, or None when the workers are
     not forked from it."""
-    _set_blas_threads(1)
     if not sys.platform.startswith("linux"):
         return
     try:
@@ -529,21 +547,6 @@ def _init_worker(parent) -> None:
     prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
     if parent is not None and os.getppid() != parent:
         os._exit(1)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread inside the block, in this
-    process and in the pool workers started there, and restore the previous
-    count on exit.  The thread count can move the last bit of a result, so
-    output bytes are fixed only at a fixed count.  Another BLAS needs its
-    own thread variable set to 1."""
-    previous = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
 
 
 def _cell_results(cfg: ExperimentConfig, keys):
@@ -558,9 +561,10 @@ def _cell_results(cfg: ExperimentConfig, keys):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     parent = os.getpid() if multiprocessing.get_start_method() == "fork" else None
-    # at most one worker per cell: a forked pool starts all of its workers
-    # at the first submit
-    workers = min(cfg.workers, len(keys))
+    # at most one worker per cell and per CPU this process may use: a
+    # forked pool starts all of its workers at the first submit
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.workers, len(keys), cpus or 1)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(parent,)) as pool:
         yield from pool.map(functools.partial(_task, cfg), *zip(*keys))
@@ -575,20 +579,20 @@ def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
 def _run_grid(cfg: ExperimentConfig, experiment: str):
     """Run _task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
     skipping cells whose rows cfg.out already holds, and write and return
-    the new rows in (m, M, ensemble) order, with BLAS on one thread.
+    the new rows in (m, M, ensemble) order.
 
     A config made for another experiment, and an output that _OutputFiles
     refuses, raise ConfigError before anything is written.
     """
     _require_experiment(cfg, experiment)
     results = []
-    with _one_blas_thread(), _OutputFiles(cfg) as output:
+    with _OutputFiles(cfg) as output:
         done = output.done
         keys = [(m, e) for m in cfg.m_values for e in range(cfg.ensembles)
                 if any((m, M, e) not in done for M in cfg.M_values)]
-        keyed = zip(keys, _cell_results(cfg, keys))
-        for m, m_results in itertools.groupby(keyed, key=lambda item: item[0][0]):
-            m_rows = [row for _, rows in m_results for row in rows if row[:3] not in done]
+        rows = itertools.chain.from_iterable(_cell_results(cfg, keys))
+        for _, group in itertools.groupby(rows, key=lambda row: row[0]):
+            m_rows = [row for row in group if row[:3] not in done]
             for M in cfg.M_values:
                 point_rows = [row for row in m_rows if row[1] == M]
                 output.write_rows(point_rows)
@@ -613,8 +617,9 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
 
 def _wigner_grid(rho: np.ndarray, axis: np.ndarray, path: str) -> np.ndarray:
     """The Wigner grid of rho over axis x axis, bound for path; one that is
-    not finite raises FloatingPointError."""
-    values = homodyne.wigner(rho, axis, axis)
+    not finite raises FloatingPointError, so its overflow is silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = homodyne.wigner(rho, axis, axis)
     if not np.isfinite(values).all():
         raise FloatingPointError(f"the Wigner grid of {path} is not finite")
     return values
@@ -653,18 +658,13 @@ def run_homodyne(cfg: ExperimentConfig):
     if export_m is None:
         export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
                                  if m in cfg.m_values)
-    # overflow warnings are silenced, since _wigner_grid refuses a grid that
-    # is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        true_grid = _wigner_grid(np.outer(signal, signal.conj()), axis, true_path)
-        results = _run_grid(cfg, "homodyne")
-        _wigner_csv(true_path, axis, true_grid)
-        del true_grid
-        with _one_blas_thread():
-            for m in export_m:
-                for kind, r_hat in _mean_estimates(cfg, m).items():
-                    if r_hat is not None:
-                        path = f"{stem}_wigner_{kind}_m{m}.csv"
-                        _wigner_csv(path, axis,
-                                    _wigner_grid(qstate.bloch_to_state(r_hat), axis, path))
+    true_grid = _wigner_grid(np.outer(signal, signal.conj()), axis, true_path)
+    results = _run_grid(cfg, "homodyne")
+    _wigner_csv(true_path, axis, true_grid)
+    del true_grid
+    for m in export_m:
+        for kind, rho in _mean_estimates(cfg, m).items():
+            if rho is not None:
+                path = f"{stem}_wigner_{kind}_m{m}.csv"
+                _wigner_csv(path, axis, _wigner_grid(rho, axis, path))
     return results

@@ -209,13 +209,11 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     yield "protocols", "zero-noise-unbiasedness", 10, worst_unbiased, 1e-8
 
 
+@bench._numerics()
 def run_selftest(cfg: bench.ExperimentConfig) -> tuple:
     """The checks (suite, name, count, worst, tol) of the matlib, qstate and
-    protocols invariant suites, run with BLAS on one thread as in every
-    run.  Overflow warnings are silenced, since a residual that is not
-    finite fails its check.  A config made for another experiment raises
-    ConfigError."""
+    protocols invariant suites, under a run's numerics (bench._numerics).
+    A config made for another experiment raises ConfigError."""
     bench._require_experiment(cfg, "selftest")
     rng = bench._rng(cfg.seed, bench._TAG_SELFTEST)
-    with bench._one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        return (*_matlib_suite(cfg, rng), *_qstate_suite(cfg, rng), *_protocols_suite(cfg, rng))
+    return (*_matlib_suite(cfg, rng), *_qstate_suite(cfg, rng), *_protocols_suite(cfg, rng))

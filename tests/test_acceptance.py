@@ -57,7 +57,7 @@ def test_criterion_1_pseudoinverse_suite():
         x = random_matrix(rng)
         xp = matlib.pinv(x)
         penrose, props = penrose_with_properties(x, xp)
-        worst = max(worst, penrose, props)
+        worst = np.max((worst, penrose, props))
     elapsed = time.monotonic() - start
     report(1, worst < 1e-9 and elapsed < 30.0,
            f"500 matrices up to 64x64, worst residual {worst:.2e}, {elapsed:.1f}s")
@@ -79,14 +79,15 @@ def test_criterion_2_product_decomposition_suite():
         yp = matlib.pinv(y)
         lhs = matlib.pinv(x @ y)
         rhs = yp @ (h + g) @ xp
-        worst_recon = max(worst_recon, np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30))
+        worst_recon = np.maximum(worst_recon,
+                                 np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30))
         denom = max(np.linalg.norm(g) * np.linalg.norm(h), 1.0)
-        worst_orth = max(worst_orth, abs(np.trace(g.conj().T @ h)) / denom)
+        worst_orth = np.maximum(worst_orth, abs(np.trace(g.conj().T @ h)) / denom)
         base = np.linalg.norm(rhs)
         for _ in range(100):
             z = matlib.admissible_perturbation(x, y, rng)
             alt = np.linalg.norm(yp @ (h + z) @ xp)
-            worst_min = max(worst_min, (base - alt) / max(base, 1e-30))
+            worst_min = np.maximum(worst_min, (base - alt) / max(base, 1e-30))
     elapsed = time.monotonic() - start
     ok = worst_recon < 1e-9 and worst_orth < 1e-9 and worst_min < 1e-10 and elapsed < 60.0
     report(2, ok, "200 pairs x 100 perturbations: "
@@ -106,7 +107,7 @@ def test_criterion_3_equivalence_theorem():
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         rel = matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p)
-        worst_matrix = max(worst_matrix, rel)
+        worst_matrix = np.maximum(worst_matrix, rel)
         rho = qstate.random_density_hs(d, rng)
         r = qstate.state_to_bloch(rho)
         f = protocols.add_noise(qstate.affine_response(setup.detector, r), setup.noise_data, rng)
@@ -114,7 +115,7 @@ def test_criterion_3_equivalence_theorem():
         est_p, valid_p = protocols.estimate_batch(a_p, f[:, None])
         assert valid_s[0] and valid_p[0]
         diff = np.abs(est_s - est_p).max()
-        worst_estimate = max(worst_estimate, diff)
+        worst_estimate = np.maximum(worst_estimate, diff)
     ok = worst_matrix < 1e-8 and worst_estimate < 1e-8
     report(3, ok, "200 full-column-rank setups: worst matrix deviation "
            f"{worst_matrix:.2e}, worst paired-estimate deviation {worst_estimate:.2e}")
@@ -133,7 +134,7 @@ def test_criterion_4_norm_inequality():
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         gap = matlib.hs_norm(a_s) - matlib.hs_norm(a_p)
-        worst = max(worst, gap)
+        worst = np.maximum(worst, gap)
         holds += gap <= 1e-10
     report(4, holds == 200,
            f"overcomplete regime: {holds}/200 setups satisfy |A_s| <= |A_p| "
@@ -152,7 +153,7 @@ def test_criterion_5_mse_model():
         draws *= eps / np.linalg.norm(draws, axis=1, keepdims=True)
         empirical = float(np.mean(np.sum((draws @ a.T) ** 2, axis=1)))
         predicted = protocols.mse_theoretical(inv, eps, m)
-        worst = max(worst, abs(empirical - predicted) / predicted)
+        worst = np.maximum(worst, abs(empirical - predicted) / predicted)
     report(5, worst < 0.01,
            f"sphere-noise model at 1e5 draws: worst relative deviation {worst:.2%}")
 

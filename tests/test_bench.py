@@ -367,7 +367,9 @@ MALFORMED_CSV_EDITS = {
     "non-float-value": lambda lines: [*lines[:2], _with_field(lines[2], 6, "x"), *lines[3:]],
     "float-key": lambda lines: [*lines[:2], _with_field(lines[2], 5, "1.0"), *lines[3:]],
     "repeated-row": lambda lines: [*lines, lines[1]],
-    "repeated-key": lambda lines: [*lines, _with_field(lines[1], 6, "1.0")],
+    # other values, with their ratio, under the key of the first row
+    "repeated-key": lambda lines: [
+        *lines, _with_field(_with_field(_with_field(lines[1], 6, "1.0"), 7, "1.0"), 8, "1.0")],
     "nan-mse": lambda lines: [*lines[:2], _with_field(lines[2], 6, "nan"), *lines[3:]],
     "infinite-mse": lambda lines: [*lines[:2], _with_field(lines[2], 7, "inf"), *lines[3:]],
     "negative-mse": lambda lines: [*lines[:2], _with_field(lines[2], 7, "-1.0e-03"), *lines[3:]],
@@ -375,6 +377,12 @@ MALFORMED_CSV_EDITS = {
         lines[0], _with_field(_with_field(lines[1], 6, "nan"), 7, "-inf"), *lines[2:-1]],
     "nan-ratio": lambda lines: [*lines[:2], _with_field(lines[2], 8, "nan"), *lines[3:]],
     "negative-ratio": lambda lines: [*lines[:2], _with_field(lines[2], 8, "-2.0"), *lines[3:]],
+    # each field finite and >= 0, but the ratio is not e2_std / e2_pat
+    "edited-mse-and-ratio": lambda lines: [
+        lines[0], _with_field(_with_field(lines[1], 6, "1.000000000000e+00"), 8,
+                              "5.000000000000e+00"), *lines[2:]],
+    "infinite-ratio-of-nonzero-mse": lambda lines: [
+        *lines[:2], _with_field(lines[2], 8, "inf"), *lines[3:]],
 }
 
 
@@ -419,6 +427,40 @@ def test_every_public_definition_is_used_in_the_package():
               and not node.name.startswith("_") and not _is_entry_point(node.name)
               and node.name not in used]
     assert unused == []
+
+
+def _calls_by_function(tree) -> list:
+    """(called name, innermost enclosing function) of every call in tree."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                found.append((func.attr if isinstance(func, ast.Attribute)
+                              else getattr(func, "id", None), owner))
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_numerics_have_one_owner():
+    # only bench._numerics pins BLAS threads and silences overflow, for
+    # every unit of work; _wigner_grid silences the overflow it refuses
+    owners = {"errstate": {"_numerics", "_wigner_grid"}, "_bundled_openblas": {"_numerics"}}
+    calls = []
+    for info in pkgutil.iter_modules(tomolin.__path__):
+        with open(importlib.import_module(f"tomolin.{info.name}").__file__,
+                  "r", encoding="utf-8") as fh:
+            calls += [(info.name, name, owner)
+                      for name, owner in _calls_by_function(ast.parse(fh.read()))
+                      if name in owners]
+    assert ("bench", "_bundled_openblas", "_numerics") in calls
+    assert [call for call in calls if call[2] not in owners[call[1]]] == []
 
 
 def _exit_in_worker(cfg, m, ensemble):
@@ -473,9 +515,20 @@ class TestRunLayer:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        rows = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES, workers=5000))
+        cfg = bench.ExperimentConfig(**TINY_OUTCOMES, workers=5000)
         cells = len(TINY_OUTCOMES["m_values"]) * TINY_OUTCOMES["ensembles"]
-        assert sizes == [cells] and len(rows) == cells
+        # and at most one per CPU this process may use, or per CPU where the
+        # affinity mask cannot be read
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert len(bench.run_sweep_outcomes(cfg)) == cells
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert len(bench.run_sweep_outcomes(cfg)) == cells
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert len(bench.run_sweep_outcomes(cfg)) == cells
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert len(bench.run_sweep_outcomes(cfg)) == cells
+        assert sizes == [cells, 3, 4, 1]
 
     @pytest.mark.parametrize("run, doc", [
         (bench.run_sweep_probes, TINY_OUTCOMES),
@@ -490,27 +543,49 @@ class TestRunLayer:
             run(bench.ExperimentConfig(**doc, out=str(tmp_path / "run.csv")))
         assert os.listdir(tmp_path) == []
 
-    def test_blas_pinned_during_run_and_restored(self, monkeypatch):
+    def test_blas_pinned_during_run_and_restored(self, monkeypatch, tmp_path):
+        # every SVD and every estimate of a run, of its Wigner exports
+        # (_mean_estimates) and of the selftest sees one OpenBLAS thread,
+        # and each run restores the count it found
         blas = bench._bundled_openblas()
         if blas is None:
             pytest.skip("numpy carries no bundled OpenBLAS")
         get_threads, set_threads = blas
-        inside = []
-        task = bench._task
+        seen = {"svd": [], "estimate_batch": []}
 
-        def recording(cfg, m, ensemble):
-            inside.append(get_threads())
-            return task(cfg, m, ensemble)
+        def recording(fn, calls):
+            def spy(*args, **kwargs):
+                calls.append(get_threads())
+                return fn(*args, **kwargs)
+            return spy
 
-        monkeypatch.setattr(bench, "_task", recording)
+        monkeypatch.setattr(matlib, "svd", recording(matlib.svd, seen["svd"]))
+        monkeypatch.setattr(protocols, "estimate_batch",
+                            recording(protocols.estimate_batch, seen["estimate_batch"]))
+        runs = [
+            lambda: bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES)),
+            lambda: bench.run_homodyne(bench.ExperimentConfig(
+                **{**TINY_HOMODYNE, "ensembles": 1}, out=str(tmp_path / "homo.csv"))),
+            lambda: selftest.run_selftest(bench.ExperimentConfig(experiment="selftest",
+                                                                 selftest_count=2)),
+        ]
         previous = get_threads()
         set_threads(2)
         try:
-            bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES))
-            after = get_threads()
+            if get_threads() != 2:
+                pytest.skip("OpenBLAS runs on one thread at most here")
+            after, estimates = [], []
+            for run in runs:
+                count = len(seen["estimate_batch"])
+                run()
+                after.append(get_threads())
+                estimates.append(len(seen["estimate_batch"]) - count)
         finally:
             set_threads(previous)
-        assert inside == [1] * TINY_PROBES["ensembles"] and after == 2
+        assert after == [2, 2, 2]
+        assert set(seen["svd"]) == set(seen["estimate_batch"]) == {1}
+        # homodyne: two per cell at four m, then two per export at m 16 and 40
+        assert estimates[1] == 2 * 4 + 2 * 2 and estimates[0] > 0 and estimates[2] > 0
 
     def test_forkserver_workers_run(self):
         # a forkserver, not the run, is the workers' parent, and the
@@ -1300,7 +1375,9 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         out = tmp_path / "probes.csv"
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
         lines = out.read_text().splitlines(keepends=True)
-        out.write_text("".join([*lines[:2], _with_field(lines[2], 8, "inf"), *lines[3:]]))
+        # the row write_rows writes for a zero pattern MSE: ratio inf
+        zero = _with_field(_with_field(lines[2], 7, "0.000000000000e+00"), 8, "inf")
+        out.write_text("".join([*lines[:2], zero, *lines[3:]]))
         before = out.read_bytes()
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
         assert "0 rows written" in capsys.readouterr().out
