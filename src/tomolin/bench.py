@@ -84,23 +84,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Store a JSON list as a tuple, so every config compares and hashes
-        the same however it was built.  Then check every field against its
-        annotated type and its bound, then the rules that tie fields
-        together; raise ConfigError otherwise, so a config that exists is
-        valid."""
-        for name, (base, _) in _FIELD_TYPES.items():
-            if base is tuple and isinstance(getattr(self, name), list):
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name, (base, nullable) in _FIELD_TYPES.items():
+        the same however it was built, then check each field's rule in
+        _FIELD_RULES and the rules that tie fields together: a config that
+        exists is valid."""
+        for name, (test, text) in _FIELD_RULES.items():
             value = getattr(self, name)
-            if value is None and nullable:
-                continue
-            is_type, type_text = _TYPE_CHECKS[base]
-            if not is_type(value):
-                raise ConfigError(f"{name} must be {type_text}, got {value!r}")
-            in_bounds, bound_text = _FIELD_BOUNDS.get(name, (None, None))
-            if in_bounds is not None and not in_bounds(value):
-                raise ConfigError(f"{name} must be {bound_text}, got {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, name, value := tuple(value))
+            if not test(value):
+                raise ConfigError(f"{name} must be {text}, got {value!r}")
         if self.experiment in ("sweep-probes", "sweep-outcomes") and min(self.m_values) < self.d:
             raise ConfigError(f"square-root measurements need m >= d = {self.d}")
         if self.experiment == "homodyne" and self.d < 3:
@@ -113,19 +105,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - set(_FIELD_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if unknown := sorted(set(doc) - set(_FIELD_RULES)):
+            raise ConfigError(f"unknown config keys: {unknown}")
         return cls(**doc)
-
-
-def _annotation(tp) -> tuple:
-    """(base type, whether None is allowed) of an annotation such as int or
-    float | None."""
-    args = typing.get_args(tp)
-    if not args:
-        return tp, False
-    return next(a for a in args if a is not type(None)), type(None) in args
 
 
 def _is_int(value) -> bool:
@@ -133,46 +115,50 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    # an int counts only where it converts to a finite float
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _is_grid(values) -> bool:
-    return bool(values) and min(values) >= 1 and len(set(values)) == len(values)
+def _is_distinct_ints(v) -> bool:
+    return isinstance(v, tuple) and all(map(_is_int, v)) and len(set(v)) == len(v)
 
 
-# field name -> (base type, None allowed), from the annotations
-_FIELD_TYPES = {f.name: _annotation(f.type) for f in fields(ExperimentConfig)}
+def _integer_from(low: int) -> tuple:
+    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
 
-# base type -> (test, what a value must be); bools are not numbers here
-_TYPE_CHECKS = {
-    int: (_is_int, "an integer"),
-    float: (_is_number, "a finite number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, tuple) and all(map(_is_int, v)), "a list of integers"),
-}
 
-# field name -> (test, what a value must be), applied once the type is right
-_FIELD_BOUNDS = {
+_GRID_RULE = (lambda v: _is_distinct_ints(v) and bool(v) and min(v) >= 1,
+              "a nonempty list of positive integers, with no entry repeated")
+_RATIO_RULE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
+# so that the ranges [-x_max, x_max] and [-wigner_span, wigner_span] have a finite width
+_HALF_WIDTH_RULE = (lambda v: _is_number(v) and 0 < v <= sys.float_info.max / 2,
+                    "a number > 0 whose double is finite")
+
+# field name -> (test, what a value must be), one rule per field in field
+# order; a JSON list is a tuple by then, and bools are not numbers here
+_FIELD_RULES = {
     "experiment": (lambda v: v in ("sweep-probes", "sweep-outcomes", "homodyne", "selftest"),
                    "sweep-probes, sweep-outcomes, homodyne or selftest"),
-    "d": (lambda v: v >= 2, ">= 2"),
-    "m_values": (_is_grid, "nonempty and positive, with no entry repeated"),
-    "M_values": (_is_grid, "nonempty and positive, with no entry repeated"),
-    "noise_ratio_patterns": (lambda v: v >= 0, ">= 0"),
-    "noise_ratio_data": (lambda v: v >= 0, ">= 0"),
-    "ensembles": (lambda v: v >= 1, ">= 1"),
-    "trials": (lambda v: v >= 1, ">= 1"),
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "workers": (lambda v: v >= 1, ">= 1"),
-    "rtol": (lambda v: 0 < v < 1, "null or in (0, 1)"),
+    "d": _integer_from(2),
+    "m_values": _GRID_RULE,
+    "M_values": _GRID_RULE,
+    "noise_ratio_patterns": _RATIO_RULE,
+    "noise_ratio_data": _RATIO_RULE,
+    "ensembles": _integer_from(1),
+    "trials": _integer_from(1),
+    "seed": _integer_from(0),
+    "out": (lambda v: v is None or isinstance(v, str), "null or a string"),
+    "workers": _integer_from(1),
+    "rtol": (lambda v: v is None or _is_number(v) and 0 < v < 1, "null or a number in (0, 1)"),
     "state_ensemble": (lambda v: v in ("hs", "pure"), "hs or pure"),
-    "eta": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "dx": (lambda v: v > 0, "> 0"),
-    "x_max": (lambda v: v > 0, "> 0"),
-    "wigner_span": (lambda v: v > 0, "> 0"),
-    "wigner_points": (lambda v: v >= 2, ">= 2"),
-    "wigner_export_m": (lambda v: len(set(v)) == len(v), "a list with no entry repeated"),
-    "selftest_count": (lambda v: v >= 1, ">= 1"),
+    "eta": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "dx": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "x_max": _HALF_WIDTH_RULE,
+    "wigner_span": _HALF_WIDTH_RULE,
+    "wigner_points": _integer_from(2),
+    "wigner_export_m": (lambda v: v is None or _is_distinct_ints(v),
+                        "null or a list of integers, with no entry repeated"),
+    "selftest_count": _integer_from(1),
 }
 
 
@@ -317,16 +303,16 @@ def _bundled_openblas():
 @contextlib.contextmanager
 def _numerics():
     """The numerics of every unit of work, a function that computes numbers
-    a run writes (cells, _task, _mean_estimates, selftest.run_selftest),
-    entered by the unit itself, as a with block or a decorator.
+    a run writes (cells, _task, _mean_estimates, _wigner_grid and
+    selftest.run_selftest), entered by the unit itself.
 
     numpy's bundled OpenBLAS runs on one thread inside, and the previous
     count is restored on exit: the count can move the last bit of a result,
     so output bytes are fixed only at a fixed count.  Another BLAS needs its
     own thread variable set to 1.  Overflow and invalid warnings are
     silenced, since a value that is not finite is refused explicitly: a
-    pattern or MSE raises its own error, and a selftest residual fails its
-    check."""
+    pattern, MSE or Wigner grid raises its own error, and a selftest
+    residual fails its check."""
     get_threads, set_threads = _bundled_openblas() or (lambda: None, lambda count: None)
     previous = get_threads()
     set_threads(1)
@@ -615,11 +601,11 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
     return _run_grid(cfg, "sweep-outcomes")
 
 
+@_numerics()
 def _wigner_grid(rho: np.ndarray, axis: np.ndarray, path: str) -> np.ndarray:
     """The Wigner grid of rho over axis x axis, bound for path; one that is
-    not finite raises FloatingPointError, so its overflow is silenced."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = homodyne.wigner(rho, axis, axis)
+    not finite raises FloatingPointError."""
+    values = homodyne.wigner(rho, axis, axis)
     if not np.isfinite(values).all():
         raise FloatingPointError(f"the Wigner grid of {path} is not finite")
     return values

@@ -85,8 +85,6 @@ class PatternSet:
     def __post_init__(self):
         if self.f_matrix.ndim != 2:
             raise ValueError(f"pattern matrix must be 2-D, got {self.f_matrix.shape}")
-        if not np.all(np.isfinite(self.f_matrix)):
-            raise ValueError("pattern matrix contains non-finite entries")
 
     @property
     def n_probes(self) -> int:
@@ -137,9 +135,13 @@ def collect_patterns(detector: np.ndarray, probes: ProbeSet, ratio: float, rng) 
 
 def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
                               rtol: float | None = None) -> np.ndarray:
-    """Calibrate the detector as F R+ and invert it: A_s = (F R+)+."""
+    """Calibrate the detector as F R+ and invert it: A_s = (F R+)+.  A
+    calibration that overflows to non-finite entries raises FloatingPointError."""
     _check_counts(patterns, probes)
-    return matlib.pinv(patterns.f_matrix @ probes.pinv(rtol), rtol=rtol)
+    calibration = patterns.f_matrix @ probes.pinv(rtol)
+    if not np.all(np.isfinite(calibration)):
+        raise FloatingPointError("the calibration F R+ overflowed to non-finite entries")
+    return matlib.pinv(calibration, rtol=rtol)
 
 
 def pattern_inversion_matrix(patterns: PatternSet, probes: ProbeSet,

@@ -18,6 +18,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ class TestExperimentConfig:
         from dataclasses import replace
         with pytest.raises(bench.ConfigError):
             replace(bench.ExperimentConfig(), **overrides)
+
+    def test_every_field_has_one_rule(self):
+        # a new field cannot go unchecked
+        assert list(bench._FIELD_RULES) == [f.name for f in fields(bench.ExperimentConfig)]
+
+    @pytest.mark.parametrize("name", ["x_max", "wigner_span"])
+    def test_half_width_double_must_be_finite(self, name):
+        # 2 * value is the width of rng.uniform(-x_max, x_max) and of the
+        # Wigner axis np.linspace(-wigner_span, wigner_span, ...)
+        half = sys.float_info.max / 2
+        assert getattr(bench.ExperimentConfig(**{name: half}), name) == half
+        with pytest.raises(bench.ConfigError, match=f"^{name} must be a number > 0 whose"):
+            bench.ExperimentConfig(**{name: np.nextafter(half, np.inf)})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(bench.ConfigError, match="unknown config keys"):
@@ -450,8 +464,8 @@ def _calls_by_function(tree) -> list:
 
 def test_numerics_have_one_owner():
     # only bench._numerics pins BLAS threads and silences overflow, for
-    # every unit of work; _wigner_grid silences the overflow it refuses
-    owners = {"errstate": {"_numerics", "_wigner_grid"}, "_bundled_openblas": {"_numerics"}}
+    # every unit of work
+    owners = {"errstate": {"_numerics"}, "_bundled_openblas": {"_numerics"}}
     calls = []
     for info in pkgutil.iter_modules(tomolin.__path__):
         with open(importlib.import_module(f"tomolin.{info.name}").__file__,
@@ -1047,12 +1061,37 @@ class TestCli:
         dict(experiment="homodyne", wigner_export_m=[99]),
         dict(experiment="selftest", selftest_count=0),
         dict(experiment="homodyne", m_values=[16, 40], M_values=[40], wigner_export_m=[16, 16]),
+        dict(experiment="homodyne", dx=10**400),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, doc):
         cfg = tmp_path / "malformed.json"
         cfg.write_text(json.dumps(doc))
         assert cli.main([doc["experiment"], "--config", str(cfg)]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, code, failure, files", [
+        ("homodyne", dict(wigner_span=1e308), 1, "config error: wigner_span must be", []),
+        ("homodyne", dict(x_max=1e308), 1, "config error: x_max must be", []),
+        ("homodyne", dict(noise_ratio_patterns=1e308), 2,
+         "numerical failure: the calibration F R+ overflowed", ["run.csv", "run.csv.meta.json"]),
+        ("sweep-probes", dict(d=2, m_values=[2], M_values=[3], trials=1, seed=0,
+                              noise_ratio_patterns=1e308), 2,
+         "numerical failure: the calibration F R+ overflowed", ["run.csv", "run.csv.meta.json"]),
+    ], ids=["wigner_span", "x_max", "homodyne-noise", "sweep-probes-noise"])
+    def test_overflowing_config_ends_in_one_line(self, tmp_path, command, doc, code, failure,
+                                                 files):
+        # under -W error a warning would end in a traceback: each run ends
+        # in its documented exit code and one stderr line, before any file
+        # is written for a config error
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(dict(m_values=[12], ensembles=1, trials=5), **doc)))
+        run = (f"import sys, tomolin.cli; sys.exit(tomolin.cli.main([{command!r}, '--config', "
+               f"{str(cfg)!r}, '--out', {str(tmp_path / 'run.csv')!r}]))")
+        result = subprocess.run([sys.executable, "-W", "error", "-c", run], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == code
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith(failure)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", *files])
 
     def test_worker_crash_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bench, "_task", _exit_in_worker)
@@ -1079,15 +1118,19 @@ class TestCli:
         assert out.read_text() == bench.CSV_HEADER + "\n"
 
     def test_non_finite_wigner_grid_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the Wigner kernel overflows at |x| = 1e300; the true state's grid
-        # is refused before the first cell, so no file is written
+        # the Wigner kernel overflows at |x| = 1e300, silently under
+        # _numerics; the true state's grid is refused before the first
+        # cell, so no file is written
         monkeypatch.setattr(bench, "_task", _unexpected_task)
         cfg = tmp_path / "overflow.json"
         cfg.write_text(json.dumps(dict(experiment="homodyne", d=3, m_values=[9], M_values=[9],
                                        ensembles=1, trials=10, wigner_span=1e300,
                                        wigner_points=2)))
         out = tmp_path / "run.csv"
-        assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
         assert os.listdir(tmp_path) == ["overflow.json"]

@@ -28,8 +28,9 @@ FAILURES = {
 def config_documents(draw) -> dict:
     """A small config document of a sweep or the homodyne experiment: d <= 4,
     at most three m values, two ensembles and 20 trials, one worker, with
-    edge values such as zero noise, eta 0 or 1, rtol near 1, m < n + 1,
-    M = 1 and extreme dx, x_max and wigner_span."""
+    edge values such as zero noise, noise ratios up to 1e308, eta 0 or 1,
+    rtol near 1, m < n + 1, M = 1 and dx, x_max and wigner_span from
+    1e-300 to 1e308."""
     experiment = draw(st.sampled_from(["sweep-probes", "sweep-outcomes", "homodyne"]))
     # homodyne needs d >= 3 and a sweep m >= d; one below either is refused
     d = draw(st.integers(2 if experiment == "homodyne" else 1, 3)) + 1
@@ -40,8 +41,8 @@ def config_documents(draw) -> dict:
         m_values=m_values,
         M_values=draw(st.lists(st.integers(1, 20), min_size=1, unique=True,
                                max_size=3 if experiment == "sweep-probes" else 1)),
-        noise_ratio_patterns=draw(st.sampled_from((0.0, 1e-12, 0.03, 2.0))),
-        noise_ratio_data=draw(st.sampled_from((0.0, 1e-12, 0.06, 2.0))),
+        noise_ratio_patterns=draw(st.sampled_from((0.0, 1e-12, 0.03, 2.0, 1e155, 1e308))),
+        noise_ratio_data=draw(st.sampled_from((0.0, 1e-12, 0.06, 2.0, 1e155, 1e308))),
         ensembles=draw(st.integers(1, 2)),
         trials=draw(st.integers(1, 20)),
         seed=draw(st.integers(0, 2**32)),
@@ -49,9 +50,9 @@ def config_documents(draw) -> dict:
         rtol=draw(st.one_of(st.none(), st.sampled_from((1e-300, 1e-8, 0.5, 1 - 1e-12)))),
         state_ensemble=draw(st.sampled_from(["hs", "pure"])),
         eta=draw(st.sampled_from((0.0, 1e-9, 0.8, 1.0))),
-        dx=draw(st.sampled_from((1e-300, 1e-3, 0.1, 1e3, 1e300))),
-        x_max=draw(st.sampled_from((1e-300, 1e-3, 3.0, 1e3, 1e300))),
-        wigner_span=draw(st.sampled_from((1e-300, 1e-3, 5.0, 1e3, 1e300))),
+        dx=draw(st.sampled_from((1e-300, 1e-3, 0.1, 1e3, 1e300, 1e308))),
+        x_max=draw(st.sampled_from((1e-300, 1e-3, 3.0, 1e3, 1e300, 1e308))),
+        wigner_span=draw(st.sampled_from((1e-300, 1e-3, 5.0, 1e3, 1e300, 1e308))),
         wigner_points=draw(st.integers(2, 4)),
     )
     if draw(st.booleans()):

@@ -108,8 +108,12 @@ class TestProbeAndPatternSets:
         assert ps.prefix(6).pinv().shape == (6, 9)
 
     def test_pattern_set_rejects_nan(self):
+        # collect_patterns refuses patterns that are not finite; a set built
+        # directly from them is refused once an inversion is built from it
+        patterns = protocols.PatternSet(np.array([[np.nan, 1.0]]))
+        probes = protocols.ProbeSet.from_blochs(np.array([[0.1, 0.2]]))
         with pytest.raises(ValueError, match="non-finite"):
-            protocols.PatternSet(np.array([[np.nan, 1.0]]))
+            protocols.pattern_inversion_matrix(patterns, probes)
 
     def test_prefix_at_full_count_is_the_set(self):
         # so a probe set keeps its R+ through a prefix of all its probes
@@ -165,6 +169,15 @@ class TestCollectPatterns:
 
 
 class TestInversionMatrices:
+    def test_overflowed_calibration_raises(self):
+        # finite patterns of 1e308 and two close probes, whose R+ has
+        # entries near 1e3: the calibration F R+ overflows
+        patterns = protocols.PatternSet(np.full((3, 2), 1e308))
+        probes = protocols.ProbeSet.from_blochs(np.array([[0.1, 0.101]]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="calibration"):
+            protocols.standard_inversion_matrix(patterns, probes)
+
     def test_square_invertible_probe_matrix_gives_equality(self):
         # with R square and invertible, R+ = R^-1 and the two protocols
         # coincide by plain matrix algebra

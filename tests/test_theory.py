@@ -142,3 +142,17 @@ def test_protocols_differ_at_m_equal_to_M(seed):
     resonant = [cell for m, _, cell in oracles.keyed_cells(cfg) if cell.M == m]
     assert len(resonant) == len(cfg.m_values) * cfg.ensembles
     assert min(map(_residual, resonant)) > 0.1
+
+
+def test_homodyne_mses_do_not_depend_on_dx():
+    # the noise is a ratio of the response, so the bin width dx scales D,
+    # F and the data alike and both inversion matrices by 1 / dx: the MSEs
+    # move by rounding alone, at most 2.8e-10 relative on this grid, which
+    # includes the resonance m = M
+    doc = dict(experiment="homodyne", d=4, m_values=[15, 16, 20, 30], M_values=[20],
+               ensembles=3, trials=50, seed=7)
+    reference = np.array([row[3:] for row in bench.run_homodyne(
+        bench.ExperimentConfig.from_dict(doc))])
+    for dx in (1.0, 1e-3):
+        rows = bench.run_homodyne(bench.ExperimentConfig.from_dict({**doc, "dx": dx}))
+        np.testing.assert_allclose([row[3:] for row in rows], reference, rtol=1e-8, atol=0)
