@@ -283,20 +283,27 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     return [Cell(cfg.M_values[0], invs, data, r_true[:, None], detector)]
 
 
+def _c_function(library: str | None, name: str, argtypes: tuple, restype):
+    """C function name of library (a path, or None for the running process)
+    with argtypes and restype, or None where either cannot be loaded."""
+    try:
+        function = ctypes.CDLL(library)[name]
+    except (OSError, AttributeError):
+        return None
+    function.argtypes, function.restype = argtypes, restype
+    return function
+
+
 @functools.lru_cache(maxsize=None)
 def _bundled_openblas():
     """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
     None when numpy carries none."""
     for path in (pathlib.Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-        return get_threads, set_threads
+        get_threads = _c_function(str(path), "scipy_openblas_get_num_threads64_", (), ctypes.c_int)
+        set_threads = _c_function(str(path), "scipy_openblas_set_num_threads64_",
+                                  (ctypes.c_int,), None)
+        if get_threads and set_threads:
+            return get_threads, set_threads
     return None
 
 
@@ -395,23 +402,22 @@ class _OutputFiles:
     """The output CSV of a run, cfg.out, and its .meta.json; the one place
     that formats a result row (write_rows) and parses one (_row_key).
 
-    Entering reads an existing CSV once: its header, the keys (m, M,
-    ensemble) of its complete lines into `done`, and the end of its last
-    complete line, one that ends in a newline.  These are refused with
-    ConfigError before either file is touched: a CSV whose first line is
-    not CSV_HEADER, an existing .meta.json that records another config when
-    rows are resumed (only out and workers may differ), and a complete line
-    after the header that is not a row of this run (_row_key) or repeats
-    the key of an earlier one, with or without a .meta.json.  Then the
-    .meta.json is written, and the CSV is opened for append after cutting
-    off an unterminated last line left by an interrupted run, or written
-    anew with its header.  An OSError while either file is opened, such as
-    a missing directory, also becomes ConfigError.
+    A run writes its rows in (m, M, ensemble) order, so a killed run leaves
+    a prefix of them, the one shape a resume accepts.  Entering reads an
+    existing CSV once: its header, the count of its complete lines (ending
+    in a newline) as `done`, and the end of the last.  Refused with
+    ConfigError before either file is touched: a first line other than
+    CSV_HEADER, rows without a .meta.json or under one that records another
+    config (only out and workers may differ), and a complete line that is
+    not a row of this run (_row_key) or not its next in that order.  Then
+    the .meta.json is written, and the CSV is opened for append after
+    cutting off an unterminated last line, or written anew with its header.
+    An OSError while either file is opened also becomes ConfigError.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.done = set()
+        self.done = 0
         self.fh = None
 
     def __enter__(self):
@@ -438,12 +444,12 @@ class _OutputFiles:
             raise ConfigError(f"cannot resume {path}: its first line is not the header {CSV_HEADER}")
         if lines[1:]:
             self._check_metadata(path + ".meta.json")
+        order = itertools.product(self.cfg.m_values, self.cfg.M_values, range(self.cfg.ensembles))
         for line in lines[1:]:
-            key = self._row_key(line)
-            if key in self.done:
-                raise ConfigError(f"cannot resume {path}: {line!r} repeats the (m, M, ensemble) "
-                                  f"{key} of an earlier row")
-            self.done.add(key)
+            if self._row_key(line) != next(order, None):
+                raise ConfigError(f"cannot resume {path}: row {self.done + 1}, {line!r}, is not "
+                                  f"the next row of this run in (m, M, ensemble) order")
+            self.done += 1
         # the .meta.json first: once the CSV is open nothing else can fail
         with _replacing(path + ".meta.json") as fh:
             json.dump(_metadata(self.cfg), fh, indent=2, sort_keys=True)
@@ -469,9 +475,9 @@ class _OutputFiles:
 
     def _row_key(self, line: str) -> tuple:
         """(m, M, ensemble) of a complete line, which must be a row of this
-        run: six integer keys, with d, n and seed the config's and m, M and
-        ensemble on its grid, then two finite MSEs >= 0 and their ratio: inf
-        where e2_pat is 0, otherwise within _RATIO_RTOL of e2_std / e2_pat."""
+        run: six integer keys, with d, n and seed the config's, then two
+        finite MSEs >= 0 and their ratio: inf where e2_pat is 0, otherwise
+        within _RATIO_RTOL of e2_std / e2_pat."""
         cfg = self.cfg
         parts = line.split(",")
         try:  # the unpacking also refuses a line without exactly nine fields
@@ -486,10 +492,9 @@ class _OutputFiles:
                             rel_tol=_RATIO_RTOL):
             raise ConfigError(f"cannot resume {cfg.out}: the ratio of {line!r} is not "
                               f"e2_std / e2_pat, inf where e2_pat is 0")
-        if ((d, n, seed) != (cfg.d, cfg.n_params, cfg.seed) or m not in cfg.m_values
-                or M not in cfg.M_values or ensemble not in range(cfg.ensembles)):
+        if (d, n, seed) != (cfg.d, cfg.n_params, cfg.seed):
             raise ConfigError(f"cannot resume {cfg.out}: {line!r} is not a row of this run (d "
-                              f"{cfg.d}, seed {cfg.seed}, m, M, ensemble on its grid)")
+                              f"{cfg.d}, n {cfg.n_params}, seed {cfg.seed})")
         return m, M, ensemble
 
     def _check_metadata(self, meta_path: str) -> None:
@@ -497,7 +502,8 @@ class _OutputFiles:
             with open(meta_path, "r", encoding="utf-8") as fh:
                 old = json.load(fh)
         except FileNotFoundError:
-            return
+            raise ConfigError(f"cannot resume {self.cfg.out}: its rows have no {meta_path} to "
+                              f"record their config") from None
         except ValueError as exc:
             raise ConfigError(f"cannot resume {self.cfg.out}: unreadable {meta_path}: {exc}") from exc
         if not isinstance(old, dict):
@@ -524,12 +530,9 @@ def _init_worker(parent) -> None:
     not forked from it."""
     if not sys.platform.startswith("linux"):
         return
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, AttributeError):
+    prctl = _c_function(None, "prctl", (ctypes.c_int, ctypes.c_ulong), ctypes.c_int)
+    if prctl is None:
         return
-    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-    prctl.restype = ctypes.c_int
     prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
     if parent is not None and os.getppid() != parent:
         os._exit(1)
@@ -563,9 +566,9 @@ def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
 
 
 def _run_grid(cfg: ExperimentConfig, experiment: str):
-    """Run _task(cfg, m, ensemble) -> rows over the (m, ensemble) grid,
-    skipping cells whose rows cfg.out already holds, and write and return
-    the new rows in (m, M, ensemble) order.
+    """Run _task(cfg, m, ensemble) -> rows over the (m, ensemble) grid from
+    the first m that cfg.out does not finish, and write and return the new
+    rows in (m, M, ensemble) order, skipping those cfg.out already holds.
 
     A config made for another experiment, and an output that _OutputFiles
     refuses, raise ConfigError before anything is written.
@@ -573,16 +576,14 @@ def _run_grid(cfg: ExperimentConfig, experiment: str):
     _require_experiment(cfg, experiment)
     results = []
     with _OutputFiles(cfg) as output:
-        done = output.done
-        keys = [(m, e) for m in cfg.m_values for e in range(cfg.ensembles)
-                if any((m, M, e) not in done for M in cfg.M_values)]
+        first, skip = divmod(output.done, len(cfg.M_values) * cfg.ensembles)
+        keys = [(m, e) for m in cfg.m_values[first:] for e in range(cfg.ensembles)]
         rows = itertools.chain.from_iterable(_cell_results(cfg, keys))
         for _, group in itertools.groupby(rows, key=lambda row: row[0]):
-            m_rows = [row for row in group if row[:3] not in done]
-            for M in cfg.M_values:
-                point_rows = [row for row in m_rows if row[1] == M]
-                output.write_rows(point_rows)
-                results.extend(point_rows)
+            m_rows = sorted(group, key=lambda row: cfg.M_values.index(row[1]))[skip:]
+            skip = 0
+            output.write_rows(m_rows)
+            results.extend(m_rows)
     return results
 
 

@@ -57,12 +57,9 @@ def _keep_freed_memory() -> None:
     """
     if not sys.platform.startswith("linux"):
         return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
+    mallopt = bench._c_function(None, "mallopt", (ctypes.c_int, ctypes.c_int), ctypes.c_int)
+    if mallopt is None:
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 

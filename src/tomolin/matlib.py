@@ -101,6 +101,15 @@ def penrose_check(x, xp) -> np.ndarray:
     ])
 
 
+def _product_pair(x, y) -> tuple:
+    """x and y as matrices whose product X Y is defined."""
+    a = _as_matrix(x, "x")
+    b = _as_matrix(y, "y")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def reverse_order_residual(x, y, rtol: float | None = None) -> float:
     """Residual of the reverse-order law (X Y)+ = Y+ X+, relative to
     ||(X Y)+||.
@@ -109,10 +118,7 @@ def reverse_order_residual(x, y, rtol: float | None = None) -> float:
     Y = X*, or X has full column rank and Y full row rank; it fails for
     generic rank-deficient products.
     """
-    a = _as_matrix(x, "x")
-    b = _as_matrix(y, "y")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
+    a, b = _product_pair(x, y)
     lhs = pinv(a @ b, rtol=rtol)
     rhs = pinv(b, rtol=rtol) @ pinv(a, rtol=rtol)
     return float(_rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs)))
@@ -125,10 +131,7 @@ def gw_decompose(x, y, rtol: float | None = None) -> tuple:
     projector and g = Y (X Y)+ X - h is the unique minimal-norm correction,
     which satisfies Y Y+ g X+ X = g and trace(g* h) = 0.
     """
-    a = _as_matrix(x, "x")
-    b = _as_matrix(y, "y")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
+    a, b = _product_pair(x, y)
     ap = pinv(a, rtol=rtol)
     bp = pinv(b, rtol=rtol)
     h = pinv((ap @ a) @ (b @ bp), rtol=rtol)
@@ -143,8 +146,7 @@ def admissible_perturbation(x, y, rng, rtol: float | None = None) -> np.ndarray:
     A Gaussian draw is projected with Y Y+ (.) X+ X and the component
     violating X z Y = 0 is removed through a least-squares correction.
     """
-    a = _as_matrix(x, "x")
-    b = _as_matrix(y, "y")
+    a, b = _product_pair(x, y)
     q = b @ pinv(b, rtol=rtol)
     p = pinv(a, rtol=rtol) @ a
     w = rng.standard_normal((a.shape[1], a.shape[1]))

@@ -12,6 +12,7 @@ import json
 import os
 import pkgutil
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -146,16 +147,18 @@ class TestSweepProbes:
         with open(out_full, "r", encoding="utf-8") as fh:
             full = fh.read().splitlines()
         # keep header and the first four rows, then either a clean end or
-        # an interrupted fifth row cut short in its last field
+        # an interrupted fifth row cut short in its last field, beside the
+        # run's .meta.json
         for tail in ("", full[5][:-3]):
             out_part = str(tmp_path / "part.csv")
             with open(out_part, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(full[:5]) + "\n" + tail)
+            shutil.copyfile(out_full + ".meta.json", out_part + ".meta.json")
             rows = bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out_part))
             assert len(rows) == len(full) - 5  # only the missing rows were produced
             with open(out_part, "r", encoding="utf-8") as fh:
                 resumed = fh.read().splitlines()
-            assert sorted(resumed) == sorted(full)
+            assert resumed == full
 
     def test_rows_regenerable_in_isolation(self, tmp_path):
         cfg = bench.ExperimentConfig(**TINY_PROBES)
@@ -214,18 +217,15 @@ class TestSweepOutcomes:
         assert len(calls) == cfg.ensembles + 2 * len(cfg.m_values) * cfg.ensembles
 
     def test_resume_missing_ensembles(self, tmp_path):
-        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
-        expected = csv_lines(cfg, cellwise_outcome_rows(cfg))
-        # ensemble 1 is missing at every m and ensemble 2 at the first m,
-        # so the resumed run meets some probe sets first at a later m
-        keys = [(line.split(",")[2], line.split(",")[5]) for line in expected[1:]]
-        kept = [line for line, (m, e) in zip(expected[1:], keys)
-                if e != "1" and (m, e) != ("16", "2")]
         out = tmp_path / "part.csv"
-        out.write_text("\n".join([expected[0], *kept]) + "\n")
-        rows = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES_D4, out=str(out)))
-        assert len(rows) == len(expected) - 1 - len(kept)
-        assert sorted(out.read_text().splitlines()) == sorted(expected)
+        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4, out=str(out))
+        rows = cellwise_outcome_rows(cfg)
+        # cut after ensemble 0 at the second m, as a killed run leaves it,
+        # so the resumed run meets every probe set first at a later m
+        with bench._OutputFiles(cfg) as output:
+            output.write_rows(rows[:cfg.ensembles + 1])
+        assert bench.run_sweep_outcomes(cfg) == rows[cfg.ensembles + 1:]
+        assert out.read_bytes() == "".join(line + "\n" for line in csv_lines(cfg, rows)).encode()
 
     def test_two_workers_give_cellwise_rows(self, tmp_path):
         out = tmp_path / "w2.csv"
@@ -397,6 +397,12 @@ MALFORMED_CSV_EDITS = {
                               "5.000000000000e+00"), *lines[2:]],
     "infinite-ratio-of-nonzero-mse": lambda lines: [
         *lines[:2], _with_field(lines[2], 8, "inf"), *lines[3:]],
+    # rows of the run, but not a prefix of it in (m, M, ensemble) order
+    "hole": lambda lines: [*lines[:2], *lines[3:]],
+    "swapped-rows": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+    # a row of another run under this run's .meta.json
+    "other-seed": lambda lines: [lines[0], _with_field(lines[1], 4, "8"), *lines[2:]],
+    "other-d": lambda lines: [lines[0], _with_field(lines[1], 0, "3"), *lines[2:]],
 }
 
 
@@ -462,10 +468,9 @@ def _calls_by_function(tree) -> list:
     return found
 
 
-def test_numerics_have_one_owner():
-    # only bench._numerics pins BLAS threads and silences overflow, for
-    # every unit of work
-    owners = {"errstate": {"_numerics"}, "_bundled_openblas": {"_numerics"}}
+def _package_calls(owners) -> list:
+    """(module, called name, enclosing function) of every call in
+    src/tomolin of a name in owners."""
     calls = []
     for info in pkgutil.iter_modules(tomolin.__path__):
         with open(importlib.import_module(f"tomolin.{info.name}").__file__,
@@ -473,8 +478,22 @@ def test_numerics_have_one_owner():
             calls += [(info.name, name, owner)
                       for name, owner in _calls_by_function(ast.parse(fh.read()))
                       if name in owners]
+    return calls
+
+
+def test_numerics_have_one_owner():
+    # only bench._numerics pins BLAS threads and silences overflow, for
+    # every unit of work
+    owners = {"errstate": {"_numerics"}, "_bundled_openblas": {"_numerics"}}
+    calls = _package_calls(owners)
     assert ("bench", "_bundled_openblas", "_numerics") in calls
     assert [call for call in calls if call[2] not in owners[call[1]]] == []
+
+
+def test_c_libraries_have_one_loader():
+    # only bench._c_function opens a C library, and it types every
+    # function it returns
+    assert _package_calls({"CDLL"}) == [("bench", "CDLL", "_c_function")]
 
 
 def _exit_in_worker(cfg, m, ensemble):
@@ -1428,9 +1447,12 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
 
     @pytest.mark.parametrize("change", [
         {"seed": 8}, {"d": 3}, {"m_values": [3]}, {"M_values": [7]}, {"ensembles": 1},
-    ], ids=["seed", "d", "m", "M", "ensemble"])
+        # more ensembles at ten times the data noise: rows of both noises
+        # would share one file
+        {"ensembles": 3, "noise_ratio_data": 0.6},
+    ], ids=["seed", "d", "m", "M", "ensemble", "ensembles-and-noise"])
     def test_resume_of_other_run_without_metadata_refused(self, tmp_path, capsys, change):
-        # with the .meta.json gone, the rows themselves must match the config
+        # with the .meta.json gone, nothing records the config of the rows
         doc = dict(d=2, m_values=[3, 4], M_values=[6], ensembles=2, trials=20)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -1442,7 +1464,9 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         cfg.write_text(json.dumps({**doc, "seed": 7, **change}))
         capsys.readouterr()
         assert cli.main(["sweep-outcomes", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "not a row of this run" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot resume {out}: its rows have no {out}.meta.json to record "
+            "their config"]
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "o.csv"]
 

@@ -1,17 +1,20 @@
 """Fuzz gate over config documents: every CLI run of a small, possibly
 invalid or extreme config either succeeds with only finite values in the
 files it wrote, or exits with a documented code and one stderr line,
-leaving no partial file under a final name.  Every selftest run passes or
-fails with its verdict as the last line, writes nothing to stderr and no
-file."""
+leaving no partial file under a final name.  A run cut at any byte of its
+CSV and resumed on two workers ends as the uninterrupted one-worker run
+did.  Every selftest run passes or fails with its verdict as the last
+line, writes nothing to stderr and no file."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,14 +27,16 @@ FAILURES = {
 }
 
 
+EXPERIMENTS = ["sweep-probes", "sweep-outcomes", "homodyne"]
+
+
 @st.composite
-def config_documents(draw) -> dict:
-    """A small config document of a sweep or the homodyne experiment: d <= 4,
-    at most three m values, two ensembles and 20 trials, one worker, with
-    edge values such as zero noise, noise ratios up to 1e308, eta 0 or 1,
-    rtol near 1, m < n + 1, M = 1 and dx, x_max and wigner_span from
-    1e-300 to 1e308."""
-    experiment = draw(st.sampled_from(["sweep-probes", "sweep-outcomes", "homodyne"]))
+def config_documents(draw, experiments=EXPERIMENTS) -> dict:
+    """A small config document of one of experiments: d <= 4, at most three
+    m values, two ensembles and 20 trials, one worker, with edge values
+    such as zero noise, noise ratios up to 1e308, eta 0 or 1, rtol near 1,
+    m < n + 1, M = 1 and dx, x_max and wigner_span from 1e-300 to 1e308."""
+    experiment = draw(st.sampled_from(experiments))
     # homodyne needs d >= 3 and a sweep m >= d; one below either is refused
     d = draw(st.integers(2 if experiment == "homodyne" else 1, 3)) + 1
     m_values = draw(st.lists(st.integers(d - 1, 20), min_size=1, max_size=3, unique=True))
@@ -74,27 +79,70 @@ def _complete(path: str) -> bool:
     return blob.endswith(b"\n")
 
 
+def _run(doc: dict, tmp: str, out: str, *flags) -> tuple:
+    """(exit code, stderr) of a CLI run of doc, written to tmp/config.json,
+    with its output at out."""
+    config = os.path.join(tmp, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([doc["experiment"], "--config", config, "--out", out, *flags])
+    return code, err.getvalue()
+
+
 @settings(max_examples=300)
 @given(doc=config_documents())
 def test_every_run_succeeds_finite_or_fails_documented(doc):
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([doc["experiment"], "--config", config,
-                             "--out", os.path.join(tmp, "run.csv")])
+        code, err = _run(doc, tmp, os.path.join(tmp, "run.csv"))
         written = sorted(set(os.listdir(tmp)) - {"config.json"})
         assert not any(name.endswith(".tmp") for name in written)
         assert all(_complete(os.path.join(tmp, name)) for name in written)
         if code == 0:
-            assert err.getvalue() == ""
+            assert err == ""
             assert all(_finite_csv(os.path.join(tmp, name)) for name in written
                        if name.endswith(".csv"))
         else:
-            lines = err.getvalue().splitlines()
+            lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith(FAILURES[code])
+
+
+def _files(directory: str) -> dict:
+    """{name: bytes} of every file in directory, each .meta.json without
+    its out and workers lines, which a resume may change."""
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        if name.endswith(".meta.json"):
+            lines = [line for line in lines
+                     if not line.startswith((b'  "out": ', b'  "workers": '))]
+        files[name] = b"".join(lines)
+    return files
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@settings(max_examples=7)
+@given(data=st.data())
+def test_cut_run_resumes_on_two_workers_to_one_worker_files(experiment, data):
+    # the CSV and .meta.json of a one-worker run, the CSV cut at a drawn
+    # byte, possibly mid-line, as a killed run leaves them; the resume on a
+    # pool exits as the uninterrupted run did and leaves the same files
+    doc = data.draw(config_documents([experiment]), label="doc")
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two = os.path.join(tmp, "one"), os.path.join(tmp, "two")
+        os.mkdir(one)
+        os.mkdir(two)
+        code, err = _run(doc, tmp, os.path.join(one, "run.csv"))
+        csv = os.path.join(two, "run.csv")
+        if os.path.exists(os.path.join(one, "run.csv")):
+            shutil.copyfile(os.path.join(one, "run.csv"), csv)
+            shutil.copyfile(os.path.join(one, "run.csv.meta.json"), csv + ".meta.json")
+            os.truncate(csv, data.draw(st.integers(0, os.path.getsize(csv)), label="cut"))
+        resumed, resumed_err = _run(doc, tmp, csv, "--workers", "2")
+        assert (resumed, resumed_err.partition(": ")[0]) == (code, err.partition(": ")[0])
+        assert _files(two) == _files(one)
 
 
 @settings(max_examples=25)

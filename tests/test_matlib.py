@@ -257,6 +257,9 @@ class TestGwDecompose:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="inner dimensions"):
             matlib.gw_decompose(np.eye(3), np.eye(4))
+        with pytest.raises(ValueError, match="inner dimensions"):
+            matlib.admissible_perturbation(np.ones((3, 4)), np.ones((5, 2)),
+                                           np.random.default_rng(0))
 
 
 class TestPinvProperties:
