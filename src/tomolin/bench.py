@@ -18,7 +18,7 @@ import pathlib
 import signal
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,64 +52,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Settings for one experiment run; JSON documents map onto the fields
-    one-to-one and CLI flags override individual entries."""
-
-    experiment: str = "sweep-probes"
-    d: int = 4                      # Hilbert dimension, or Fock truncation for homodyne
-    m_values: tuple = (18, 20, 24)
-    M_values: tuple = (18, 20, 22, 24, 30, 60)
-    noise_ratio_patterns: float = 0.03
-    noise_ratio_data: float = 0.06
-    ensembles: int = 50
-    trials: int = 500
-    seed: int = 42
-    out: str | None = None
-    workers: int = 1
-    rtol: float | None = None
-    state_ensemble: str = "hs"      # hs | pure
-    eta: float = 0.8
-    dx: float = 0.1
-    x_max: float = 3.0
-    wigner_span: float = 5.0
-    wigner_points: int = 201
-    wigner_export_m: tuple | None = None
-    selftest_count: int = 100
-
-    @property
-    def n_params(self) -> int:
-        return self.d * self.d - 1
-
-    def __post_init__(self):
-        """Store a JSON list as a tuple, so every config compares and hashes
-        the same however it was built, then check each field's rule in
-        _FIELD_RULES and the rules that tie fields together: a config that
-        exists is valid."""
-        for name, (test, text) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if isinstance(value, list):
-                object.__setattr__(self, name, value := tuple(value))
-            if not test(value):
-                raise ConfigError(f"{name} must be {text}, got {value!r}")
-        if self.experiment in ("sweep-probes", "sweep-outcomes") and min(self.m_values) < self.d:
-            raise ConfigError(f"square-root measurements need m >= d = {self.d}")
-        if self.experiment == "homodyne" and self.d < 3:
-            raise ConfigError("homodyne needs d >= 3 for its three-component signal")
-        if self.experiment in ("sweep-outcomes", "homodyne") and len(self.M_values) != 1:
-            raise ConfigError(f"{self.experiment} expects exactly one M value")
-        if self.wigner_export_m is not None and not set(self.wigner_export_m) <= set(self.m_values):
-            raise ConfigError(f"wigner_export_m {list(self.wigner_export_m)} names an m "
-                              f"outside m_values {list(self.m_values)}")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if unknown := sorted(set(doc) - set(_FIELD_RULES)):
-            raise ConfigError(f"unknown config keys: {unknown}")
-        return cls(**doc)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -134,32 +76,78 @@ _RATIO_RULE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
 _HALF_WIDTH_RULE = (lambda v: _is_number(v) and 0 < v <= sys.float_info.max / 2,
                     "a number > 0 whose double is finite")
 
-# field name -> (test, what a value must be), one rule per field in field
-# order; a JSON list is a tuple by then, and bools are not numbers here
-_FIELD_RULES = {
-    "experiment": (lambda v: v in ("sweep-probes", "sweep-outcomes", "homodyne", "selftest"),
-                   "sweep-probes, sweep-outcomes, homodyne or selftest"),
-    "d": _integer_from(2),
-    "m_values": _GRID_RULE,
-    "M_values": _GRID_RULE,
-    "noise_ratio_patterns": _RATIO_RULE,
-    "noise_ratio_data": _RATIO_RULE,
-    "ensembles": _integer_from(1),
-    "trials": _integer_from(1),
-    "seed": _integer_from(0),
-    "out": (lambda v: v is None or isinstance(v, str), "null or a string"),
-    "workers": _integer_from(1),
-    "rtol": (lambda v: v is None or _is_number(v) and 0 < v < 1, "null or a number in (0, 1)"),
-    "state_ensemble": (lambda v: v in ("hs", "pure"), "hs or pure"),
-    "eta": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "dx": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
-    "x_max": _HALF_WIDTH_RULE,
-    "wigner_span": _HALF_WIDTH_RULE,
-    "wigner_points": _integer_from(2),
-    "wigner_export_m": (lambda v: v is None or _is_distinct_ints(v),
-                        "null or a list of integers, with no entry repeated"),
-    "selftest_count": _integer_from(1),
-}
+
+def _field(default, rule: tuple):
+    """A config field with its default and its rule, (test, what a value
+    must be); a JSON list is a tuple by the test, and bools are not
+    numbers here."""
+    return field(default=default, metadata={"rule": rule})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Settings for one experiment run; JSON documents map onto the fields
+    one-to-one and CLI flags override individual entries."""
+
+    experiment: str = _field("sweep-probes", (
+        lambda v: v in ("sweep-probes", "sweep-outcomes", "homodyne", "selftest"),
+        "sweep-probes, sweep-outcomes, homodyne or selftest"))
+    d: int = _field(4, _integer_from(2))  # Hilbert dimension, or Fock truncation for homodyne
+    m_values: tuple = _field((18, 20, 24), _GRID_RULE)
+    M_values: tuple = _field((18, 20, 22, 24, 30, 60), _GRID_RULE)
+    noise_ratio_patterns: float = _field(0.03, _RATIO_RULE)
+    noise_ratio_data: float = _field(0.06, _RATIO_RULE)
+    ensembles: int = _field(50, _integer_from(1))
+    trials: int = _field(500, _integer_from(1))
+    seed: int = _field(42, _integer_from(0))
+    out: str | None = _field(None, (lambda v: v is None or isinstance(v, str) and v != "",
+                                    "null or a nonempty string"))
+    workers: int = _field(1, _integer_from(1))
+    rtol: float | None = _field(None, (lambda v: v is None or _is_number(v) and 0 < v < 1,
+                                       "null or a number in (0, 1)"))
+    # the probes' ensemble; sweep trial states are always Hilbert-Schmidt
+    state_ensemble: str = _field("hs", (lambda v: v in ("hs", "pure"), "hs or pure"))
+    eta: float = _field(0.8, (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"))
+    dx: float = _field(0.1, (lambda v: _is_number(v) and v > 0, "a finite number > 0"))
+    x_max: float = _field(3.0, _HALF_WIDTH_RULE)
+    wigner_span: float = _field(5.0, _HALF_WIDTH_RULE)
+    wigner_points: int = _field(201, _integer_from(2))
+    wigner_export_m: tuple | None = _field(None, (
+        lambda v: v is None or _is_distinct_ints(v),
+        "null or a list of integers, with no entry repeated"))
+    selftest_count: int = _field(100, _integer_from(1))
+
+    @property
+    def n_params(self) -> int:
+        return self.d * self.d - 1
+
+    def __post_init__(self):
+        """Store a JSON list as a tuple, so every config compares and hashes
+        the same however it was built, then check each field's rule, in
+        field order, and the rules that tie fields together: a config that
+        exists is valid."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                object.__setattr__(self, f.name, value := tuple(value))
+            test, text = f.metadata["rule"]
+            if not test(value):
+                raise ConfigError(f"{f.name} must be {text}, got {value!r}")
+        if self.experiment in ("sweep-probes", "sweep-outcomes") and min(self.m_values) < self.d:
+            raise ConfigError(f"square-root measurements need m >= d = {self.d}")
+        if self.experiment == "homodyne" and self.d < 3:
+            raise ConfigError("homodyne needs d >= 3 for its three-component signal")
+        if self.experiment in ("sweep-outcomes", "homodyne") and len(self.M_values) != 1:
+            raise ConfigError(f"{self.experiment} expects exactly one M value")
+        if self.wigner_export_m is not None and not set(self.wigner_export_m) <= set(self.m_values):
+            raise ConfigError(f"wigner_export_m {list(self.wigner_export_m)} names an m "
+                              f"outside m_values {list(self.m_values)}")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if unknown := sorted(set(doc) - {f.name for f in fields(cls)}):
+            raise ConfigError(f"unknown config keys: {unknown}")
+        return cls(**doc)
 
 
 # (m, M) grid of each experiment where it differs from the ExperimentConfig

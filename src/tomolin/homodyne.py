@@ -9,7 +9,7 @@ unit integral over the (x, p) plane.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -61,8 +61,7 @@ def _loss_coefficients(d_f: int, eta: float) -> np.ndarray:
     c = np.zeros((d_f, d_f))
     for k in range(d_f):
         for n in range(k, d_f):
-            binom = factorial(n) / (factorial(k) * factorial(n - k))
-            c[k, n - k] = np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
+            c[k, n - k] = np.sqrt(comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
     c.setflags(write=False)
     return c
 

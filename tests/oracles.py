@@ -7,17 +7,19 @@ quadrature_functional build one quadrature functional at a time, the
 reference for the batched functionals of homodyne.homodyne_measurement.
 value_at reads a square Wigner grid at its point nearest to (x, p),
 limiting_case_diagnostics does the norm bookkeeping of the two protocols
-for redundant probe sets, keyed_cells lists the cells of a run, and
-numerical_rank counts the singular values above matlib.svd's cutoff.
+for redundant probe sets, keyed_cells lists the cells of a run,
+numerical_rank counts the singular values above matlib.svd's cutoff, and
+random_setup draws one frozen experiment for the protocol tests.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from tomolin import bench, homodyne, matlib, protocols
+from tomolin import bench, homodyne, matlib, protocols, qstate
 
 
 @lru_cache(maxsize=None)
@@ -79,6 +81,22 @@ def keyed_cells(cfg: bench.ExperimentConfig) -> list:
     order, with a run's bits."""
     return [(m, e, cell) for m in cfg.m_values for e in range(cfg.ensembles)
             for cell in bench.cells(cfg, m, e)]
+
+
+# one frozen experiment: detector, probes, their patterns, data-noise ratio
+Setup = namedtuple("Setup", "detector probes patterns noise_data")
+
+
+def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06) -> Setup:
+    """A random square-root measurement with m outcomes in dimension d, M
+    Hilbert-Schmidt probes and their patterns, drawn from rng in that
+    order."""
+    povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
+    detector = qstate.povm_to_affine(povm)
+    rhos = qstate.random_density_hs(d, rng, size=M)
+    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
+    patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
+    return Setup(detector, probes, patterns, data_ratio)
 
 
 def numerical_rank(x, rtol: float | None = None) -> int:

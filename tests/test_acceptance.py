@@ -6,7 +6,6 @@ seeds of the bench configurations, so the whole gate is deterministic.
 """
 
 import time
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -34,19 +33,6 @@ def random_matrix(rng, max_dim=64):
         rank = int(rng.integers(1, min(rows, cols)))
         x = x[:, :rank] @ rng.standard_normal((rank, cols))
     return x
-
-
-# one frozen experiment: detector, probes, their patterns, data-noise ratio
-Setup = namedtuple("Setup", "detector probes patterns noise_data")
-
-
-def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
-    povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
-    detector = qstate.povm_to_affine(povm)
-    rhos = qstate.random_density_hs(d, rng, size=M)
-    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
-    patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
-    return Setup(detector, probes, patterns, data_ratio)
 
 
 def test_criterion_1_pseudoinverse_suite():
@@ -103,7 +89,7 @@ def test_criterion_3_equivalence_theorem():
         n_aug = d * d
         M = int(rng.integers(2, n_aug + 1))
         m = int(rng.integers(max(M, d), max(M, d) + 6))
-        setup = random_setup(d, m, M, rng)
+        setup = oracles.random_setup(d, m, M, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         rel = matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p)
@@ -130,7 +116,7 @@ def test_criterion_4_norm_inequality():
         n_aug = d * d
         M = int(rng.integers(n_aug + 1, n_aug + 10))
         m = int(rng.integers(M, M + 10))
-        setup = random_setup(d, m, M, rng)
+        setup = oracles.random_setup(d, m, M, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         gap = matlib.hs_norm(a_s) - matlib.hs_norm(a_p)

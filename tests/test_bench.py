@@ -61,6 +61,7 @@ class TestExperimentConfig:
         dict(workers=0),
         dict(state_ensemble="bures"),
         dict(eta=1.5),
+        dict(out=""),
         dict(experiment="sweep-outcomes", M_values=(10, 20)),
     ])
     def test_validation_rejects(self, overrides):
@@ -70,7 +71,16 @@ class TestExperimentConfig:
 
     def test_every_field_has_one_rule(self):
         # a new field cannot go unchecked
-        assert list(bench._FIELD_RULES) == [f.name for f in fields(bench.ExperimentConfig)]
+        for f in fields(bench.ExperimentConfig):
+            test, text = f.metadata["rule"]
+            assert callable(test) and isinstance(text, str), f.name
+
+    def test_readme_lists_every_field_with_its_default_and_rule(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            rows = re.findall(r"^\| `(\w+)` \| `(.*)` \| (.*) \| .* \|$", fh.read(), re.M)
+        assert rows == [(f.name, json.dumps(bench._metadata(bench.ExperimentConfig())[f.name]),
+                         f.metadata["rule"][1]) for f in fields(bench.ExperimentConfig)]
 
     @pytest.mark.parametrize("name", ["x_max", "wigner_span"])
     def test_half_width_double_must_be_finite(self, name):
@@ -702,6 +712,8 @@ def test_killed_run_leaves_no_workers(tmp_path):
 
 # runs long enough, some 200 cells, that a kill after their first rows
 # finds them mid-grid; homodyne exports at m = n + 1 = 9 and m = M = 20.
+# A kill leaves the CSV at the end of an m, so "sweep-outcomes-mid-m" drops
+# its last row before the rerun, which then holds the first row of an m.
 # "homodyne-wigner" is killed in its Wigner export instead, once a
 # temporary Wigner file exists: two cells, and five 201 x 201 grids
 KILLED_RUNS = {
@@ -712,6 +724,7 @@ KILLED_RUNS = {
     "homodyne-wigner": dict(experiment="homodyne", d=3, m_values=[9, 20], M_values=[20],
                             ensembles=1, trials=20, seed=7, wigner_points=201),
 }
+KILLED_RUNS["sweep-outcomes-mid-m"] = KILLED_RUNS["sweep-outcomes"]
 KILL_AFTER_ROWS = 10
 
 
@@ -778,6 +791,11 @@ def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, t
         assert rows == cells
     else:
         assert KILL_AFTER_ROWS <= rows < cells
+    if case == "sweep-outcomes-mid-m":
+        # keep the header and all complete rows but the last: one M, so
+        # rows - 1 rows end inside an m
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:rows]))
+        assert (rows - 1) % doc["ensembles"] != 0
     resumed = subprocess.run(command, env=_cli_env(), capture_output=True, text=True,
                              timeout=120)
     assert resumed.returncode == 0, resumed.stderr
@@ -1414,6 +1432,14 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         assert cli.main(["sweep-probes", "--out", str(tmp_path / out)]) == 1
         assert "config error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
+
+    def test_empty_out_refused_before_any_file(self, tmp_path, capsys, monkeypatch):
+        # "" + ".meta.json" names a file in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep-probes", "--out", ""]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: out must be"), err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("edit", MALFORMED_CSV_EDITS.values(), ids=MALFORMED_CSV_EDITS)
     def test_resume_of_malformed_row_refused(self, tmp_path, capsys, edit):

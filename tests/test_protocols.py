@@ -1,8 +1,6 @@
 """Tests for the two linear-inversion protocols, noise injection, MSE
 models and the limiting-case diagnostics."""
 
-from collections import namedtuple
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,19 +8,6 @@ from scipy.stats import spearmanr
 
 import oracles
 from tomolin import matlib, protocols, qstate
-
-# one frozen experiment: detector, probes, their patterns, data-noise ratio
-Setup = namedtuple("Setup", "detector probes patterns noise_data")
-
-
-def make_random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06):
-    povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
-    detector = qstate.povm_to_affine(povm)
-    rhos = qstate.random_density_hs(d, rng, size=M)
-    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
-    patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
-    return Setup(detector, probes, patterns, data_ratio)
-
 
 def estimate(inv, f):
     """The estimate of one data vector: its column of estimate_batch,
@@ -129,7 +114,7 @@ class TestProbeAndPatternSets:
 class TestCollectPatterns:
     def test_noiseless_collection_is_forward_map(self):
         rng = np.random.default_rng(11)
-        setup = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0)
+        setup = oracles.random_setup(3, 12, 10, rng, pattern_ratio=0.0)
         expected = setup.detector @ setup.probes.r_matrix
         assert_allclose(setup.patterns.f_matrix, expected, atol=1e-14)
 
@@ -143,7 +128,7 @@ class TestCollectPatterns:
 
     def test_columns_match_per_probe_evaluation(self):
         rng = np.random.default_rng(13)
-        setup = make_random_setup(3, 11, 7, rng, pattern_ratio=0.0)
+        setup = oracles.random_setup(3, 11, 7, rng, pattern_ratio=0.0)
         for alpha in range(7):
             r = setup.probes.r_matrix[1:, alpha]
             assert_allclose(setup.patterns.f_matrix[:, alpha],
@@ -182,7 +167,7 @@ class TestInversionMatrices:
         # with R square and invertible, R+ = R^-1 and the two protocols
         # coincide by plain matrix algebra
         rng = np.random.default_rng(21)
-        setup = make_random_setup(2, 6, 4, rng)
+        setup = oracles.random_setup(2, 6, 4, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         assert np.linalg.cond(setup.probes.r_matrix) < 1e3
@@ -195,7 +180,7 @@ class TestInversionMatrices:
             n_aug = d * d
             M = int(rng.integers(2, n_aug + 1))
             m = int(rng.integers(max(M, d), max(M, d) + 5))
-            setup = make_random_setup(d, m, M, rng)
+            setup = oracles.random_setup(d, m, M, rng)
             a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
             a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
             rel = matlib.hs_norm(a_s - a_p) / matlib.hs_norm(a_p)
@@ -208,14 +193,14 @@ class TestInversionMatrices:
             n_aug = d * d
             M = int(rng.integers(n_aug + 1, n_aug + 8))
             m = int(rng.integers(M, M + 8))
-            setup = make_random_setup(d, m, M, rng)
+            setup = oracles.random_setup(d, m, M, rng)
             a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
             a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
             assert matlib.hs_norm(a_s) <= matlib.hs_norm(a_p) + 1e-10
 
     def test_noiseless_forward_backward(self):
         rng = np.random.default_rng(24)
-        setup = make_random_setup(3, 12, 20, rng, pattern_ratio=0.0)
+        setup = oracles.random_setup(3, 12, 20, rng, pattern_ratio=0.0)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         for _ in range(5):
             rho = qstate.random_density_hs(3, rng)
@@ -225,7 +210,7 @@ class TestInversionMatrices:
 
     def test_pattern_exact_fit_recovers_probe(self):
         rng = np.random.default_rng(25)
-        setup = make_random_setup(3, 12, 7, rng, pattern_ratio=0.0)
+        setup = oracles.random_setup(3, 12, 7, rng, pattern_ratio=0.0)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         alpha = 3
         est = estimate(a_p, setup.patterns.f_matrix[:, alpha])
@@ -235,7 +220,7 @@ class TestInversionMatrices:
         # the standard matrix factors through the product decomposition of
         # F and R+ since (R+)+ = R
         rng = np.random.default_rng(26)
-        setup = make_random_setup(3, 7, 14, rng)
+        setup = oracles.random_setup(3, 7, 14, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         f = setup.patterns.f_matrix
         r = setup.probes.r_matrix
@@ -245,7 +230,7 @@ class TestInversionMatrices:
 
     def test_oracle_inversion(self):
         rng = np.random.default_rng(27)
-        setup = make_random_setup(2, 6, 4, rng)
+        setup = oracles.random_setup(2, 6, 4, rng)
         inv = matlib.pinv(setup.detector)
         rho = qstate.random_density_hs(2, rng)
         r = qstate.state_to_bloch(rho)
@@ -263,7 +248,7 @@ class TestEstimate:
     def test_unconstrained_estimates_may_leave_bloch_ball(self):
         # the linear estimator applies no physicality projection
         rng = np.random.default_rng(31)
-        setup = make_random_setup(2, 4, 4, rng, data_ratio=0.5)
+        setup = oracles.random_setup(2, 4, 4, rng, data_ratio=0.5)
         inv = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         radius = np.sqrt(1.0 / 2.0)
         left = 0
@@ -286,7 +271,7 @@ class TestEstimate:
     def test_equivalence_regime_paired_estimates(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
-            setup = make_random_setup(3, 11, 8, rng)
+            setup = oracles.random_setup(3, 11, 8, rng)
             a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
             a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
             rho = qstate.random_density_hs(3, rng)
@@ -397,7 +382,7 @@ class TestMseTheoretical:
 class TestMseEmpirical:
     def test_zero_noise_hits_numerical_floor(self):
         rng = np.random.default_rng(51)
-        setup = make_random_setup(3, 12, 10, rng, pattern_ratio=0.0, data_ratio=0.0)
+        setup = oracles.random_setup(3, 12, 10, rng, pattern_ratio=0.0, data_ratio=0.0)
         for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
             inv = build(setup.patterns, setup.probes)
             assert trial_mse(setup, 3, inv, 50, np.random.default_rng(1)) < 1e-16
@@ -406,7 +391,7 @@ class TestMseEmpirical:
         # clean patterns so the error is purely data noise, which the
         # estimator maps linearly
         rng = np.random.default_rng(52)
-        setup1 = make_random_setup(3, 14, 12, rng, pattern_ratio=0.0, data_ratio=0.02)
+        setup1 = oracles.random_setup(3, 14, 12, rng, pattern_ratio=0.0, data_ratio=0.02)
         setup2 = setup1._replace(noise_data=0.04)
         inv = protocols.pattern_inversion_matrix(setup1.patterns, setup1.probes)
         m1 = trial_mse(setup1, 3, inv, 4000, np.random.default_rng(2))
@@ -415,7 +400,7 @@ class TestMseEmpirical:
 
     def test_equivalence_regime_paired_mse(self):
         rng = np.random.default_rng(53)
-        setup = make_random_setup(3, 11, 8, rng)
+        setup = oracles.random_setup(3, 11, 8, rng)
         a_s = protocols.standard_inversion_matrix(setup.patterns, setup.probes)
         a_p = protocols.pattern_inversion_matrix(setup.patterns, setup.probes)
         m_std = trial_mse(setup, 3, a_s, 500, np.random.default_rng(3))
@@ -426,13 +411,13 @@ class TestMseEmpirical:
 class TestLimitingCaseDiagnostics:
     def test_requires_redundant_probes(self):
         rng = np.random.default_rng(61)
-        setup = make_random_setup(3, 11, 8, rng)
+        setup = oracles.random_setup(3, 11, 8, rng)
         with pytest.raises(ValueError, match="redundant"):
             oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
 
     def test_projector_spectrum_bounds(self):
         rng = np.random.default_rng(62)
-        setup = make_random_setup(3, 9, 20, rng)
+        setup = oracles.random_setup(3, 9, 20, rng)
         diag = oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
         assert diag.h_norm >= np.sqrt(diag.h_rank) - 1e-9
         assert diag.u11_norm <= diag.u11_bound + 1e-9
@@ -440,7 +425,7 @@ class TestLimitingCaseDiagnostics:
 
     def test_factorises_r_and_f_once(self, monkeypatch):
         rng = np.random.default_rng(64)
-        setup = make_random_setup(3, 12, 20, rng)
+        setup = oracles.random_setup(3, 12, 20, rng)
         shapes = []
         svd = matlib.svd
 
@@ -460,7 +445,7 @@ class TestLimitingCaseDiagnostics:
     def test_overcomplete_measurement_norm_ordering(self):
         rng = np.random.default_rng(63)
         for _ in range(20):
-            setup = make_random_setup(2, 14, 10, rng)  # m >= M > n+1
+            setup = oracles.random_setup(2, 14, 10, rng)  # m >= M > n+1
             diag = oracles.limiting_case_diagnostics(setup.patterns, setup.probes)
             assert diag.hs_norm_standard <= diag.hs_norm_pattern + 1e-10
 
