@@ -262,8 +262,7 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
     invs = _inversion_matrices(cfg, probes, patterns)
     del probes, patterns
-    signal = homodyne.true_signal(cfg.d)
-    r_true = qstate.state_to_bloch(np.outer(signal, signal.conj()))
+    r_true = qstate.state_to_bloch(homodyne.true_state(cfg.d))
     # every trial measures the same state: compute its response once
     repeated = np.broadcast_to(qstate.affine_response(detector, r_true)[:, None],
                                (m, cfg.trials))
@@ -387,20 +386,13 @@ _RATIO_RTOL = 1e-9
 
 
 class _OutputFiles:
-    """The output CSV of a run, cfg.out, and its .meta.json; the one place
-    that formats a result row (write_rows) and parses one (_row_key).
-
-    A run writes its rows in (m, M, ensemble) order, so a killed run leaves
-    a prefix of them, the one shape a resume accepts.  Entering reads an
-    existing CSV once: its header, the count of its complete lines (ending
-    in a newline) as `done`, and the end of the last.  Refused with
-    ConfigError before either file is touched: a first line other than
-    CSV_HEADER, rows without a .meta.json or under one that records another
-    config (only out and workers may differ), and a complete line that is
-    not a row of this run (_row_key) or not its next in that order.  Then
-    the .meta.json is written, and the CSV is opened for append after
-    cutting off an unterminated last line, or written anew with its header.
-    An OSError while either file is opened also becomes ConfigError.
+    """The output CSV of a run, cfg.out, and its .meta.json.  A killed run
+    leaves a prefix of its bytes, the one CSV a resume accepts: CSV_HEADER
+    or a cut of it, then lines that _check_row finds to be the run's first
+    rows, under a .meta.json of this config (only out and workers may
+    differ).  Anything else, or an OSError while either file is opened, is
+    ConfigError before either is touched.  Then the .meta.json is written,
+    and the CSV cut to its complete lines and appended to, or written anew.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -426,17 +418,16 @@ class _OutputFiles:
                 blob = fh.read()
         except FileNotFoundError:
             blob = b""
+        header = f"{CSV_HEADER}\n".encode()
+        if not (blob.startswith(header) or header.startswith(blob)):
+            raise ConfigError(f"cannot resume {path}: it does not begin with {CSV_HEADER}")
         end = blob.rfind(b"\n") + 1
-        lines = blob[:end].decode("utf-8", "replace").splitlines()
-        if lines and lines[0] != CSV_HEADER:
-            raise ConfigError(f"cannot resume {path}: its first line is not the header {CSV_HEADER}")
-        if lines[1:]:
+        lines = blob[len(header):end].decode("utf-8", "replace").split("\n")[:-1]
+        if lines:
             self._check_metadata(path + ".meta.json")
         order = itertools.product(self.cfg.m_values, self.cfg.M_values, range(self.cfg.ensembles))
-        for line in lines[1:]:
-            if self._row_key(line) != next(order, None):
-                raise ConfigError(f"cannot resume {path}: row {self.done + 1}, {line!r}, is not "
-                                  f"the next row of this run in (m, M, ensemble) order")
+        for line in lines:
+            self._check_row(next(order, None), line)
             self.done += 1
         # the .meta.json first: once the CSV is open nothing else can fail
         with _replacing(path + ".meta.json") as fh:
@@ -449,41 +440,37 @@ class _OutputFiles:
             self.fh = open(path, "w", encoding="utf-8", newline="")
             self.fh.write(CSV_HEADER + "\n")
 
+    def _line(self, m, M, ensemble, e2_std, e2_pat, ratio) -> str:
+        """The CSV line, without its newline, of a row with its ratio."""
+        cfg = self.cfg
+        return (f"{cfg.d},{cfg.n_params},{m},{M},{cfg.seed},{ensemble},"
+                f"{e2_std:.12e},{e2_pat:.12e},{ratio:.12e}")
+
     def write_rows(self, rows) -> None:
         """Append rows (m, M, ensemble, e2_std, e2_pat) as CSV lines, with
-        the config's d, n and seed and the ratio e2_std / e2_pat, inf where
-        e2_pat is 0; the lines _row_key reads back."""
+        the ratio e2_std / e2_pat, inf where e2_pat is 0."""
         if self.fh is not None:
-            cfg = self.cfg
             for m, M, ensemble, e2_std, e2_pat in rows:
                 ratio = e2_std / e2_pat if e2_pat > 0 else np.inf
-                self.fh.write(f"{cfg.d},{cfg.n_params},{m},{M},{cfg.seed},{ensemble},"
-                              f"{e2_std:.12e},{e2_pat:.12e},{ratio:.12e}\n")
+                self.fh.write(self._line(m, M, ensemble, e2_std, e2_pat, ratio) + "\n")
             self.fh.flush()
 
-    def _row_key(self, line: str) -> tuple:
-        """(m, M, ensemble) of a complete line, which must be a row of this
-        run: six integer keys, with d, n and seed the config's, then two
-        finite MSEs >= 0 and their ratio: inf where e2_pat is 0, otherwise
-        within _RATIO_RTOL of e2_std / e2_pat."""
-        cfg = self.cfg
-        parts = line.split(",")
-        try:  # the unpacking also refuses a line without exactly nine fields
-            d, n, m, M, seed, ensemble, e2_std, e2_pat, ratio = (*map(int, parts[:6]),
-                                                                 *map(float, parts[6:]))
+    def _check_row(self, key: tuple | None, line: str) -> None:
+        """Refuse held row self.done + 1 unless write_rows writes it at key,
+        the run's next (m, M, ensemble) or None past its last, for the
+        values it holds, two finite MSEs >= 0 and their ratio."""
+        row = f"cannot resume {self.cfg.out}: row {self.done + 1}, {line!r},"
+        try:  # the unpacking also refuses a line without exactly three values
+            e2_std, e2_pat, ratio = values = tuple(map(float, line.split(",")[6:]))
         except ValueError:
-            raise ConfigError(f"cannot resume {cfg.out}: malformed row {line!r}") from None
+            raise ConfigError(f"{row} does not end in three numbers") from None
         if not all(math.isfinite(e) and e >= 0 for e in (e2_std, e2_pat)):
-            raise ConfigError(f"cannot resume {cfg.out}: {line!r} holds an MSE that is not "
-                              f"finite and >= 0")
+            raise ConfigError(f"{row} holds an MSE that is not finite and >= 0")
         if not math.isclose(ratio, e2_std / e2_pat if e2_pat > 0 else math.inf,
                             rel_tol=_RATIO_RTOL):
-            raise ConfigError(f"cannot resume {cfg.out}: the ratio of {line!r} is not "
-                              f"e2_std / e2_pat, inf where e2_pat is 0")
-        if (d, n, seed) != (cfg.d, cfg.n_params, cfg.seed):
-            raise ConfigError(f"cannot resume {cfg.out}: {line!r} is not a row of this run (d "
-                              f"{cfg.d}, n {cfg.n_params}, seed {cfg.seed})")
-        return m, M, ensemble
+            raise ConfigError(f"{row} holds a ratio other than e2_std / e2_pat")
+        if key is None or line != self._line(*key, *values):
+            raise ConfigError(f"{row} is not the line this run writes as its next row")
 
     def _check_metadata(self, meta_path: str) -> None:
         try:
@@ -627,13 +614,12 @@ def run_homodyne(cfg: ExperimentConfig):
         return _run_grid(cfg, "homodyne")
     axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
     stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    signal = homodyne.true_signal(cfg.d)
     true_path = f"{stem}_wigner_true.csv"
     export_m = cfg.wigner_export_m
     if export_m is None:
         export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
                                  if m in cfg.m_values)
-    true_grid = _wigner_grid(np.outer(signal, signal.conj()), axis, true_path)
+    true_grid = _wigner_grid(homodyne.true_state(cfg.d), axis, true_path)
     results = _run_grid(cfg, "homodyne")
     _wigner_csv(true_path, axis, true_grid)
     del true_grid

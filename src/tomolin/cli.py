@@ -113,7 +113,7 @@ def main(argv=None) -> int:
             checks = selftest.run_selftest(cfg)
             for line in selftest.format_lines(checks):
                 print(line)
-            return 0 if all(worst <= tol for *_, worst, tol in checks) else 3
+            return 0 if all(map(selftest.passed, checks)) else 3
         if args.command == "sweep-probes":
             rows = bench.run_sweep_probes(cfg)
         elif args.command == "sweep-outcomes":

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "coherent_state_fock",
     "true_signal",
+    "true_state",
     "loss_channel_adjoint",
     "hermite_functions",
     "homodyne_measurement",
@@ -52,6 +53,12 @@ def true_signal(d_f: int) -> np.ndarray:
     amps = np.zeros(d_f, dtype=complex)
     amps[:3] = np.sqrt([0.1, 0.2, 0.3])
     return amps / np.linalg.norm(amps)
+
+
+def true_state(d_f: int) -> np.ndarray:
+    """The density matrix of the benchmark signal."""
+    signal = true_signal(d_f)
+    return np.outer(signal, signal.conj())
 
 
 @lru_cache(maxsize=None)

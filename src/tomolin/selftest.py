@@ -7,22 +7,29 @@ import numpy as np
 
 from . import bench, matlib, protocols, qstate
 
-__all__ = ["format_lines", "penrose_with_properties", "run_selftest"]
+__all__ = ["format_lines", "passed", "penrose_with_properties", "run_selftest"]
+
+
+def passed(check) -> bool:
+    """The verdict on a check: worst <= tol, so a NaN residual fails."""
+    *_, worst, tol = check
+    return worst <= tol
 
 
 def format_lines(checks) -> list:
     """The report of the checks: one line each, then per suite the count of
     checks passed, then the verdict, selftest: PASS or FAIL."""
     lines = []
-    passed = {}
-    for suite, name, count, worst, tol in checks:
-        ok = worst <= tol
-        passed.setdefault(suite, []).append(ok)
+    passed_by_suite = {}
+    for check in checks:
+        suite, name, count, worst, tol = check
+        ok = passed(check)
+        passed_by_suite.setdefault(suite, []).append(ok)
         lines.append(f"[{'pass' if ok else 'FAIL'}] {suite}/{name}: {count} cases, "
                      f"worst {worst:.3e} (tol {tol:.1e})")
-    for suite, oks in sorted(passed.items()):
+    for suite, oks in sorted(passed_by_suite.items()):
         lines.append(f"{suite}: {sum(oks)}/{len(oks)} checks passed")
-    lines.append("selftest: " + ("PASS" if all(map(all, passed.values())) else "FAIL"))
+    lines.append("selftest: " + ("PASS" if all(map(all, passed_by_suite.values())) else "FAIL"))
     return lines
 
 

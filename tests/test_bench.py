@@ -8,6 +8,7 @@ import errno
 import importlib
 import inspect
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -23,6 +24,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import tomolin
@@ -289,11 +292,25 @@ class TestRowCodec:
         assert (tmp_path / "rows.csv").read_bytes() == (bench.CSV_HEADER + "\n" + expected).encode()
         assert "inf" in expected.splitlines()[1] and "4.940656458412e-324" in expected
 
-    def test_row_key_reads_back_each_written_line(self):
+    # TINY_PROBES' (m, M, ensemble) keys in the order a run writes them
+    KEYS = list(itertools.product(TINY_PROBES["m_values"], TINY_PROBES["M_values"],
+                                  range(TINY_PROBES["ensembles"])))
+    MSES = st.one_of(st.sampled_from((0.0, 5e-324, 1e300)), st.floats(0.0, 1e300))
+
+    @settings(derandomize=True, max_examples=200)
+    @given(index=st.integers(0, len(KEYS) - 1), e2_std=MSES, e2_pat=MSES)
+    @example(index=0, e2_std=0.125, e2_pat=0.0)  # ratio inf
+    @example(index=1, e2_std=0.0, e2_pat=0.0)
+    @example(index=2, e2_std=5e-324, e2_pat=5e-324)
+    @example(index=3, e2_std=1e300, e2_pat=5e-324)  # ratio overflows to inf
+    @example(index=8, e2_std=1.0 / 3.0, e2_pat=1e300)
+    def test_each_written_line_resumes_at_its_key_only(self, index, e2_std, e2_pat):
         cfg = bench.ExperimentConfig(**TINY_PROBES)
-        lines = csv_lines(cfg, self.ROWS)[1:]
+        (line,) = csv_lines(cfg, [(*self.KEYS[index], e2_std, e2_pat)])[1:]
         output = bench._OutputFiles(cfg)
-        assert [output._row_key(line) for line in lines] == [row[:3] for row in self.ROWS]
+        output._check_row(self.KEYS[index], line)
+        with pytest.raises(bench.ConfigError, match="not the line this run writes"):
+            output._check_row(self.KEYS[(index + 1) % len(self.KEYS)], line)
 
 
 RUNS = {
@@ -381,7 +398,7 @@ def _with_field(line, index, value):
 
 
 # edits of the lines of a finished TINY_PROBES CSV that a resume refuses;
-# each leaves every line complete
+# each but the last leaves every line complete
 MALFORMED_CSV_EDITS = {
     "non-integer-key": lambda lines: [*lines[:2], _with_field(lines[2], 3, "x")],
     "garbage-line": lambda lines: [*lines[:2], "garbage,line\n", *lines[2:]],
@@ -413,6 +430,14 @@ MALFORMED_CSV_EDITS = {
     # a row of another run under this run's .meta.json
     "other-seed": lambda lines: [lines[0], _with_field(lines[1], 4, "8"), *lines[2:]],
     "other-d": lambda lines: [lines[0], _with_field(lines[1], 0, "3"), *lines[2:]],
+    # the run's rows and values, but not the bytes the run writes
+    "crlf": lambda lines: [lines[0], *(line.replace("\n", "\r\n") for line in lines[1:3])],
+    "crlf-header": lambda lines: [lines[0].replace("\n", "\r\n"), *lines[1:]],
+    "padded-key": lambda lines: [lines[0], _with_field(lines[1], 0, "02"), *lines[2:]],
+    "reformatted-value": lambda lines: [
+        *lines[:2], _with_field(lines[2], 6, repr(float(lines[2].split(",")[6]))), *lines[3:]],
+    # another file, with no complete line to refuse
+    "foreign-without-newline": lambda lines: ["not a CSV of this run"],
 }
 
 
@@ -935,8 +960,7 @@ _WIGNER_AXIS = np.linspace(-5.0, 5.0, 201)
 
 
 def _true_signal_grid() -> np.ndarray:
-    signal = homodyne.true_signal(6)
-    return homodyne.wigner(np.outer(signal, signal.conj()), _WIGNER_AXIS, _WIGNER_AXIS)
+    return homodyne.wigner(homodyne.true_state(6), _WIGNER_AXIS, _WIGNER_AXIS)
 
 
 class TestHomodyneRunMemory:
@@ -1041,6 +1065,15 @@ class TestSelfTest:
                                                               selftest_count=2))
         assert [check for _, check, _, worst, tol in checks if not worst <= tol] == failed
         assert selftest.format_lines(checks)[-1] == "selftest: FAIL"
+
+    def test_report_and_exit_code_take_one_verdict(self, monkeypatch, capsys):
+        # a verdict that fails every check reaches the report and the exit code
+        monkeypatch.setattr(selftest, "passed", lambda check: False)
+        monkeypatch.setattr(selftest, "run_selftest", lambda cfg: (("a", "ok", 1, 0.0, 1e-9),))
+        assert cli.main(["selftest"]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] a/ok: 1 cases, worst 0.000e+00 (tol 1.0e-09)", "a: 0/1 checks passed",
+            "selftest: FAIL"]
 
     def test_corrupted_pinv_tolerance_fails(self):
         checks = selftest.run_selftest(
@@ -1453,8 +1486,24 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         before = (out.read_bytes(), meta.read_bytes())
         capsys.readouterr()
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot resume {out}"), err
         assert (out.read_bytes(), meta.read_bytes()) == before
+
+    @pytest.mark.parametrize("cut", [0, len("d,n,m"), len(bench.CSV_HEADER)])
+    def test_resume_of_run_cut_inside_its_header(self, tmp_path, capsys, cut):
+        # a run killed while it wrote its header line resumes to the
+        # uninterrupted bytes
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_PROBES.items()}))
+        out = tmp_path / "probes.csv"
+        meta = tmp_path / "probes.csv.meta.json"
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
+        full = (out.read_bytes(), meta.read_bytes())
+        os.truncate(out, cut)
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out.read_bytes(), meta.read_bytes()) == full
 
     def test_resume_accepts_infinite_value(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.json"

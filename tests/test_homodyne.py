@@ -136,6 +136,14 @@ class TestTrueSignal:
         with pytest.raises(ValueError):
             homodyne.true_signal(2)
 
+    def test_state_is_the_signal_projector(self):
+        amps = homodyne.true_signal(6)
+        rho = homodyne.true_state(6)
+        # the same bits as the outer product a run formed before
+        assert np.array_equal(rho, np.outer(amps, amps.conj()))
+        assert_allclose(rho @ amps, amps, atol=1e-15)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+
 
 class TestLossChannel:
     def test_unit_efficiency_is_identity(self):
