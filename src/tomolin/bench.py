@@ -2,7 +2,7 @@
 outcome-count sweep and the homodyne experiment, with deterministic
 seeding, one worker pool per run and CSV emission.
 
-Determinism contract: every task derives its generator from
+Determinism contract: every cell derives its generator from
 (master seed, stream tag, sweep coordinates, ensemble index), so output
 bytes do not depend on the worker count or scheduling order.
 """
@@ -333,12 +333,14 @@ def cells(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
 
 
 @_numerics()
-def _task(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
-    """The rows (m, M, ensemble, e2_std, e2_pat) of one ensemble at m: the
-    MSEs of both protocols in each cell."""
-    return [(m, cell.M, ensemble, *(protocols.batch_mse(inv, cell.data, cell.truth)
-                                    for inv in cell.invs))
-            for cell in cells(cfg, m, ensemble)]
+def _task(cfg: ExperimentConfig, m: int) -> list:
+    """The rows (m, M, ensemble, e2_std, e2_pat) of every ensemble at m, in
+    the CSV's (M, ensemble) order: the MSEs of both protocols in each cell."""
+    by_ensemble = [[(m, cell.M, ensemble, *(protocols.batch_mse(inv, cell.data, cell.truth)
+                                            for inv in cell.invs))
+                    for cell in cells(cfg, m, ensemble)]  # freed before the next ensemble
+                   for ensemble in range(cfg.ensembles)]
+    return [row for at_M in zip(*by_ensemble) for row in at_M]
 
 
 @_numerics()
@@ -356,8 +358,10 @@ def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
+    # every field but out, so that the record does not depend on where the run writes
     return {name: list(value) if isinstance(value, tuple) else value
-            for name, value in ((f.name, getattr(cfg, f.name)) for f in fields(cfg))}
+            for name, value in ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+            if name != "out"}
 
 
 @contextlib.contextmanager
@@ -377,7 +381,7 @@ def _replacing(path: str):
         raise
 
 
-# settings that may differ between a run and its resumption
+# settings that may differ between a run and its resumption (out only in older records)
 _RESUME_FREE_KEYS = ("out", "workers")
 
 # a resumed row's ratio against e2_std / e2_pat of its 13-digit fields:
@@ -513,25 +517,24 @@ def _init_worker(parent) -> None:
         os._exit(1)
 
 
-def _cell_results(cfg: ExperimentConfig, keys):
-    """Yield _task(cfg, m, ensemble) for each key, in key order: in this
-    process at one worker, otherwise from one pool that serves the whole
-    run, so later cells are already queued while earlier ones are written."""
-    if cfg.workers == 1 or not keys:
-        for key in keys:
-            yield _task(cfg, *key)
+def _cell_results(cfg: ExperimentConfig, ms):
+    """Yield _task(cfg, m) for each m in ms, in order: in this process at
+    one worker, otherwise from one pool that serves the whole run, so later
+    m values are already computed while earlier ones are written."""
+    if cfg.workers == 1 or not ms:
+        yield from map(functools.partial(_task, cfg), ms)
         return
     # imported here, so that a run on one worker loads no multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     parent = os.getpid() if multiprocessing.get_start_method() == "fork" else None
-    # at most one worker per cell and per CPU this process may use: a
-    # forked pool starts all of its workers at the first submit
+    # at most one worker per m and per CPU this process may use: a forked
+    # pool starts all of its workers at the first submit
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cfg.workers, len(keys), cpus or 1)
+    workers = min(cfg.workers, len(ms), cpus or 1)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(parent,)) as pool:
-        yield from pool.map(functools.partial(_task, cfg), *zip(*keys))
+        yield from pool.map(functools.partial(_task, cfg), ms)
 
 
 def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
@@ -541,9 +544,8 @@ def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
 
 
 def _run_grid(cfg: ExperimentConfig, experiment: str):
-    """Run _task(cfg, m, ensemble) -> rows over the (m, ensemble) grid from
-    the first m that cfg.out does not finish, and write and return the new
-    rows in (m, M, ensemble) order, skipping those cfg.out already holds.
+    """Write and return the rows that cfg.out lacks, _task(cfg, m) for each m
+    from the first m that cfg.out does not finish, in (m, M, ensemble) order.
 
     A config made for another experiment, and an output that _OutputFiles
     refuses, raise ConfigError before anything is written.
@@ -552,13 +554,10 @@ def _run_grid(cfg: ExperimentConfig, experiment: str):
     results = []
     with _OutputFiles(cfg) as output:
         first, skip = divmod(output.done, len(cfg.M_values) * cfg.ensembles)
-        keys = [(m, e) for m in cfg.m_values[first:] for e in range(cfg.ensembles)]
-        rows = itertools.chain.from_iterable(_cell_results(cfg, keys))
-        for _, group in itertools.groupby(rows, key=lambda row: row[0]):
-            m_rows = sorted(group, key=lambda row: cfg.M_values.index(row[1]))[skip:]
+        for rows in _cell_results(cfg, cfg.m_values[first:]):
+            output.write_rows(rows[skip:])
+            results.extend(rows[skip:])
             skip = 0
-            output.write_rows(m_rows)
-            results.extend(m_rows)
     return results
 
 

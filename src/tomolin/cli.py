@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 configuration error, an OSError while output is
-written (a full disk, say) or memory exhausted, 2 numerical failure or a
-worker process that died, 3 selftest failure.
+Exit codes: 0 success, 1 usage or configuration error, an OSError while
+output is written (a full disk, say) or memory exhausted, 2 numerical
+failure or a worker process that died, 3 selftest failure.
 """
 
 import argparse
@@ -15,8 +15,17 @@ import numpy as np
 from . import bench, protocols, selftest
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, exit 1, so
+    that exit 2 means a numerical failure only; its subparsers are of this
+    class too."""
+
+    def error(self, message):
+        raise bench.ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tomolin",
         description="Linear-inversion tomography benchmarks with unknown detectors",
     )
@@ -104,10 +113,10 @@ def _load_config(args) -> bench.ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    _keep_freed_memory()
-    _import_numpy_random_without_openssl()
     try:
+        args = _build_parser().parse_args(argv)
+        _keep_freed_memory()
+        _import_numpy_random_without_openssl()
         cfg = _load_config(args)
         if args.command == "selftest":
             checks = selftest.run_selftest(cfg)

@@ -82,8 +82,8 @@ class TestExperimentConfig:
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
             rows = re.findall(r"^\| `(\w+)` \| `(.*)` \| (.*) \| .* \|$", fh.read(), re.M)
-        assert rows == [(f.name, json.dumps(bench._metadata(bench.ExperimentConfig())[f.name]),
-                         f.metadata["rule"][1]) for f in fields(bench.ExperimentConfig)]
+        assert rows == [(f.name, json.dumps(f.default), f.metadata["rule"][1])
+                        for f in fields(bench.ExperimentConfig)]
 
     @pytest.mark.parametrize("name", ["x_max", "wigner_span"])
     def test_half_width_double_must_be_finite(self, name):
@@ -146,6 +146,33 @@ class TestSweepProbes:
         meta = json.loads((tmp_path / "probes.csv.meta.json").read_text())
         assert meta["seed"] == 7 and meta["M_values"] == [4, 6, 8]
 
+    def test_metadata_does_not_depend_on_out(self, tmp_path):
+        # one config run into two directories writes the same record, which
+        # holds every field but out
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            bench.run_sweep_probes(bench.ExperimentConfig(
+                **TINY_PROBES, out=str(tmp_path / name / "probes.csv")))
+        meta_a, meta_b = ((tmp_path / name / "probes.csv.meta.json").read_bytes()
+                          for name in ("a", "b"))
+        assert meta_a == meta_b
+        assert sorted(json.loads(meta_a)) == sorted(
+            f.name for f in fields(bench.ExperimentConfig) if f.name != "out")
+
+    def test_resume_under_record_that_holds_out(self, tmp_path):
+        # a record written while .meta.json still held out resumes, and is
+        # rewritten without it
+        out = tmp_path / "probes.csv"
+        meta = tmp_path / "probes.csv.meta.json"
+        cfg = bench.ExperimentConfig(**TINY_PROBES, out=str(out))
+        rows = bench.run_sweep_probes(cfg)
+        whole, record = out.read_bytes(), meta.read_bytes()
+        meta.write_text(json.dumps({**json.loads(record), "out": "elsewhere/probes.csv"},
+                                   indent=2, sort_keys=True) + "\n")
+        out.write_bytes(b"".join(whole.splitlines(keepends=True)[:5]))
+        assert bench.run_sweep_probes(cfg) == rows[4:]
+        assert (out.read_bytes(), meta.read_bytes()) == (whole, record)
+
     def test_deterministic_across_worker_counts(self, tmp_path):
         out1 = str(tmp_path / "w1.csv")
         out2 = str(tmp_path / "w2.csv")
@@ -178,7 +205,8 @@ class TestSweepProbes:
         rows = bench.run_sweep_probes(cfg)
         target = rows[4]
         m, M, ensemble = target[:3]
-        again = bench._task(cfg, m, ensemble)
+        assert ensemble > 0  # computed without the ensembles before it
+        again = ensemble_rows(cfg, m, ensemble)
         match = [r for r in again if r[1] == M][0]
         assert match == target
 
@@ -209,7 +237,7 @@ class TestSweepOutcomes:
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES)
         basis_rows = {}
         for m in cfg.m_values:
-            rows = bench._task(cfg, m, 1)
+            rows = ensemble_rows(cfg, m, 1)
             basis_rows[m] = rows[0]
         # distinct m cells exist and come from the same probe draw; the
         # derivation key for probes ignores m, so this must not raise
@@ -254,6 +282,15 @@ class TestSweepOutcomes:
         assert all(a[3] != b[3] for a, b in zip(rows, other))
 
 
+def ensemble_rows(cfg, m, ensemble):
+    """The rows (m, M, ensemble, e2_std, e2_pat) of one ensemble at m,
+    computed from cells(cfg, m, ensemble) alone."""
+    with bench._numerics():
+        return [(m, cell.M, ensemble, *(protocols.batch_mse(inv, cell.data, cell.truth)
+                                        for inv in cell.invs))
+                for cell in bench.cells(cfg, m, ensemble)]
+
+
 def cellwise_outcome_rows(cfg):
     """The rows of an outcome sweep, each cell run on its own with its probe
     set drawn afresh."""
@@ -261,7 +298,7 @@ def cellwise_outcome_rows(cfg):
     for m in cfg.m_values:
         for e in range(cfg.ensembles):
             bench._outcome_probes.cache_clear()
-            rows.extend(bench._task(cfg, m, e))
+            rows.extend(ensemble_rows(cfg, m, e))
     return rows
 
 
@@ -531,12 +568,12 @@ def test_c_libraries_have_one_loader():
     assert _package_calls({"CDLL"}) == [("bench", "CDLL", "_c_function")]
 
 
-def _exit_in_worker(cfg, m, ensemble):
+def _exit_in_worker(cfg, m):
     os._exit(1)
 
 
-def _unexpected_task(cfg, m, ensemble):
-    raise AssertionError(f"cell (m {m}, ensemble {ensemble}) computed")
+def _unexpected_task(cfg, m):
+    raise AssertionError(f"the cells of m {m} computed")
 
 
 def _cli_env(**extra):
@@ -564,10 +601,11 @@ class TestRunLayer:
         run(bench.ExperimentConfig(**tiny, workers=workers))
         assert len(built) == pools
 
-    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
+    def test_pool_has_at_most_one_worker_per_m(self, monkeypatch, tmp_path):
         # a forked pool starts all of its workers at the first submit; the
-        # stand-in pool records its size and maps in this process
-        sizes = []
+        # stand-in pool records its size and what it maps, and maps in this
+        # process
+        sizes, mapped = [], []
 
         class InProcessPool:
             def __init__(self, max_workers, initializer, initargs):
@@ -580,11 +618,14 @@ class TestRunLayer:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                args = [list(values) for values in iterables]
+                mapped.append(args)
+                return map(fn, *args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES, workers=5000)
-        cells = len(TINY_OUTCOMES["m_values"]) * TINY_OUTCOMES["ensembles"]
+        m_values = list(TINY_OUTCOMES["m_values"])
+        cells = len(m_values) * TINY_OUTCOMES["ensembles"]
         # and at most one per CPU this process may use, or per CPU where the
         # affinity mask cannot be read
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
@@ -596,7 +637,20 @@ class TestRunLayer:
         assert len(bench.run_sweep_outcomes(cfg)) == cells
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert len(bench.run_sweep_outcomes(cfg)) == cells
-        assert sizes == [cells, 3, 4, 1]
+        assert sizes == [3, 3, 3, 1]
+        # one task per m, each mapping the m values once
+        assert mapped == [[m_values]] * 4
+        # a run resumed from a CSV cut inside its second m maps from that m
+        out = tmp_path / "outcomes.csv"
+        rows = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES, out=str(out)))
+        whole = out.read_bytes()
+        held = 1 + TINY_OUTCOMES["ensembles"] + 1  # the header, the first m, one row
+        out.write_bytes(b"".join(whole.splitlines(keepends=True)[:held]))
+        mapped.clear()
+        assert bench.run_sweep_outcomes(bench.ExperimentConfig(
+            **TINY_OUTCOMES, out=str(out), workers=5000)) == rows[held - 1:]
+        assert mapped == [[m_values[1:]]]
+        assert out.read_bytes() == whole
 
     @pytest.mark.parametrize("run, doc", [
         (bench.run_sweep_probes, TINY_OUTCOMES),
@@ -996,9 +1050,10 @@ class TestHomodyneRunMemory:
     def test_full_scale_cell_peak(self):
         # the inversions are built before the 520 kB (m, trials) data are
         # drawn, and the MSE squares the errors in place
-        cfg = bench.ExperimentConfig(**bench.FULL_SCALE_HOMODYNE, experiment="homodyne")
-        bench._task(cfg, 30, 0)  # fills the caches of a d = 6 run
-        assert _traced_peak(bench._task, cfg, 130, 0) < 0.9e6
+        cfg = bench.ExperimentConfig(**{**bench.FULL_SCALE_HOMODYNE, "ensembles": 1},
+                                     experiment="homodyne")
+        bench._task(cfg, 30)  # fills the caches of a d = 6 run
+        assert _traced_peak(bench._task, cfg, 130) < 0.9e6
 
     def test_run_peak_with_wigner_exports(self, tmp_path):
         # four reconstructed 201 x 201 grids and the true one, each written
@@ -1006,7 +1061,7 @@ class TestHomodyneRunMemory:
         cfg = bench.ExperimentConfig(experiment="homodyne", d=6, M_values=(100,),
                                      m_values=(36, 100), ensembles=1, trials=20,
                                      out=str(tmp_path / "homo.csv"))
-        bench._task(cfg, 36, 0)  # fills the caches of a d = 6 run
+        bench._task(cfg, 36)  # fills the caches of a d = 6 run
         assert _traced_peak(bench.run_homodyne, cfg) < 1.0e6
         assert len(_wigner_exports(tmp_path)) == 4
 
@@ -1103,6 +1158,24 @@ class TestCli:
             assert cli.main(["selftest", "--config", str(cfg)]) == 3
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-probes", "--bogus"], "unrecognized arguments: --bogus"),
+        (["sweep-probes", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-flag", "non-integer-seed", "no-subcommand"])
+    def test_usage_error_exit_code(self, tmp_path, monkeypatch, capsys, argv, message):
+        # usage errors are config errors: exit 2 is left to numerical failures
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
+        assert os.listdir(tmp_path) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep-probes", "-h"])
+        assert exc.value.code == 0 and "--workers" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
