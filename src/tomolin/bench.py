@@ -108,7 +108,6 @@ class ExperimentConfig:
     # the probes' ensemble; sweep trial states are always Hilbert-Schmidt
     state_ensemble: str = _field("hs", (lambda v: v in ("hs", "pure"), "hs or pure"))
     eta: float = _field(0.8, (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"))
-    dx: float = _field(0.1, (lambda v: _is_number(v) and v > 0, "a finite number > 0"))
     x_max: float = _field(3.0, _HALF_WIDTH_RULE)
     wigner_span: float = _field(5.0, _HALF_WIDTH_RULE)
     wigner_points: int = _field(201, _integer_from(2))
@@ -254,8 +253,7 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     draw nothing, so they are built, and the effects, probes and patterns
     freed, before the (m, trials) data are drawn; the (m, n + 1) detector
     matrix D is kept in the cell."""
-    _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d,
-                                               dx=cfg.dx, x_max=cfg.x_max)
+    _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d, x_max=cfg.x_max)
     detector = qstate.povm_to_affine(effects)
     del effects
     probes = _homodyne_probes(cfg, rng)
@@ -358,10 +356,10 @@ def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    # every field but out, so that the record does not depend on where the run writes
+    # every field that a byte of the run depends on: all but out and workers
     return {name: list(value) if isinstance(value, tuple) else value
             for name, value in ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
-            if name != "out"}
+            if name not in ("out", "workers")}
 
 
 @contextlib.contextmanager
@@ -381,9 +379,6 @@ def _replacing(path: str):
         raise
 
 
-# settings that may differ between a run and its resumption (out only in older records)
-_RESUME_FREE_KEYS = ("out", "workers")
-
 # a resumed row's ratio against e2_std / e2_pat of its 13-digit fields:
 # write_rows takes the ratio of the unrounded MSEs
 _RATIO_RTOL = 1e-9
@@ -393,8 +388,8 @@ class _OutputFiles:
     """The output CSV of a run, cfg.out, and its .meta.json.  A killed run
     leaves a prefix of its bytes, the one CSV a resume accepts: CSV_HEADER
     or a cut of it, then lines that _check_row finds to be the run's first
-    rows, under a .meta.json of this config (only out and workers may
-    differ).  Anything else, or an OSError while either file is opened, is
+    rows, under a .meta.json that records this run's config, key for key.
+    Anything else, or an OSError while either file is opened, is
     ConfigError before either is touched.  Then the .meta.json is written,
     and the CSV cut to its complete lines and appended to, or written anew.
     """
@@ -488,12 +483,12 @@ class _OutputFiles:
         if not isinstance(old, dict):
             raise ConfigError(f"cannot resume {self.cfg.out}: {meta_path} is not a JSON object")
         new = _metadata(self.cfg)
-        changed = sorted(key for key in set(old) | set(new)
-                         if key not in _RESUME_FREE_KEYS and old.get(key) != new.get(key))
-        if changed:
-            diffs = ", ".join(f"{key} {old.get(key)!r} -> {new.get(key)!r}" for key in changed)
+        # a key's JSON text, so that 1, 1.0 and true differ
+        text = lambda record, key: json.dumps(record[key]) if key in record else "absent"
+        if diffs := [f"{key} {text(old, key)} -> {text(new, key)}"
+                     for key in sorted(old.keys() | new.keys()) if text(old, key) != text(new, key)]:
             raise ConfigError(f"cannot resume {self.cfg.out}, written with a different config "
-                              f"({diffs}); use another --out or remove the file")
+                              f"({', '.join(diffs)}); use another --out or remove the file")
 
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -580,7 +575,7 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
 def _wigner_grid(rho: np.ndarray, axis: np.ndarray, path: str) -> np.ndarray:
     """The Wigner grid of rho over axis x axis, bound for path; one that is
     not finite raises FloatingPointError."""
-    values = homodyne.wigner(rho, axis, axis)
+    values = homodyne.wigner(rho, axis)
     if not np.isfinite(values).all():
         raise FloatingPointError(f"the Wigner grid of {path} is not finite")
     return values

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 AMPLITUDE_GUARD = 2.0  # truncation-safety bound on |alpha|
+# the bin width dx of a quadrature outcome; under ratio noise it scales D,
+# F and the data alike, so it moves no estimate beyond rounding
+BIN_WIDTH = 0.1
 
 
 def coherent_state_fock(alpha, d_f: int) -> np.ndarray:
@@ -117,10 +120,10 @@ def _quadrature_functionals(theta, x, d_f: int) -> np.ndarray:
 
 
 def homodyne_measurement(m: int, eta: float, rng, d_f: int, *,
-                         dx: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
+                         x_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Draw m quadrature points with theta ~ U[0, pi), x ~ U[-x_max, x_max]
     and build the binned functionals p_j = trace(loss(rho, eta) |x><x|) dx
-    of an inefficient homodyne detector.
+    of an inefficient homodyne detector, with dx = BIN_WIDTH.
 
     Returns (points, effects): row j of the (m, 2) points is the quadrature
     point (theta_j, x_j), and E_j of the (m, d_f, d_f) effects already
@@ -134,7 +137,7 @@ def homodyne_measurement(m: int, eta: float, rng, d_f: int, *,
     # row j holds (theta_j, x_j), in the order of alternating scalar draws
     points = rng.uniform([0.0, -x_max], [np.pi, x_max], size=(m, 2))
     functionals = _quadrature_functionals(points[:, 0], points[:, 1], d_f)
-    return points, dx * loss_channel_adjoint(functionals, eta)
+    return points, BIN_WIDTH * loss_channel_adjoint(functionals, eta)
 
 
 def _binom(n: int, k: int) -> float:
@@ -201,9 +204,10 @@ def _wigner_block(rho: np.ndarray, x_axis: np.ndarray, p_axis: np.ndarray) -> np
     return values.real
 
 
-def wigner(rho, x_axis, p_axis) -> np.ndarray:
+def wigner(rho, axis) -> np.ndarray:
     """Wigner function of a Fock-basis density matrix: the
-    (len(x_axis), len(p_axis)) array of its values on the grid of the axes.
+    (len(axis), len(axis)) array of its values on the grid axis x axis,
+    x along the rows.
 
     Uses the associated-Laguerre kernel; W(0,0) equals the scaled parity
     sum (1/pi) sum_n (-1)^n rho_nn and the grid integral is 1 for states
@@ -212,10 +216,9 @@ def wigner(rho, x_axis, p_axis) -> np.ndarray:
     whole grid, and only one block of temporaries is alive at a time.
     """
     rho = np.asarray(rho, dtype=complex)
-    x_axis = np.asarray(x_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
-    values = np.empty((x_axis.size, p_axis.size))
-    for start in range(0, x_axis.size, _WIGNER_ROWS):
+    axis = np.asarray(axis, dtype=float)
+    values = np.empty((axis.size, axis.size))
+    for start in range(0, axis.size, _WIGNER_ROWS):
         rows = slice(start, start + _WIGNER_ROWS)
-        values[rows] = _wigner_block(rho, x_axis[rows], p_axis)
+        values[rows] = _wigner_block(rho, axis[rows], axis)
     return values

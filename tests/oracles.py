@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from tomolin import bench, homodyne, matlib, protocols, qstate
+from tomolin import bench, homodyne, matlib, protocols
 
 
 @lru_cache(maxsize=None)
@@ -89,14 +89,9 @@ Setup = namedtuple("Setup", "detector probes patterns noise_data")
 
 def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06) -> Setup:
     """A random square-root measurement with m outcomes in dimension d, M
-    Hilbert-Schmidt probes and their patterns, drawn from rng in that
-    order."""
-    povm = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=m))
-    detector = qstate.povm_to_affine(povm)
-    rhos = qstate.random_density_hs(d, rng, size=M)
-    probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
-    patterns = protocols.collect_patterns(detector, probes, pattern_ratio, rng)
-    return Setup(detector, probes, patterns, data_ratio)
+    Hilbert-Schmidt probes and their patterns, drawn from rng by the draw
+    of a sweep, bench.srm_setup."""
+    return Setup(*bench.srm_setup(d, m, M, "hs", pattern_ratio, rng), data_ratio)
 
 
 def numerical_rank(x, rtol: float | None = None) -> int:

@@ -230,10 +230,10 @@ def test_criterion_9_wigner_checks(homodyne_sweep):
     one = np.zeros((4, 4), dtype=complex)
     one[1, 1] = 1.0
     axis = np.linspace(-5.0, 5.0, 201)
-    w_vac = oracles.value_at(axis, homodyne.wigner(vac, axis, axis), 0.0, 0.0)
-    w_one = oracles.value_at(axis, homodyne.wigner(one, axis, axis), 0.0, 0.0)
+    w_vac = oracles.value_at(axis, homodyne.wigner(vac, axis), 0.0, 0.0)
+    w_one = oracles.value_at(axis, homodyne.wigner(one, axis), 0.0, 0.0)
     amps = homodyne.true_signal(cfg.d)
-    truth = homodyne.wigner(np.outer(amps, amps.conj()), axis, axis)
+    truth = homodyne.wigner(np.outer(amps, amps.conj()), axis)
     w_sig = oracles.value_at(axis, truth, 0.0, 0.0)
     points = cfg.wigner_points
     _, _, w = np.loadtxt(f"{out[:-4]}_wigner_pattern_m{cfg.n_params + 1}.csv",

@@ -97,6 +97,9 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(bench.ConfigError, match="unknown config keys"):
             bench.ExperimentConfig.from_dict({"probes": 10})
+        # the bin width is homodyne.BIN_WIDTH, not a field
+        with pytest.raises(bench.ConfigError, match=r"unknown config keys: \['dx'\]"):
+            bench.ExperimentConfig.from_dict({"experiment": "homodyne", "dx": 0.1})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -110,6 +113,66 @@ class TestExperimentConfig:
         path.write_text("{not json")
         with pytest.raises(bench.ConfigError):
             bench.ExperimentConfig.from_dict(bench.read_config_document(str(path)))
+
+
+# for each field of the run record, a tiny run and another value of the field
+_KNOB_SWEEP = dict(experiment="sweep-probes", d=2, m_values=[6], M_values=[6], ensembles=1,
+                   trials=20, seed=7)
+_KNOB_HOMODYNE = dict(experiment="homodyne", d=3, m_values=[9, 10, 12], M_values=[12],
+                      ensembles=1, trials=20, seed=7, wigner_points=5)
+KNOBS = {
+    "experiment": (_KNOB_SWEEP, "sweep-outcomes"),
+    "d": (_KNOB_SWEEP, 3),
+    "m_values": (_KNOB_SWEEP, [5]),
+    "M_values": (_KNOB_SWEEP, [8]),
+    "noise_ratio_patterns": (_KNOB_SWEEP, 0.3),
+    "noise_ratio_data": (_KNOB_SWEEP, 0.6),
+    "ensembles": (_KNOB_SWEEP, 2),
+    "trials": (_KNOB_SWEEP, 40),
+    "seed": (_KNOB_SWEEP, 8),
+    "rtol": (_KNOB_SWEEP, 0.9),
+    "state_ensemble": (_KNOB_SWEEP, "pure"),
+    "eta": (_KNOB_HOMODYNE, 0.5),
+    "x_max": (_KNOB_HOMODYNE, 2.0),
+    "wigner_span": (_KNOB_HOMODYNE, 4.0),
+    "wigner_points": (_KNOB_HOMODYNE, 7),
+    "wigner_export_m": (_KNOB_HOMODYNE, [10]),
+    "selftest_count": (dict(experiment="selftest", selftest_count=1), 2),
+}
+_RUNS = {"sweep-probes": bench.run_sweep_probes, "sweep-outcomes": bench.run_sweep_outcomes,
+         "homodyne": bench.run_homodyne}
+
+
+def _run_outputs(doc, directory) -> tuple:
+    """({file: values}, selftest report) of a run of doc into directory:
+    the MSE and ratio columns of its CSV and every column of its Wigner
+    files, or the report of a selftest."""
+    directory.mkdir()
+    cfg = bench.ExperimentConfig.from_dict({**doc, "out": str(directory / "run.csv")})
+    if cfg.experiment == "selftest":
+        return {}, selftest.format_lines(selftest.run_selftest(cfg))
+    _RUNS[cfg.experiment](cfg)
+    return {path.name: np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                                  usecols=(6, 7, 8) if path.name == "run.csv" else None)
+            for path in directory.glob("*.csv")}, None
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(bench.ExperimentConfig)
+                                  if f.name not in ("out", "workers")])
+def test_every_recorded_field_moves_an_output(tmp_path, name):
+    # a field that the run record holds, and a resume compares, moves what
+    # the run writes beyond rounding: a value of the CSV or of a Wigner file
+    # by more than 1e-6 relative, the count of rows or files, or the
+    # selftest report
+    assert name in KNOBS, f"{name} has no run that shows what it moves"
+    doc, value = KNOBS[name]
+    assert json.dumps(value) != json.dumps(getattr(bench.ExperimentConfig.from_dict(doc), name))
+    (files, report), (moved, moved_report) = (
+        _run_outputs(run, tmp_path / label)
+        for label, run in (("base", doc), ("changed", {**doc, name: value})))
+    assert report != moved_report or files.keys() != moved.keys() or any(
+        files[f].shape != moved[f].shape or not np.allclose(files[f], moved[f], rtol=1e-6, atol=0)
+        for f in files)
 
 
 def read_rows(path):
@@ -147,31 +210,60 @@ class TestSweepProbes:
         assert meta["seed"] == 7 and meta["M_values"] == [4, 6, 8]
 
     def test_metadata_does_not_depend_on_out(self, tmp_path):
-        # one config run into two directories writes the same record, which
-        # holds every field but out
-        for name in ("a", "b"):
+        # one config run into two directories, on one and on two workers,
+        # writes the same record, which holds every field but out and workers
+        for name, workers in (("a", 1), ("b", 2)):
             (tmp_path / name).mkdir()
             bench.run_sweep_probes(bench.ExperimentConfig(
-                **TINY_PROBES, out=str(tmp_path / name / "probes.csv")))
+                **TINY_PROBES, out=str(tmp_path / name / "probes.csv"), workers=workers))
         meta_a, meta_b = ((tmp_path / name / "probes.csv.meta.json").read_bytes()
                           for name in ("a", "b"))
         assert meta_a == meta_b
         assert sorted(json.loads(meta_a)) == sorted(
-            f.name for f in fields(bench.ExperimentConfig) if f.name != "out")
+            f.name for f in fields(bench.ExperimentConfig) if f.name not in ("out", "workers"))
 
-    def test_resume_under_record_that_holds_out(self, tmp_path):
-        # a record written while .meta.json still held out resumes, and is
-        # rewritten without it
+    def test_resume_under_record_that_holds_out(self, tmp_path, capsys):
+        # a record that also holds out, workers and dx, as records once did,
+        # is not this run's record: the resume exits 1 with one line that
+        # names those keys, and leaves both files as they were
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(TINY_PROBES))
+        out = tmp_path / "probes.csv"
+        meta = tmp_path / "probes.csv.meta.json"
+        command = ["sweep-probes", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(command) == 0
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "dx": 0.1, "out": str(out),
+                                    "workers": 1}, indent=2, sort_keys=True) + "\n")
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:5]))
+        before = (out.read_bytes(), meta.read_bytes())
+        capsys.readouterr()
+        assert cli.main(command) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"config error: cannot resume {out}")
+        diffs = re.search(r"config \((.*)\); ", err).group(1).split(", ")
+        assert [diff.split()[0] for diff in diffs] == ["dx", "out", "workers"]
+        assert all(diff.endswith(" -> absent") for diff in diffs)
+        assert (out.read_bytes(), meta.read_bytes()) == before
+
+    @pytest.mark.parametrize("edit, diff", [
+        (lambda record: record.pop("rtol"), "rtol absent -> null"),
+        (lambda record: record.update(trials=25.0), "trials 25.0 -> 25"),
+    ], ids=["without-null-key", "float-for-int"])
+    def test_resume_under_record_that_differs_in_json_refused(self, tmp_path, edit, diff):
+        # a record that Python's == and dict.get find equal to this run's,
+        # but whose JSON differs key for key, is refused untouched
         out = tmp_path / "probes.csv"
         meta = tmp_path / "probes.csv.meta.json"
         cfg = bench.ExperimentConfig(**TINY_PROBES, out=str(out))
-        rows = bench.run_sweep_probes(cfg)
-        whole, record = out.read_bytes(), meta.read_bytes()
-        meta.write_text(json.dumps({**json.loads(record), "out": "elsewhere/probes.csv"},
-                                   indent=2, sort_keys=True) + "\n")
-        out.write_bytes(b"".join(whole.splitlines(keepends=True)[:5]))
-        assert bench.run_sweep_probes(cfg) == rows[4:]
-        assert (out.read_bytes(), meta.read_bytes()) == (whole, record)
+        bench.run_sweep_probes(cfg)
+        record = json.loads(meta.read_text())
+        edit(record)
+        meta.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:5]))
+        before = (out.read_bytes(), meta.read_bytes())
+        with pytest.raises(bench.ConfigError, match=re.escape(f"({diff})")):
+            bench.run_sweep_probes(cfg)
+        assert (out.read_bytes(), meta.read_bytes()) == before
 
     def test_deterministic_across_worker_counts(self, tmp_path):
         out1 = str(tmp_path / "w1.csv")
@@ -815,15 +907,8 @@ def _ready_to_kill(case, out) -> bool:
 
 
 def _run_files(directory) -> dict:
-    """{name: bytes} of every file in a run's directory, each .meta.json
-    without its `out` line, which names the directory."""
-    files = {}
-    for path in sorted(directory.iterdir()):
-        lines = path.read_bytes().splitlines(keepends=True)
-        if path.name.endswith(".meta.json"):
-            lines = [line for line in lines if not line.startswith(b'  "out": ')]
-        files[path.name] = b"".join(lines)
-    return files
+    """{name: bytes} of every file in a run's directory."""
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 @pytest.fixture(scope="module", params=sorted(KILLED_RUNS))
@@ -843,8 +928,8 @@ def uninterrupted_run(request, tmp_path_factory):
 def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, tmp_path):
     # SIGKILL once polling finds the CSV with KILL_AFTER_ROWS rows, or a
     # temporary Wigner file, then rerun the same command: the CSV,
-    # .meta.json and Wigner files are those of the uninterrupted run, but
-    # for the worker count recorded, and no .tmp file is left
+    # .meta.json and Wigner files are those of the uninterrupted run, and
+    # no .tmp file is left
     case, cfg, expected = uninterrupted_run
     doc = KILLED_RUNS[case]
     (tmp_path / "run").mkdir()
@@ -878,9 +963,6 @@ def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, t
     resumed = subprocess.run(command, env=_cli_env(), capture_output=True, text=True,
                              timeout=120)
     assert resumed.returncode == 0, resumed.stderr
-    meta = "run.csv.meta.json"
-    expected = {**expected, meta: expected[meta].replace(
-        b'  "workers": 1,\n', f'  "workers": {workers},\n'.encode())}
     assert _run_files(tmp_path / "run") == expected
 
 
@@ -1014,7 +1096,7 @@ _WIGNER_AXIS = np.linspace(-5.0, 5.0, 201)
 
 
 def _true_signal_grid() -> np.ndarray:
-    return homodyne.wigner(homodyne.true_state(6), _WIGNER_AXIS, _WIGNER_AXIS)
+    return homodyne.wigner(homodyne.true_state(6), _WIGNER_AXIS)
 
 
 class TestHomodyneRunMemory:
@@ -1035,7 +1117,7 @@ class TestHomodyneRunMemory:
     def test_wigner_csv_bytes_equal_whole_grid_writer(self, tmp_path, points):
         rho = qstate.random_density_hs(6, np.random.default_rng(5))
         axis = np.linspace(-5.0, 5.0, points)
-        grid = homodyne.wigner(rho, axis, axis)
+        grid = homodyne.wigner(rho, axis)
         bench._wigner_csv(str(tmp_path / "rows.csv"), axis, grid)
         _wigner_csv_whole_grid(str(tmp_path / "whole.csv"), axis, grid)
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -1188,7 +1270,7 @@ class TestCli:
         dict(experiment="sweep-outcomes", d=3, m_values=[2, 4], M_values=[6]),
         dict(experiment="homodyne", d=2, m_values=[4], M_values=[4]),
         dict(experiment="homodyne", m_values=[16], M_values=[40], x_max=0.0),
-        dict(experiment="homodyne", m_values=[16], M_values=[40], dx=0.0),
+        dict(experiment="homodyne", m_values=[16], M_values=[40], dx=0.1),
         dict(experiment="sweep-probes", m_values=5),
         dict(experiment="sweep-probes", m_values=[18, 18]),
         dict(experiment="sweep-probes", M_values=[4, 4]),
@@ -1204,7 +1286,7 @@ class TestCli:
         dict(experiment="homodyne", wigner_export_m=[99]),
         dict(experiment="selftest", selftest_count=0),
         dict(experiment="homodyne", m_values=[16, 40], M_values=[40], wigner_export_m=[16, 16]),
-        dict(experiment="homodyne", dx=10**400),
+        dict(experiment="homodyne", x_max=10**400),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, doc):
         cfg = tmp_path / "malformed.json"
@@ -1248,8 +1330,8 @@ class TestCli:
     @pytest.mark.parametrize("doc", [
         dict(experiment="sweep-outcomes", d=2, m_values=[4], M_values=[6], ensembles=1,
              trials=20, noise_ratio_data=1e308),
-        dict(experiment="homodyne", d=3, m_values=[9], M_values=[12], ensembles=1,
-             trials=20, dx=1e300),
+        dict(experiment="sweep-probes", d=2, m_values=[2], M_values=[60], ensembles=1,
+             trials=5, seed=3, noise_ratio_patterns=1e308),
     ], ids=["infinite-mse", "overflowed-patterns"])
     def test_non_finite_values_exit_code(self, tmp_path, capsys, doc):
         cfg = tmp_path / "overflow.json"

@@ -35,7 +35,7 @@ def config_documents(draw, experiments=EXPERIMENTS) -> dict:
     """A small config document of one of experiments: d <= 4, at most three
     m values, two ensembles and 20 trials, one worker, with edge values
     such as zero noise, noise ratios up to 1e308, eta 0 or 1, rtol near 1,
-    m < n + 1, M = 1 and dx, x_max and wigner_span from 1e-300 to 1e308."""
+    m < n + 1, M = 1 and x_max and wigner_span from 1e-300 to 1e308."""
     experiment = draw(st.sampled_from(experiments))
     # homodyne needs d >= 3 and a sweep m >= d; one below either is refused
     d = draw(st.integers(2 if experiment == "homodyne" else 1, 3)) + 1
@@ -55,7 +55,6 @@ def config_documents(draw, experiments=EXPERIMENTS) -> dict:
         rtol=draw(st.one_of(st.none(), st.sampled_from((1e-300, 1e-8, 0.5, 1 - 1e-12)))),
         state_ensemble=draw(st.sampled_from(["hs", "pure"])),
         eta=draw(st.sampled_from((0.0, 1e-9, 0.8, 1.0))),
-        dx=draw(st.sampled_from((1e-300, 1e-3, 0.1, 1e3, 1e300, 1e308))),
         x_max=draw(st.sampled_from((1e-300, 1e-3, 3.0, 1e3, 1e300, 1e308))),
         wigner_span=draw(st.sampled_from((1e-300, 1e-3, 5.0, 1e3, 1e300, 1e308))),
         wigner_points=draw(st.integers(2, 4)),
@@ -109,16 +108,11 @@ def test_every_run_succeeds_finite_or_fails_documented(doc):
 
 
 def _files(directory: str) -> dict:
-    """{name: bytes} of every file in directory, each .meta.json without
-    its out and workers lines, which a resume may change."""
+    """{name: bytes} of every file in directory."""
     files = {}
     for name in sorted(os.listdir(directory)):
         with open(os.path.join(directory, name), "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        if name.endswith(".meta.json"):
-            lines = [line for line in lines
-                     if not line.startswith((b'  "out": ', b'  "workers": '))]
-        files[name] = b"".join(lines)
+            files[name] = fh.read()
     return files
 
 

@@ -32,34 +32,27 @@ CONFIGS = {
 
 GOLDEN = {
     "homodyne.csv": "868e2b575f59a50f3a6760452bac3982f981f706e2bbf4526fc750b9576a514c",
-    "homodyne.csv.meta.json": "b07a6e4f48b6f9a3f2572ccc1e2d616856077ad2ce69a432f62594f1ab2b50da",
+    "homodyne.csv.meta.json": "74a9412e24882e509466dfc7cc27e8e054d47537fe5b4035db55bab07642e0fc",
     "homodyne_wigner_pattern_m16.csv": "e93f5ee482dce4b0966d9c67cb1d29fa54edabf5853ca6121e8292959b543a63",
     "homodyne_wigner_pattern_m20.csv": "389733f8df4240ff784828a2e91c8612562e776c64df1b2b6c58392e4a16f220",
     "homodyne_wigner_standard_m16.csv": "45f7a074f5bf7c68ca752a7e4a83850bcf077590577af6eb918e3d11bccb2041",
     "homodyne_wigner_standard_m20.csv": "e8c4976666daec9696d970075dc847faf8057051f8aa54355bc3c05922164d24",
     "homodyne_wigner_true.csv": "a9b789d38c5e8bbbb301f46225a6856089cc3cdadf934b66a439684e100fdbab",
     "outcomes-d4.csv": "55cd83e1fedb879dd704df37321ceafe7b4768e601be443e7517cbcc76338c6b",
-    "outcomes-d4.csv.meta.json": "44082b5ad0317ec4358e22f1b0e3f13cdf11a65959a9d49a3f063537c8fc4608",
+    "outcomes-d4.csv.meta.json": "5011af57a7da92950d6736642e0016af446239ddb122863d54768985b160f16e",
     "outcomes.csv": "0a19e1156170d52dcc6b5c41c824770533526d4179a820d1f035ccbc1d5dd2c4",
-    "outcomes.csv.meta.json": "871c390668bc4ef14cec8a4bf918078bcea7d32e8611de9bf86ae914e9c7e647",
+    "outcomes.csv.meta.json": "a86cb3ed82458667fbc7b30d743f730db46ca79a1643ed01e9965c6ee38f6124",
     "probes-hs.csv": "d15ea13ad62b956e5da4d94ad4deb7a7312906f751e77562dc5b58b6b39c98a6",
-    "probes-hs.csv.meta.json": "5ab35c5b63d58578670b4ca458e4eae4e27c6af503536513b0209cf5a3725fdf",
+    "probes-hs.csv.meta.json": "8faf8199488c3657450c242af8a4da3721c76756c0d143c4da08df3f18ff83fb",
     "probes-pure.csv": "a75b27d9261fbeb4b28993d43625c37c3702de3a17b6374dfffce214fc0bbff0",
-    "probes-pure.csv.meta.json": "3d0010f77ccfd1fb125b3f1eeb7658f8f3de358e67a419a600509273c857aa47",
+    "probes-pure.csv.meta.json": "91b088376a310b9ac52488c4dffbaa3e8cd2afc9e93ec1f7415d46ddeb1bc889",
     "selftest.stdout": "89e7a66aca2907653f047674417bd80911d7cae446e3775b4eab62a5df71538d",
 }
 
 
-def _meta_without_out(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    return b"".join(line for line in lines if not line.startswith(b'  "out": '))
-
-
 def output_digests(workdir: str) -> dict:
     """Run every fixed config and the default selftest through the CLI and
-    return {output name: sha256 hex digest}; the `out` entry of each
-    .meta.json is left out because it names the temporary directory."""
+    return {output name: sha256 hex digest}."""
     out_dir = os.path.join(workdir, "out")
     os.mkdir(out_dir)
     stdout = io.StringIO()
@@ -75,13 +68,8 @@ def output_digests(workdir: str) -> dict:
     digests = {"selftest.stdout": hashlib.sha256(
         stdout.getvalue()[selftest_start:].encode()).hexdigest()}
     for fname in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, fname)
-        if fname.endswith(".meta.json"):
-            blob = _meta_without_out(path)
-        else:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        digests[fname] = hashlib.sha256(blob).hexdigest()
+        with open(os.path.join(out_dir, fname), "rb") as fh:
+            digests[fname] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 

@@ -33,10 +33,11 @@ def _coherent_loop(alpha, d_f):
     return c / np.linalg.norm(c)
 
 
-def _wigner_scipy_loop(rho, x_axis, p_axis=None):
-    # the Laguerre-form Wigner function on the whole grid at once, with one
-    # scipy genlaguerre per Fock pair, in the kernel's operation order
-    xg, pg = np.meshgrid(x_axis, x_axis if p_axis is None else p_axis, indexing="ij")
+def _wigner_scipy_loop(rho, axis):
+    # the Laguerre-form Wigner function on the whole grid axis x axis at
+    # once, with one scipy genlaguerre per Fock pair, in the kernel's
+    # operation order
+    xg, pg = np.meshgrid(axis, axis, indexing="ij")
     r2 = xg**2 + pg**2
     gauss, z, two_r2 = np.exp(-r2) / np.pi, xg - 1j * pg, 2.0 * r2
     values = np.zeros(gauss.shape, dtype=complex)
@@ -267,7 +268,7 @@ class TestHomodyneMeasurement:
             for m in (1, 30, 130):
                 seed = (d_f, int(10 * eta), m)
                 got_points, got_effects = homodyne.homodyne_measurement(
-                    m, eta, np.random.default_rng(seed), d_f, dx=0.1, x_max=5.0)
+                    m, eta, np.random.default_rng(seed), d_f, x_max=5.0)
                 points, effects = _measurement_loop(m, eta, np.random.default_rng(seed), d_f)
                 assert [tuple(p) for p in got_points.tolist()] == points
                 assert np.array_equal(got_effects, effects)
@@ -278,15 +279,14 @@ class TestHomodyneMeasurement:
                 assert np.array_equal(got_effects, per_outcome)
 
     def test_returns_points_and_effects(self):
-        result = homodyne.homodyne_measurement(7, 0.8, np.random.default_rng(10), 5,
-                                                dx=0.1, x_max=5.0)
+        result = homodyne.homodyne_measurement(7, 0.8, np.random.default_rng(10), 5, x_max=5.0)
         assert type(result) is tuple and len(result) == 2
         points, effects = result
         assert points.shape == (7, 2) and effects.shape == (7, 5, 5)
 
     def test_linearity_in_the_state(self):
         rng = np.random.default_rng(11)
-        _, effects = homodyne.homodyne_measurement(7, 0.8, rng, 5, dx=0.1, x_max=5.0)
+        _, effects = homodyne.homodyne_measurement(7, 0.8, rng, 5, x_max=5.0)
         rho1 = qstate.random_density_hs(5, rng)
         rho2 = qstate.random_density_hs(5, rng)
         a = 0.3
@@ -296,7 +296,7 @@ class TestHomodyneMeasurement:
 
     def test_outcome_distributions(self):
         rng = np.random.default_rng(12)
-        points, _ = homodyne.homodyne_measurement(500, 0.8, rng, 4, dx=0.1, x_max=3.0)
+        points, _ = homodyne.homodyne_measurement(500, 0.8, rng, 4, x_max=3.0)
         thetas, xs = points.T
         assert 0 <= thetas.min() and thetas.max() < np.pi
         assert np.abs(xs).max() <= 3.0
@@ -323,7 +323,7 @@ class TestWigner:
     def test_vacuum(self):
         vac = np.zeros((4, 4), dtype=complex)
         vac[0, 0] = 1.0
-        grid = homodyne.wigner(vac, AXIS, AXIS)
+        grid = homodyne.wigner(vac, AXIS)
         assert oracles.value_at(AXIS, grid, 0.0, 0.0) == pytest.approx(1.0 / np.pi, abs=1e-12)
         assert _integral(grid) == pytest.approx(1.0, abs=1e-3)
         # isotropy: same value at (x, p) and (p, x)
@@ -333,13 +333,13 @@ class TestWigner:
     def test_single_photon_negativity(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[1, 1] = 1.0
-        grid = homodyne.wigner(rho, AXIS, AXIS)
+        grid = homodyne.wigner(rho, AXIS)
         assert oracles.value_at(AXIS, grid, 0.0, 0.0) == pytest.approx(-1.0 / np.pi, abs=1e-12)
         assert grid.min() >= -1.0 / np.pi - 1e-6
 
     def test_true_signal_value_and_negativity(self):
         amps = homodyne.true_signal(6)
-        grid = homodyne.wigner(np.outer(amps, amps.conj()), AXIS, AXIS)
+        grid = homodyne.wigner(np.outer(amps, amps.conj()), AXIS)
         # parity sum (1 - 2 + 3)/6 / pi
         assert oracles.value_at(AXIS, grid, 0.0, 0.0) == pytest.approx(1.0 / (3.0 * np.pi), abs=1e-10)
         assert grid.min() < 0.0
@@ -348,7 +348,7 @@ class TestWigner:
     def test_coherent_state_center(self):
         alpha = 0.5 + 0.3j
         ket = homodyne.coherent_state_fock(alpha, 14)
-        grid = homodyne.wigner(np.outer(ket, ket.conj()), AXIS, AXIS)
+        grid = homodyne.wigner(np.outer(ket, ket.conj()), AXIS)
         i, j = np.unravel_index(np.argmax(grid), grid.shape)
         assert AXIS[i] == pytest.approx(np.sqrt(2) * alpha.real, abs=0.06)
         assert AXIS[j] == pytest.approx(np.sqrt(2) * alpha.imag, abs=0.06)
@@ -357,14 +357,14 @@ class TestWigner:
         rng = np.random.default_rng(21)
         for d_f in (4, 8):
             rho = qstate.random_density_hs(d_f, rng)
-            grid = homodyne.wigner(rho, AXIS, AXIS)
+            grid = homodyne.wigner(rho, AXIS)
             assert _integral(grid) == pytest.approx(1.0, abs=1e-3)
             assert grid.min() >= -1.0 / np.pi - 1e-6
 
     def test_parity_sum_identity(self):
         rng = np.random.default_rng(22)
         rho = qstate.random_density_hs(5, rng)
-        grid = homodyne.wigner(rho, AXIS, AXIS)
+        grid = homodyne.wigner(rho, AXIS)
         parity = sum((-1) ** n * rho[n, n].real for n in range(5)) / np.pi
         assert oracles.value_at(AXIS, grid, 0.0, 0.0) == pytest.approx(parity, abs=1e-10)
 
@@ -403,15 +403,14 @@ class TestLaguerreKernel:
         rng = np.random.default_rng(30 + d_f)
         rho = qstate.random_density_hs(d_f, rng)
         axis = np.linspace(-5.0, 5.0, 101)
-        assert np.array_equal(homodyne.wigner(rho, axis, axis), _wigner_scipy_loop(rho, axis))
+        assert np.array_equal(homodyne.wigner(rho, axis), _wigner_scipy_loop(rho, axis))
 
-    @pytest.mark.parametrize("points, p_points", [(2, 2), (7, 7), (16, 16), (17, 17),
-                                                  (201, 201), (5, 9)])
-    def test_row_blocks_equal_whole_grid(self, points, p_points):
-        # grids below, at and just past one block of x rows, and non-square
+    # each case is named by its grid shape, points x points
+    @pytest.mark.parametrize("points", [2, 7, 16, 17, 201], ids="{0}-{0}".format)
+    def test_row_blocks_equal_whole_grid(self, points):
+        # grids below, at and just past one block of x rows
         rho = qstate.random_density_hs(6, np.random.default_rng(40 + points))
-        x_axis = np.linspace(-5.0, 5.0, points)
-        p_axis = np.linspace(-4.0, 4.5, p_points)
-        grid = homodyne.wigner(rho, x_axis, p_axis)
-        assert grid.shape == (points, p_points)
-        assert np.array_equal(grid, _wigner_scipy_loop(rho, x_axis, p_axis))
+        axis = np.linspace(-5.0, 5.0, points)
+        grid = homodyne.wigner(rho, axis)
+        assert grid.shape == (points, points)
+        assert np.array_equal(grid, _wigner_scipy_loop(rho, axis))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tomolin import bench, protocols
+from tomolin import bench, homodyne, protocols
 
 
 def _sq_norm(a) -> float:
@@ -144,15 +144,15 @@ def test_protocols_differ_at_m_equal_to_M(seed):
     assert min(map(_residual, resonant)) > 0.1
 
 
-def test_homodyne_mses_do_not_depend_on_dx():
-    # the noise is a ratio of the response, so the bin width dx scales D,
-    # F and the data alike and both inversion matrices by 1 / dx: the MSEs
-    # move by rounding alone, at most 2.8e-10 relative on this grid, which
-    # includes the resonance m = M
-    doc = dict(experiment="homodyne", d=4, m_values=[15, 16, 20, 30], M_values=[20],
-               ensembles=3, trials=50, seed=7)
-    reference = np.array([row[3:] for row in bench.run_homodyne(
-        bench.ExperimentConfig.from_dict(doc))])
+def test_homodyne_mses_do_not_depend_on_dx(monkeypatch):
+    # the noise is a ratio of the response, so the bin width dx,
+    # homodyne.BIN_WIDTH, scales D, F and the data alike and both inversion
+    # matrices by 1 / dx: the MSEs move by rounding alone, at most 2.8e-10
+    # relative on this grid, which includes the resonance m = M
+    cfg = bench.ExperimentConfig(experiment="homodyne", d=4, m_values=(15, 16, 20, 30),
+                                 M_values=(20,), ensembles=3, trials=50, seed=7)
+    reference = np.array([row[3:] for row in bench.run_homodyne(cfg)])
     for dx in (1.0, 1e-3):
-        rows = bench.run_homodyne(bench.ExperimentConfig.from_dict({**doc, "dx": dx}))
+        monkeypatch.setattr(homodyne, "BIN_WIDTH", dx)
+        rows = bench.run_homodyne(cfg)
         np.testing.assert_allclose([row[3:] for row in rows], reference, rtol=1e-8, atol=0)
