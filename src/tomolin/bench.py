@@ -9,10 +9,9 @@ bytes do not depend on the worker count or scheduling order.
 
 import contextlib
 import ctypes
+import errno
 import functools
-import itertools
 import json
-import math
 import os
 import pathlib
 import signal
@@ -366,8 +365,12 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 def _replacing(path: str):
     """Yield a text file that replaces path once the block completes.  It is
     written to path + ".tmp", so path never holds a partial file, and
-    removed if the block raises.  Only a run's parent process writes these
-    files, so a rerun after a kill overwrites a leftover .tmp file."""
+    removed if the block raises.  A run enters one for each of its files on
+    one ExitStack, so they replace theirs only once the whole run has
+    completed, and a rerun after a kill overwrites the .tmp files left.  A
+    path that is a directory, which the rename would fail on, raises at once."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -379,116 +382,38 @@ def _replacing(path: str):
         raise
 
 
-# a resumed row's ratio against e2_std / e2_pat of its 13-digit fields:
-# write_rows takes the ratio of the unrounded MSEs
-_RATIO_RTOL = 1e-9
+def _open_csv(cfg: ExperimentConfig, files: contextlib.ExitStack):
+    """The CSV of cfg.out, with its header, opened through _replacing on
+    files, then its .meta.json, written the same way; the CSV is entered
+    first, so it is the last file the run renames.  An existing cfg.out is
+    replaced only when it is a run's CSV, one that begins with CSV_HEADER and
+    a newline or is a cut of that line; anything else, and an OSError while
+    either file is opened, is ConfigError before any cell is computed."""
+    head = b""
+    try:
+        with contextlib.suppress(FileNotFoundError), open(cfg.out, "rb") as fh:
+            head = fh.read(len(CSV_HEADER) + 1)
+        if not f"{CSV_HEADER}\n".encode().startswith(head):
+            raise ConfigError(f"cannot replace {cfg.out}: it does not begin with {CSV_HEADER}")
+        csv = files.enter_context(_replacing(cfg.out))
+        meta = files.enter_context(_replacing(cfg.out + ".meta.json"))
+    except OSError as exc:
+        raise ConfigError(f"cannot use output {cfg.out}: {exc}") from exc
+    json.dump(_metadata(cfg), meta, indent=2, sort_keys=True)
+    meta.write("\n")
+    csv.write(CSV_HEADER + "\n")
+    return csv
 
 
-class _OutputFiles:
-    """The output CSV of a run, cfg.out, and its .meta.json.  A killed run
-    leaves a prefix of its bytes, the one CSV a resume accepts: CSV_HEADER
-    or a cut of it, then lines that _check_row finds to be the run's first
-    rows, under a .meta.json that records this run's config, key for key.
-    Anything else, or an OSError while either file is opened, is
-    ConfigError before either is touched.  Then the .meta.json is written,
-    and the CSV cut to its complete lines and appended to, or written anew.
-    """
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.done = 0
-        self.fh = None
-
-    def __enter__(self):
-        if self.cfg.out is not None:
-            try:
-                self._open(self.cfg.out)
-            except OSError as exc:
-                raise ConfigError(f"cannot use output {self.cfg.out}: {exc}") from exc
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.fh is not None:
-            self.fh.close()
-
-    def _open(self, path: str) -> None:
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except FileNotFoundError:
-            blob = b""
-        header = f"{CSV_HEADER}\n".encode()
-        if not (blob.startswith(header) or header.startswith(blob)):
-            raise ConfigError(f"cannot resume {path}: it does not begin with {CSV_HEADER}")
-        end = blob.rfind(b"\n") + 1
-        lines = blob[len(header):end].decode("utf-8", "replace").split("\n")[:-1]
-        if lines:
-            self._check_metadata(path + ".meta.json")
-        order = itertools.product(self.cfg.m_values, self.cfg.M_values, range(self.cfg.ensembles))
-        for line in lines:
-            self._check_row(next(order, None), line)
-            self.done += 1
-        # the .meta.json first: once the CSV is open nothing else can fail
-        with _replacing(path + ".meta.json") as fh:
-            json.dump(_metadata(self.cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if self.done:
-            os.truncate(path, end)
-            self.fh = open(path, "a", encoding="utf-8", newline="")
-        else:
-            self.fh = open(path, "w", encoding="utf-8", newline="")
-            self.fh.write(CSV_HEADER + "\n")
-
-    def _line(self, m, M, ensemble, e2_std, e2_pat, ratio) -> str:
-        """The CSV line, without its newline, of a row with its ratio."""
-        cfg = self.cfg
-        return (f"{cfg.d},{cfg.n_params},{m},{M},{cfg.seed},{ensemble},"
-                f"{e2_std:.12e},{e2_pat:.12e},{ratio:.12e}")
-
-    def write_rows(self, rows) -> None:
-        """Append rows (m, M, ensemble, e2_std, e2_pat) as CSV lines, with
-        the ratio e2_std / e2_pat, inf where e2_pat is 0."""
-        if self.fh is not None:
-            for m, M, ensemble, e2_std, e2_pat in rows:
-                ratio = e2_std / e2_pat if e2_pat > 0 else np.inf
-                self.fh.write(self._line(m, M, ensemble, e2_std, e2_pat, ratio) + "\n")
-            self.fh.flush()
-
-    def _check_row(self, key: tuple | None, line: str) -> None:
-        """Refuse held row self.done + 1 unless write_rows writes it at key,
-        the run's next (m, M, ensemble) or None past its last, for the
-        values it holds, two finite MSEs >= 0 and their ratio."""
-        row = f"cannot resume {self.cfg.out}: row {self.done + 1}, {line!r},"
-        try:  # the unpacking also refuses a line without exactly three values
-            e2_std, e2_pat, ratio = values = tuple(map(float, line.split(",")[6:]))
-        except ValueError:
-            raise ConfigError(f"{row} does not end in three numbers") from None
-        if not all(math.isfinite(e) and e >= 0 for e in (e2_std, e2_pat)):
-            raise ConfigError(f"{row} holds an MSE that is not finite and >= 0")
-        if not math.isclose(ratio, e2_std / e2_pat if e2_pat > 0 else math.inf,
-                            rel_tol=_RATIO_RTOL):
-            raise ConfigError(f"{row} holds a ratio other than e2_std / e2_pat")
-        if key is None or line != self._line(*key, *values):
-            raise ConfigError(f"{row} is not the line this run writes as its next row")
-
-    def _check_metadata(self, meta_path: str) -> None:
-        try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                old = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"cannot resume {self.cfg.out}: its rows have no {meta_path} to "
-                              f"record their config") from None
-        except ValueError as exc:
-            raise ConfigError(f"cannot resume {self.cfg.out}: unreadable {meta_path}: {exc}") from exc
-        if not isinstance(old, dict):
-            raise ConfigError(f"cannot resume {self.cfg.out}: {meta_path} is not a JSON object")
-        new = _metadata(self.cfg)
-        # a key's JSON text, so that 1, 1.0 and true differ
-        text = lambda record, key: json.dumps(record[key]) if key in record else "absent"
-        if diffs := [f"{key} {text(old, key)} -> {text(new, key)}"
-                     for key in sorted(old.keys() | new.keys()) if text(old, key) != text(new, key)]:
-            raise ConfigError(f"cannot resume {self.cfg.out}, written with a different config "
-                              f"({', '.join(diffs)}); use another --out or remove the file")
+def _write_rows(csv, cfg: ExperimentConfig, rows) -> None:
+    """Write rows (m, M, ensemble, e2_std, e2_pat) to csv as CSV lines, with
+    the ratio e2_std / e2_pat, inf where e2_pat is 0, and flush them, so that
+    the run's .tmp file shows how far it has come."""
+    for m, M, ensemble, e2_std, e2_pat in rows:
+        ratio = e2_std / e2_pat if e2_pat > 0 else np.inf
+        csv.write(f"{cfg.d},{cfg.n_params},{m},{M},{cfg.seed},{ensemble},"
+                  f"{e2_std:.12e},{e2_pat:.12e},{ratio:.12e}\n")
+    csv.flush()
 
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -512,12 +437,12 @@ def _init_worker(parent) -> None:
         os._exit(1)
 
 
-def _cell_results(cfg: ExperimentConfig, ms):
-    """Yield _task(cfg, m) for each m in ms, in order: in this process at
+def _cell_results(cfg: ExperimentConfig):
+    """Yield _task(cfg, m) for each m of cfg, in order: in this process at
     one worker, otherwise from one pool that serves the whole run, so later
     m values are already computed while earlier ones are written."""
-    if cfg.workers == 1 or not ms:
-        yield from map(functools.partial(_task, cfg), ms)
+    if cfg.workers == 1:
+        yield from map(functools.partial(_task, cfg), cfg.m_values)
         return
     # imported here, so that a run on one worker loads no multiprocessing
     import multiprocessing
@@ -526,10 +451,10 @@ def _cell_results(cfg: ExperimentConfig, ms):
     # at most one worker per m and per CPU this process may use: a forked
     # pool starts all of its workers at the first submit
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cfg.workers, len(ms), cpus or 1)
+    workers = min(cfg.workers, len(cfg.m_values), cpus or 1)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(parent,)) as pool:
-        yield from pool.map(functools.partial(_task, cfg), ms)
+        yield from pool.map(functools.partial(_task, cfg), cfg.m_values)
 
 
 def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
@@ -538,28 +463,29 @@ def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
         raise ConfigError(f"a config for experiment {cfg.experiment!r} cannot run {experiment}")
 
 
-def _run_grid(cfg: ExperimentConfig, experiment: str):
-    """Write and return the rows that cfg.out lacks, _task(cfg, m) for each m
-    from the first m that cfg.out does not finish, in (m, M, ensemble) order.
+def _run_grid(cfg: ExperimentConfig, experiment: str, files: contextlib.ExitStack) -> list:
+    """Every row of cfg's run, _task(cfg, m) for each m, in (m, M, ensemble)
+    order; with cfg.out set, also written to the CSV that _open_csv opens
+    on files, the run's ExitStack.
 
-    A config made for another experiment, and an output that _OutputFiles
-    refuses, raise ConfigError before anything is written.
+    A config made for another experiment, and an output that _open_csv
+    refuses, raise ConfigError before any cell is computed.
     """
     _require_experiment(cfg, experiment)
+    csv = None if cfg.out is None else _open_csv(cfg, files)
     results = []
-    with _OutputFiles(cfg) as output:
-        first, skip = divmod(output.done, len(cfg.M_values) * cfg.ensembles)
-        for rows in _cell_results(cfg, cfg.m_values[first:]):
-            output.write_rows(rows[skip:])
-            results.extend(rows[skip:])
-            skip = 0
+    for rows in _cell_results(cfg):
+        if csv is not None:
+            _write_rows(csv, cfg, rows)
+        results.extend(rows)
     return results
 
 
 def run_sweep_probes(cfg: ExperimentConfig):
     """Performance-ratio sweep over the probe count M at fixed outcome
     counts; one CSV row per (m, M, ensemble)."""
-    return _run_grid(cfg, "sweep-probes")
+    with contextlib.ExitStack() as files:
+        return _run_grid(cfg, "sweep-probes", files)
 
 
 def run_sweep_outcomes(cfg: ExperimentConfig):
@@ -568,7 +494,8 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
     Each ensemble's probe set is shared across m: every process, this one
     or a pool worker, draws it at most once in a run."""
     _outcome_probes.cache_clear()
-    return _run_grid(cfg, "sweep-outcomes")
+    with contextlib.ExitStack() as files:
+        return _run_grid(cfg, "sweep-outcomes", files)
 
 
 @_numerics()
@@ -581,15 +508,13 @@ def _wigner_grid(rho: np.ndarray, axis: np.ndarray, path: str) -> np.ndarray:
     return values
 
 
-def _wigner_csv(path: str, axis: np.ndarray, values: np.ndarray) -> None:
+def _wigner_csv(fh, axis: np.ndarray, values: np.ndarray) -> None:
     # values are a Wigner grid over axis x axis; the axis strings are
-    # formatted once and reused for every point, and the values are turned
-    # into Python floats one row at a time
+    # formatted once, and each row goes out through one % template of them
     points = [f"{v:.12e}" for v in axis.tolist()]
-    with _replacing(path) as fh:
-        fh.write("x,p,w\n")
-        for x, row in zip(points, values):
-            fh.write("".join(f"{x},{p},{w:.12e}\n" for p, w in zip(points, row.tolist())))
+    fh.write("x,p,w\n")
+    for x, row in zip(points, values):
+        fh.write("".join(f"{x},{p},%.12e\n" for p in points) % tuple(row.tolist()))
 
 
 def run_homodyne(cfg: ExperimentConfig):
@@ -599,27 +524,30 @@ def run_homodyne(cfg: ExperimentConfig):
     then both protocols' at the minimal informationally complete point and
     at m = M (reconstructed from ensemble 0 by trial-averaged data).  The
     true state's grid is evaluated before the first cell, so a grid that is
-    not finite is refused before anything is written; the others are each
+    not finite is refused before any cell is computed; the others are each
     written before the next is computed.  The two points coincide when
     n + 1 = M, and are then exported once.  Without cfg.out no grid is
-    computed.  Returns the new rows."""
+    computed.  Every file replaces its final name only once the run has
+    completed.  Returns the rows."""
     _require_experiment(cfg, "homodyne")
-    if cfg.out is None:
-        return _run_grid(cfg, "homodyne")
-    axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
-    stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    true_path = f"{stem}_wigner_true.csv"
-    export_m = cfg.wigner_export_m
-    if export_m is None:
-        export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
-                                 if m in cfg.m_values)
-    true_grid = _wigner_grid(homodyne.true_state(cfg.d), axis, true_path)
-    results = _run_grid(cfg, "homodyne")
-    _wigner_csv(true_path, axis, true_grid)
-    del true_grid
-    for m in export_m:
-        for kind, rho in _mean_estimates(cfg, m).items():
-            if rho is not None:
-                path = f"{stem}_wigner_{kind}_m{m}.csv"
-                _wigner_csv(path, axis, _wigner_grid(rho, axis, path))
+    with contextlib.ExitStack() as files:
+        if cfg.out is None:
+            return _run_grid(cfg, "homodyne", files)
+        axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
+        stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
+        true_path = f"{stem}_wigner_true.csv"
+        export_m = cfg.wigner_export_m
+        if export_m is None:
+            export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
+                                     if m in cfg.m_values)
+        true_grid = _wigner_grid(homodyne.true_state(cfg.d), axis, true_path)
+        results = _run_grid(cfg, "homodyne", files)
+        _wigner_csv(files.enter_context(_replacing(true_path)), axis, true_grid)
+        del true_grid
+        for m in export_m:
+            for kind, rho in _mean_estimates(cfg, m).items():
+                if rho is not None:
+                    path = f"{stem}_wigner_{kind}_m{m}.csv"
+                    _wigner_csv(files.enter_context(_replacing(path)), axis,
+                                _wigner_grid(rho, axis, path))
     return results

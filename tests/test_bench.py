@@ -1,5 +1,6 @@
 """Tests for the experiment runner: configuration, CSV output, seeding
-determinism, resumability, the selftest and the CLI."""
+determinism, output files that only a completed run replaces, the selftest
+and the CLI."""
 
 import ast
 import concurrent.futures
@@ -8,12 +9,10 @@ import errno
 import importlib
 import inspect
 import io
-import itertools
 import json
 import os
 import pkgutil
 import re
-import shutil
 import signal
 import subprocess
 import sys
@@ -24,8 +23,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import oracles
 import tomolin
@@ -160,8 +157,8 @@ def _run_outputs(doc, directory) -> tuple:
 @pytest.mark.parametrize("name", [f.name for f in fields(bench.ExperimentConfig)
                                   if f.name not in ("out", "workers")])
 def test_every_recorded_field_moves_an_output(tmp_path, name):
-    # a field that the run record holds, and a resume compares, moves what
-    # the run writes beyond rounding: a value of the CSV or of a Wigner file
+    # a field that the run record holds moves what the run writes beyond
+    # rounding: a value of the CSV or of a Wigner file
     # by more than 1e-6 relative, the count of rows or files, or the
     # selftest report
     assert name in KNOBS, f"{name} has no run that shows what it moves"
@@ -222,49 +219,6 @@ class TestSweepProbes:
         assert sorted(json.loads(meta_a)) == sorted(
             f.name for f in fields(bench.ExperimentConfig) if f.name not in ("out", "workers"))
 
-    def test_resume_under_record_that_holds_out(self, tmp_path, capsys):
-        # a record that also holds out, workers and dx, as records once did,
-        # is not this run's record: the resume exits 1 with one line that
-        # names those keys, and leaves both files as they were
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps(TINY_PROBES))
-        out = tmp_path / "probes.csv"
-        meta = tmp_path / "probes.csv.meta.json"
-        command = ["sweep-probes", "--config", str(cfg), "--out", str(out)]
-        assert cli.main(command) == 0
-        meta.write_text(json.dumps({**json.loads(meta.read_text()), "dx": 0.1, "out": str(out),
-                                    "workers": 1}, indent=2, sort_keys=True) + "\n")
-        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:5]))
-        before = (out.read_bytes(), meta.read_bytes())
-        capsys.readouterr()
-        assert cli.main(command) == 1
-        (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith(f"config error: cannot resume {out}")
-        diffs = re.search(r"config \((.*)\); ", err).group(1).split(", ")
-        assert [diff.split()[0] for diff in diffs] == ["dx", "out", "workers"]
-        assert all(diff.endswith(" -> absent") for diff in diffs)
-        assert (out.read_bytes(), meta.read_bytes()) == before
-
-    @pytest.mark.parametrize("edit, diff", [
-        (lambda record: record.pop("rtol"), "rtol absent -> null"),
-        (lambda record: record.update(trials=25.0), "trials 25.0 -> 25"),
-    ], ids=["without-null-key", "float-for-int"])
-    def test_resume_under_record_that_differs_in_json_refused(self, tmp_path, edit, diff):
-        # a record that Python's == and dict.get find equal to this run's,
-        # but whose JSON differs key for key, is refused untouched
-        out = tmp_path / "probes.csv"
-        meta = tmp_path / "probes.csv.meta.json"
-        cfg = bench.ExperimentConfig(**TINY_PROBES, out=str(out))
-        bench.run_sweep_probes(cfg)
-        record = json.loads(meta.read_text())
-        edit(record)
-        meta.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:5]))
-        before = (out.read_bytes(), meta.read_bytes())
-        with pytest.raises(bench.ConfigError, match=re.escape(f"({diff})")):
-            bench.run_sweep_probes(cfg)
-        assert (out.read_bytes(), meta.read_bytes()) == before
-
     def test_deterministic_across_worker_counts(self, tmp_path):
         out1 = str(tmp_path / "w1.csv")
         out2 = str(tmp_path / "w2.csv")
@@ -272,25 +226,6 @@ class TestSweepProbes:
         bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out2, workers=2))
         with open(out1, "rb") as fh1, open(out2, "rb") as fh2:
             assert fh1.read() == fh2.read()
-
-    def test_resume_skips_completed_rows(self, tmp_path):
-        out_full = str(tmp_path / "full.csv")
-        bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out_full))
-        with open(out_full, "r", encoding="utf-8") as fh:
-            full = fh.read().splitlines()
-        # keep header and the first four rows, then either a clean end or
-        # an interrupted fifth row cut short in its last field, beside the
-        # run's .meta.json
-        for tail in ("", full[5][:-3]):
-            out_part = str(tmp_path / "part.csv")
-            with open(out_part, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(full[:5]) + "\n" + tail)
-            shutil.copyfile(out_full + ".meta.json", out_part + ".meta.json")
-            rows = bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out_part))
-            assert len(rows) == len(full) - 5  # only the missing rows were produced
-            with open(out_part, "r", encoding="utf-8") as fh:
-                resumed = fh.read().splitlines()
-            assert resumed == full
 
     def test_rows_regenerable_in_isolation(self, tmp_path):
         cfg = bench.ExperimentConfig(**TINY_PROBES)
@@ -349,17 +284,6 @@ class TestSweepOutcomes:
         # R+ once per ensemble, (F R+)+ and F+ once per cell
         assert len(calls) == cfg.ensembles + 2 * len(cfg.m_values) * cfg.ensembles
 
-    def test_resume_missing_ensembles(self, tmp_path):
-        out = tmp_path / "part.csv"
-        cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4, out=str(out))
-        rows = cellwise_outcome_rows(cfg)
-        # cut after ensemble 0 at the second m, as a killed run leaves it,
-        # so the resumed run meets every probe set first at a later m
-        with bench._OutputFiles(cfg) as output:
-            output.write_rows(rows[:cfg.ensembles + 1])
-        assert bench.run_sweep_outcomes(cfg) == rows[cfg.ensembles + 1:]
-        assert out.read_bytes() == "".join(line + "\n" for line in csv_lines(cfg, rows)).encode()
-
     def test_two_workers_give_cellwise_rows(self, tmp_path):
         out = tmp_path / "w2.csv"
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4, out=str(out), workers=2)
@@ -395,12 +319,11 @@ def cellwise_outcome_rows(cfg):
 
 
 def csv_lines(cfg, rows):
-    """The CSV lines of cfg's run that holds rows, as _OutputFiles writes
+    """The CSV lines of cfg's run that holds rows, as _write_rows writes
     them."""
-    output = bench._OutputFiles(cfg)
-    output.fh = io.StringIO()
-    output.write_rows(rows)
-    return [bench.CSV_HEADER, *output.fh.getvalue().splitlines()]
+    csv = io.StringIO()
+    bench._write_rows(csv, cfg, rows)
+    return [bench.CSV_HEADER, *csv.getvalue().splitlines()]
 
 
 class TestRowCodec:
@@ -409,37 +332,17 @@ class TestRowCodec:
     ROWS = [(6, 4, 0, 0.125, 0.5), (6, 6, 1, 2.0, 0.0), (6, 8, 2, 5e-324, 5e-324),
             (6, 4, 2, 1.0, 5e-324), (6, 8, 0, 0.0, 3.0), (6, 6, 2, 1.0 / 3.0, 1e300)]
 
-    def test_write_rows_has_the_old_format(self, tmp_path):
-        cfg = bench.ExperimentConfig(**TINY_PROBES, out=str(tmp_path / "rows.csv"))
-        with bench._OutputFiles(cfg) as output:
-            output.write_rows(self.ROWS)
+    def test_write_rows_has_the_old_format(self):
+        cfg = bench.ExperimentConfig(**TINY_PROBES)
+        csv = io.StringIO()
+        bench._write_rows(csv, cfg, self.ROWS)
         # the f-string of the former result record, with its ratio
         expected = "".join(
             f"{cfg.d},{cfg.n_params},{m},{M},{cfg.seed},{e},"
             f"{e2_std:.12e},{e2_pat:.12e},{e2_std / e2_pat if e2_pat > 0 else np.inf:.12e}\n"
             for m, M, e, e2_std, e2_pat in self.ROWS)
-        assert (tmp_path / "rows.csv").read_bytes() == (bench.CSV_HEADER + "\n" + expected).encode()
+        assert csv.getvalue() == expected
         assert "inf" in expected.splitlines()[1] and "4.940656458412e-324" in expected
-
-    # TINY_PROBES' (m, M, ensemble) keys in the order a run writes them
-    KEYS = list(itertools.product(TINY_PROBES["m_values"], TINY_PROBES["M_values"],
-                                  range(TINY_PROBES["ensembles"])))
-    MSES = st.one_of(st.sampled_from((0.0, 5e-324, 1e300)), st.floats(0.0, 1e300))
-
-    @settings(derandomize=True, max_examples=200)
-    @given(index=st.integers(0, len(KEYS) - 1), e2_std=MSES, e2_pat=MSES)
-    @example(index=0, e2_std=0.125, e2_pat=0.0)  # ratio inf
-    @example(index=1, e2_std=0.0, e2_pat=0.0)
-    @example(index=2, e2_std=5e-324, e2_pat=5e-324)
-    @example(index=3, e2_std=1e300, e2_pat=5e-324)  # ratio overflows to inf
-    @example(index=8, e2_std=1.0 / 3.0, e2_pat=1e300)
-    def test_each_written_line_resumes_at_its_key_only(self, index, e2_std, e2_pat):
-        cfg = bench.ExperimentConfig(**TINY_PROBES)
-        (line,) = csv_lines(cfg, [(*self.KEYS[index], e2_std, e2_pat)])[1:]
-        output = bench._OutputFiles(cfg)
-        output._check_row(self.KEYS[index], line)
-        with pytest.raises(bench.ConfigError, match="not the line this run writes"):
-            output._check_row(self.KEYS[(index + 1) % len(self.KEYS)], line)
 
 
 RUNS = {
@@ -517,57 +420,6 @@ class TestCells:
     def test_selftest_config_has_no_cells(self):
         with pytest.raises(bench.ConfigError, match="no cells"):
             bench.cells(bench.ExperimentConfig(experiment="selftest"), 4, 0)
-
-
-def _with_field(line, index, value):
-    """A CSV line, newline kept, with one field replaced."""
-    parts = line.rstrip("\n").split(",")
-    parts[index] = value
-    return ",".join(parts) + "\n"
-
-
-# edits of the lines of a finished TINY_PROBES CSV that a resume refuses;
-# each but the last leaves every line complete
-MALFORMED_CSV_EDITS = {
-    "non-integer-key": lambda lines: [*lines[:2], _with_field(lines[2], 3, "x")],
-    "garbage-line": lambda lines: [*lines[:2], "garbage,line\n", *lines[2:]],
-    "blank-line": lambda lines: [*lines[:2], "\n", *lines[2:]],
-    "eight-fields": lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0] + "\n", *lines[3:]],
-    "ten-fields": lambda lines: [*lines[:2], lines[2][:-1] + ",1.0\n", *lines[3:]],
-    "non-float-value": lambda lines: [*lines[:2], _with_field(lines[2], 6, "x"), *lines[3:]],
-    "float-key": lambda lines: [*lines[:2], _with_field(lines[2], 5, "1.0"), *lines[3:]],
-    "repeated-row": lambda lines: [*lines, lines[1]],
-    # other values, with their ratio, under the key of the first row
-    "repeated-key": lambda lines: [
-        *lines, _with_field(_with_field(_with_field(lines[1], 6, "1.0"), 7, "1.0"), 8, "1.0")],
-    "nan-mse": lambda lines: [*lines[:2], _with_field(lines[2], 6, "nan"), *lines[3:]],
-    "infinite-mse": lambda lines: [*lines[:2], _with_field(lines[2], 7, "inf"), *lines[3:]],
-    "negative-mse": lambda lines: [*lines[:2], _with_field(lines[2], 7, "-1.0e-03"), *lines[3:]],
-    "nan-and-minus-infinite-mse": lambda lines: [
-        lines[0], _with_field(_with_field(lines[1], 6, "nan"), 7, "-inf"), *lines[2:-1]],
-    "nan-ratio": lambda lines: [*lines[:2], _with_field(lines[2], 8, "nan"), *lines[3:]],
-    "negative-ratio": lambda lines: [*lines[:2], _with_field(lines[2], 8, "-2.0"), *lines[3:]],
-    # each field finite and >= 0, but the ratio is not e2_std / e2_pat
-    "edited-mse-and-ratio": lambda lines: [
-        lines[0], _with_field(_with_field(lines[1], 6, "1.000000000000e+00"), 8,
-                              "5.000000000000e+00"), *lines[2:]],
-    "infinite-ratio-of-nonzero-mse": lambda lines: [
-        *lines[:2], _with_field(lines[2], 8, "inf"), *lines[3:]],
-    # rows of the run, but not a prefix of it in (m, M, ensemble) order
-    "hole": lambda lines: [*lines[:2], *lines[3:]],
-    "swapped-rows": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
-    # a row of another run under this run's .meta.json
-    "other-seed": lambda lines: [lines[0], _with_field(lines[1], 4, "8"), *lines[2:]],
-    "other-d": lambda lines: [lines[0], _with_field(lines[1], 0, "3"), *lines[2:]],
-    # the run's rows and values, but not the bytes the run writes
-    "crlf": lambda lines: [lines[0], *(line.replace("\n", "\r\n") for line in lines[1:3])],
-    "crlf-header": lambda lines: [lines[0].replace("\n", "\r\n"), *lines[1:]],
-    "padded-key": lambda lines: [lines[0], _with_field(lines[1], 0, "02"), *lines[2:]],
-    "reformatted-value": lambda lines: [
-        *lines[:2], _with_field(lines[2], 6, repr(float(lines[2].split(",")[6]))), *lines[3:]],
-    # another file, with no complete line to refuse
-    "foreign-without-newline": lambda lines: ["not a CSV of this run"],
-}
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -732,17 +584,17 @@ class TestRunLayer:
         assert sizes == [3, 3, 3, 1]
         # one task per m, each mapping the m values once
         assert mapped == [[m_values]] * 4
-        # a run resumed from a CSV cut inside its second m maps from that m
+        # a grid of the last two m maps those, and its CSV holds the rows of
+        # the whole grid's last two m
+        whole = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES))
         out = tmp_path / "outcomes.csv"
-        rows = bench.run_sweep_outcomes(bench.ExperimentConfig(**TINY_OUTCOMES, out=str(out)))
-        whole = out.read_bytes()
-        held = 1 + TINY_OUTCOMES["ensembles"] + 1  # the header, the first m, one row
-        out.write_bytes(b"".join(whole.splitlines(keepends=True)[:held]))
         mapped.clear()
-        assert bench.run_sweep_outcomes(bench.ExperimentConfig(
-            **TINY_OUTCOMES, out=str(out), workers=5000)) == rows[held - 1:]
+        rows = bench.run_sweep_outcomes(bench.ExperimentConfig(
+            **{**TINY_OUTCOMES, "m_values": m_values[1:]}, out=str(out), workers=5000))
+        assert rows == whole[TINY_OUTCOMES["ensembles"]:]
         assert mapped == [[m_values[1:]]]
-        assert out.read_bytes() == whole
+        assert out.read_text().splitlines()[1:] == csv_lines(
+            bench.ExperimentConfig(**TINY_OUTCOMES), rows)[1:]
 
     @pytest.mark.parametrize("run, doc", [
         (bench.run_sweep_probes, TINY_OUTCOMES),
@@ -812,13 +664,6 @@ class TestRunLayer:
                                 capture_output=True, text=True, timeout=60, check=True)
         assert result.stdout.split() == ["6"]
 
-    def test_resumed_run_with_nothing_to_do_builds_no_pool(self, tmp_path, monkeypatch):
-        out = str(tmp_path / "probes.csv")
-        bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-        assert bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES, out=out,
-                                                             workers=2)) == []
-
 
 def _proc_state(pid) -> tuple:
     """(state, parent pid) of a process from /proc, or None once it is gone."""
@@ -859,12 +704,14 @@ def test_killed_run_leaves_no_workers(tmp_path):
     cfg.write_text(json.dumps(dict(d=3, m_values=list(range(9, 500)), M_values=[12],
                                    ensembles=4, trials=200)))
     out = tmp_path / "o.csv"
+    # the rows of a run go to o.csv.tmp until the run completes
+    tmp = tmp_path / "o.csv.tmp"
     proc = subprocess.Popen([sys.executable, "-m", "tomolin.cli", "sweep-outcomes", "--config",
                              str(cfg), "--workers", "2", "--out", str(out)],
                             env=_cli_env(), start_new_session=True)
     try:
         deadline = time.monotonic() + 30
-        while not (out.exists() and out.read_text().count("\n") > 1):
+        while not (tmp.exists() and tmp.read_text().count("\n") > 1):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
         workers = _children(proc.pid)
@@ -883,8 +730,6 @@ def test_killed_run_leaves_no_workers(tmp_path):
 
 # runs long enough, some 200 cells, that a kill after their first rows
 # finds them mid-grid; homodyne exports at m = n + 1 = 9 and m = M = 20.
-# A kill leaves the CSV at the end of an m, so "sweep-outcomes-mid-m" drops
-# its last row before the rerun, which then holds the first row of an m.
 # "homodyne-wigner" is killed in its Wigner export instead, once a
 # temporary Wigner file exists: two cells, and five 201 x 201 grids
 KILLED_RUNS = {
@@ -895,15 +740,21 @@ KILLED_RUNS = {
     "homodyne-wigner": dict(experiment="homodyne", d=3, m_values=[9, 20], M_values=[20],
                             ensembles=1, trials=20, seed=7, wigner_points=201),
 }
-KILLED_RUNS["sweep-outcomes-mid-m"] = KILLED_RUNS["sweep-outcomes"]
 KILL_AFTER_ROWS = 10
+# the files an earlier run left in the directory: a CSV, and no other file
+EARLIER_FILES = {"run.csv": f"{bench.CSV_HEADER}\n3,8,9,12,8,0,1.0,1.0,1.0\n".encode()}
 
 
-def _ready_to_kill(case, out) -> bool:
+def _rows_written(directory) -> int:
+    """The count of rows in the run's temporary CSV."""
+    return (directory / "run.csv.tmp").read_text().count("\n") - 1
+
+
+def _ready_to_kill(case, directory) -> bool:
     if case == "homodyne-wigner":
         return any(path.name.endswith(".tmp") and "_wigner_" in path.name
-                   for path in out.parent.iterdir())
-    return out.exists() and out.read_text().count("\n") > KILL_AFTER_ROWS
+                   for path in directory.iterdir())
+    return (directory / "run.csv.tmp").exists() and _rows_written(directory) >= KILL_AFTER_ROWS
 
 
 def _run_files(directory) -> dict:
@@ -925,22 +776,26 @@ def uninterrupted_run(request, tmp_path_factory):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, tmp_path):
-    # SIGKILL once polling finds the CSV with KILL_AFTER_ROWS rows, or a
-    # temporary Wigner file, then rerun the same command: the CSV,
-    # .meta.json and Wigner files are those of the uninterrupted run, and
-    # no .tmp file is left
+def test_killed_run_keeps_earlier_files_and_reruns_to_uninterrupted_bytes(
+        uninterrupted_run, workers, tmp_path):
+    # SIGKILL once polling finds KILL_AFTER_ROWS rows in the temporary CSV,
+    # or a temporary Wigner file, in a directory that holds an earlier
+    # run's CSV: every file under a final name is the earlier run's, or
+    # absent.  The same command run again leaves the CSV, .meta.json and
+    # Wigner files of the uninterrupted run, and no .tmp file
     case, cfg, expected = uninterrupted_run
     doc = KILLED_RUNS[case]
-    (tmp_path / "run").mkdir()
-    out = tmp_path / "run" / "run.csv"
+    run = tmp_path / "run"
+    run.mkdir()
+    for name, blob in EARLIER_FILES.items():
+        (run / name).write_bytes(blob)
     command = [sys.executable, "-m", "tomolin.cli", doc["experiment"], "--config", str(cfg),
-               "--workers", str(workers), "--out", str(out)]
+               "--workers", str(workers), "--out", str(run / "run.csv")]
     proc = subprocess.Popen(command, env=_cli_env(), start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 30
-        while not _ready_to_kill(case, out):
+        while not _ready_to_kill(case, run):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.002)
         os.kill(proc.pid, signal.SIGKILL)
@@ -949,21 +804,17 @@ def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, t
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-    rows = out.read_text().count("\n") - 1
     cells = len(doc["m_values"]) * doc["ensembles"]
     if case == "homodyne-wigner":
-        assert rows == cells
+        assert _rows_written(run) == cells
     else:
-        assert KILL_AFTER_ROWS <= rows < cells
-    if case == "sweep-outcomes-mid-m":
-        # keep the header and all complete rows but the last: one M, so
-        # rows - 1 rows end inside an m
-        out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:rows]))
-        assert (rows - 1) % doc["ensembles"] != 0
-    resumed = subprocess.run(command, env=_cli_env(), capture_output=True, text=True,
-                             timeout=120)
-    assert resumed.returncode == 0, resumed.stderr
-    assert _run_files(tmp_path / "run") == expected
+        assert KILL_AFTER_ROWS <= _rows_written(run) < cells
+    left = _run_files(run)
+    assert {name: blob for name, blob in left.items() if not name.endswith(".tmp")} == EARLIER_FILES
+    assert {name for name in left if name.endswith(".tmp")} <= {f"{name}.tmp" for name in expected}
+    rerun = subprocess.run(command, env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert rerun.returncode == 0, rerun.stderr
+    assert _run_files(run) == expected
 
 
 def _wigner_exports(directory) -> list:
@@ -1048,17 +899,23 @@ class _FailingRows:
         raise RuntimeError("interrupted")
 
 
+def _write_wigner_csv(path, axis, values):
+    # bench._wigner_csv through bench._replacing, as a run writes its files
+    with bench._replacing(path) as fh:
+        bench._wigner_csv(fh, axis, values)
+
+
 class TestAtomicWrites:
     def test_interrupted_wigner_export_leaves_no_partial_file(self, tmp_path):
         values = _FailingRows(_true_signal_grid())
         path = tmp_path / "homo_wigner_true.csv"
         with pytest.raises(RuntimeError, match="interrupted"):
-            bench._wigner_csv(str(path), _WIGNER_AXIS, values)
+            _write_wigner_csv(str(path), _WIGNER_AXIS, values)
         assert os.listdir(tmp_path) == []
         # a file of an earlier run keeps its bytes
         path.write_text("earlier\n")
         with pytest.raises(RuntimeError, match="interrupted"):
-            bench._wigner_csv(str(path), _WIGNER_AXIS, values)
+            _write_wigner_csv(str(path), _WIGNER_AXIS, values)
         assert os.listdir(tmp_path) == [path.name] and path.read_text() == "earlier\n"
 
     def test_interrupted_metadata_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
@@ -1068,6 +925,23 @@ class TestAtomicWrites:
             bench.run_sweep_probes(bench.ExperimentConfig(**TINY_PROBES,
                                                           out=str(tmp_path / "p.csv")))
         assert os.listdir(tmp_path) == []
+
+    def test_failed_run_keeps_earlier_files(self, tmp_path, monkeypatch):
+        # a homodyne run that fails in its Wigner export, after its rows and
+        # the true state's grid were written to .tmp files, leaves the files
+        # of an earlier run as they were, and no .tmp file
+        cfg = bench.ExperimentConfig(**TINY_HOMODYNE, out=str(tmp_path / "homo.csv"))
+        bench.run_homodyne(cfg)
+        earlier = _run_files(tmp_path)
+
+        def failing(cfg, m):
+            raise FloatingPointError("the estimate overflowed")
+
+        monkeypatch.setattr(bench, "_mean_estimates", failing)
+        with pytest.raises(FloatingPointError):
+            bench.run_homodyne(bench.ExperimentConfig(
+                **{**TINY_HOMODYNE, "seed": 8, "wigner_span": 4.0}, out=cfg.out))
+        assert _run_files(tmp_path) == earlier
 
 
 def _wigner_csv_whole_grid(path, axis, values):
@@ -1111,14 +985,14 @@ class TestHomodyneRunMemory:
 
     def test_wigner_csv_peak(self, tmp_path):
         grid = _true_signal_grid()
-        assert _traced_peak(bench._wigner_csv, str(tmp_path / "w.csv"), _WIGNER_AXIS, grid) < 0.2e6
+        assert _traced_peak(_write_wigner_csv, str(tmp_path / "w.csv"), _WIGNER_AXIS, grid) < 0.2e6
 
     @pytest.mark.parametrize("points", [201, 5])
     def test_wigner_csv_bytes_equal_whole_grid_writer(self, tmp_path, points):
         rho = qstate.random_density_hs(6, np.random.default_rng(5))
         axis = np.linspace(-5.0, 5.0, points)
         grid = homodyne.wigner(rho, axis)
-        bench._wigner_csv(str(tmp_path / "rows.csv"), axis, grid)
+        _write_wigner_csv(str(tmp_path / "rows.csv"), axis, grid)
         _wigner_csv_whole_grid(str(tmp_path / "whole.csv"), axis, grid)
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -1298,16 +1172,16 @@ class TestCli:
         ("homodyne", dict(wigner_span=1e308), 1, "config error: wigner_span must be", []),
         ("homodyne", dict(x_max=1e308), 1, "config error: x_max must be", []),
         ("homodyne", dict(noise_ratio_patterns=1e308), 2,
-         "numerical failure: the calibration F R+ overflowed", ["run.csv", "run.csv.meta.json"]),
+         "numerical failure: the calibration F R+ overflowed", []),
         ("sweep-probes", dict(d=2, m_values=[2], M_values=[3], trials=1, seed=0,
                               noise_ratio_patterns=1e308), 2,
-         "numerical failure: the calibration F R+ overflowed", ["run.csv", "run.csv.meta.json"]),
+         "numerical failure: the calibration F R+ overflowed", []),
     ], ids=["wigner_span", "x_max", "homodyne-noise", "sweep-probes-noise"])
     def test_overflowing_config_ends_in_one_line(self, tmp_path, command, doc, code, failure,
                                                  files):
         # under -W error a warning would end in a traceback: each run ends
-        # in its documented exit code and one stderr line, before any file
-        # is written for a config error
+        # in its documented exit code and one stderr line, and leaves no
+        # file, .tmp files included
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(dict(m_values=[12], ensembles=1, trials=5), **doc)))
         run = (f"import sys, tomolin.cli; sys.exit(tomolin.cli.main([{command!r}, '--config', "
@@ -1323,9 +1197,12 @@ class TestCli:
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
                                    for k, v in TINY_PROBES.items()}))
-        assert cli.main(["sweep-probes", "--config", str(cfg), "--workers", "2"]) == 2
+        out = tmp_path / "run.csv"
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--workers", "2",
+                         "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "worker process failed" in err and "numerical failure" not in err
+        assert os.listdir(tmp_path) == ["tiny.json"]
 
     @pytest.mark.parametrize("doc", [
         dict(experiment="sweep-outcomes", d=2, m_values=[4], M_values=[6], ensembles=1,
@@ -1340,7 +1217,7 @@ class TestCli:
         assert cli.main([doc["experiment"], "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
-        assert out.read_text() == bench.CSV_HEADER + "\n"
+        assert os.listdir(tmp_path) == ["overflow.json"]
 
     def test_non_finite_wigner_grid_exit_code(self, tmp_path, capsys, monkeypatch):
         # the Wigner kernel overflows at |x| = 1e300, silently under
@@ -1371,7 +1248,7 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "out of memory: Unable to allocate 596. GiB for an array"]
-        assert read_rows(out) == []
+        assert os.listdir(tmp_path) == []
 
     def test_svd_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -1385,14 +1262,12 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: SVD did not converge for")
 
-    @pytest.mark.parametrize("owner, writer", [(bench, "_wigner_csv"),
-                                               (bench._OutputFiles, "write_rows")],
-                             ids=["wigner", "rows"])
-    def test_output_error_exit_code(self, tmp_path, capsys, monkeypatch, owner, writer):
+    @pytest.mark.parametrize("writer", ["_wigner_csv", "_write_rows"], ids=["wigner", "rows"])
+    def test_output_error_exit_code(self, tmp_path, capsys, monkeypatch, writer):
         def full_disk(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(owner, writer, full_disk)
+        monkeypatch.setattr(bench, writer, full_disk)
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
                                    for k, v in TINY_HOMODYNE.items()}))
@@ -1402,6 +1277,7 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert os.listdir(tmp_path) == ["tiny.json"]
 
     def test_sweep_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.json"
@@ -1415,39 +1291,52 @@ class TestCli:
         assert all(row[4] == "9" for row in rows)
 
     @pytest.mark.parametrize("rerun", [["sweep-probes", "--seed", "8"], ["sweep-outcomes"]])
-    def test_resume_with_other_config_refused(self, tmp_path, capsys, rerun):
-        # one M value, so the same document is valid for both sweeps
+    def test_rerun_with_other_config_replaces_both_files(self, tmp_path, capsys, rerun):
+        # one M value, so the same document is valid for both sweeps: the
+        # rerun's CSV and .meta.json are those it writes into an empty
+        # directory
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps(dict(experiment="sweep-probes", d=2, m_values=[6],
                                        M_values=[6], ensembles=2, trials=20, seed=7)))
-        out = tmp_path / "probes.csv"
-        meta = tmp_path / "probes.csv.meta.json"
-        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
-        before = (out.read_bytes(), meta.read_bytes())
-        capsys.readouterr()
-        assert cli.main([*rerun, "--config", str(cfg), "--out", str(out)]) == 1
-        assert "config error:" in capsys.readouterr().err
-        assert (out.read_bytes(), meta.read_bytes()) == before
+        for directory in ("rerun", "fresh"):
+            (tmp_path / directory).mkdir()
+        rerun_out = str(tmp_path / "rerun" / "probes.csv")
+        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", rerun_out]) == 0
+        assert cli.main([*rerun, "--config", str(cfg), "--out", rerun_out]) == 0
+        assert cli.main([*rerun, "--config", str(cfg),
+                         "--out", str(tmp_path / "fresh" / "probes.csv")]) == 0
+        assert _run_files(tmp_path / "rerun") == _run_files(tmp_path / "fresh")
 
-    def test_resume_of_foreign_csv_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("foreign", [
+        "a,b,c,d,e,f,g,h,i\n2,3,6,6,7,0,1.0,1.0,1.0\n",
+        f"{bench.CSV_HEADER}\r\n",
+        f"{bench.CSV_HEADER},extra\n",
+        "not a CSV of this run",
+    ], ids=["other-header", "crlf-header", "longer-header", "without-newline"])
+    def test_foreign_out_refused_untouched(self, tmp_path, capsys, monkeypatch, foreign):
+        # only a file that begins as a run's CSV, or is a cut of its header
+        # line, is replaced
+        monkeypatch.setattr(bench, "_task", _unexpected_task)
         out = tmp_path / "other.csv"
-        out.write_text("a,b,c,d,e,f,g,h,i\n2,3,6,6,7,0,1.0,1.0,1.0\n")
+        out.write_bytes(foreign.encode())
         assert cli.main(["sweep-probes", "--out", str(out)]) == 1
-        assert "config error:" in capsys.readouterr().err
-        assert out.read_text() == "a,b,c,d,e,f,g,h,i\n2,3,6,6,7,0,1.0,1.0,1.0\n"
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot replace {out}: it does not begin with {bench.CSV_HEADER}"]
+        assert _run_files(tmp_path) == {"other.csv": foreign.encode()}
 
-    def test_resume_with_other_worker_count_accepted(self, tmp_path, capsys):
+    def test_rerun_on_other_worker_count_gives_same_bytes(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
                                    for k, v in TINY_PROBES.items()}))
         out = tmp_path / "probes.csv"
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out),
                          "--workers", "1"]) == 0
-        before = out.read_bytes()
+        before = _run_files(tmp_path)
+        capsys.readouterr()
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out),
                          "--workers", "2"]) == 0
-        assert "0 rows written" in capsys.readouterr().out
-        assert out.read_bytes() == before
+        assert capsys.readouterr().out == f"9 rows written to {out}\n"
+        assert _run_files(tmp_path) == before
 
     def test_import_does_not_load_scipy(self):
         # scipy is a test dependency only; no runtime module imports it
@@ -1614,12 +1503,15 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         assert cfg.experiment == command
         assert (list(cfg.m_values), list(cfg.M_values)) == (grid["m_values"], grid["M_values"])
 
-    @pytest.mark.parametrize("out", ["missing/probes.csv", "a-directory"])
-    def test_unusable_out_refused(self, tmp_path, capsys, out):
+    @pytest.mark.parametrize("out", ["missing/probes.csv", "a-directory", "record.csv"])
+    def test_unusable_out_refused(self, tmp_path, capsys, monkeypatch, out):
+        # refused before the first cell; record.csv's .meta.json is a directory
+        monkeypatch.setattr(bench, "_task", _unexpected_task)
         (tmp_path / "a-directory").mkdir()
+        (tmp_path / "record.csv.meta.json").mkdir()
         assert cli.main(["sweep-probes", "--out", str(tmp_path / out)]) == 1
-        assert "config error:" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
+        assert capsys.readouterr().err.startswith(f"config error: cannot use output {tmp_path / out}")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory", "record.csv.meta.json"]
 
     def test_empty_out_refused_before_any_file(self, tmp_path, capsys, monkeypatch):
         # "" + ".meta.json" names a file in the working directory
@@ -1629,76 +1521,34 @@ print(json.dumps(dict(codes=codes, hashlib_loaded=hashlib_loaded, ssl=ssl,
         assert len(err) == 1 and err[0].startswith("config error: out must be"), err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("edit", MALFORMED_CSV_EDITS.values(), ids=MALFORMED_CSV_EDITS)
-    def test_resume_of_malformed_row_refused(self, tmp_path, capsys, edit):
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
-                                   for k, v in TINY_PROBES.items()}))
-        out = tmp_path / "probes.csv"
-        meta = tmp_path / "probes.csv.meta.json"
-        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
-        out.write_text("".join(edit(out.read_text().splitlines(keepends=True))))
-        before = (out.read_bytes(), meta.read_bytes())
-        capsys.readouterr()
-        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: cannot resume {out}"), err
-        assert (out.read_bytes(), meta.read_bytes()) == before
-
     @pytest.mark.parametrize("cut", [0, len("d,n,m"), len(bench.CSV_HEADER)])
-    def test_resume_of_run_cut_inside_its_header(self, tmp_path, capsys, cut):
-        # a run killed while it wrote its header line resumes to the
+    def test_rerun_over_run_cut_inside_its_header(self, tmp_path, capsys, cut):
+        # a CSV cut while its header line was written is replaced by the
         # uninterrupted bytes
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
                                    for k, v in TINY_PROBES.items()}))
         out = tmp_path / "probes.csv"
-        meta = tmp_path / "probes.csv.meta.json"
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
-        full = (out.read_bytes(), meta.read_bytes())
+        full = _run_files(tmp_path)
         os.truncate(out, cut)
         assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out.read_bytes(), meta.read_bytes()) == full
+        assert _run_files(tmp_path) == full
 
-    def test_resume_accepts_infinite_value(self, tmp_path, capsys):
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
-                                   for k, v in TINY_PROBES.items()}))
+    def test_rerun_replaces_edited_rows(self, tmp_path):
+        # the rows of a run's CSV, with e2_std and the ratio of one row
+        # doubled together, are computed again, not kept
         out = tmp_path / "probes.csv"
-        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines(keepends=True)
-        # the row write_rows writes for a zero pattern MSE: ratio inf
-        zero = _with_field(_with_field(lines[2], 7, "0.000000000000e+00"), 8, "inf")
-        out.write_text("".join([*lines[:2], zero, *lines[3:]]))
-        before = out.read_bytes()
-        assert cli.main(["sweep-probes", "--config", str(cfg), "--out", str(out)]) == 0
-        assert "0 rows written" in capsys.readouterr().out
-        assert out.read_bytes() == before
-
-    @pytest.mark.parametrize("change", [
-        {"seed": 8}, {"d": 3}, {"m_values": [3]}, {"M_values": [7]}, {"ensembles": 1},
-        # more ensembles at ten times the data noise: rows of both noises
-        # would share one file
-        {"ensembles": 3, "noise_ratio_data": 0.6},
-    ], ids=["seed", "d", "m", "M", "ensemble", "ensembles-and-noise"])
-    def test_resume_of_other_run_without_metadata_refused(self, tmp_path, capsys, change):
-        # with the .meta.json gone, nothing records the config of the rows
-        doc = dict(d=2, m_values=[3, 4], M_values=[6], ensembles=2, trials=20)
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "o.csv"
-        assert cli.main(["sweep-outcomes", "--config", str(cfg), "--seed", "7",
-                         "--out", str(out)]) == 0
-        (tmp_path / "o.csv.meta.json").unlink()
-        before = out.read_bytes()
-        cfg.write_text(json.dumps({**doc, "seed": 7, **change}))
-        capsys.readouterr()
-        assert cli.main(["sweep-outcomes", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: cannot resume {out}: its rows have no {out}.meta.json to record "
-            "their config"]
-        assert out.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "o.csv"]
+        cfg = bench.ExperimentConfig(**TINY_PROBES, out=str(out))
+        bench.run_sweep_probes(cfg)
+        full = out.read_bytes()
+        lines = full.decode().splitlines(keepends=True)
+        row = lines[2].split(",")
+        row[6], row[8] = (f"{2 * float(row[i]):.12e}" for i in (6, 8))
+        out.write_text("".join([*lines[:2], ",".join(row) + "\n", *lines[3:]]))
+        assert out.read_bytes() != full
+        bench.run_sweep_probes(cfg)
+        assert out.read_bytes() == full
 
     def test_all_degenerate_estimates_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(protocols, "LEAD_FLOOR", np.inf)

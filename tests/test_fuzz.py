@@ -1,9 +1,9 @@
 """Fuzz gate over config documents: every CLI run of a small, possibly
 invalid or extreme config either succeeds with only finite values in the
 files it wrote, or exits with a documented code and one stderr line,
-leaving no partial file under a final name.  A run cut at any byte of its
-CSV and resumed on two workers ends as the uninterrupted one-worker run
-did.  Every selftest run passes or fails with its verdict as the last
+leaving no file at all, .tmp files included.  A run's CSV cut at any byte,
+then the run again on two workers, ends as the uninterrupted one-worker
+run did.  Every selftest run passes or fails with its verdict as the last
 line, writes nothing to stderr and no file."""
 
 import contextlib
@@ -105,6 +105,7 @@ def test_every_run_succeeds_finite_or_fails_documented(doc):
         else:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith(FAILURES[code])
+            assert written == []
 
 
 def _files(directory: str) -> dict:
@@ -119,10 +120,10 @@ def _files(directory: str) -> dict:
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 @settings(max_examples=7)
 @given(data=st.data())
-def test_cut_run_resumes_on_two_workers_to_one_worker_files(experiment, data):
+def test_cut_run_reruns_on_two_workers_to_one_worker_files(experiment, data):
     # the CSV and .meta.json of a one-worker run, the CSV cut at a drawn
-    # byte, possibly mid-line, as a killed run leaves them; the resume on a
-    # pool exits as the uninterrupted run did and leaves the same files
+    # byte, possibly mid-line; the run again on a pool exits as the
+    # uninterrupted run did and leaves the same files
     doc = data.draw(config_documents([experiment]), label="doc")
     with tempfile.TemporaryDirectory() as tmp:
         one, two = os.path.join(tmp, "one"), os.path.join(tmp, "two")
@@ -134,8 +135,8 @@ def test_cut_run_resumes_on_two_workers_to_one_worker_files(experiment, data):
             shutil.copyfile(os.path.join(one, "run.csv"), csv)
             shutil.copyfile(os.path.join(one, "run.csv.meta.json"), csv + ".meta.json")
             os.truncate(csv, data.draw(st.integers(0, os.path.getsize(csv)), label="cut"))
-        resumed, resumed_err = _run(doc, tmp, csv, "--workers", "2")
-        assert (resumed, resumed_err.partition(": ")[0]) == (code, err.partition(": ")[0])
+        rerun, rerun_err = _run(doc, tmp, csv, "--workers", "2")
+        assert (rerun, rerun_err.partition(": ")[0]) == (code, err.partition(": ")[0])
         assert _files(two) == _files(one)
 
 
