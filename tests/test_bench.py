@@ -776,8 +776,7 @@ def uninterrupted_run(request, tmp_path_factory):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_killed_run_keeps_earlier_files_and_reruns_to_uninterrupted_bytes(
-        uninterrupted_run, workers, tmp_path):
+def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, tmp_path):
     # SIGKILL once polling finds KILL_AFTER_ROWS rows in the temporary CSV,
     # or a temporary Wigner file, in a directory that holds an earlier
     # run's CSV: every file under a final name is the earlier run's, or
