@@ -11,6 +11,7 @@ import contextlib
 import ctypes
 import errno
 import functools
+import itertools
 import json
 import os
 import pathlib
@@ -383,12 +384,15 @@ def _replacing(path: str):
 
 
 def _open_csv(cfg: ExperimentConfig, files: contextlib.ExitStack):
-    """The CSV of cfg.out, with its header, opened through _replacing on
-    files, then its .meta.json, written the same way; the CSV is entered
-    first, so it is the last file the run renames.  An existing cfg.out is
-    replaced only when it is a run's CSV, one that begins with CSV_HEADER and
-    a newline or is a cut of that line; anything else, and an OSError while
-    either file is opened, is ConfigError before any cell is computed."""
+    """The CSV of cfg.out, or None without one, with its header, opened
+    through _replacing on files, then its .meta.json, written the same way;
+    the CSV is entered first, so it is the last file the run renames, and
+    its header is flushed at once.  An existing cfg.out is replaced only
+    when it is a run's CSV, one that begins with CSV_HEADER and a newline or
+    is a cut of that line; anything else, and an OSError while either file
+    is opened, is ConfigError before any cell is computed."""
+    if cfg.out is None:
+        return None
     head = b""
     try:
         with contextlib.suppress(FileNotFoundError), open(cfg.out, "rb") as fh:
@@ -402,6 +406,7 @@ def _open_csv(cfg: ExperimentConfig, files: contextlib.ExitStack):
     json.dump(_metadata(cfg), meta, indent=2, sort_keys=True)
     meta.write("\n")
     csv.write(CSV_HEADER + "\n")
+    csv.flush()
     return csv
 
 
@@ -463,16 +468,9 @@ def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
         raise ConfigError(f"a config for experiment {cfg.experiment!r} cannot run {experiment}")
 
 
-def _run_grid(cfg: ExperimentConfig, experiment: str, files: contextlib.ExitStack) -> list:
+def _run_grid(cfg: ExperimentConfig, csv) -> list:
     """Every row of cfg's run, _task(cfg, m) for each m, in (m, M, ensemble)
-    order; with cfg.out set, also written to the CSV that _open_csv opens
-    on files, the run's ExitStack.
-
-    A config made for another experiment, and an output that _open_csv
-    refuses, raise ConfigError before any cell is computed.
-    """
-    _require_experiment(cfg, experiment)
-    csv = None if cfg.out is None else _open_csv(cfg, files)
+    order; each m's rows are also written to csv, unless it is None."""
     results = []
     for rows in _cell_results(cfg):
         if csv is not None:
@@ -484,8 +482,9 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, files: contextlib.ExitStac
 def run_sweep_probes(cfg: ExperimentConfig):
     """Performance-ratio sweep over the probe count M at fixed outcome
     counts; one CSV row per (m, M, ensemble)."""
+    _require_experiment(cfg, "sweep-probes")
     with contextlib.ExitStack() as files:
-        return _run_grid(cfg, "sweep-probes", files)
+        return _run_grid(cfg, _open_csv(cfg, files))
 
 
 def run_sweep_outcomes(cfg: ExperimentConfig):
@@ -493,9 +492,10 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
 
     Each ensemble's probe set is shared across m: every process, this one
     or a pool worker, draws it at most once in a run."""
+    _require_experiment(cfg, "sweep-outcomes")
     _outcome_probes.cache_clear()
     with contextlib.ExitStack() as files:
-        return _run_grid(cfg, "sweep-outcomes", files)
+        return _run_grid(cfg, _open_csv(cfg, files))
 
 
 @_numerics()
@@ -517,37 +517,36 @@ def _wigner_csv(fh, axis: np.ndarray, values: np.ndarray) -> None:
         fh.write("".join(f"{x},{p},%.12e\n" for p in points) % tuple(row.tolist()))
 
 
+def _export_wigner(cfg: ExperimentConfig, files: contextlib.ExitStack) -> None:
+    """Write the Wigner grids of a homodyne run next to cfg.out through
+    _replacing on files: the true state's, then both protocols' at the
+    minimal informationally complete point and at m = M (from the trial-
+    averaged data of ensemble 0), once where they coincide, n + 1 = M.  Each
+    grid is written and freed before the next state is estimated."""
+    axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
+    stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
+    export_m = cfg.wigner_export_m
+    if export_m is None:
+        export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
+                                 if m in cfg.m_values)
+    states = itertools.chain([("true", homodyne.true_state(cfg.d))], (
+        (f"{kind}_m{m}", rho) for m in export_m
+        for kind, rho in _mean_estimates(cfg, m).items() if rho is not None))
+    for name, rho in states:
+        path = f"{stem}_wigner_{name}.csv"
+        _wigner_csv(files.enter_context(_replacing(path)), axis, _wigner_grid(rho, axis, path))
+
+
 def run_homodyne(cfg: ExperimentConfig):
     """Homodyne MSE-versus-m curves for the fixed benchmark signal.
 
-    With cfg.out set, Wigner grids go next to it: the true state's first,
-    then both protocols' at the minimal informationally complete point and
-    at m = M (reconstructed from ensemble 0 by trial-averaged data).  The
-    true state's grid is evaluated before the first cell, so a grid that is
-    not finite is refused before any cell is computed; the others are each
-    written before the next is computed.  The two points coincide when
-    n + 1 = M, and are then exported once.  Without cfg.out no grid is
-    computed.  Every file replaces its final name only once the run has
-    completed.  Returns the rows."""
+    With cfg.out set, the run opens its CSV and writes every Wigner grid
+    (_export_wigner) before the first cell; without it no grid is computed.
+    Every file replaces its final name only once the run has completed.
+    Returns the rows."""
     _require_experiment(cfg, "homodyne")
     with contextlib.ExitStack() as files:
-        if cfg.out is None:
-            return _run_grid(cfg, "homodyne", files)
-        axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
-        stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-        true_path = f"{stem}_wigner_true.csv"
-        export_m = cfg.wigner_export_m
-        if export_m is None:
-            export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
-                                     if m in cfg.m_values)
-        true_grid = _wigner_grid(homodyne.true_state(cfg.d), axis, true_path)
-        results = _run_grid(cfg, "homodyne", files)
-        _wigner_csv(files.enter_context(_replacing(true_path)), axis, true_grid)
-        del true_grid
-        for m in export_m:
-            for kind, rho in _mean_estimates(cfg, m).items():
-                if rho is not None:
-                    path = f"{stem}_wigner_{kind}_m{m}.csv"
-                    _wigner_csv(files.enter_context(_replacing(path)), axis,
-                                _wigner_grid(rho, axis, path))
-    return results
+        csv = _open_csv(cfg, files)
+        if csv is not None:
+            _export_wigner(cfg, files)
+        return _run_grid(cfg, csv)

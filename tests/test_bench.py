@@ -650,7 +650,7 @@ class TestRunLayer:
             set_threads(previous)
         assert after == [2, 2, 2]
         assert set(seen["svd"]) == set(seen["estimate_batch"]) == {1}
-        # homodyne: two per cell at four m, then two per export at m 16 and 40
+        # homodyne: two per export at m 16 and 40, then two per cell at four m
         assert estimates[1] == 2 * 4 + 2 * 2 and estimates[0] > 0 and estimates[2] > 0
 
     def test_forkserver_workers_run(self):
@@ -731,7 +731,8 @@ def test_killed_run_leaves_no_workers(tmp_path):
 # runs long enough, some 200 cells, that a kill after their first rows
 # finds them mid-grid; homodyne exports at m = n + 1 = 9 and m = M = 20.
 # "homodyne-wigner" is killed in its Wigner export instead, once a
-# temporary Wigner file exists: two cells, and five 201 x 201 grids
+# temporary Wigner file exists: five 201 x 201 grids, written before its
+# two cells
 KILLED_RUNS = {
     "sweep-outcomes": dict(experiment="sweep-outcomes", d=3, m_values=list(range(9, 109)),
                            M_values=[12], ensembles=2, trials=100, seed=7),
@@ -805,7 +806,7 @@ def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, t
         proc.wait()
     cells = len(doc["m_values"]) * doc["ensembles"]
     if case == "homodyne-wigner":
-        assert _rows_written(run) == cells
+        assert _rows_written(run) == 0
     else:
         assert KILL_AFTER_ROWS <= _rows_written(run) < cells
     left = _run_files(run)
@@ -926,9 +927,10 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == []
 
     def test_failed_run_keeps_earlier_files(self, tmp_path, monkeypatch):
-        # a homodyne run that fails in its Wigner export, after its rows and
-        # the true state's grid were written to .tmp files, leaves the files
-        # of an earlier run as they were, and no .tmp file
+        # a homodyne run that fails in its Wigner export, after its header
+        # and the true state's grid were written to .tmp files and before
+        # its first row, leaves the files of an earlier run as they were,
+        # and no .tmp file
         cfg = bench.ExperimentConfig(**TINY_HOMODYNE, out=str(tmp_path / "homo.csv"))
         bench.run_homodyne(cfg)
         earlier = _run_files(tmp_path)
@@ -937,6 +939,7 @@ class TestAtomicWrites:
             raise FloatingPointError("the estimate overflowed")
 
         monkeypatch.setattr(bench, "_mean_estimates", failing)
+        monkeypatch.setattr(bench, "_task", _unexpected_task)
         with pytest.raises(FloatingPointError):
             bench.run_homodyne(bench.ExperimentConfig(
                 **{**TINY_HOMODYNE, "seed": 8, "wigner_span": 4.0}, out=cfg.out))
@@ -1221,12 +1224,12 @@ class TestCli:
     def test_non_finite_wigner_grid_exit_code(self, tmp_path, capsys, monkeypatch):
         # the Wigner kernel overflows at |x| = 1e300, silently under
         # _numerics; the true state's grid is refused before the first
-        # cell, so no file is written
+        # cell, so no file is left
         monkeypatch.setattr(bench, "_task", _unexpected_task)
+        doc = dict(experiment="homodyne", d=3, m_values=[9], M_values=[9], ensembles=1,
+                   trials=10, wigner_points=2)
         cfg = tmp_path / "overflow.json"
-        cfg.write_text(json.dumps(dict(experiment="homodyne", d=3, m_values=[9], M_values=[9],
-                                       ensembles=1, trials=10, wigner_span=1e300,
-                                       wigner_points=2)))
+        cfg.write_text(json.dumps(dict(doc, wigner_span=1e300)))
         out = tmp_path / "run.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1235,6 +1238,50 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
         assert os.listdir(tmp_path) == ["overflow.json"]
+        # only a reconstructed grid, the second one, is not finite: it is
+        # refused before the first cell too
+        calls = []
+        wigner = homodyne.wigner
+
+        def nan_in_second_grid(rho, axis):
+            calls.append(rho)
+            values = wigner(rho, axis)
+            if len(calls) == 2:
+                values[0, 0] = np.nan
+            return values
+
+        monkeypatch.setattr(homodyne, "wigner", nan_in_second_grid)
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 2
+        assert len(calls) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: the Wigner grid of {tmp_path / 'run'}_wigner_standard_m9.csv "
+            "is not finite"]
+        assert os.listdir(tmp_path) == ["overflow.json"]
+
+    @pytest.mark.parametrize("name", ["true", "pattern_m40"])
+    def test_wigner_path_that_is_a_directory_refused_before_any_cell(self, tmp_path, capsys,
+                                                                    monkeypatch, name):
+        # a Wigner file name that is a directory fails the run when the file
+        # is opened, in the export before the first cell, and the earlier
+        # run's files stay as they were
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_HOMODYNE.items()}))
+        (tmp_path / "run").mkdir()
+        out = tmp_path / "run" / "homo.csv"
+        assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 0
+        blocked = tmp_path / "run" / f"homo_wigner_{name}.csv"
+        blocked.unlink()
+        blocked.mkdir()
+        earlier = {p.name: p.is_dir() or p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        capsys.readouterr()
+        monkeypatch.setattr(bench, "_task", _unexpected_task)
+        assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"output error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{blocked}'"]
+        assert {p.name: p.is_dir() or p.read_bytes()
+                for p in (tmp_path / "run").iterdir()} == earlier
 
     def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
