@@ -103,8 +103,6 @@ class ExperimentConfig:
     out: str | None = _field(None, (lambda v: v is None or isinstance(v, str) and v != "",
                                     "null or a nonempty string"))
     workers: int = _field(1, _integer_from(1))
-    rtol: float | None = _field(None, (lambda v: v is None or _is_number(v) and 0 < v < 1,
-                                       "null or a number in (0, 1)"))
     # the probes' ensemble; sweep trial states are always Hilbert-Schmidt
     state_ensemble: str = _field("hs", (lambda v: v in ("hs", "pure"), "hs or pure"))
     eta: float = _field(0.8, (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"))
@@ -197,10 +195,10 @@ def srm_setup(d: int, m: int, M: int, state_ensemble: str, noise: float, rng,
     return detector, probes, protocols.collect_patterns(detector, probes, noise, rng)
 
 
-def _inversion_matrices(cfg: ExperimentConfig, probes, patterns) -> tuple:
+def _inversion_matrices(probes, patterns) -> tuple:
     """(A_s, A_p) of a sweep point."""
-    return (protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol),
-            protocols.pattern_inversion_matrix(patterns, probes, rtol=cfg.rtol))
+    return (protocols.standard_inversion_matrix(patterns, probes),
+            protocols.pattern_inversion_matrix(patterns, probes))
 
 
 class Cell(typing.NamedTuple):
@@ -223,8 +221,9 @@ def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
                                            cfg.noise_ratio_patterns, rng, probes)
     truth = qstate.random_blochs(cfg.d, cfg.trials, rng)
     data = protocols.trial_data(detector, truth, cfg.noise_ratio_data, rng)
-    return [Cell(M, _inversion_matrices(cfg, probes.prefix(M), patterns.prefix(M)), data, truth,
-                 detector) for M in cfg.M_values]
+    return [Cell(M, _inversion_matrices(probes.prefix(M),
+                                        protocols.PatternSet(patterns.f_matrix[:, :M])),
+                 data, truth, detector) for M in cfg.M_values]
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,7 +257,7 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     del effects
     probes = _homodyne_probes(cfg, rng)
     patterns = protocols.collect_patterns(detector, probes, cfg.noise_ratio_patterns, rng)
-    invs = _inversion_matrices(cfg, probes, patterns)
+    invs = _inversion_matrices(probes, patterns)
     del probes, patterns
     r_true = qstate.state_to_bloch(homodyne.true_state(cfg.d))
     # every trial measures the same state: compute its response once

@@ -8,7 +8,8 @@ applied to the data vector, in affine-augmented coordinates (1, r) so the
 constant detector offset is carried implicitly.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +41,10 @@ class EstimationFailureError(ArithmeticError):
 class ProbeSet:
     """Probe states arranged columnwise in augmented form; row 0 is all ones.
 
-    The pseudoinverse R+ is computed on first use for each rtol and kept,
-    so a probe set shared by several inversions decomposes R once."""
+    The pseudoinverse R+ is computed on first use and kept, so a probe set
+    shared by several inversions decomposes R once."""
 
     r_matrix: np.ndarray  # (n + 1, M)
-    _pinvs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.r_matrix
@@ -59,21 +59,16 @@ class ProbeSet:
         b = np.atleast_2d(np.asarray(blochs, dtype=float))
         return cls(np.vstack([np.ones(b.shape[1]), b]))
 
-    @property
-    def n_probes(self) -> int:
-        return self.r_matrix.shape[1]
-
     def prefix(self, count: int) -> "ProbeSet":
         """The first count probes; self at the full count, so its R+ is kept."""
-        return self if count == self.n_probes else ProbeSet(self.r_matrix[:, :count])
+        return self if count == self.r_matrix.shape[1] else ProbeSet(self.r_matrix[:, :count])
 
-    def pinv(self, rtol: float | None = None) -> np.ndarray:
-        """R+, read-only and computed once per rtol."""
-        if rtol not in self._pinvs:
-            rp = matlib.pinv(self.r_matrix, rtol=rtol)
-            rp.setflags(write=False)
-            self._pinvs[rtol] = rp
-        return self._pinvs[rtol]
+    @functools.cached_property
+    def pinv(self) -> np.ndarray:
+        """R+, read-only and computed once."""
+        rp = matlib.pinv(self.r_matrix)
+        rp.setflags(write=False)
+        return rp
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,6 @@ class PatternSet:
     def __post_init__(self):
         if self.f_matrix.ndim != 2:
             raise ValueError(f"pattern matrix must be 2-D, got {self.f_matrix.shape}")
-
-    @property
-    def n_probes(self) -> int:
-        return self.f_matrix.shape[1]
-
-    def prefix(self, count: int) -> "PatternSet":
-        return self if count == self.n_probes else PatternSet(self.f_matrix[:, :count])
 
 
 def add_noise(p, ratio: float, rng) -> np.ndarray:
@@ -133,29 +121,26 @@ def collect_patterns(detector: np.ndarray, probes: ProbeSet, ratio: float, rng) 
     return PatternSet(f)
 
 
-def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
-                              rtol: float | None = None) -> np.ndarray:
+def standard_inversion_matrix(patterns: PatternSet, probes: ProbeSet) -> np.ndarray:
     """Calibrate the detector as F R+ and invert it: A_s = (F R+)+.  A
     calibration that overflows to non-finite entries raises FloatingPointError."""
     _check_counts(patterns, probes)
-    calibration = patterns.f_matrix @ probes.pinv(rtol)
+    calibration = patterns.f_matrix @ probes.pinv
     if not np.all(np.isfinite(calibration)):
         raise FloatingPointError("the calibration F R+ overflowed to non-finite entries")
-    return matlib.pinv(calibration, rtol=rtol)
+    return matlib.pinv(calibration)
 
 
-def pattern_inversion_matrix(patterns: PatternSet, probes: ProbeSet,
-                             rtol: float | None = None) -> np.ndarray:
+def pattern_inversion_matrix(patterns: PatternSet, probes: ProbeSet) -> np.ndarray:
     """Fit data with patterns and mix the probes: A_p = R F+."""
     _check_counts(patterns, probes)
-    return probes.r_matrix @ matlib.pinv(patterns.f_matrix, rtol=rtol)
+    return probes.r_matrix @ matlib.pinv(patterns.f_matrix)
 
 
 def _check_counts(patterns: PatternSet, probes: ProbeSet) -> None:
-    if patterns.n_probes != probes.n_probes:
-        raise ValueError(
-            f"pattern count {patterns.n_probes} != probe count {probes.n_probes}"
-        )
+    if patterns.f_matrix.shape[1] != probes.r_matrix.shape[1]:
+        raise ValueError(f"pattern count {patterns.f_matrix.shape[1]} "
+                         f"!= probe count {probes.r_matrix.shape[1]}")
 
 
 def estimate_batch(inv: np.ndarray, fmat) -> tuple[np.ndarray, np.ndarray]:

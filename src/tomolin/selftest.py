@@ -53,8 +53,8 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
     worst_props = 0.0
     for _ in range(count):
         x = _random_shaped_matrix(rng)
-        xp = matlib.pinv(x, rtol=cfg.rtol)
-        penrose, props = penrose_with_properties(x, xp, cfg.rtol)
+        xp = matlib.pinv(x)
+        penrose, props = penrose_with_properties(x, xp)
         worst_penrose = np.maximum(worst_penrose, penrose)
         worst_props = np.maximum(worst_props, props)
     yield "matlib", "penrose-c1-c4", count, worst_penrose, 1e-9
@@ -65,10 +65,10 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(pairs):
         x = rng.standard_normal((int(rng.integers(2, 10)), int(rng.integers(2, 10))))
         y = rng.standard_normal((x.shape[1], int(rng.integers(2, 10))))
-        h, g = matlib.gw_decompose(x, y, rtol=cfg.rtol)
-        lhs = matlib.pinv(x @ y, rtol=cfg.rtol)
-        y_pinv = matlib.pinv(y, rtol=cfg.rtol)
-        x_pinv = matlib.pinv(x, rtol=cfg.rtol)
+        h, g = matlib.gw_decompose(x, y)
+        lhs = matlib.pinv(x @ y)
+        y_pinv = matlib.pinv(y)
+        x_pinv = matlib.pinv(x)
         rhs = y_pinv @ (h + g) @ x_pinv
         denom = max(np.linalg.norm(lhs), 1e-30)
         worst_recon = np.maximum(worst_recon, np.linalg.norm(lhs - rhs) / denom)
@@ -76,7 +76,7 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
                                 / max(1.0, np.linalg.norm(g) * np.linalg.norm(h)))
         base = np.linalg.norm(rhs)
         for _ in range(10):
-            z = matlib.admissible_perturbation(x, y, rng, rtol=cfg.rtol)
+            z = matlib.admissible_perturbation(x, y, rng)
             alt = np.linalg.norm(y_pinv @ (h + z) @ x_pinv)
             # slack measured relative to the minimal norm; the inequality
             # is scale covariant, an absolute slack would not be
@@ -90,31 +90,31 @@ def _matlib_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(10):
         q = np.linalg.qr(rng.standard_normal((8, 4)))[0]
         y = rng.standard_normal((4, 6))
-        worst_pos = np.maximum(worst_pos, matlib.reverse_order_residual(q, y, rtol=cfg.rtol))
+        worst_pos = np.maximum(worst_pos, matlib.reverse_order_residual(q, y))
         x = rng.standard_normal((4, 6))
         worst_pos = np.maximum(worst_pos,
-                               matlib.reverse_order_residual(x, x.conj().T, rtol=cfg.rtol))
+                               matlib.reverse_order_residual(x, x.conj().T))
         g = rng.standard_normal((4, 6))
         h = rng.standard_normal((6, 4))
-        best_neg = np.minimum(best_neg, matlib.reverse_order_residual(g, h, rtol=cfg.rtol))
+        best_neg = np.minimum(best_neg, matlib.reverse_order_residual(g, h))
     yield "matlib", "reverse-order-valid-cases", 20, worst_pos, 1e-9
     # negative control: generic products must violate the law
     yield ("matlib", "reverse-order-negative-control", 10,
            np.maximum(1e-3 - best_neg, 0.0), 0.0)
 
 
-def penrose_with_properties(x, xp, rtol=None):
+def penrose_with_properties(x, xp):
     """Worst Penrose residual and worst residual of the pseudoinverse
     identities X+ = (X*X)+X* = X*(XX*)+, (X+)+ = X, (X*)+ = (X+)*,
     (X*X)+ = X+(X*)+."""
     res = matlib.penrose_check(x, xp).max()
     xs = x.conj().T
     denom = max(np.linalg.norm(xp), 1e-30)
-    xsx_pinv = matlib.pinv(xs @ x, rtol=rtol)
-    xs_pinv = matlib.pinv(xs, rtol=rtol)
+    xsx_pinv = matlib.pinv(xs @ x)
+    xs_pinv = matlib.pinv(xs)
     p1a = np.linalg.norm(xsx_pinv @ xs - xp) / denom
-    p1b = np.linalg.norm(xs @ matlib.pinv(x @ xs, rtol=rtol) - xp) / denom
-    p2 = np.linalg.norm(matlib.pinv(xp, rtol=rtol) - x) / max(np.linalg.norm(x), 1e-30)
+    p1b = np.linalg.norm(xs @ matlib.pinv(x @ xs) - xp) / denom
+    p2 = np.linalg.norm(matlib.pinv(xp) - x) / max(np.linalg.norm(x), 1e-30)
     p3 = np.linalg.norm(xs_pinv - xp.conj().T) / denom
     p4 = np.linalg.norm(xsx_pinv - xp @ xs_pinv) / max(np.linalg.norm(xsx_pinv), 1e-30)
     return res, np.max((p1a, p1b, p2, p3, p4))
@@ -174,7 +174,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
             M = int(rng.integers(M_low, M_low + 7))
             m = int(rng.integers(M, M + m_extra))
             _, probes, patterns = bench.srm_setup(d, m, M, cfg.state_ensemble, 0.03, rng)
-            worst = np.maximum(worst, gap(*bench._inversion_matrices(cfg, probes, patterns)))
+            worst = np.maximum(worst, gap(*bench._inversion_matrices(probes, patterns)))
         yield "protocols", name, count, worst, tol
 
     # noise model: empirical mean of ||A dp||^2 against eps^2 ||A||^2 / m
@@ -195,9 +195,9 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         _, probes, patterns = bench.srm_setup(d, m, M, cfg.state_ensemble, 0.03, rng)
         f = patterns.f_matrix
         r = probes.r_matrix
-        a_s = protocols.standard_inversion_matrix(patterns, probes, rtol=cfg.rtol)
-        h, g = matlib.gw_decompose(f, matlib.pinv(r, rtol=cfg.rtol), rtol=cfg.rtol)
-        bridged = r @ (h + g) @ matlib.pinv(f, rtol=cfg.rtol)
+        a_s = protocols.standard_inversion_matrix(patterns, probes)
+        h, g = matlib.gw_decompose(f, matlib.pinv(r))
+        bridged = r @ (h + g) @ matlib.pinv(f)
         worst_gw = np.maximum(worst_gw, matlib.hs_norm(a_s - bridged) / matlib.hs_norm(a_s))
     yield "protocols", "gw-bridge", max(5, count // 2), worst_gw, 1e-9
 
@@ -209,7 +209,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         r = qstate.state_to_bloch(rho)
         data = qstate.affine_response(detector, r)
         for build in (protocols.standard_inversion_matrix, protocols.pattern_inversion_matrix):
-            inv = build(patterns, probes, rtol=cfg.rtol)
+            inv = build(patterns, probes)
             r_hat, valid = protocols.estimate_batch(inv, data[:, None])
             error = np.abs(r_hat[:, 0] - r).max() if valid[0] else np.inf
             worst_unbiased = np.maximum(worst_unbiased, error)

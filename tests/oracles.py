@@ -8,10 +8,13 @@ reference for the batched functionals of homodyne.homodyne_measurement.
 value_at reads a square Wigner grid at its point nearest to (x, p),
 limiting_case_diagnostics does the norm bookkeeping of the two protocols
 for redundant probe sets, keyed_cells lists the cells of a run,
-numerical_rank counts the singular values above matlib.svd's cutoff, and
-random_setup draws one frozen experiment for the protocol tests.
+numerical_rank counts the singular values above matlib.svd's cutoff,
+random_setup draws one frozen experiment for the protocol tests, and
+pinv_cutoff sets the cutoff of every pseudoinverse a run or a selftest
+takes.
 """
 
+import unittest.mock
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -98,6 +101,15 @@ def numerical_rank(x, rtol: float | None = None) -> int:
     """The count of singular values of x above the cutoff of matlib.svd."""
     _, s, _, tol = matlib.svd(x, rtol=rtol)
     return int(np.count_nonzero(s > tol))
+
+
+def pinv_cutoff(cutoff: float | None):
+    """A patch of matlib.pinv, entered with a with block, under which it
+    truncates at cutoff whatever rtol it is given (None: its default).
+    matlib owns the cutoff, so a run or a selftest takes a faulty one only
+    this way; the CLI runs in-process, and a pool that forks inherits it."""
+    pinv = matlib.pinv
+    return unittest.mock.patch.object(matlib, "pinv", lambda x, rtol=None: pinv(x, rtol=cutoff))
 
 
 def _truncated_inverse(u, s, v, tol) -> np.ndarray:

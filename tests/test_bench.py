@@ -97,6 +97,9 @@ class TestExperimentConfig:
         # the bin width is homodyne.BIN_WIDTH, not a field
         with pytest.raises(bench.ConfigError, match=r"unknown config keys: \['dx'\]"):
             bench.ExperimentConfig.from_dict({"experiment": "homodyne", "dx": 0.1})
+        # nor is the rank cutoff, which matlib owns
+        with pytest.raises(bench.ConfigError, match=r"unknown config keys: \['rtol'\]"):
+            bench.ExperimentConfig.from_dict({"experiment": "sweep-probes", "rtol": 0.5})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -127,7 +130,6 @@ KNOBS = {
     "ensembles": (_KNOB_SWEEP, 2),
     "trials": (_KNOB_SWEEP, 40),
     "seed": (_KNOB_SWEEP, 8),
-    "rtol": (_KNOB_SWEEP, 0.9),
     "state_ensemble": (_KNOB_SWEEP, "pure"),
     "eta": (_KNOB_HOMODYNE, 0.5),
     "x_max": (_KNOB_HOMODYNE, 2.0),
@@ -442,15 +444,21 @@ def _is_entry_point(name: str) -> bool:
     return name in ("main", "cells") or name.startswith("run_")
 
 
-def test_every_public_definition_is_used_in_the_package():
-    # a public module-level function or class must be named somewhere in
-    # src/tomolin beyond its definition and __all__, whose entries are
-    # strings, not names
+def _package_trees() -> dict:
+    """{module: syntax tree} of every module in src/tomolin."""
     trees = {}
     for info in pkgutil.iter_modules(tomolin.__path__):
         with open(importlib.import_module(f"tomolin.{info.name}").__file__,
                   "r", encoding="utf-8") as fh:
             trees[info.name] = ast.parse(fh.read())
+    return trees
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # a public module-level function or class must be named somewhere in
+    # src/tomolin beyond its definition and __all__, whose entries are
+    # strings, not names
+    trees = _package_trees()
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -487,14 +495,8 @@ def _calls_by_function(tree) -> list:
 def _package_calls(owners) -> list:
     """(module, called name, enclosing function) of every call in
     src/tomolin of a name in owners."""
-    calls = []
-    for info in pkgutil.iter_modules(tomolin.__path__):
-        with open(importlib.import_module(f"tomolin.{info.name}").__file__,
-                  "r", encoding="utf-8") as fh:
-            calls += [(info.name, name, owner)
-                      for name, owner in _calls_by_function(ast.parse(fh.read()))
-                      if name in owners]
-    return calls
+    return [(module, name, owner) for module, tree in _package_trees().items()
+            for name, owner in _calls_by_function(tree) if name in owners]
 
 
 def test_numerics_have_one_owner():
@@ -504,6 +506,17 @@ def test_numerics_have_one_owner():
     calls = _package_calls(owners)
     assert ("bench", "_bundled_openblas", "_numerics") in calls
     assert [call for call in calls if call[2] not in owners[call[1]]] == []
+
+
+def test_rank_cutoff_has_one_owner():
+    # only matlib takes the rank cutoff rtol; the protocols, the runs and
+    # the selftest truncate at its default
+    takers = {(module, getattr(node, "name", "lambda"))
+              for module, tree in _package_trees().items() for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              and "rtol" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}}
+    assert ("matlib", "pinv") in takers
+    assert [taker for taker in takers if taker[0] != "matlib"] == []
 
 
 def test_c_libraries_have_one_loader():
@@ -1089,8 +1102,9 @@ class TestSelfTest:
             "selftest: FAIL"]
 
     def test_corrupted_pinv_tolerance_fails(self):
-        checks = selftest.run_selftest(
-            bench.ExperimentConfig(experiment="selftest", selftest_count=20, rtol=0.5))
+        with oracles.pinv_cutoff(0.5):
+            checks = selftest.run_selftest(
+                bench.ExperimentConfig(experiment="selftest", selftest_count=20))
         failed = [name for _, name, _, worst, tol in checks if not worst <= tol]
         assert "penrose-c1-c4" in failed
 
@@ -1103,19 +1117,19 @@ class TestCli:
 
     def test_selftest_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"experiment": "selftest", "selftest_count": 20, "rtol": 0.5}))
-        assert cli.main(["selftest", "--config", str(cfg)]) == 3
-
-    def test_selftest_overflow_fails_without_warnings(self, tmp_path, capsys):
-        # rtol 1e-300 keeps singular values of rounding, whose inverses
-        # overflow in the residual norms
-        cfg = tmp_path / "tiny-rtol.json"
-        cfg.write_text(json.dumps({"rtol": 1e-300}))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        cfg.write_text(json.dumps({"experiment": "selftest", "selftest_count": 20}))
+        with oracles.pinv_cutoff(0.5):
             assert cli.main(["selftest", "--config", str(cfg)]) == 3
+
+    def test_selftest_overflow_fails_without_warnings(self, capsys):
+        # a cutoff of 1e-300 keeps singular values of rounding, whose
+        # inverses overflow in the residual norms
+        with warnings.catch_warnings(record=True) as caught, oracles.pinv_cutoff(1e-300):
+            warnings.simplefilter("always")
+            assert cli.main(["selftest"]) == 3
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "selftest: FAIL" and captured.err == ""
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep-probes", "--bogus"], "unrecognized arguments: --bogus"),
@@ -1169,6 +1183,16 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert cli.main([doc["experiment"], "--config", str(cfg)]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_config_that_sets_rtol_refused(self, tmp_path, capsys):
+        # the rank cutoff is matlib's, not a config field
+        cfg = tmp_path / "cutoff.json"
+        cfg.write_text(json.dumps({"experiment": "sweep-probes", "rtol": 0.5}))
+        assert cli.main(["sweep-probes", "--config", str(cfg),
+                         "--out", str(tmp_path / "run.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["config error: unknown config keys: ['rtol']"]
+        assert os.listdir(tmp_path) == ["cutoff.json"]
 
     @pytest.mark.parametrize("command, doc, code, failure, files", [
         ("homodyne", dict(wigner_span=1e308), 1, "config error: wigner_span must be", []),

@@ -1,10 +1,10 @@
 """Fuzz gate over config documents: every CLI run of a small, possibly
-invalid or extreme config either succeeds with only finite values in the
-files it wrote, or exits with a documented code and one stderr line,
-leaving no file at all, .tmp files included.  A run's CSV cut at any byte,
-then the run again on two workers, ends as the uninterrupted one-worker
-run did.  Every selftest run passes or fails with its verdict as the last
-line, writes nothing to stderr and no file."""
+invalid or extreme config, at a drawn rank cutoff, either succeeds with
+only finite values in the files it wrote, or exits with a documented code
+and one stderr line, leaving no file at all, .tmp files included.  A run's
+CSV cut at any byte, then the run again on two workers, ends as the
+uninterrupted one-worker run did.  Every selftest run passes or fails with
+its verdict as the last line, writes nothing to stderr and no file."""
 
 import contextlib
 import io
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tomolin import cli
 
 # the documented failure exits and the first words of their stderr line
@@ -29,13 +30,17 @@ FAILURES = {
 
 EXPERIMENTS = ["sweep-probes", "sweep-outcomes", "homodyne"]
 
+# rank cutoffs of matlib.pinv, set by oracles.pinv_cutoff: its default
+# (None), 1e-300, which keeps singular values of rounding, and up to 1 - 1e-12
+CUTOFFS = st.sampled_from((None, 1e-300, 1e-8, 0.5, 1 - 1e-12))
+
 
 @st.composite
 def config_documents(draw, experiments=EXPERIMENTS) -> dict:
     """A small config document of one of experiments: d <= 4, at most three
     m values, two ensembles and 20 trials, one worker, with edge values
-    such as zero noise, noise ratios up to 1e308, eta 0 or 1, rtol near 1,
-    m < n + 1, M = 1 and x_max and wigner_span from 1e-300 to 1e308."""
+    such as zero noise, noise ratios up to 1e308, eta 0 or 1, m < n + 1,
+    M = 1 and x_max and wigner_span from 1e-300 to 1e308."""
     experiment = draw(st.sampled_from(experiments))
     # homodyne needs d >= 3 and a sweep m >= d; one below either is refused
     d = draw(st.integers(2 if experiment == "homodyne" else 1, 3)) + 1
@@ -52,7 +57,6 @@ def config_documents(draw, experiments=EXPERIMENTS) -> dict:
         trials=draw(st.integers(1, 20)),
         seed=draw(st.integers(0, 2**32)),
         workers=1,
-        rtol=draw(st.one_of(st.none(), st.sampled_from((1e-300, 1e-8, 0.5, 1 - 1e-12)))),
         state_ensemble=draw(st.sampled_from(["hs", "pure"])),
         eta=draw(st.sampled_from((0.0, 1e-9, 0.8, 1.0))),
         x_max=draw(st.sampled_from((1e-300, 1e-3, 3.0, 1e3, 1e300, 1e308))),
@@ -91,9 +95,9 @@ def _run(doc: dict, tmp: str, out: str, *flags) -> tuple:
 
 
 @settings(max_examples=300)
-@given(doc=config_documents())
-def test_every_run_succeeds_finite_or_fails_documented(doc):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(doc=config_documents(), cutoff=CUTOFFS)
+def test_every_run_succeeds_finite_or_fails_documented(doc, cutoff):
+    with tempfile.TemporaryDirectory() as tmp, oracles.pinv_cutoff(cutoff):
         code, err = _run(doc, tmp, os.path.join(tmp, "run.csv"))
         written = sorted(set(os.listdir(tmp)) - {"config.json"})
         assert not any(name.endswith(".tmp") for name in written)
@@ -123,9 +127,11 @@ def _files(directory: str) -> dict:
 def test_cut_run_reruns_on_two_workers_to_one_worker_files(experiment, data):
     # the CSV and .meta.json of a one-worker run, the CSV cut at a drawn
     # byte, possibly mid-line; the run again on a pool exits as the
-    # uninterrupted run did and leaves the same files
+    # uninterrupted run did and leaves the same files; the pool's workers
+    # fork with the cutoff in place
     doc = data.draw(config_documents([experiment]), label="doc")
-    with tempfile.TemporaryDirectory() as tmp:
+    cutoff = data.draw(CUTOFFS, label="cutoff")
+    with tempfile.TemporaryDirectory() as tmp, oracles.pinv_cutoff(cutoff):
         one, two = os.path.join(tmp, "one"), os.path.join(tmp, "two")
         os.mkdir(one)
         os.mkdir(two)
@@ -143,11 +149,10 @@ def test_cut_run_reruns_on_two_workers_to_one_worker_files(experiment, data):
 @settings(max_examples=25)
 @given(doc=st.fixed_dictionaries(dict(
     selftest_count=st.sampled_from((1, 2, 100)),
-    rtol=st.sampled_from((None, 1e-300, 1e-8, 0.5, 1 - 1e-12)),
     seed=st.integers(min_value=0),
-)))
-def test_every_selftest_passes_or_fails_quietly(doc):
-    with tempfile.TemporaryDirectory() as tmp:
+)), cutoff=CUTOFFS)
+def test_every_selftest_passes_or_fails_quietly(doc, cutoff):
+    with tempfile.TemporaryDirectory() as tmp, oracles.pinv_cutoff(cutoff):
         config = os.path.join(tmp, "config.json")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)

@@ -75,22 +75,19 @@ class TestProbeAndPatternSets:
     def test_probe_set_augmentation(self):
         ps = protocols.ProbeSet.from_blochs(np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert_allclose(ps.r_matrix[0], 1.0)
-        assert ps.r_matrix.shape == (3, 2) and ps.n_probes == 2
+        assert ps.r_matrix.shape == (3, 2)
 
     def test_probe_set_requires_ones_row(self):
         with pytest.raises(ValueError, match="ones"):
             protocols.ProbeSet(np.array([[0.5, 0.5], [0.1, 0.2]]))
 
-    def test_probe_pinv_computed_once_per_rtol(self):
+    def test_probe_pinv_computed_once_per_probe_set(self):
         rng = np.random.default_rng(14)
         ps = protocols.ProbeSet.from_blochs(rng.standard_normal((8, 12)))
-        rp = ps.pinv()
-        assert ps.pinv() is rp and not rp.flags.writeable
+        rp = ps.pinv
+        assert ps.pinv is rp and not rp.flags.writeable
         assert np.array_equal(rp, matlib.pinv(ps.r_matrix))
-        loose = ps.pinv(0.5)
-        assert ps.pinv(0.5) is loose
-        assert np.array_equal(loose, matlib.pinv(ps.r_matrix, rtol=0.5))
-        assert ps.prefix(6).pinv().shape == (6, 9)
+        assert ps.prefix(6).pinv.shape == (6, 9)
 
     def test_pattern_set_rejects_nan(self):
         # collect_patterns refuses patterns that are not finite; a set built
@@ -104,11 +101,17 @@ class TestProbeAndPatternSets:
         # so a probe set keeps its R+ through a prefix of all its probes
         rng = np.random.default_rng(15)
         ps = protocols.ProbeSet.from_blochs(rng.standard_normal((8, 12)))
-        patterns = protocols.PatternSet(rng.standard_normal((5, 12)))
-        rp = ps.pinv()
-        assert ps.prefix(12) is ps and ps.prefix(12).pinv() is rp
-        assert patterns.prefix(12) is patterns
-        assert ps.prefix(6).n_probes == patterns.prefix(6).n_probes == 6
+        rp = ps.pinv
+        assert ps.prefix(12) is ps and ps.prefix(12).pinv is rp
+        assert ps.prefix(6).r_matrix.shape == (9, 6)
+
+    @pytest.mark.parametrize("build", [protocols.standard_inversion_matrix,
+                                       protocols.pattern_inversion_matrix])
+    def test_inversions_refuse_mismatched_counts(self, build):
+        probes = protocols.ProbeSet.from_blochs(np.zeros((3, 6)))
+        patterns = protocols.PatternSet(np.ones((4, 5)))
+        with pytest.raises(ValueError, match=r"^pattern count 5 != probe count 6$"):
+            build(patterns, probes)
 
 
 class TestCollectPatterns:
@@ -466,7 +469,8 @@ class TestLimitingCaseDiagnostics:
             probes = protocols.ProbeSet.from_blochs(qstate.state_to_bloch(rhos).T)
             patterns = protocols.collect_patterns(detector, probes, 0.03, rng)
             for j, M in enumerate(m_values):
-                diag = oracles.limiting_case_diagnostics(patterns.prefix(M), probes.prefix(M))
+                diag = oracles.limiting_case_diagnostics(
+                    protocols.PatternSet(patterns.f_matrix[:, :M]), probes.prefix(M))
                 logs[s, j] = np.log(diag.hs_norm_standard / diag.hs_norm_pattern)
         geo_curve = np.exp(logs.mean(axis=0))
         assert geo_curve[-1] > geo_curve[0]
