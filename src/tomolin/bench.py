@@ -61,20 +61,14 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _is_distinct_ints(v) -> bool:
-    return isinstance(v, tuple) and all(map(_is_int, v)) and len(set(v)) == len(v)
-
-
 def _integer_from(low: int) -> tuple:
     return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
 
 
-_GRID_RULE = (lambda v: _is_distinct_ints(v) and bool(v) and min(v) >= 1,
+_GRID_RULE = (lambda v: isinstance(v, tuple) and bool(v) and all(map(_is_int, v))
+              and len(set(v)) == len(v) and min(v) >= 1,
               "a nonempty list of positive integers, with no entry repeated")
 _RATIO_RULE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
-# so that the ranges [-x_max, x_max] and [-wigner_span, wigner_span] have a finite width
-_HALF_WIDTH_RULE = (lambda v: _is_number(v) and 0 < v <= sys.float_info.max / 2,
-                    "a number > 0 whose double is finite")
 
 
 def _field(default, rule: tuple):
@@ -106,12 +100,7 @@ class ExperimentConfig:
     # the probes' ensemble; sweep trial states are always Hilbert-Schmidt
     state_ensemble: str = _field("hs", (lambda v: v in ("hs", "pure"), "hs or pure"))
     eta: float = _field(0.8, (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"))
-    x_max: float = _field(3.0, _HALF_WIDTH_RULE)
-    wigner_span: float = _field(5.0, _HALF_WIDTH_RULE)
     wigner_points: int = _field(201, _integer_from(2))
-    wigner_export_m: tuple | None = _field(None, (
-        lambda v: v is None or _is_distinct_ints(v),
-        "null or a list of integers, with no entry repeated"))
     selftest_count: int = _field(100, _integer_from(1))
 
     @property
@@ -136,9 +125,6 @@ class ExperimentConfig:
             raise ConfigError("homodyne needs d >= 3 for its three-component signal")
         if self.experiment in ("sweep-outcomes", "homodyne") and len(self.M_values) != 1:
             raise ConfigError(f"{self.experiment} expects exactly one M value")
-        if self.wigner_export_m is not None and not set(self.wigner_export_m) <= set(self.m_values):
-            raise ConfigError(f"wigner_export_m {list(self.wigner_export_m)} names an m "
-                              f"outside m_values {list(self.m_values)}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -252,7 +238,7 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     draw nothing, so they are built, and the effects, probes and patterns
     freed, before the (m, trials) data are drawn; the (m, n + 1) detector
     matrix D is kept in the cell."""
-    _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d, x_max=cfg.x_max)
+    _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d)
     detector = qstate.povm_to_affine(effects)
     del effects
     probes = _homodyne_probes(cfg, rng)
@@ -497,6 +483,11 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
         return _run_grid(cfg, _open_csv(cfg, files))
 
 
+# the half-width of the Wigner axis of an export, wide enough that a grid
+# of the benchmark signal integrates to 1
+_WIGNER_SPAN = 5.0
+
+
 @_numerics()
 def _wigner_grid(rho: np.ndarray, axis: np.ndarray, path: str) -> np.ndarray:
     """The Wigner grid of rho over axis x axis, bound for path; one that is
@@ -519,15 +510,13 @@ def _wigner_csv(fh, axis: np.ndarray, values: np.ndarray) -> None:
 def _export_wigner(cfg: ExperimentConfig, files: contextlib.ExitStack) -> None:
     """Write the Wigner grids of a homodyne run next to cfg.out through
     _replacing on files: the true state's, then both protocols' at the
-    minimal informationally complete point and at m = M (from the trial-
-    averaged data of ensemble 0), once where they coincide, n + 1 = M.  Each
-    grid is written and freed before the next state is estimated."""
-    axis = np.linspace(-cfg.wigner_span, cfg.wigner_span, cfg.wigner_points)
+    minimal informationally complete point and at m = M, where they lie in
+    cfg.m_values (from the trial-averaged data of ensemble 0), once where
+    they coincide, n + 1 = M.  Each grid is written and freed before the
+    next state is estimated."""
+    axis = np.linspace(-_WIGNER_SPAN, _WIGNER_SPAN, cfg.wigner_points)
     stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    export_m = cfg.wigner_export_m
-    if export_m is None:
-        export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0])
-                                 if m in cfg.m_values)
+    export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0]) if m in cfg.m_values)
     states = itertools.chain([("true", homodyne.true_state(cfg.d))], (
         (f"{kind}_m{m}", rho) for m in export_m
         for kind, rho in _mean_estimates(cfg, m).items() if rho is not None))

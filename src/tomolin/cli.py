@@ -39,6 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="master seed override")
+        if name == "selftest":
+            continue  # a selftest writes no file and starts no pool
         p.add_argument("--out", help="output CSV path override")
         p.add_argument("--workers", type=int, help="worker process count override")
         if name == "homodyne":
@@ -101,13 +103,14 @@ def _import_numpy_random_without_openssl() -> None:
 def _load_config(args) -> bench.ExperimentConfig:
     """One config document: the --config file, the subcommand's default
     grid for the grid keys the file leaves out, then the subcommand as
-    experiment, --full-scale and the --seed, --out and --workers flags."""
+    experiment, --full-scale and the --seed, --out and --workers flags that
+    the subcommand takes (selftest takes only --seed)."""
     doc = bench.read_config_document(args.config) if args.config else {}
     doc = {**bench.DEFAULT_GRIDS.get(args.command, {}), **doc, "experiment": args.command}
     if getattr(args, "full_scale", False):
         doc.update(bench.FULL_SCALE_HOMODYNE)
     for key in ("seed", "out", "workers"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             doc[key] = getattr(args, key)
     return bench.ExperimentConfig.from_dict(doc)
 

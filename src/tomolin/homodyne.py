@@ -27,6 +27,8 @@ AMPLITUDE_GUARD = 2.0  # truncation-safety bound on |alpha|
 # the bin width dx of a quadrature outcome; under ratio noise it scales D,
 # F and the data alike, so it moves no estimate beyond rounding
 BIN_WIDTH = 0.1
+# the quadrature window: a quadrature point is drawn from [-X_MAX, X_MAX]
+X_MAX = 3.0
 
 
 def coherent_state_fock(alpha, d_f: int) -> np.ndarray:
@@ -119,9 +121,8 @@ def _quadrature_functionals(theta, x, d_f: int) -> np.ndarray:
     return amp[..., :, None] * amp.conj()[..., None, :]
 
 
-def homodyne_measurement(m: int, eta: float, rng, d_f: int, *,
-                         x_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Draw m quadrature points with theta ~ U[0, pi), x ~ U[-x_max, x_max]
+def homodyne_measurement(m: int, eta: float, rng, d_f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw m quadrature points with theta ~ U[0, pi), x ~ U[-X_MAX, X_MAX]
     and build the binned functionals p_j = trace(loss(rho, eta) |x><x|) dx
     of an inefficient homodyne detector, with dx = BIN_WIDTH.
 
@@ -135,7 +136,7 @@ def homodyne_measurement(m: int, eta: float, rng, d_f: int, *,
     if m < 1:
         raise ValueError("need at least one quadrature point")
     # row j holds (theta_j, x_j), in the order of alternating scalar draws
-    points = rng.uniform([0.0, -x_max], [np.pi, x_max], size=(m, 2))
+    points = rng.uniform([0.0, -X_MAX], [np.pi, X_MAX], size=(m, 2))
     functionals = _quadrature_functionals(points[:, 0], points[:, 1], d_f)
     return points, BIN_WIDTH * loss_channel_adjoint(functionals, eta)
 

@@ -110,7 +110,7 @@ def _product_pair(x, y) -> tuple:
     return a, b
 
 
-def reverse_order_residual(x, y, rtol: float | None = None) -> float:
+def reverse_order_residual(x, y) -> float:
     """Residual of the reverse-order law (X Y)+ = Y+ X+, relative to
     ||(X Y)+||.
 
@@ -119,12 +119,12 @@ def reverse_order_residual(x, y, rtol: float | None = None) -> float:
     generic rank-deficient products.
     """
     a, b = _product_pair(x, y)
-    lhs = pinv(a @ b, rtol=rtol)
-    rhs = pinv(b, rtol=rtol) @ pinv(a, rtol=rtol)
+    lhs = pinv(a @ b)
+    rhs = pinv(b) @ pinv(a)
     return float(_rel(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs)))
 
 
-def gw_decompose(x, y, rtol: float | None = None) -> tuple:
+def gw_decompose(x, y) -> tuple:
     """Decompose the pseudoinverse of a product into projector and correction.
 
     Returns (h, g) with (X Y)+ = Y+ (h + g) X+: h = (X+ X Y Y+)+ is a skew
@@ -132,14 +132,14 @@ def gw_decompose(x, y, rtol: float | None = None) -> tuple:
     which satisfies Y Y+ g X+ X = g and trace(g* h) = 0.
     """
     a, b = _product_pair(x, y)
-    ap = pinv(a, rtol=rtol)
-    bp = pinv(b, rtol=rtol)
-    h = pinv((ap @ a) @ (b @ bp), rtol=rtol)
-    g = b @ pinv(a @ b, rtol=rtol) @ a - h
+    ap = pinv(a)
+    bp = pinv(b)
+    h = pinv((ap @ a) @ (b @ bp))
+    g = b @ pinv(a @ b) @ a - h
     return h, g
 
 
-def admissible_perturbation(x, y, rng, rtol: float | None = None) -> np.ndarray:
+def admissible_perturbation(x, y, rng) -> np.ndarray:
     """Draw a random z with Y Y+ z X+ X = z and X z Y = 0.
 
     These are the constraints under which g minimises ||Y+ (h + z) X+||.
@@ -147,15 +147,15 @@ def admissible_perturbation(x, y, rng, rtol: float | None = None) -> np.ndarray:
     violating X z Y = 0 is removed through a least-squares correction.
     """
     a, b = _product_pair(x, y)
-    q = b @ pinv(b, rtol=rtol)
-    p = pinv(a, rtol=rtol) @ a
+    q = b @ pinv(b)
+    p = pinv(a) @ a
     w = rng.standard_normal((a.shape[1], a.shape[1]))
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         w = w + 1j * rng.standard_normal(w.shape)
     z = q @ w @ p
     aq = a @ q
     pb = p @ b
-    correction = q @ (pinv(aq, rtol=rtol) @ (a @ z @ b) @ pinv(pb, rtol=rtol)) @ p
+    correction = q @ (pinv(aq) @ (a @ z @ b) @ pinv(pb)) @ p
     return z - correction
 
 

@@ -97,9 +97,9 @@ def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06) -> Setup:
     return Setup(*bench.srm_setup(d, m, M, "hs", pattern_ratio, rng), data_ratio)
 
 
-def numerical_rank(x, rtol: float | None = None) -> int:
+def numerical_rank(x) -> int:
     """The count of singular values of x above the cutoff of matlib.svd."""
-    _, s, _, tol = matlib.svd(x, rtol=rtol)
+    _, s, _, tol = matlib.svd(x)
     return int(np.count_nonzero(s > tol))
 
 
@@ -132,8 +132,7 @@ class LimitingCaseDiagnostics:
 
 
 def limiting_case_diagnostics(patterns: protocols.PatternSet,
-                              probes: protocols.ProbeSet,
-                              rtol: float | None = None) -> LimitingCaseDiagnostics:
+                              probes: protocols.ProbeSet) -> LimitingCaseDiagnostics:
     """Diagnostics for redundant probe sets, M > min(m, n + 1).
 
     Returns the protocol norms, the norm and rank of the skew projector
@@ -156,15 +155,15 @@ def limiting_case_diagnostics(patterns: protocols.PatternSet,
             f"diagnostics need a redundant probe set, M > min(m, n+1); "
             f"got M={big_m}, m={m}, n+1={n_aug}"
         )
-    fr = matlib.svd(r, rtol=rtol)
-    ff = matlib.svd(f, rtol=rtol)
+    fr = matlib.svd(r)
+    ff = matlib.svd(f)
     rp = _truncated_inverse(*fr)
     fp = _truncated_inverse(*ff)
-    a_s = matlib.pinv(f @ rp, rtol=rtol)
+    a_s = matlib.pinv(f @ rp)
     a_p = r @ fp
-    h = matlib.pinv((fp @ f) @ (rp @ r), rtol=rtol)
+    h = matlib.pinv((fp @ f) @ (rp @ r))
     h_norm = matlib.hs_norm(h)
-    h_rank = numerical_rank(h, rtol=rtol)
+    h_rank = numerical_rank(h)
     if h_norm < np.sqrt(h_rank) - 1e-9:
         raise AssertionError(f"projector norm {h_norm} below sqrt(rank) {np.sqrt(h_rank)}")
     u11 = fr[2].conj().T @ ff[2]  # V_R* V_F

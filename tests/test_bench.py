@@ -82,15 +82,6 @@ class TestExperimentConfig:
         assert rows == [(f.name, json.dumps(f.default), f.metadata["rule"][1])
                         for f in fields(bench.ExperimentConfig)]
 
-    @pytest.mark.parametrize("name", ["x_max", "wigner_span"])
-    def test_half_width_double_must_be_finite(self, name):
-        # 2 * value is the width of rng.uniform(-x_max, x_max) and of the
-        # Wigner axis np.linspace(-wigner_span, wigner_span, ...)
-        half = sys.float_info.max / 2
-        assert getattr(bench.ExperimentConfig(**{name: half}), name) == half
-        with pytest.raises(bench.ConfigError, match=f"^{name} must be a number > 0 whose"):
-            bench.ExperimentConfig(**{name: np.nextafter(half, np.inf)})
-
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(bench.ConfigError, match="unknown config keys"):
             bench.ExperimentConfig.from_dict({"probes": 10})
@@ -100,6 +91,11 @@ class TestExperimentConfig:
         # nor is the rank cutoff, which matlib owns
         with pytest.raises(bench.ConfigError, match=r"unknown config keys: \['rtol'\]"):
             bench.ExperimentConfig.from_dict({"experiment": "sweep-probes", "rtol": 0.5})
+        # nor are the quadrature window homodyne.X_MAX, the Wigner span and
+        # the export points of a homodyne run
+        for name, value in (("x_max", 3.0), ("wigner_span", 5.0), ("wigner_export_m", [16])):
+            with pytest.raises(bench.ConfigError, match=rf"unknown config keys: \['{name}'\]"):
+                bench.ExperimentConfig.from_dict({"experiment": "homodyne", name: value})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -132,10 +128,7 @@ KNOBS = {
     "seed": (_KNOB_SWEEP, 8),
     "state_ensemble": (_KNOB_SWEEP, "pure"),
     "eta": (_KNOB_HOMODYNE, 0.5),
-    "x_max": (_KNOB_HOMODYNE, 2.0),
-    "wigner_span": (_KNOB_HOMODYNE, 4.0),
     "wigner_points": (_KNOB_HOMODYNE, 7),
-    "wigner_export_m": (_KNOB_HOMODYNE, [10]),
     "selftest_count": (dict(experiment="selftest", selftest_count=1), 2),
 }
 _RUNS = {"sweep-probes": bench.run_sweep_probes, "sweep-outcomes": bench.run_sweep_outcomes,
@@ -509,14 +502,14 @@ def test_numerics_have_one_owner():
 
 
 def test_rank_cutoff_has_one_owner():
-    # only matlib takes the rank cutoff rtol; the protocols, the runs and
-    # the selftest truncate at its default
+    # only matlib's svd and pinv take the rank cutoff rtol; the theory
+    # functions of matlib, the protocols, the runs and the selftest truncate
+    # at its default
     takers = {(module, getattr(node, "name", "lambda"))
               for module, tree in _package_trees().items() for node in ast.walk(tree)
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
               and "rtol" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}}
-    assert ("matlib", "pinv") in takers
-    assert [taker for taker in takers if taker[0] != "matlib"] == []
+    assert takers == {("matlib", "svd"), ("matlib", "pinv")}
 
 
 def test_c_libraries_have_one_loader():
@@ -857,7 +850,7 @@ class TestRunHomodyne:
             assert len(lines) == 1 + cfg.wigner_points**2
         # true-state grid normalises to one
         truth = np.loadtxt(stem + "_wigner_true.csv", delimiter=",", skiprows=1)
-        dx = (2 * cfg.wigner_span) / (cfg.wigner_points - 1)
+        dx = (2 * bench._WIGNER_SPAN) / (cfg.wigner_points - 1)
         assert truth[:, 2].sum() * dx * dx == pytest.approx(1.0, abs=1e-2)
 
     def test_coinciding_export_points_computed_once(self, tmp_path, monkeypatch):
@@ -955,7 +948,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(bench, "_task", _unexpected_task)
         with pytest.raises(FloatingPointError):
             bench.run_homodyne(bench.ExperimentConfig(
-                **{**TINY_HOMODYNE, "seed": 8, "wigner_span": 4.0}, out=cfg.out))
+                **{**TINY_HOMODYNE, "seed": 8}, out=cfg.out))
         assert _run_files(tmp_path) == earlier
 
 
@@ -1080,7 +1073,7 @@ class TestSelfTest:
 
     @pytest.mark.parametrize("name, residual, failed", [
         ("penrose_check", lambda x, xp: np.full(4, np.nan), ["penrose-c1-c4"]),
-        ("reverse_order_residual", lambda x, y, rtol=None: np.nan,
+        ("reverse_order_residual", lambda x, y: np.nan,
          ["reverse-order-valid-cases", "reverse-order-negative-control"]),
     ], ids=["penrose", "reverse-order"])
     def test_nan_residual_fails_its_check(self, monkeypatch, name, residual, failed):
@@ -1135,7 +1128,11 @@ class TestCli:
         (["sweep-probes", "--bogus"], "unrecognized arguments: --bogus"),
         (["sweep-probes", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
         ([], "the following arguments are required: command"),
-    ], ids=["unknown-flag", "non-integer-seed", "no-subcommand"])
+        # a selftest writes no file and starts no worker pool
+        (["selftest", "--out", "x.csv"], "unrecognized arguments: --out x.csv"),
+        (["selftest", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    ], ids=["unknown-flag", "non-integer-seed", "no-subcommand", "selftest-out",
+            "selftest-workers"])
     def test_usage_error_exit_code(self, tmp_path, monkeypatch, capsys, argv, message):
         # usage errors are config errors: exit 2 is left to numerical failures
         monkeypatch.chdir(tmp_path)
@@ -1194,29 +1191,38 @@ class TestCli:
         assert captured.err.splitlines() == ["config error: unknown config keys: ['rtol']"]
         assert os.listdir(tmp_path) == ["cutoff.json"]
 
-    @pytest.mark.parametrize("command, doc, code, failure, files", [
-        ("homodyne", dict(wigner_span=1e308), 1, "config error: wigner_span must be", []),
-        ("homodyne", dict(x_max=1e308), 1, "config error: x_max must be", []),
-        ("homodyne", dict(noise_ratio_patterns=1e308), 2,
-         "numerical failure: the calibration F R+ overflowed", []),
+    @pytest.mark.parametrize("name, value", [
+        ("x_max", 3.0), ("wigner_span", 5.0), ("wigner_export_m", [16])])
+    def test_config_that_sets_a_homodyne_constant_refused(self, tmp_path, capsys, name, value):
+        # the quadrature window is homodyne.X_MAX, and a run exports its
+        # Wigner grids over a fixed span at n + 1 and M: none is a field
+        cfg = tmp_path / "window.json"
+        cfg.write_text(json.dumps({"experiment": "homodyne", name: value}))
+        assert cli.main(["homodyne", "--config", str(cfg),
+                         "--out", str(tmp_path / "run.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: unknown config keys: ['{name}']"]
+        assert os.listdir(tmp_path) == ["window.json"]
+
+    @pytest.mark.parametrize("command, doc", [
+        ("homodyne", dict(noise_ratio_patterns=1e308)),
         ("sweep-probes", dict(d=2, m_values=[2], M_values=[3], trials=1, seed=0,
-                              noise_ratio_patterns=1e308), 2,
-         "numerical failure: the calibration F R+ overflowed", []),
-    ], ids=["wigner_span", "x_max", "homodyne-noise", "sweep-probes-noise"])
-    def test_overflowing_config_ends_in_one_line(self, tmp_path, command, doc, code, failure,
-                                                 files):
+                              noise_ratio_patterns=1e308)),
+    ], ids=["homodyne-noise", "sweep-probes-noise"])
+    def test_overflowing_config_ends_in_one_line(self, tmp_path, command, doc):
         # under -W error a warning would end in a traceback: each run ends
-        # in its documented exit code and one stderr line, and leaves no
-        # file, .tmp files included
+        # in exit 2 and one stderr line, and leaves no file, .tmp files
+        # included
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(dict(m_values=[12], ensembles=1, trials=5), **doc)))
         run = (f"import sys, tomolin.cli; sys.exit(tomolin.cli.main([{command!r}, '--config', "
                f"{str(cfg)!r}, '--out', {str(tmp_path / 'run.csv')!r}]))")
         result = subprocess.run([sys.executable, "-W", "error", "-c", run], env=_cli_env(),
                                 capture_output=True, text=True, timeout=60)
-        assert result.returncode == code
-        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith(failure)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", *files])
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith(
+            "numerical failure: the calibration F R+ overflowed")
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_worker_crash_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bench, "_task", _exit_in_worker)
@@ -1246,24 +1252,9 @@ class TestCli:
         assert os.listdir(tmp_path) == ["overflow.json"]
 
     def test_non_finite_wigner_grid_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the Wigner kernel overflows at |x| = 1e300, silently under
-        # _numerics; the true state's grid is refused before the first
-        # cell, so no file is left
-        monkeypatch.setattr(bench, "_task", _unexpected_task)
-        doc = dict(experiment="homodyne", d=3, m_values=[9], M_values=[9], ensembles=1,
-                   trials=10, wigner_points=2)
-        cfg = tmp_path / "overflow.json"
-        cfg.write_text(json.dumps(dict(doc, wigner_span=1e300)))
-        out = tmp_path / "run.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 2
-        assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("numerical failure:")
-        assert os.listdir(tmp_path) == ["overflow.json"]
         # only a reconstructed grid, the second one, is not finite: it is
-        # refused before the first cell too
+        # refused before the first cell, so no file is left
+        monkeypatch.setattr(bench, "_task", _unexpected_task)
         calls = []
         wigner = homodyne.wigner
 
@@ -1275,13 +1266,16 @@ class TestCli:
             return values
 
         monkeypatch.setattr(homodyne, "wigner", nan_in_second_grid)
-        cfg.write_text(json.dumps(doc))
-        assert cli.main(["homodyne", "--config", str(cfg), "--out", str(out)]) == 2
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(dict(experiment="homodyne", d=3, m_values=[9], M_values=[9],
+                                       ensembles=1, trials=10, wigner_points=2)))
+        assert cli.main(["homodyne", "--config", str(cfg),
+                         "--out", str(tmp_path / "run.csv")]) == 2
         assert len(calls) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"numerical failure: the Wigner grid of {tmp_path / 'run'}_wigner_standard_m9.csv "
             "is not finite"]
-        assert os.listdir(tmp_path) == ["overflow.json"]
+        assert os.listdir(tmp_path) == ["tiny.json"]
 
     @pytest.mark.parametrize("name", ["true", "pattern_m40"])
     def test_wigner_path_that_is_a_directory_refused_before_any_cell(self, tmp_path, capsys,

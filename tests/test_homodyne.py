@@ -64,7 +64,7 @@ def _integral(values):
     return float(values.sum() * step * step)
 
 
-def _measurement_loop(m, eta, rng, d_f, dx=0.1, x_max=5.0):
+def _measurement_loop(m, eta, rng, d_f, dx=0.1, x_max=3.0):
     ks = oracles.kraus_operators(d_f, eta)
     points, effects = [], []
     for _ in range(m):
@@ -268,7 +268,7 @@ class TestHomodyneMeasurement:
             for m in (1, 30, 130):
                 seed = (d_f, int(10 * eta), m)
                 got_points, got_effects = homodyne.homodyne_measurement(
-                    m, eta, np.random.default_rng(seed), d_f, x_max=5.0)
+                    m, eta, np.random.default_rng(seed), d_f)
                 points, effects = _measurement_loop(m, eta, np.random.default_rng(seed), d_f)
                 assert [tuple(p) for p in got_points.tolist()] == points
                 assert np.array_equal(got_effects, effects)
@@ -279,14 +279,14 @@ class TestHomodyneMeasurement:
                 assert np.array_equal(got_effects, per_outcome)
 
     def test_returns_points_and_effects(self):
-        result = homodyne.homodyne_measurement(7, 0.8, np.random.default_rng(10), 5, x_max=5.0)
+        result = homodyne.homodyne_measurement(7, 0.8, np.random.default_rng(10), 5)
         assert type(result) is tuple and len(result) == 2
         points, effects = result
         assert points.shape == (7, 2) and effects.shape == (7, 5, 5)
 
     def test_linearity_in_the_state(self):
         rng = np.random.default_rng(11)
-        _, effects = homodyne.homodyne_measurement(7, 0.8, rng, 5, x_max=5.0)
+        _, effects = homodyne.homodyne_measurement(7, 0.8, rng, 5)
         rho1 = qstate.random_density_hs(5, rng)
         rho2 = qstate.random_density_hs(5, rng)
         a = 0.3
@@ -296,7 +296,7 @@ class TestHomodyneMeasurement:
 
     def test_outcome_distributions(self):
         rng = np.random.default_rng(12)
-        points, _ = homodyne.homodyne_measurement(500, 0.8, rng, 4, x_max=3.0)
+        points, _ = homodyne.homodyne_measurement(500, 0.8, rng, 4)
         thetas, xs = points.T
         assert 0 <= thetas.min() and thetas.max() < np.pi
         assert np.abs(xs).max() <= 3.0
