@@ -125,6 +125,10 @@ class ExperimentConfig:
             raise ConfigError("homodyne needs d >= 3 for its three-component signal")
         if self.experiment in ("sweep-outcomes", "homodyne") and len(self.M_values) != 1:
             raise ConfigError(f"{self.experiment} expects exactly one M value")
+        # the Wigner files are named from out's stem, which no other out may share
+        if (self.experiment == "homodyne" and self.out is not None
+                and not self.out.endswith(".csv")):
+            raise ConfigError(f"homodyne out must end in .csv, got {self.out!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -238,7 +242,7 @@ def _homodyne_cells(cfg: ExperimentConfig, m: int, rng) -> list:
     draw nothing, so they are built, and the effects, probes and patterns
     freed, before the (m, trials) data are drawn; the (m, n + 1) detector
     matrix D is kept in the cell."""
-    _, effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d)
+    effects = homodyne.homodyne_measurement(m, cfg.eta, rng, cfg.d)
     detector = qstate.povm_to_affine(effects)
     del effects
     probes = _homodyne_probes(cfg, rng)
@@ -515,7 +519,7 @@ def _export_wigner(cfg: ExperimentConfig, files: contextlib.ExitStack) -> None:
     they coincide, n + 1 = M.  Each grid is written and freed before the
     next state is estimated."""
     axis = np.linspace(-_WIGNER_SPAN, _WIGNER_SPAN, cfg.wigner_points)
-    stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
+    stem = cfg.out[:-4]
     export_m = dict.fromkeys(m for m in (cfg.n_params + 1, cfg.M_values[0]) if m in cfg.m_values)
     states = itertools.chain([("true", homodyne.true_state(cfg.d))], (
         (f"{kind}_m{m}", rho) for m in export_m

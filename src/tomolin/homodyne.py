@@ -121,24 +121,24 @@ def _quadrature_functionals(theta, x, d_f: int) -> np.ndarray:
     return amp[..., :, None] * amp.conj()[..., None, :]
 
 
-def homodyne_measurement(m: int, eta: float, rng, d_f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw m quadrature points with theta ~ U[0, pi), x ~ U[-X_MAX, X_MAX]
-    and build the binned functionals p_j = trace(loss(rho, eta) |x><x|) dx
-    of an inefficient homodyne detector, with dx = BIN_WIDTH.
+def homodyne_measurement(m: int, eta: float, rng, d_f: int) -> np.ndarray:
+    """Draw m quadrature points (theta_j, x_j) with theta ~ U[0, pi),
+    x ~ U[-X_MAX, X_MAX] and build the binned functionals
+    p_j = trace(loss(rho, eta) |x><x|) dx of an inefficient homodyne
+    detector, with dx = BIN_WIDTH.
 
-    Returns (points, effects): row j of the (m, 2) points is the quadrature
-    point (theta_j, x_j), and E_j of the (m, d_f, d_f) effects already
-    includes the loss channel (Heisenberg picture) and the bin width, so
-    probabilities are plain traces trace(rho E_j), as
-    qstate.born_probabilities(rho, effects) computes them.  The effects
-    need not be complete; linearity is all the protocols use.
+    Returns the (m, d_f, d_f) effects: E_j already includes the loss
+    channel (Heisenberg picture) and the bin width, so probabilities are
+    plain traces trace(rho E_j), as qstate.born_probabilities(rho, effects)
+    computes them.  The effects need not be complete; linearity is all the
+    protocols use.
     """
     if m < 1:
         raise ValueError("need at least one quadrature point")
     # row j holds (theta_j, x_j), in the order of alternating scalar draws
     points = rng.uniform([0.0, -X_MAX], [np.pi, X_MAX], size=(m, 2))
     functionals = _quadrature_functionals(points[:, 0], points[:, 1], d_f)
-    return points, BIN_WIDTH * loss_channel_adjoint(functionals, eta)
+    return BIN_WIDTH * loss_channel_adjoint(functionals, eta)
 
 
 def _binom(n: int, k: int) -> float:

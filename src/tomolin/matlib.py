@@ -27,8 +27,6 @@ class SvdError(np.linalg.LinAlgError):
 def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Validate and return x as a 2-D numpy array with finite entries."""
     a = np.asarray(x)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
     if not np.issubdtype(a.dtype, np.number):
@@ -49,11 +47,11 @@ def _condition_estimate(a: np.ndarray) -> float:
         return np.nan
 
 
-def svd(x, rtol: float | None = None) -> tuple:
+def svd(x) -> tuple:
     """Thin singular value decomposition x = u @ diag(s) @ v* of a real or
     complex matrix, as the tuple (u, s, v, tol): s nonincreasing and tol =
-    rtol * s[0], the cutoff at and below which a singular value counts as
-    zero.  rtol defaults to max(rows, cols) * machine epsilon.
+    max(rows, cols) * machine epsilon * s[0], the cutoff at and below which
+    a singular value counts as zero.
     """
     a = _as_matrix(x)
     try:
@@ -63,17 +61,15 @@ def svd(x, rtol: float | None = None) -> tuple:
             f"SVD did not converge for {a.shape[0]}x{a.shape[1]} matrix "
             f"(condition estimate {_condition_estimate(a):.3e})"
         ) from exc
-    if rtol is None:
-        rtol = max(a.shape) * _EPS
-    return u, s, vh.conj().T, float(rtol * s[0])
+    return u, s, vh.conj().T, float(max(a.shape) * _EPS * s[0])
 
 
-def pinv(x, rtol: float | None = None) -> np.ndarray:
+def pinv(x) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD truncation.
 
-    Singular values above rtol * sigma_max are inverted, the rest dropped.
+    Singular values above svd's cutoff are inverted, the rest dropped.
     """
-    u, s, v, tol = svd(x, rtol=rtol)
+    u, s, v, tol = svd(x)
     inv = np.zeros_like(s)
     inv[s > tol] = 1.0 / s[s > tol]
     return (v * inv) @ u.conj().T

@@ -56,7 +56,7 @@ class ProbeSet:
     @classmethod
     def from_blochs(cls, blochs) -> "ProbeSet":
         """Stack Bloch column vectors (n, M) under a row of ones."""
-        b = np.atleast_2d(np.asarray(blochs, dtype=float))
+        b = np.asarray(blochs, dtype=float)
         return cls(np.vstack([np.ones(b.shape[1]), b]))
 
     def prefix(self, count: int) -> "ProbeSet":
@@ -95,14 +95,12 @@ def add_noise(p, ratio: float, rng) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if ratio == 0.0:
         return arr.copy()
-    vec = arr.ndim == 1
-    cols = arr[:, None] if vec else arr
-    out = np.empty(cols.shape)
-    rms = np.sqrt(np.mean(np.square(cols, out=out), axis=0, keepdims=True))
+    out = np.empty(arr.shape)
+    rms = np.sqrt(np.mean(np.square(arr, out=out), axis=0, keepdims=True))
     rng.standard_normal(out=out)
     out *= ratio * rms
-    out += cols
-    return out[:, 0] if vec else out
+    out += arr
+    return out
 
 
 def collect_patterns(detector: np.ndarray, probes: ProbeSet, ratio: float, rng) -> PatternSet:
@@ -179,7 +177,7 @@ def trial_data(detector: np.ndarray, true_blochs, ratio: float, rng) -> np.ndarr
     """Responses (m, batch) of the (m, n + 1) detector matrix D to the true
     states given as Bloch columns (n, batch), perturbed by add_noise at the
     given ratio."""
-    true_blochs = np.atleast_2d(np.asarray(true_blochs, dtype=float))
+    true_blochs = np.asarray(true_blochs, dtype=float)
     augmented = np.vstack([np.ones(true_blochs.shape[1]), true_blochs])
     return add_noise(detector @ augmented, ratio, rng)
 

@@ -103,20 +103,25 @@ def numerical_rank(x) -> int:
     return int(np.count_nonzero(s > tol))
 
 
-def pinv_cutoff(cutoff: float | None):
-    """A patch of matlib.pinv, entered with a with block, under which it
-    truncates at cutoff whatever rtol it is given (None: its default).
-    matlib owns the cutoff, so a run or a selftest takes a faulty one only
-    this way; the CLI runs in-process, and a pool that forks inherits it."""
-    pinv = matlib.pinv
-    return unittest.mock.patch.object(matlib, "pinv", lambda x, rtol=None: pinv(x, rtol=cutoff))
-
-
 def _truncated_inverse(u, s, v, tol) -> np.ndarray:
     """The pseudoinverse of u diag(s) v*, with matlib.pinv's arithmetic."""
     inv = np.zeros_like(s)
     inv[s > tol] = 1.0 / s[s > tol]
     return (v * inv) @ u.conj().T
+
+
+def _pinv_at(x, cutoff: float | None) -> np.ndarray:
+    # matlib.svd's factors truncated at cutoff * s[0] (None: at svd's tol)
+    u, s, v, tol = matlib.svd(x)
+    return _truncated_inverse(u, s, v, tol if cutoff is None else cutoff * s[0])
+
+
+def pinv_cutoff(cutoff: float | None):
+    """A patch of matlib.pinv, entered with a with block, under which it
+    truncates at cutoff * sigma_max (None: at matlib.svd's cutoff).
+    matlib owns the cutoff, so a run or a selftest takes a faulty one only
+    this way; the CLI runs in-process, and a pool that forks inherits it."""
+    return unittest.mock.patch.object(matlib, "pinv", lambda x: _pinv_at(x, cutoff))
 
 
 @dataclass(frozen=True)

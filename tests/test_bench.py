@@ -273,7 +273,7 @@ class TestSweepOutcomes:
         calls = []
         pinv = matlib.pinv
         monkeypatch.setattr(matlib, "pinv",
-                            lambda x, rtol=None: calls.append(x) or pinv(x, rtol=rtol))
+                            lambda x: calls.append(x) or pinv(x))
         cfg = bench.ExperimentConfig(**TINY_OUTCOMES_D4)
         bench.run_sweep_outcomes(cfg)
         # R+ once per ensemble, (F R+)+ and F+ once per cell
@@ -502,14 +502,56 @@ def test_numerics_have_one_owner():
 
 
 def test_rank_cutoff_has_one_owner():
-    # only matlib's svd and pinv take the rank cutoff rtol; the theory
-    # functions of matlib, the protocols, the runs and the selftest truncate
-    # at its default
+    # the rank cutoff is matlib.svd's one expression: no function or lambda
+    # in the package takes an rtol
     takers = {(module, getattr(node, "name", "lambda"))
               for module, tree in _package_trees().items() for node in ast.walk(tree)
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
               and "rtol" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}}
-    assert takers == {("matlib", "svd"), ("matlib", "pinv")}
+    assert takers == set()
+
+
+def _passed_parameters(call: ast.Call, node: ast.FunctionDef) -> set:
+    """The parameters of the function node that call passes."""
+    positional = node.args.posonlyargs + node.args.args
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or \
+            any(keyword.arg is None for keyword in call.keywords):
+        return {arg.arg for arg in positional + node.args.kwonlyargs}
+    return ({arg.arg for arg in positional[:len(call.args)]}
+            | {keyword.arg for keyword in call.keywords})
+
+
+def _is_call_of(call, caller: str, module: str, name: str) -> bool:
+    # module.name(...) anywhere, or name(...) inside module itself
+    if not isinstance(call, ast.Call):
+        return False
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == name and isinstance(func.value, ast.Name) and func.value.id == module
+    return caller == module and isinstance(func, ast.Name) and func.id == name
+
+
+def test_every_default_is_overridden_in_the_package():
+    # a defaulted parameter of a public module-level function that no call
+    # in src/tomolin passes is a constant, not a parameter
+    trees = _package_trees()
+    unpassed = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") \
+                    or _is_entry_point(node.name):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            defaulted = [arg.arg for arg in positional[len(positional) - len(node.args.defaults):]]
+            defaulted += [arg.arg for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if default is not None]
+            passed = set().union(*(_passed_parameters(call, node)
+                                   for caller, caller_tree in trees.items()
+                                   for call in ast.walk(caller_tree)
+                                   if _is_call_of(call, caller, module, node.name)))
+            unpassed += [f"{module}.{node.name}({name})" for name in defaulted
+                         if name not in passed]
+    assert unpassed == []
 
 
 def test_c_libraries_have_one_loader():
@@ -1156,8 +1198,6 @@ class TestCli:
         dict(experiment="sweep-probes", d=4, m_values=[3, 18], M_values=[20]),
         dict(experiment="sweep-outcomes", d=3, m_values=[2, 4], M_values=[6]),
         dict(experiment="homodyne", d=2, m_values=[4], M_values=[4]),
-        dict(experiment="homodyne", m_values=[16], M_values=[40], x_max=0.0),
-        dict(experiment="homodyne", m_values=[16], M_values=[40], dx=0.1),
         dict(experiment="sweep-probes", m_values=5),
         dict(experiment="sweep-probes", m_values=[18, 18]),
         dict(experiment="sweep-probes", M_values=[4, 4]),
@@ -1167,14 +1207,12 @@ class TestCli:
         dict(experiment="sweep-probes", d="4"),
         dict(experiment="homodyne", eta="0.5"),
         dict(experiment="sweep-probes", noise_ratio_data="0.1"),
-        dict(experiment="sweep-probes", rtol=-1),
         dict(experiment="homodyne", wigner_points=0),
-        dict(experiment="homodyne", wigner_span=-1),
-        dict(experiment="homodyne", wigner_export_m=[99]),
         dict(experiment="selftest", selftest_count=0),
-        dict(experiment="homodyne", m_values=[16, 40], M_values=[40], wigner_export_m=[16, 16]),
-        dict(experiment="homodyne", x_max=10**400),
-    ])
+    ], ids=["probes-m-below-d", "outcomes-m-below-d", "homodyne-d-below-3", "m-values-scalar",
+            "m-values-repeated", "M-values-repeated", "seed-float", "m-values-float",
+            "ensembles-bool", "d-string", "eta-string", "noise-ratio-string",
+            "wigner-points-zero", "selftest-count-zero"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, doc):
         cfg = tmp_path / "malformed.json"
         cfg.write_text(json.dumps(doc))
@@ -1190,6 +1228,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["config error: unknown config keys: ['rtol']"]
         assert os.listdir(tmp_path) == ["cutoff.json"]
+
+    def test_homodyne_out_without_csv_refused(self, tmp_path, monkeypatch, capsys):
+        # res and res.csv would both name their Wigner files res_wigner_*
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["homodyne", "--out", "res"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "config error: homodyne out must end in .csv, got 'res'"]
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("name, value", [
         ("x_max", 3.0), ("wigner_span", 5.0), ("wigner_export_m", [16])])

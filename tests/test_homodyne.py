@@ -77,6 +77,12 @@ def _measurement_loop(m, eta, rng, d_f, dx=0.1, x_max=3.0):
     return points, np.array(effects)
 
 
+def _quadrature_points(m, rng):
+    # the (theta, x) rows homodyne_measurement draws from a generator in
+    # that state, in its draw order
+    return rng.uniform([0.0, -homodyne.X_MAX], [np.pi, homodyne.X_MAX], size=(m, 2))
+
+
 class TestCoherentState:
     def test_vacuum(self):
         assert_allclose(homodyne.coherent_state_fock(0.0, 5), [1, 0, 0, 0, 0], atol=1e-15)
@@ -267,8 +273,9 @@ class TestHomodyneMeasurement:
         for eta in (0.0, 0.3, 0.8, 1.0):
             for m in (1, 30, 130):
                 seed = (d_f, int(10 * eta), m)
-                got_points, got_effects = homodyne.homodyne_measurement(
+                got_effects = homodyne.homodyne_measurement(
                     m, eta, np.random.default_rng(seed), d_f)
+                got_points = _quadrature_points(m, np.random.default_rng(seed))
                 points, effects = _measurement_loop(m, eta, np.random.default_rng(seed), d_f)
                 assert [tuple(p) for p in got_points.tolist()] == points
                 assert np.array_equal(got_effects, effects)
@@ -278,15 +285,17 @@ class TestHomodyneMeasurement:
                     for theta, x in got_points.tolist()])
                 assert np.array_equal(got_effects, per_outcome)
 
-    def test_returns_points_and_effects(self):
-        result = homodyne.homodyne_measurement(7, 0.8, np.random.default_rng(10), 5)
-        assert type(result) is tuple and len(result) == 2
-        points, effects = result
-        assert points.shape == (7, 2) and effects.shape == (7, 5, 5)
+    def test_returns_the_effects(self):
+        # one (m, d_f, d_f) array, drawn with exactly the points' draws
+        rng, redraw = np.random.default_rng(10), np.random.default_rng(10)
+        result = homodyne.homodyne_measurement(7, 0.8, rng, 5)
+        _quadrature_points(7, redraw)
+        assert type(result) is np.ndarray and result.shape == (7, 5, 5)
+        assert rng.bit_generator.state == redraw.bit_generator.state
 
     def test_linearity_in_the_state(self):
         rng = np.random.default_rng(11)
-        _, effects = homodyne.homodyne_measurement(7, 0.8, rng, 5)
+        effects = homodyne.homodyne_measurement(7, 0.8, rng, 5)
         rho1 = qstate.random_density_hs(5, rng)
         rho2 = qstate.random_density_hs(5, rng)
         a = 0.3
@@ -295,8 +304,10 @@ class TestHomodyneMeasurement:
         assert_allclose(mix, a * p1 + (1 - a) * p2, atol=1e-14)
 
     def test_outcome_distributions(self):
-        rng = np.random.default_rng(12)
-        points, _ = homodyne.homodyne_measurement(500, 0.8, rng, 4)
+        effects = homodyne.homodyne_measurement(500, 0.8, np.random.default_rng(12), 4)
+        points = _quadrature_points(500, np.random.default_rng(12))
+        functionals = homodyne._quadrature_functionals(points[:, 0], points[:, 1], 4)
+        assert np.array_equal(effects, 0.1 * homodyne.loss_channel_adjoint(functionals, 0.8))
         thetas, xs = points.T
         assert 0 <= thetas.min() and thetas.max() < np.pi
         assert np.abs(xs).max() <= 3.0

@@ -222,7 +222,7 @@ class TestAffineResponse:
             kets = qstate.haar_random_pure(d, rng, size=max(count, d))
             effects = qstate.square_root_measurement(kets)[:count]
         else:
-            _, effects = homodyne.homodyne_measurement(count, 0.8, rng, d)
+            effects = homodyne.homodyne_measurement(count, 0.8, rng, d)
         det = qstate.povm_to_affine(effects)
         states = [*qstate.random_density_hs(d, rng, size=4), np.eye(d) / d,
                   qstate.random_density_pure(d, rng)]
