@@ -97,8 +97,6 @@ class ExperimentConfig:
     out: str | None = _field(None, (lambda v: v is None or isinstance(v, str) and v != "",
                                     "null or a nonempty string"))
     workers: int = _field(1, _integer_from(1))
-    # the probes' ensemble; sweep trial states are always Hilbert-Schmidt
-    state_ensemble: str = _field("hs", (lambda v: v in ("hs", "pure"), "hs or pure"))
     eta: float = _field(0.8, (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"))
     wigner_points: int = _field(201, _integer_from(2))
     selftest_count: int = _field(100, _integer_from(1))
@@ -164,13 +162,12 @@ def _rng(seed: int, *key: int):
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def srm_setup(d: int, m: int, M: int, state_ensemble: str, noise: float, rng,
-              probes=None) -> tuple:
+def srm_setup(d: int, m: int, M: int, noise: float, rng, probes=None) -> tuple:
     """(D, probes, patterns) of a random square-root measurement with m
     outcomes in dimension d, drawn from rng in that order: the (m, n + 1)
     detector matrix D, redrawn while its Gram matrix is rank deficient;
-    unless given, M probes from state_ensemble; their patterns at the
-    noise ratio."""
+    unless given, M Hilbert-Schmidt probes; their patterns at the noise
+    ratio."""
     for _ in range(_MAX_REDRAWS):
         try:
             kets = qstate.haar_random_pure(d, rng, size=m)
@@ -181,7 +178,7 @@ def srm_setup(d: int, m: int, M: int, state_ensemble: str, noise: float, rng,
     else:
         raise RuntimeError(f"square-root measurement redraw budget exhausted (d={d}, m={m})")
     if probes is None:
-        probes = protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng, state_ensemble))
+        probes = protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng))
     return detector, probes, protocols.collect_patterns(detector, probes, noise, rng)
 
 
@@ -207,7 +204,7 @@ def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
     The measurement, trial states and data noise are drawn once and shared
     along M.  Without a given probe set, one is drawn at max(M) after the
     measurement and prefix-sliced, so growing M literally adds probes."""
-    detector, probes, patterns = srm_setup(cfg.d, m, max(cfg.M_values), cfg.state_ensemble,
+    detector, probes, patterns = srm_setup(cfg.d, m, max(cfg.M_values),
                                            cfg.noise_ratio_patterns, rng, probes)
     truth = qstate.random_blochs(cfg.d, cfg.trials, rng)
     data = protocols.trial_data(detector, truth, cfg.noise_ratio_data, rng)
@@ -217,13 +214,12 @@ def _sweep_cells(cfg: ExperimentConfig, m: int, rng, probes=None) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _outcome_probes(seed: int, d: int, M: int, ensemble: int,
-                    state_ensemble: str) -> protocols.ProbeSet:
+def _outcome_probes(seed: int, d: int, M: int, ensemble: int) -> protocols.ProbeSet:
     """The probe set of an outcome-sweep ensemble, drawn from a stream that
     ignores m.  Memoised, so each process draws it, and computes its R+,
     at most once; run_sweep_outcomes clears the memo when it starts."""
     rng = _rng(seed, _TAG_OUTCOME_PROBES, ensemble)
-    return protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng, state_ensemble))
+    return protocols.ProbeSet.from_blochs(qstate.random_blochs(d, M, rng))
 
 
 def _homodyne_probes(cfg: ExperimentConfig, rng) -> protocols.ProbeSet:
@@ -312,7 +308,7 @@ def cells(cfg: ExperimentConfig, m: int, ensemble: int) -> list:
     if cfg.experiment == "sweep-probes":
         return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_PROBE_SWEEP, m, ensemble))
     if cfg.experiment == "sweep-outcomes":
-        probes = _outcome_probes(cfg.seed, cfg.d, cfg.M_values[0], ensemble, cfg.state_ensemble)
+        probes = _outcome_probes(cfg.seed, cfg.d, cfg.M_values[0], ensemble)
         return _sweep_cells(cfg, m, _rng(cfg.seed, _TAG_OUTCOME_CELL, m, ensemble), probes)
     if cfg.experiment == "homodyne":
         return _homodyne_cells(cfg, m, _rng(cfg.seed, _TAG_HOMODYNE, m, ensemble))
@@ -351,25 +347,57 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             if name not in ("out", "workers")}
 
 
+def _open_locked(tmp: str, path: str):
+    """tmp, created if missing, as an empty text file that this process
+    holds a POSIX lock (os.lockf) on, or ConfigError where another process
+    holds it.  The file is truncated only once it is locked and still named
+    tmp: a run that renamed tmp into place after the open leaves a new tmp,
+    which is opened in turn.  The lock is a process's own, so forked pool
+    workers do not hold it, and it goes when the file is closed or the
+    process dies."""
+    while True:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            # os.lockf is missing on Windows, where two runs into one out
+            # are not refused
+            if hasattr(os, "lockf"):
+                try:
+                    os.lockf(fd, os.F_TLOCK, 0)
+                except (BlockingIOError, PermissionError):
+                    raise ConfigError(f"another run is writing {path}") from None
+            with contextlib.suppress(FileNotFoundError):
+                if os.path.samestat(os.fstat(fd), os.stat(tmp)):
+                    os.ftruncate(fd, 0)
+                    return open(fd, "w", encoding="utf-8", newline="")
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
+
+
 @contextlib.contextmanager
 def _replacing(path: str):
     """Yield a text file that replaces path once the block completes.  It is
-    written to path + ".tmp", so path never holds a partial file, and
-    removed if the block raises.  A run enters one for each of its files on
-    one ExitStack, so they replace theirs only once the whole run has
-    completed, and a rerun after a kill overwrites the .tmp files left.  A
-    path that is a directory, which the rename would fail on, raises at once."""
+    written to path + ".tmp", locked against other runs (_open_locked), so
+    path never holds a partial file or two runs' lines, and removed if the
+    block raises.  A run enters one for each of its files on one ExitStack,
+    so they replace theirs only once the whole run has completed, and a
+    rerun after a kill overwrites the .tmp files left.  A path that is a
+    directory, which the rename would fail on, raises at once."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    # outside the try: a .tmp that another run holds is not removed
+    with _open_locked(tmp, path) as fh:
+        try:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+            fh.flush()
+            # renamed before the close, which ends the lock
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def _open_csv(cfg: ExperimentConfig, files: contextlib.ExitStack):

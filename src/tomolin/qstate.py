@@ -18,7 +18,6 @@ __all__ = [
     "born_probabilities",
     "haar_random_pure",
     "random_density_hs",
-    "random_density_pure",
     "random_blochs",
     "square_root_measurement",
 ]
@@ -214,23 +213,10 @@ def random_density_hs(d: int, rng, size: int | None = None) -> np.ndarray:
     return w[0] if size is None else w
 
 
-def random_density_pure(d: int, rng, size: int | None = None) -> np.ndarray:
-    """Projector(s) onto Haar-random pure states."""
-    v = haar_random_pure(d, rng, size=size)
-    return np.einsum("...i,...j->...ij", v, v.conj())
-
-
-def random_blochs(d: int, count: int, rng, ensemble: str = "hs") -> np.ndarray:
-    """Bloch columns (d**2 - 1, count) of random states of dimension d:
-    Hilbert-Schmidt mixed states for ensemble "hs", Haar-random pure states
-    for "pure"."""
-    if ensemble == "hs":
-        rhos = random_density_hs(d, rng, size=count)
-    elif ensemble == "pure":
-        rhos = random_density_pure(d, rng, size=count)
-    else:
-        raise ValueError(f"unknown state ensemble {ensemble!r}")
-    return state_to_bloch(rhos).T
+def random_blochs(d: int, count: int, rng) -> np.ndarray:
+    """Bloch columns (d**2 - 1, count) of Hilbert-Schmidt random states of
+    dimension d."""
+    return state_to_bloch(random_density_hs(d, rng, size=count)).T
 
 
 def square_root_measurement(states) -> np.ndarray:

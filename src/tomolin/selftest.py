@@ -173,7 +173,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
         for _ in range(count):
             M = int(rng.integers(M_low, M_low + 7))
             m = int(rng.integers(M, M + m_extra))
-            _, probes, patterns = bench.srm_setup(d, m, M, cfg.state_ensemble, 0.03, rng)
+            _, probes, patterns = bench.srm_setup(d, m, M, 0.03, rng)
             worst = np.maximum(worst, gap(*bench._inversion_matrices(probes, patterns)))
         yield "protocols", name, count, worst, tol
 
@@ -192,7 +192,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
     for _ in range(max(5, count // 2)):
         M = int(rng.integers(n_aug + 1, n_aug + 6))
         m = int(rng.integers(d, n_aug))
-        _, probes, patterns = bench.srm_setup(d, m, M, cfg.state_ensemble, 0.03, rng)
+        _, probes, patterns = bench.srm_setup(d, m, M, 0.03, rng)
         f = patterns.f_matrix
         r = probes.r_matrix
         a_s = protocols.standard_inversion_matrix(patterns, probes)
@@ -203,8 +203,7 @@ def _protocols_suite(cfg: bench.ExperimentConfig, rng):
 
     worst_unbiased = 0.0
     for _ in range(10):
-        detector, probes, patterns = bench.srm_setup(d, n_aug + 2, n_aug + 3, cfg.state_ensemble,
-                                                     0.0, rng)
+        detector, probes, patterns = bench.srm_setup(d, n_aug + 2, n_aug + 3, 0.0, rng)
         rho = qstate.random_density_hs(d, rng)
         r = qstate.state_to_bloch(rho)
         data = qstate.affine_response(detector, r)

@@ -22,7 +22,7 @@ from math import factorial
 
 import numpy as np
 
-from tomolin import bench, homodyne, matlib, protocols
+from tomolin import bench, homodyne, matlib, protocols, qstate
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +94,13 @@ def random_setup(d, m, M, rng, pattern_ratio=0.03, data_ratio=0.06) -> Setup:
     """A random square-root measurement with m outcomes in dimension d, M
     Hilbert-Schmidt probes and their patterns, drawn from rng by the draw
     of a sweep, bench.srm_setup."""
-    return Setup(*bench.srm_setup(d, m, M, "hs", pattern_ratio, rng), data_ratio)
+    return Setup(*bench.srm_setup(d, m, M, pattern_ratio, rng), data_ratio)
+
+
+def random_projector(d, rng) -> np.ndarray:
+    """The (d, d) projector onto a Haar-random pure state."""
+    ket = qstate.haar_random_pure(d, rng)
+    return np.einsum("i,j->ij", ket, ket.conj())
 
 
 def numerical_rank(x) -> int:

@@ -59,7 +59,6 @@ class TestExperimentConfig:
         dict(ensembles=0),
         dict(seed=-1),
         dict(workers=0),
-        dict(state_ensemble="bures"),
         dict(eta=1.5),
         dict(out=""),
         dict(experiment="sweep-outcomes", M_values=(10, 20)),
@@ -96,6 +95,9 @@ class TestExperimentConfig:
         for name, value in (("x_max", 3.0), ("wigner_span", 5.0), ("wigner_export_m", [16])):
             with pytest.raises(bench.ConfigError, match=rf"unknown config keys: \['{name}'\]"):
                 bench.ExperimentConfig.from_dict({"experiment": "homodyne", name: value})
+        # nor is the probes' ensemble: every probe of a sweep is Hilbert-Schmidt
+        with pytest.raises(bench.ConfigError, match=r"unknown config keys: \['state_ensemble'\]"):
+            bench.ExperimentConfig.from_dict({"state_ensemble": "hs"})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -126,7 +128,6 @@ KNOBS = {
     "ensembles": (_KNOB_SWEEP, 2),
     "trials": (_KNOB_SWEEP, 40),
     "seed": (_KNOB_SWEEP, 8),
-    "state_ensemble": (_KNOB_SWEEP, "pure"),
     "eta": (_KNOB_HOMODYNE, 0.5),
     "wigner_points": (_KNOB_HOMODYNE, 7),
     "selftest_count": (dict(experiment="selftest", selftest_count=1), 2),
@@ -165,6 +166,31 @@ def test_every_recorded_field_moves_an_output(tmp_path, name):
     assert report != moved_report or files.keys() != moved.keys() or any(
         files[f].shape != moved[f].shape or not np.allclose(files[f], moved[f], rtol=1e-6, atol=0)
         for f in files)
+
+
+# the fields that no run, default grid or example sets, each with the
+# reason it stays a field
+KEPT = {
+    "eta": "eta = 0 gives a homodyne detector of rank 1, the incomplete cell a rank check needs",
+    "wigner_points": "GOLDEN pins 21-point Wigner grids, which a constant would move",
+    "selftest_count": "tests run the selftest at 1 to 40 cases, for speed and fault injection",
+}
+
+
+def test_every_field_is_set_outside_the_tests():
+    # a setting that no run, default or example sets is a constant, not a
+    # config field: each field is set by the README's example, a default
+    # grid, --full-scale or the CLI (the subcommand and --seed, --out and
+    # --workers), or is KEPT for its reason
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (example,) = re.findall(r"^```json\n(.*?)^```$", fh.read(), re.M | re.S)
+    set_outside = {*json.loads(example), *bench.FULL_SCALE_HOMODYNE,
+                   *(key for grid in bench.DEFAULT_GRIDS.values() for key in grid),
+                   "experiment", "seed", "out", "workers"}
+    assert sorted(KEPT.keys() & set_outside) == []
+    assert [f.name for f in fields(bench.ExperimentConfig)
+            if f.name not in set_outside | KEPT.keys()] == []
 
 
 def read_rows(path):
@@ -405,8 +431,7 @@ class TestCells:
         (dict(experiment="sweep-outcomes", d=4, m_values=(2,), M_values=(6,)), 2),
         (dict(experiment="homodyne", d=2, m_values=(4,), M_values=(6,)), 4),
         ({**TINY_PROBES, "noise_ratio_data": -1}, 6),
-        ({**TINY_PROBES, "state_ensemble": "bures"}, 6),
-    ], ids=["m-below-d", "homodyne-qubit", "negative-noise", "unknown-ensemble"])
+    ], ids=["m-below-d", "homodyne-qubit", "negative-noise"])
     def test_cells_refuse_an_invalid_config(self, doc, m):
         # a run refuses these configs, so the cells of a run refuse them too
         with pytest.raises(bench.ConfigError):
@@ -865,6 +890,51 @@ def test_killed_run_resumes_to_uninterrupted_bytes(uninterrupted_run, workers, t
     assert _run_files(run) == expected
 
 
+# the concurrent-writer repro: a run of 720 rows, about a second long, and
+# a five-row run of another seed into the same out while the first writes
+CONCURRENT_RUNS = (
+    dict(experiment="sweep-probes", d=4, m_values=[16, 18, 20, 24], M_values=[16, 20, 24],
+         ensembles=60, seed=1),
+    dict(experiment="sweep-probes", d=2, m_values=[4], M_values=[3, 4, 5, 6, 8], ensembles=1,
+         trials=20, seed=2),
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "lockf"), reason="runs take no lock without os.lockf")
+def test_second_run_into_one_out_refused(tmp_path):
+    # the second run exits 1 while the first writes its CSV, and the first
+    # leaves the files of a solo run
+    configs = []
+    for index, doc in enumerate(CONCURRENT_RUNS):
+        configs.append(tmp_path / f"cfg{index}.json")
+        configs[-1].write_text(json.dumps(doc))
+    for name in ("solo", "run"):
+        (tmp_path / name).mkdir()
+    assert cli.main(["sweep-probes", "--config", str(configs[0]),
+                     "--out", str(tmp_path / "solo" / "run.csv")]) == 0
+    out = tmp_path / "run" / "run.csv"
+    first = subprocess.Popen([sys.executable, "-m", "tomolin.cli", "sweep-probes", "--config",
+                              str(configs[0]), "--out", str(out)], env=_cli_env(),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not (tmp_path / "run" / "run.csv.tmp").exists() or _rows_written(out.parent) < 1:
+            assert first.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        second = subprocess.run([sys.executable, "-m", "tomolin.cli", "sweep-probes", "--config",
+                                 str(configs[1]), "--out", str(out)], env=_cli_env(),
+                                capture_output=True, text=True, timeout=60)
+        assert first.wait(timeout=60) == 0, first.stderr.read()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            first.kill()
+        first.wait()
+        first.stderr.close()
+    assert (second.returncode, second.stdout, second.stderr) == (
+        1, "", f"config error: another run is writing {out}\n")
+    assert _run_files(tmp_path / "run") == _run_files(tmp_path / "solo")
+
+
 def _wigner_exports(directory) -> list:
     """(kind, m) of each reconstructed Wigner grid a homodyne run wrote to
     directory, from the file names <stem>_wigner_<kind>_m<m>.csv."""
@@ -953,6 +1023,21 @@ def _write_wigner_csv(path, axis, values):
         bench._wigner_csv(fh, axis, values)
 
 
+@contextlib.contextmanager
+def _locked_by_another_process(path):
+    """Hold the lock of path, as a run holds its .tmp files, in a child
+    process until the block ends."""
+    code = ("import os, sys; fd = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT); "
+            "os.lockf(fd, os.F_LOCK, 0); print('locked', flush=True); sys.stdin.read()")
+    with subprocess.Popen([sys.executable, "-c", code, str(path)], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True) as holder:
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            yield
+        finally:
+            holder.stdin.close()
+
+
 class TestAtomicWrites:
     def test_interrupted_wigner_export_leaves_no_partial_file(self, tmp_path):
         values = _FailingRows(_true_signal_grid())
@@ -992,6 +1077,39 @@ class TestAtomicWrites:
             bench.run_homodyne(bench.ExperimentConfig(
                 **{**TINY_HOMODYNE, "seed": 8}, out=cfg.out))
         assert _run_files(tmp_path) == earlier
+
+    @pytest.mark.skipif(not hasattr(os, "lockf"), reason="runs take no lock without os.lockf")
+    @pytest.mark.parametrize("held", ["homo.csv", "homo.csv.meta.json", "homo_wigner_true.csv"])
+    def test_file_another_run_writes_refused(self, tmp_path, capsys, monkeypatch, held):
+        # a run whose .tmp file, CSV, .meta.json or Wigner, another process
+        # holds exits 1 before any cell, and the earlier run's files and
+        # the other process's .tmp keep their bytes
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({k: (list(v) if isinstance(v, tuple) else v)
+                                   for k, v in TINY_HOMODYNE.items()}))
+        (tmp_path / "run").mkdir()
+        command = ["homodyne", "--config", str(cfg), "--out", str(tmp_path / "run" / "homo.csv")]
+        assert cli.main(command) == 0
+        tmp = tmp_path / "run" / f"{held}.tmp"
+        tmp.write_text("another run's line\n")
+        earlier = _run_files(tmp_path / "run")
+        capsys.readouterr()
+        monkeypatch.setattr(bench, "_task", _unexpected_task)
+        with _locked_by_another_process(tmp):
+            assert cli.main(command) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: another run is writing {tmp_path / 'run' / held}"]
+        assert _run_files(tmp_path / "run") == earlier
+
+    def test_runs_without_lockf_write_the_same_files(self, tmp_path, monkeypatch):
+        # where os.lockf is missing, as on Windows, a run takes no lock; the
+        # second run here goes without it
+        for name in ("locked", "unlocked"):
+            (tmp_path / name).mkdir()
+            bench.run_sweep_probes(bench.ExperimentConfig(
+                **TINY_PROBES, out=str(tmp_path / name / "probes.csv")))
+            monkeypatch.delattr(os, "lockf", raising=False)
+        assert _run_files(tmp_path / "locked") == _run_files(tmp_path / "unlocked")
 
 
 def _wigner_csv_whole_grid(path, axis, values):
@@ -1238,14 +1356,20 @@ class TestCli:
             "config error: homodyne out must end in .csv, got 'res'"]
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("name, value", [
-        ("x_max", 3.0), ("wigner_span", 5.0), ("wigner_export_m", [16])])
-    def test_config_that_sets_a_homodyne_constant_refused(self, tmp_path, capsys, name, value):
+    @pytest.mark.parametrize("command, name, value", [
+        pytest.param("homodyne", "x_max", 3.0, id="x_max-3.0"),
+        pytest.param("homodyne", "wigner_span", 5.0, id="wigner_span-5.0"),
+        pytest.param("homodyne", "wigner_export_m", [16], id="wigner_export_m-value2"),
+        pytest.param("sweep-probes", "state_ensemble", "pure", id="state_ensemble-pure"),
+    ])
+    def test_config_that_sets_a_homodyne_constant_refused(self, tmp_path, capsys, command, name,
+                                                          value):
         # the quadrature window is homodyne.X_MAX, and a run exports its
-        # Wigner grids over a fixed span at n + 1 and M: none is a field
+        # Wigner grids over a fixed span at n + 1 and M; a sweep's probes
+        # are Hilbert-Schmidt: none is a field
         cfg = tmp_path / "window.json"
-        cfg.write_text(json.dumps({"experiment": "homodyne", name: value}))
-        assert cli.main(["homodyne", "--config", str(cfg),
+        cfg.write_text(json.dumps({"experiment": command, name: value}))
+        assert cli.main([command, "--config", str(cfg),
                          "--out", str(tmp_path / "run.csv")]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"config error: unknown config keys: ['{name}']"]

@@ -56,7 +56,6 @@ def config_documents(draw, experiments=EXPERIMENTS) -> dict:
         trials=draw(st.integers(1, 20)),
         seed=draw(st.integers(0, 2**32)),
         workers=1,
-        state_ensemble=draw(st.sampled_from(["hs", "pure"])),
         eta=draw(st.sampled_from((0.0, 1e-9, 0.8, 1.0))),
         wigner_points=draw(st.integers(2, 4)),
     )

@@ -18,8 +18,6 @@ from tomolin import cli
 CONFIGS = {
     "probes-hs": dict(experiment="sweep-probes", d=2, m_values=[4, 6], M_values=[3, 6, 8],
                       ensembles=3, trials=25, seed=7, workers=1),
-    "probes-pure": dict(experiment="sweep-probes", d=2, m_values=[4, 6], M_values=[3, 6, 8],
-                        ensembles=3, trials=25, seed=7, workers=1, state_ensemble="pure"),
     "outcomes": dict(experiment="sweep-outcomes", d=2, m_values=[3, 4, 6, 10], M_values=[6],
                      ensembles=2, trials=20, seed=7, workers=1),
     # d = 4 puts diagonal Gell-Mann matrices with 3 and 4 nonzero entries
@@ -32,20 +30,18 @@ CONFIGS = {
 
 GOLDEN = {
     "homodyne.csv": "868e2b575f59a50f3a6760452bac3982f981f706e2bbf4526fc750b9576a514c",
-    "homodyne.csv.meta.json": "6cf39b9bc558830b7bb1d7ba600a0faf00fd06226159539cad4fba3dfa78e703",
+    "homodyne.csv.meta.json": "c609153b16ce4ab26d2837b620e6dc94eb1c0723a057c2be6a173ffdf727ae75",
     "homodyne_wigner_pattern_m16.csv": "e93f5ee482dce4b0966d9c67cb1d29fa54edabf5853ca6121e8292959b543a63",
     "homodyne_wigner_pattern_m20.csv": "389733f8df4240ff784828a2e91c8612562e776c64df1b2b6c58392e4a16f220",
     "homodyne_wigner_standard_m16.csv": "45f7a074f5bf7c68ca752a7e4a83850bcf077590577af6eb918e3d11bccb2041",
     "homodyne_wigner_standard_m20.csv": "e8c4976666daec9696d970075dc847faf8057051f8aa54355bc3c05922164d24",
     "homodyne_wigner_true.csv": "a9b789d38c5e8bbbb301f46225a6856089cc3cdadf934b66a439684e100fdbab",
     "outcomes-d4.csv": "55cd83e1fedb879dd704df37321ceafe7b4768e601be443e7517cbcc76338c6b",
-    "outcomes-d4.csv.meta.json": "f5423188f70c95f717f8df26643111ea441324717bda85b5ce736affff2c7853",
+    "outcomes-d4.csv.meta.json": "74a37a727b1030a72a9055c864b4e9087266a0c4fdfcc79194995d415d4a9ee1",
     "outcomes.csv": "0a19e1156170d52dcc6b5c41c824770533526d4179a820d1f035ccbc1d5dd2c4",
-    "outcomes.csv.meta.json": "a16af18b471c0c0aa95442c9fc62309279dd34e558a38afca8beb839bf98856c",
+    "outcomes.csv.meta.json": "26c9e95d77af1884087bae185ecc6015b7580d4147053b3244b0e18317f44534",
     "probes-hs.csv": "d15ea13ad62b956e5da4d94ad4deb7a7312906f751e77562dc5b58b6b39c98a6",
-    "probes-hs.csv.meta.json": "5c49d3d42cf9f728386e2cc6c6a415bd933f7875f96e5f66fb85ce4b8dc3f004",
-    "probes-pure.csv": "a75b27d9261fbeb4b28993d43625c37c3702de3a17b6374dfffce214fc0bbff0",
-    "probes-pure.csv.meta.json": "70d2e9b48cb7dbf1ac1181cc2a1e9d9b24362cb223f3038b5c95547ab1b1a782",
+    "probes-hs.csv.meta.json": "c3075760236ad81f8bcd137d8c08178d10785c85de65c3a0beed7c2a3f1a69d3",
     "selftest.stdout": "89e7a66aca2907653f047674417bd80911d7cae446e3775b4eab62a5df71538d",
 }
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from tomolin import homodyne, qstate
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -225,7 +226,7 @@ class TestAffineResponse:
             effects = homodyne.homodyne_measurement(count, 0.8, rng, d)
         det = qstate.povm_to_affine(effects)
         states = [*qstate.random_density_hs(d, rng, size=4), np.eye(d) / d,
-                  qstate.random_density_pure(d, rng)]
+                  oracles.random_projector(d, rng)]
         for r in qstate.state_to_bloch(np.array(states)):
             assert_same_bits(qstate.affine_response(det, r), strided_response(effects, r))
 
@@ -310,12 +311,6 @@ class TestRandomEnsembles:
         three_sigma = 3.0 * sample.std() / np.sqrt(sample.size)
         assert abs(sample.mean() - oracle) < three_sigma
         assert oracle == pytest.approx(0.8, abs=1e-6)
-
-    def test_pure_density_projectors(self):
-        rng = np.random.default_rng(47)
-        rhos = qstate.random_density_pure(3, rng, size=20)
-        purity = np.einsum("bij,bji->b", rhos, rhos).real
-        assert_allclose(purity, 1.0, atol=1e-12)
 
 
 class TestSquareRootMeasurement:
