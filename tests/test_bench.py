@@ -59,6 +59,7 @@ class TestExperimentConfig:
         dict(ensembles=0),
         dict(seed=-1),
         dict(workers=0),
+        dict(experiment="sweep-probes", d=4, m_values=(3,)),
         dict(eta=1.5),
         dict(out=""),
         dict(experiment="sweep-outcomes", M_values=(10, 20)),
