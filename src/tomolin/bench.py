@@ -280,8 +280,8 @@ def _bundled_openblas():
 @contextlib.contextmanager
 def _numerics():
     """The numerics of every unit of work, a function that computes numbers
-    a run writes (cells, _task, _mean_estimates, _wigner_grid and
-    selftest.run_selftest), entered by the unit itself.
+    a run writes (cells, _task, _export_wigner and selftest.run_selftest),
+    entered by the unit itself.
 
     numpy's bundled OpenBLAS runs on one thread inside, and the previous
     count is restored on exit: the count can move the last bit of a result,
@@ -326,7 +326,6 @@ def _task(cfg: ExperimentConfig, m: int) -> list:
     return [row for at_M in zip(*by_ensemble) for row in at_M]
 
 
-@_numerics()
 def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
     """The states both protocols estimate from the trial-averaged data of
     ensemble 0 at m, recomputed from the cell's key; None where an estimate
@@ -341,7 +340,8 @@ def _mean_estimates(cfg: ExperimentConfig, m: int) -> dict:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    # every field that a byte of the run depends on: all but out and workers
+    # every field but out and workers: each moves some experiment's output,
+    # though eta, wigner_points and selftest_count move no sweep byte
     return {name: list(value) if isinstance(value, tuple) else value
             for name, value in ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
             if name not in ("out", "workers")}
@@ -520,7 +520,6 @@ def run_sweep_outcomes(cfg: ExperimentConfig):
 _WIGNER_SPAN = 5.0
 
 
-@_numerics()
 def _wigner_grid(rho: np.ndarray, axis: np.ndarray, path: str) -> np.ndarray:
     """The Wigner grid of rho over axis x axis, bound for path; one that is
     not finite raises FloatingPointError."""
@@ -539,6 +538,7 @@ def _wigner_csv(fh, axis: np.ndarray, values: np.ndarray) -> None:
         fh.write("".join(f"{x},{p},%.12e\n" for p in points) % tuple(row.tolist()))
 
 
+@_numerics()
 def _export_wigner(cfg: ExperimentConfig, files: contextlib.ExitStack) -> None:
     """Write the Wigner grids of a homodyne run next to cfg.out through
     _replacing on files: the true state's, then both protocols' at the

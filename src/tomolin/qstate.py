@@ -100,21 +100,18 @@ def _gellmann_trace_plan(d: int) -> tuple:
 
 def _gellmann_traces(x, d: int) -> np.ndarray:
     """Re trace(G_n X) for every basis matrix G_n and every X of a stack
-    (..., d, d), with the bits and strides of
+    (..., d, d), a contiguous (..., d**2 - 1) float array with the bits of
     einsum("nij,...ji->...n", gammas, x).real.
 
     Only the nonzero entries of the G_n enter, added to a zero start in
-    einsum's order.  The result is the real view of a complex buffer, as
-    einsum's .real is; a contiguous array would send a later matrix product
-    down another BLAS path.  The same terms make up
+    einsum's order.  The same terms make up
     einsum("mij,nji->mn", x, gammas), in the same order for the diagonal
     matrices, and a pair matrix's two terms sum alike in either order."""
     index, coeff, steps = _gellmann_trace_plan(d)
     x = np.ascontiguousarray(x, dtype=complex)
     terms = x.reshape(*x.shape[:-2], d * d).view(np.float64)[..., index]
     terms *= coeff
-    buffer = np.zeros(x.shape[:-2] + (d * d - 1,), dtype=complex)
-    out = buffer.real
+    out = np.zeros(x.shape[:-2] + (d * d - 1,))
     for start, cols in steps:
         out[..., start:] += terms[..., cols]
     return out
@@ -164,10 +161,10 @@ def povm_to_affine(effects) -> np.ndarray:
 
 def affine_response(detector, r) -> np.ndarray:
     """The response b + A r of the detector matrix D = [b | A] to the Bloch
-    vector r, with the bits of numpy's b + A @ r for the strided A of the
-    Gell-Mann traces: the products a_jk r_k added from zero in ascending k,
-    or a BLAS dot for a single row.  A BLAS product of D's columns may
-    differ in the last bit."""
+    vector r, with the bits of numpy's b + A @ r for an A of non-unit
+    stride: the products a_jk r_k added from zero in ascending k.  A single
+    row is one BLAS dot, with those bits where r too has a non-unit stride.
+    A BLAS product of D's columns may differ in the last bit."""
     detector = np.asarray(detector, dtype=float)
     r = np.asarray(r, dtype=float)
     if r.shape != (detector.shape[1] - 1,):

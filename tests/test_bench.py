@@ -63,7 +63,9 @@ class TestExperimentConfig:
         dict(eta=1.5),
         dict(out=""),
         dict(experiment="sweep-outcomes", M_values=(10, 20)),
-    ])
+    ], ids=["unknown-experiment", "d-below-2", "empty-m-values", "negative-noise",
+            "no-ensembles", "negative-seed", "no-workers", "m-below-d", "eta-above-1",
+            "empty-out", "outcomes-two-M"])
     def test_validation_rejects(self, overrides):
         from dataclasses import replace
         with pytest.raises(bench.ConfigError):
@@ -685,7 +687,7 @@ class TestRunLayer:
 
     def test_blas_pinned_during_run_and_restored(self, monkeypatch, tmp_path):
         # every SVD and every estimate of a run, of its Wigner exports
-        # (_mean_estimates) and of the selftest sees one OpenBLAS thread,
+        # (_export_wigner) and of the selftest sees one OpenBLAS thread,
         # and each run restores the count it found
         blas = bench._bundled_openblas()
         if blas is None:
@@ -1064,7 +1066,7 @@ class TestAtomicWrites:
         # a homodyne run that fails in its Wigner export, after its header
         # and the true state's grid were written to .tmp files and before
         # its first row, leaves the files of an earlier run as they were,
-        # and no .tmp file
+        # and no .tmp file; its other grid size moves the true state's file
         cfg = bench.ExperimentConfig(**TINY_HOMODYNE, out=str(tmp_path / "homo.csv"))
         bench.run_homodyne(cfg)
         earlier = _run_files(tmp_path)
@@ -1076,7 +1078,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(bench, "_task", _unexpected_task)
         with pytest.raises(FloatingPointError):
             bench.run_homodyne(bench.ExperimentConfig(
-                **{**TINY_HOMODYNE, "seed": 8}, out=cfg.out))
+                **{**TINY_HOMODYNE, "seed": 8, "wigner_points": 21}, out=cfg.out))
         assert _run_files(tmp_path) == earlier
 
     @pytest.mark.skipif(not hasattr(os, "lockf"), reason="runs take no lock without os.lockf")
@@ -1151,6 +1153,14 @@ class TestHomodyneRunMemory:
     def test_wigner_values_own_a_real_buffer(self):
         values = _true_signal_grid()
         assert values.dtype == np.float64 and values.base is None
+
+    def test_bloch_vectors_own_a_real_buffer(self):
+        # the probe and signal coordinates are plain float arrays, not the
+        # real view of a complex buffer twice their size
+        rhos = qstate.random_density_hs(6, np.random.default_rng(8), size=100)
+        for rho in (homodyne.true_state(6), rhos):
+            r = qstate.state_to_bloch(rho)
+            assert r.dtype == np.float64 and r.flags.c_contiguous and r.base is None
 
     def test_wigner_csv_peak(self, tmp_path):
         grid = _true_signal_grid()

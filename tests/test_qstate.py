@@ -120,10 +120,10 @@ def wide_range_matrices(rng, shape, d):
 
 
 class TestGellmannTraces:
-    """The traces over the nonzero Gell-Mann entries give einsum's bits and
-    strides; for d >= 3 a diagonal matrix has three or more terms, so the
-    order in which they are summed shows.  The Hilbert-Schmidt sampler gives
-    the bits of its complex-sum, complex-quotient form."""
+    """The traces over the nonzero Gell-Mann entries give einsum's bits in a
+    contiguous array; for d >= 3 a diagonal matrix has three or more terms,
+    so the order in which they are summed shows.  The Hilbert-Schmidt
+    sampler gives the bits of its complex-sum, complex-quotient form."""
 
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (500,), (3, 5)])
     @pytest.mark.parametrize("d", range(2, 9))
@@ -131,14 +131,16 @@ class TestGellmannTraces:
         rng = np.random.default_rng(100 * d + len(shape))
         gammas = qstate.gellmann_basis(d)
         x = wide_range_matrices(rng, shape, d)
-        assert_same_bits(qstate.state_to_bloch(x), einsum_bloch(x, gammas))
+        assert_same_bits(qstate.state_to_bloch(x),
+                         np.ascontiguousarray(einsum_bloch(x, gammas)))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_state_to_bloch_real_input(self, d):
         rng = np.random.default_rng(200 + d)
         gammas = qstate.gellmann_basis(d)
         for x in (rng.standard_normal((d, d)), rng.standard_normal((7, d, d)), np.eye(d) / d):
-            assert_same_bits(qstate.state_to_bloch(x), einsum_bloch(x, gammas))
+            assert_same_bits(qstate.state_to_bloch(x),
+                             np.ascontiguousarray(einsum_bloch(x, gammas)))
 
     @pytest.mark.parametrize("count", [1, 7, 500])
     @pytest.mark.parametrize("d", range(2, 9))
@@ -147,7 +149,7 @@ class TestGellmannTraces:
         gammas = qstate.gellmann_basis(d)
         x = wide_range_matrices(rng, (count,), d)
         ref = einsum_amatrix(x, gammas)
-        assert_same_bits(qstate._gellmann_traces(x, d), ref)
+        assert_same_bits(qstate._gellmann_traces(x, d), np.ascontiguousarray(ref))
         # the A block of the contiguous D = [b | A] has D's strides, not einsum's
         assert_same_bits(qstate.povm_to_affine(x)[:, 1:].copy(), ref.copy())
 
@@ -199,18 +201,27 @@ class TestDetectorModel:
         assert_allclose(det, [[0.5, 0.0, 0.0, s], [0.5, 0.0, 0.0, -s]], atol=1e-15)
 
 
+def strided(x):
+    """The values of x in the real view of a complex buffer, a stride of 16
+    bytes: numpy multiplies it unblocked, or by a strided BLAS dot."""
+    out = np.zeros(np.shape(x), dtype=complex).real
+    out[:] = x
+    return out
+
+
 def strided_response(effects, r):
-    """The response as b + A @ r with A the strided real view of the
-    Gell-Mann traces, the unblocked numpy product summed from zero."""
+    """The response as b + A @ r with A the strided Gell-Mann traces, the
+    unblocked numpy product summed from zero."""
     d = effects.shape[1]
-    a = qstate._gellmann_traces(effects, d)
+    a = strided(qstate._gellmann_traces(effects, d))
     assert a.strides[1] == 16  # not unit-stride, so not a BLAS product
     return np.trace(effects, axis1=1, axis2=2).real / d + a @ r
 
 
 class TestAffineResponse:
-    """affine_response(D, r) has the bits of b + A @ r for the strided A,
-    for square-root-measurement and homodyne effects."""
+    """affine_response(D, r) has the bits of b + A @ r for a strided A and
+    a strided r, for square-root-measurement and homodyne effects; a single
+    row is a BLAS dot, whose bits depend on r's stride too."""
 
     @pytest.mark.parametrize("kind", ["srm", "homodyne"])
     @pytest.mark.parametrize("m", [1, "d", 16, 130])
@@ -227,7 +238,7 @@ class TestAffineResponse:
         det = qstate.povm_to_affine(effects)
         states = [*qstate.random_density_hs(d, rng, size=4), np.eye(d) / d,
                   oracles.random_projector(d, rng)]
-        for r in qstate.state_to_bloch(np.array(states)):
+        for r in strided(qstate.state_to_bloch(np.array(states))):
             assert_same_bits(qstate.affine_response(det, r), strided_response(effects, r))
 
     def test_sum_starts_from_zero(self):
