@@ -27,6 +27,14 @@ MUTANTS = [
         ["tests/test_bench.py::TestHomodyneRunMemory::test_bloch_vectors_own_a_real_buffer"],
     ),
     (
+        "one-row-response-by-blas-dot", QSTATE,
+        "    terms = detector[:, 1:] * r\n",
+        "    if len(detector) == 1:\n        return detector[:, 0] + detector[:, 1:] @ r\n"
+        "    terms = detector[:, 1:] * r\n",
+        ["tests/test_qstate.py::TestAffineResponse::"
+         "test_row_bits_independent_of_row_count_and_layout"],
+    ),
+    (
         "hs-imaginary-part-drawn-first", QSTATE,
         "    g.real = rng.standard_normal(shape)\n    g.imag = rng.standard_normal(shape)\n",
         "    g.imag = rng.standard_normal(shape)\n    g.real = rng.standard_normal(shape)\n",

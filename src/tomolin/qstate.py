@@ -161,16 +161,14 @@ def povm_to_affine(effects) -> np.ndarray:
 
 def affine_response(detector, r) -> np.ndarray:
     """The response b + A r of the detector matrix D = [b | A] to the Bloch
-    vector r, with the bits of numpy's b + A @ r for an A of non-unit
-    stride: the products a_jk r_k added from zero in ascending k.  A single
-    row is one BLAS dot, with those bits where r too has a non-unit stride.
-    A BLAS product of D's columns may differ in the last bit."""
+    vector r: each row is b_j plus its products a_jk r_k added from zero in
+    ascending k, so its bits depend on neither the strides of D and r nor
+    the number of rows.  A BLAS product of D's columns may differ in the
+    last bit."""
     detector = np.asarray(detector, dtype=float)
     r = np.asarray(r, dtype=float)
     if r.shape != (detector.shape[1] - 1,):
         raise ValueError(f"expected {detector.shape[1] - 1} Bloch coordinates, got shape {r.shape}")
-    if len(detector) == 1:
-        return detector[:, 0] + detector[:, 1:] @ r
     terms = detector[:, 1:] * r
     terms[:, 0] += 0.0  # the sum starts from zero, which turns -0.0 into 0.0
     return detector[:, 0] + np.add.accumulate(terms, axis=1)[:, -1]

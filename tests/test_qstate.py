@@ -203,7 +203,7 @@ class TestDetectorModel:
 
 def strided(x):
     """The values of x in the real view of a complex buffer, a stride of 16
-    bytes: numpy multiplies it unblocked, or by a strided BLAS dot."""
+    bytes, which numpy multiplies unblocked."""
     out = np.zeros(np.shape(x), dtype=complex).real
     out[:] = x
     return out
@@ -218,10 +218,26 @@ def strided_response(effects, r):
     return np.trace(effects, axis1=1, axis2=2).real / d + a @ r
 
 
+def ascending_response(effects, r):
+    """The response of a single effect as b plus its products a_k r_k added
+    from zero in ascending k, one Python float at a time."""
+    d = effects.shape[1]
+    (a,) = qstate._gellmann_traces(effects, d)
+    total = 0.0
+    for a_k, r_k in zip(a.tolist(), r.tolist()):
+        total += a_k * r_k
+    return np.trace(effects, axis1=1, axis2=2).real / d + total
+
+
+LAYOUTS = [np.ascontiguousarray, np.asfortranarray, strided]
+
+
 class TestAffineResponse:
-    """affine_response(D, r) has the bits of b + A @ r for a strided A and
-    a strided r, for square-root-measurement and homodyne effects; a single
-    row is a BLAS dot, whose bits depend on r's stride too."""
+    """affine_response(D, r) adds each row's products from zero in ascending
+    k: for two or more rows these are the bits of b + A @ r for a strided A
+    and a strided r, and a single row is that sum written out, for
+    square-root-measurement and homodyne effects.  A row's bits depend
+    neither on the layout of D and r nor on how many rows D has."""
 
     @pytest.mark.parametrize("kind", ["srm", "homodyne"])
     @pytest.mark.parametrize("m", [1, "d", 16, 130])
@@ -238,8 +254,27 @@ class TestAffineResponse:
         det = qstate.povm_to_affine(effects)
         states = [*qstate.random_density_hs(d, rng, size=4), np.eye(d) / d,
                   oracles.random_projector(d, rng)]
+        reference = strided_response if count > 1 else ascending_response
         for r in strided(qstate.state_to_bloch(np.array(states))):
-            assert_same_bits(qstate.affine_response(det, r), strided_response(effects, r))
+            assert_same_bits(qstate.affine_response(det, r), reference(effects, r))
+
+    @pytest.mark.parametrize("kind", ["srm", "homodyne"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_row_bits_independent_of_row_count_and_layout(self, d, kind):
+        rng = np.random.default_rng([d, kind == "srm", 1])
+        if kind == "srm":
+            effects = qstate.square_root_measurement(qstate.haar_random_pure(d, rng, size=d + 3))
+        else:
+            effects = homodyne.homodyne_measurement(5, 0.8, rng, d)
+        det = qstate.povm_to_affine(effects)
+        for r in qstate.state_to_bloch(qstate.random_density_hs(d, rng, size=20)):
+            want = qstate.affine_response(det, r)
+            for det_layout in LAYOUTS:
+                for r_layout in LAYOUTS:
+                    x, y = det_layout(det), r_layout(r)
+                    assert_same_bits(qstate.affine_response(x, y), want)
+                    for j in range(len(det)):
+                        assert_same_bits(qstate.affine_response(x[j:j + 1], y), want[j:j + 1])
 
     def test_sum_starts_from_zero(self):
         # every product is -0.0: summed from zero they give 0.0, and
